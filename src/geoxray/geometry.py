@@ -371,6 +371,9 @@ def _radius_after(metric, y, s):
 
 def _trace_half(metric, x, v, step):
     """Integrate forward from (x, v) until the boundary; return (t, x, v) arrays."""
+    # a NaN step would never reach the arclength cap: the loop would not end
+    if not (math.isfinite(step) and step > 0):
+        raise SceneValidationError("integrator step must be positive and finite")
     y = np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])
     ts = [0.0]
     ys = [y]
@@ -429,12 +432,12 @@ def trace_geodesic(metric: MetricField, start: UnitTangent, step: float = DEFAUL
     ------
     TrappingSuspectedError
         If the arclength exceeds 100 times the chart diameter.
+    SceneValidationError
+        If ``step`` is not a positive finite number.
     DomainError
         If the base point is outside the disk or points outward from the
         boundary.
     """
-    if step <= 0:
-        raise SceneValidationError("integrator step must be positive")
     x = np.asarray(start.x, dtype=float)
     v = np.asarray(start.v, dtype=float)
     r = math.hypot(x[0], x[1])
@@ -482,8 +485,10 @@ def flow_with_frame(metric: MetricField, start: UnitTangent, w0, length: float,
     vector to an interior anchor point.  Raises FanConstructionError if the
     geodesic leaves the disk before covering ``length``.
     """
-    if length <= 0:
-        raise SceneValidationError("transport length must be positive")
+    if not (math.isfinite(length) and length > 0):
+        raise SceneValidationError("transport length must be positive and finite")
+    if not (math.isfinite(step) and step > 0):
+        raise SceneValidationError("integrator step must be positive and finite")
     n_steps = max(1, int(math.ceil(length / step)))
     h = length / n_steps
     y = np.concatenate([start.x, start.v, np.asarray(w0, dtype=float)])

@@ -82,8 +82,8 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
     step = float(raw.get("quadrature_step", DEFAULT_QUADRATURE_STEP))
     if step_override is not None:
         step = float(step_override)
-    if step <= 0:
-        raise SceneValidationError("scene.quadrature_step: must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise SceneValidationError("scene.quadrature_step: must be positive and finite")
 
     metric = _build_metric(raw.get("metric"))
     tiling = _build_tiling(raw.get("tiling"))

@@ -3,10 +3,18 @@
 Triangles are straight in chart coordinates.  The curved disk is covered up
 to a boundary band by an inscribed polygon; piecewise constant fields are
 zero on that band and on the tiling skeleton (edges and vertices).
+
+Clipping cuts a sampled geodesic where its cubic Hermite interpolant crosses
+an edge segment.  Crossings are bracketed on the sample grid, kept only where
+the sample interval's Bezier control hull meets the edge's bounding box, and
+refined by one bisection that advances every bracket in lockstep.  A
+near-tangent interval that crosses an edge twice, with no sign change on the
+grid, is split at the cubic's interior extremum first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,12 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SceneValidationError, TangencyWarning
-from .geometry import DISK_RADIUS, GeodesicPath, MetricField
+from .geometry import DISK_RADIUS, GeodesicPath, MetricField, _hermite
 
 BARY_TOL = 1e-12          # skeleton classification tolerance (barycentric)
 MIN_AREA = 1e-12
 CLIP_BISECT_WIDTH = 1e-14  # edge-crossing bisection width (contract is 1e-10)
 TANGENCY_LENGTH = 1e-6
+# Rows per block of the blocked pairwise tests (edges x samples when clipping,
+# boxes x boxes when validating); bounds their temporaries, so long paths and
+# fine tilings do not raise peak memory.
+EDGE_BLOCK = 64
+# Widening of the control-hull box, so that rounding in the Hermite
+# evaluation cannot push a crossing on an edge endpoint out of the box.
+HULL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,7 +58,6 @@ class TilingReport:
     conforming: bool
     disjoint: bool
     coverage_defect: float
-    min_angle: float
     messages: list
 
     @property
@@ -94,6 +108,14 @@ class Tiling:
                 adj.setdefault(e, []).append(i)
         return adj
 
+    @functools.cached_property
+    def _edge_ends(self) -> np.ndarray:
+        """(E, 2, 2) endpoint coordinates of each edge, in adjacency order.
+
+        Built on the first clip and kept, so setting up a tiling costs no more.
+        """
+        return self.vertices[np.array(list(self.adjacency), dtype=int).reshape(-1, 2)]
+
     # -- basic queries ---------------------------------------------------------
     @property
     def n_triangles(self) -> int:
@@ -114,10 +136,6 @@ class Tiling:
 
     def incident_triangles(self, vertex_id: int):
         return [i for i, tri in enumerate(self.triangles) if vertex_id in tri]
-
-    def barycentric(self, i: int, p) -> np.ndarray:
-        lam12 = self._bary_inv[i] @ (np.asarray(p, dtype=float) - self.vertices[self.triangles[i][0]])
-        return np.array([1.0 - lam12[0] - lam12[1], lam12[0], lam12[1]])
 
     def find_vertex(self, p, tol=1e-9) -> int:
         d = np.hypot(*(self.vertices - np.asarray(p, dtype=float)).T)
@@ -147,16 +165,11 @@ def _validate(tiling: Tiling) -> TilingReport:
     msgs = []
     v = tiling.vertices
     nondeg = True
-    min_angle = math.inf
     for i in range(tiling.n_triangles):
         area = tiling.area(i)
         if abs(area) < MIN_AREA:
             nondeg = False
             msgs.append(f"triangle {i} is degenerate (area {area:.3e})")
-            continue
-        min_angle = min(min_angle, _min_corner_angle(tiling.coords(i)))
-    if tiling.n_triangles == 0:
-        min_angle = 0.0
 
     inside = True
     radii = np.hypot(v[:, 0], v[:, 1]) if len(v) else np.zeros(0)
@@ -166,36 +179,37 @@ def _validate(tiling: Tiling) -> TilingReport:
 
     conforming = True
     # coincident vertices break the equal-depth requirement
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            if np.hypot(*(v[i] - v[j])) < 1e-12:
-                conforming = False
-                msgs.append(f"vertices {i} and {j} coincide")
+    for i in range(len(v) - 1):
+        d = np.hypot(v[i + 1:, 0] - v[i, 0], v[i + 1:, 1] - v[i, 1])
+        for j in np.flatnonzero(d < 1e-12):
+            conforming = False
+            msgs.append(f"vertices {i} and {i + 1 + int(j)} coincide")
     # an edge shared by more than two triangles cannot align depths
     for e, tris in tiling.adjacency.items():
         if len(tris) > 2:
             conforming = False
             msgs.append(f"edge {e} shared by {len(tris)} triangles")
-    # T-junction: a vertex in the open interior of another triangle's edge
-    for vid in range(len(v)):
-        p = v[vid]
-        for i, tri in enumerate(tiling.triangles):
-            if vid in tri:
-                continue
-            for k in range(3):
-                a = v[tri[k]]
-                b = v[tri[(k + 1) % 3]]
-                if _on_open_segment(p, a, b):
-                    conforming = False
-                    msgs.append(
-                        f"vertex {vid} lies inside an edge of triangle {i}: "
-                        "point depths disagree between the two triangles"
-                    )
+    # T-junction: a vertex in the open interior of another triangle's edge;
+    # only a vertex inside that triangle's bounding box can be one
+    corners = v[tiling.triangles]                   # (T, 3, 2); edge k runs corner k -> k+1
+    box_lo = corners.min(axis=1)
+    box_hi = corners.max(axis=1)
+    pairs = _boxes_meet(v, v, box_lo - 1e-12, box_hi + 1e-12)
+    pairs = pairs[~np.any(tiling.triangles[pairs[:, 1]] == pairs[:, :1], axis=1)]
+    if len(pairs):
+        for p, _k in zip(*np.nonzero(_on_open_edges(v[pairs[:, 0]], corners[pairs[:, 1]]))):
+            conforming = False
+            msgs.append(
+                f"vertex {pairs[p, 0]} lies inside an edge of triangle {pairs[p, 1]}: "
+                "point depths disagree between the two triangles"
+            )
 
     disjoint = True
-    for i in range(tiling.n_triangles):
-        for j in range(i + 1, tiling.n_triangles):
-            overlap = _convex_overlap_area(tiling.coords(i), tiling.coords(j))
+    # only triangles whose bounding boxes meet can overlap; one triangle has no pair
+    if tiling.n_triangles > 1:
+        pairs = _boxes_meet(box_lo, box_hi, box_lo, box_hi)
+        for i, j in pairs[pairs[:, 0] < pairs[:, 1]]:
+            overlap = _convex_overlap_area(corners[i], corners[j])
             if overlap > 1e-12:
                 disjoint = False
                 msgs.append(f"triangles {i} and {j} overlap (area {overlap:.3e})")
@@ -207,31 +221,46 @@ def _validate(tiling: Tiling) -> TilingReport:
         conforming=conforming,
         disjoint=disjoint,
         coverage_defect=coverage,
-        min_angle=min_angle,
         messages=msgs,
     )
 
 
-def _min_corner_angle(coords) -> float:
-    best = math.inf
-    for k in range(3):
-        a = coords[(k + 1) % 3] - coords[k]
-        b = coords[(k + 2) % 3] - coords[k]
-        cosang = np.dot(a, b) / (np.hypot(*a) * np.hypot(*b))
-        best = min(best, math.acos(min(1.0, max(-1.0, cosang))))
-    return best
+def _boxes_meet(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Index pairs ``(i, j)``, in row-major order, of boxes ``a[i]`` and ``b[j]`` that meet.
+
+    Boxes are closed; ``a`` is walked in blocks of ``EDGE_BLOCK`` rows so the
+    ``(rows, len(b))`` masks stay small however many boxes there are.
+    Returns a ``(P, 2)`` integer array.
+    """
+    blocks = [np.zeros((0, 2), dtype=int)]
+    for k in range(0, len(lo_a), EDGE_BLOCK):
+        rows = slice(k, k + EDGE_BLOCK)
+        meet = lo_a[rows, None, 0] <= hi_b[:, 0]
+        meet &= lo_b[:, 0] <= hi_a[rows, None, 0]
+        meet &= lo_a[rows, None, 1] <= hi_b[:, 1]
+        meet &= lo_b[:, 1] <= hi_a[rows, None, 1]
+        pairs = np.argwhere(meet)
+        pairs[:, 0] += k
+        blocks.append(pairs)
+    return np.concatenate(blocks)
 
 
-def _on_open_segment(p, a, b, tol=1e-12) -> bool:
-    ab = b - a
-    L2 = ab @ ab
-    if L2 == 0:
-        return False
-    s = (p - a) @ ab / L2
-    if s <= tol or s >= 1.0 - tol:
-        return False
-    closest = a + s * ab
-    return np.hypot(*(p - closest)) < tol
+def _on_open_edges(p, corners, tol=1e-12) -> np.ndarray:
+    """Row-wise: which edges of triangle ``corners[r]`` hold ``p[r]`` in their open interior.
+
+    ``p`` is ``(P, 2)`` and ``corners`` ``(P, 3, 2)``; edge k runs from
+    corner k to corner k+1.  The point is projected on the edge line; it
+    must fall strictly inside the edge and within ``tol`` of its projection.
+    Returns a ``(P, 3)`` mask.
+    """
+    a = corners
+    ab = corners[:, [1, 2, 0]] - a
+    ap = p[:, None] - a
+    L2 = ab[..., 0] * ab[..., 0] + ab[..., 1] * ab[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (ap[..., 0] * ab[..., 0] + ap[..., 1] * ab[..., 1]) / L2
+    off = p[:, None] - (a + s[..., None] * ab)
+    return (L2 != 0) & (s > tol) & (s < 1.0 - tol) & (np.hypot(off[..., 0], off[..., 1]) < tol)
 
 
 def _convex_overlap_area(tri_a, tri_b) -> float:
@@ -341,21 +370,22 @@ def locate(tiling: Tiling, x) -> LocateResult:
 
     Depth 0 is an open triangle interior, 1 an open edge, 2 a vertex;
     classification happens at barycentric tolerance 1e-12, edges winning
-    over interiors inside that band.
+    over interiors inside that band.  The lowest-numbered triangle whose
+    interior holds the point wins; otherwise the deepest skeleton match.
     """
     p = np.asarray(x, dtype=float)
-    best_skeleton = None
-    for i in range(tiling.n_triangles):
-        lam = tiling.barycentric(i, p)
-        if np.min(lam) >= -BARY_TOL:
-            zeros = int(np.sum(np.abs(lam) <= BARY_TOL))
-            if zeros == 0:
-                return LocateResult(kind="triangle", triangle=i, depth=0)
-            depth = min(zeros, 2)
-            if best_skeleton is None or depth > best_skeleton.depth:
-                best_skeleton = LocateResult(kind="skeleton", triangle=None, depth=depth)
-    if best_skeleton is not None:
-        return best_skeleton
+    d = p - tiling.vertices[tiling.triangles[:, 0]]
+    inv = tiling._bary_inv
+    lam1 = inv[:, 0, 0] * d[:, 0] + inv[:, 0, 1] * d[:, 1]
+    lam2 = inv[:, 1, 0] * d[:, 0] + inv[:, 1, 1] * d[:, 1]
+    lam = np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=1)
+    inside = lam.min(axis=1) >= -BARY_TOL
+    zeros = np.count_nonzero(np.abs(lam) <= BARY_TOL, axis=1)
+    interior = np.flatnonzero(inside & (zeros == 0))
+    if interior.size:
+        return LocateResult(kind="triangle", triangle=int(interior[0]), depth=0)
+    if inside.any():
+        return LocateResult(kind="skeleton", triangle=None, depth=min(int(zeros[inside].max()), 2))
     return LocateResult(kind="outside", triangle=None, depth=None)
 
 
@@ -451,27 +481,24 @@ class ClipInterval:
 def clip_path(tiling: Tiling, path: GeodesicPath) -> list:
     """Partition the path parameter range by the triangle containing each piece.
 
-    Edge-line crossings are bracketed on the sample grid and refined by
-    bisection on the signed edge-line function; sub-intervals are classified
-    by locating their midpoints.  Pieces on the skeleton or outside all
-    triangles get ``triangle=None``.  A skeleton piece longer than 1e-6
-    raises a TangencyWarning (its field contribution is zero either way).
+    The path is the cubic Hermite interpolant of its samples.  An (edge,
+    sample interval) pair brackets a crossing when the signed edge-line
+    function changes sign across the interval and the interval's Bezier
+    control hull meets the edge segment's bounding box.  A pair without a
+    sign change whose control hull straddles the edge line is split at the
+    cubic's interior extremum, so a near-tangent path that crosses an edge
+    twice inside one interval is cut at both crossings.  All brackets are
+    bisected together to width ``CLIP_BISECT_WIDTH``, and sub-intervals are
+    classified by locating their midpoints.  Pieces on the skeleton or
+    outside all triangles get ``triangle=None``.  A skeleton piece longer
+    than 1e-6 raises a TangencyWarning (its field contribution is zero
+    either way).
     """
     tau = path.tau
     if tau <= 0 or tiling.n_triangles == 0:
         return [ClipInterval(triangle=None, t0=0.0, t1=tau)] if tau > 0 else []
     cuts = {0.0, tau}
-    X = path.x
-    for (ia, ib), _tris in tiling.adjacency.items():
-        a = tiling.vertices[ia]
-        b = tiling.vertices[ib]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        s = ex * (X[:, 1] - a[1]) - ey * (X[:, 0] - a[0])
-        sign_change = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
-        for i in sign_change:
-            cuts.add(_bisect_line_crossing(path, a, (ex, ey), path.t[i], path.t[i + 1]))
-        for i in np.nonzero(s == 0.0)[0]:
-            cuts.add(float(path.t[i]))
+    cuts.update(_edge_crossings(tiling, path))
     ordered = _dedupe(sorted(cuts))
     raw = []
     for t0, t1 in zip(ordered, ordered[1:]):
@@ -489,22 +516,138 @@ def clip_path(tiling: Tiling, path: GeodesicPath) -> list:
     return out
 
 
-def _bisect_line_crossing(path, a, e, lo, hi) -> float:
-    ex, ey = e
+def _edge_crossings(tiling: Tiling, path: GeodesicPath) -> list:
+    """Times where the path meets an edge: bisected crossings and exact zeros at samples."""
+    t, X, V = path.t, path.x, path.v
+    h3 = (np.diff(t) / 3.0)[:, None]
+    # Bezier control points of each sample interval's Hermite segment
+    hull = np.stack([X[:-1], X[:-1] + V[:-1] * h3, X[1:] - V[1:] * h3, X[1:]])
+    hull_box = (hull.min(axis=0) - HULL_SLACK, hull.max(axis=0) + HULL_SLACK)
+    ends = tiling._edge_ends
+    a_all = ends[:, 0]
+    e_all = ends[:, 1] - a_all
+    zeros, lanes = [], []
+    for k in range(0, len(ends), EDGE_BLOCK):
+        block = slice(k, k + EDGE_BLOCK)
+        block_zeros, block_lanes = _block_brackets(path, hull, hull_box, ends[block], e_all[block], k)
+        zeros.append(block_zeros)
+        lanes += block_lanes
+    edge, i, lo, hi = (np.concatenate(col) for col in zip(*lanes))
+    crossings = _bisect_lanes(_lane_function(path, a_all[edge], e_all[edge], i), lo, hi)
+    return np.concatenate(zeros + [crossings]).tolist()
 
-    def f(t):
-        p = path.position(t)
-        return ex * (p[1] - a[1]) - ey * (p[0] - a[0])
 
-    flo = f(lo)
-    while hi - lo > CLIP_BISECT_WIDTH:
+def _block_brackets(path: GeodesicPath, hull, hull_box, ends, e, first):
+    """Sample zeros and crossing brackets of one block of edges (numbered from ``first``).
+
+    Returns the sample times where an edge-line function is exactly zero, and
+    ``(edge, interval, lo, hi)`` lane arrays: the sign changes whose sample
+    interval's control hull box meets the edge's box, and the double-crossing
+    brackets of ``_tangent_splits``.
+    """
+    t, X = path.t, path.x
+    a = ends[:, 0]
+    # e_x * (y - a_y) - e_y * (x - a_x), in place to keep the temporaries few
+    s = X[:, 1] - a[:, 1:2]
+    s *= e[:, 0:1]
+    other = X[:, 0] - a[:, 0:1]
+    other *= e[:, 1:2]
+    s -= other
+    del other
+    hull_lo, hull_hi = hull_box
+    box_lo = ends.min(axis=1)
+    box_hi = ends.max(axis=1)
+    near = ((hull_lo[:, 0] <= box_hi[:, 0:1]) & (hull_hi[:, 0] >= box_lo[:, 0:1])
+            & (hull_lo[:, 1] <= box_hi[:, 1:2]) & (hull_hi[:, 1] >= box_lo[:, 1:2]))
+    prod = s[:, :-1] * s[:, 1:]
+    ej, ij = np.nonzero(near & (prod < 0.0))
+    lanes = [(first + ej, ij, t[ij], t[ij + 1])]
+    ej, ij = np.nonzero(near & (prod > 0.0))
+    if ej.size:
+        f = [s[ej, ij], _edge_side(a[ej], e[ej], hull[1, ij]),
+             _edge_side(a[ej], e[ej], hull[2, ij]), s[ej, ij + 1]]
+        lanes += _tangent_splits(path, a[ej], e[ej], ij, first + ej, f)
+    return t[np.nonzero(s == 0.0)[1]], lanes
+
+
+def _lane_function(path: GeodesicPath, a, e, i):
+    """Signed edge-line function of the path, one lane per (edge, interval) pair.
+
+    Each lane does the arithmetic of ``path.position`` on interval ``i``
+    followed by the edge-line cross product, elementwise, so its values
+    equal the scalar evaluation bit for bit.
+    """
+    t0 = path.t[i]
+    h = path.t[i + 1] - t0
+    p0, m0 = path.x[i], path.v[i] * h[:, None]
+    p1, m1 = path.x[i + 1], path.v[i + 1] * h[:, None]
+
+    def f(tt):
+        return _edge_side(a, e, _hermite(p0, m0, p1, m1, ((tt - t0) / h)[:, None]))
+
+    return f
+
+
+def _edge_side(a, e, p):
+    """Signed edge-line function ``e x (p - a)``, row by row."""
+    return e[:, 0] * (p[:, 1] - a[:, 1]) - e[:, 1] * (p[:, 0] - a[:, 0])
+
+
+def _bisect_lanes(f, lo, hi):
+    """Bisect every bracket ``[lo, hi]`` of ``f`` together, each to width CLIP_BISECT_WIDTH.
+
+    Lane by lane this is the scalar loop: keep the half whose ends differ in
+    sign, test ``f(mid) < 0`` against ``f(lo) < 0`` (a sign that moving
+    ``lo`` never changes), stop at the width.  Beyond arclength 64 the float
+    spacing exceeds that width, so such a lane stops at adjacent floats
+    instead of halving forever.
+    """
+    width = np.maximum(CLIP_BISECT_WIDTH, np.spacing(hi))
+    lo_negative = f(lo) < 0
+    active = hi - lo > width
+    while active.any():
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        same = (f(mid) < 0) == lo_negative
+        lo = np.where(active & same, mid, lo)
+        hi = np.where(active & ~same, mid, hi)
+        active = hi - lo > width
     return 0.5 * (lo + hi)
+
+
+def _tangent_splits(path: GeodesicPath, a, e, i, edge, f) -> list:
+    """Brackets of double crossings inside intervals whose ends lie on one side.
+
+    On sample interval ``i`` the edge-line function is a cubic with
+    Bernstein coefficients ``f`` (its values at the four control points).
+    Where the middle two straddle zero, the cubic's interior extremum is
+    found, and if the path is on the far side there, the interval splits
+    into two sign-change brackets.  Returns ``(edge, interval, lo, hi)``
+    lane arrays.
+    """
+    t = path.t
+    h = t[i + 1] - t[i]
+    f0, f1, f2, f3 = f
+    straddle = np.where(f0 > 0.0, np.minimum(f1, f2) < 0.0, np.maximum(f1, f2) > 0.0)
+    if not straddle.any():
+        return []
+    a, e, i, edge, h = a[straddle], e[straddle], i[straddle], edge[straddle], h[straddle]
+    f0, f1, f2, f3 = f0[straddle], f1[straddle], f2[straddle], f3[straddle]
+    # derivative / 3 = qa u^2 + qb u + qc on u in [0, 1]; roots by the stable formula
+    d0, d1, d2 = f1 - f0, f2 - f1, f3 - f2
+    qa, qb, qc = d0 - 2.0 * d1 + d2, 2.0 * (d1 - d0), d0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        roots = (q / qa, qc / q)
+    side = _lane_function(path, a, e, i)
+    t_lo = t[i]
+    t_mid = np.full(len(i), np.nan)
+    for u in roots:
+        ok = (u > 0.0) & (u < 1.0) & np.isnan(t_mid)
+        tc = np.where(ok, t_lo + u * h, t_lo)
+        t_mid = np.where(ok & (side(tc) * f0 < 0.0), tc, t_mid)
+    keep = ~np.isnan(t_mid)
+    edge, i, t_mid = edge[keep], i[keep], t_mid[keep]
+    return [(edge, i, t[i], t_mid), (edge, i, t_mid, t[i + 1])]
 
 
 def _dedupe(ts, tol=1e-11):

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,3 +48,11 @@ def chord_start(metric, boundary_angle, exit_angle):
     a = np.array([math.cos(boundary_angle), math.sin(boundary_angle)])
     b = np.array([math.cos(exit_angle), math.sin(exit_angle)])
     return gx.unit_tangent(metric, a, b - a)
+
+
+def run_bounded(code, *args, timeout=30):
+    """Run Python code in a child process, so a loop that never ends fails the
+    test on the timeout instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gx.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=timeout,
+                          capture_output=True, text=True)

@@ -14,6 +14,7 @@ from geoxray.errors import (
     EXIT_VALIDATION,
 )
 
+from conftest import run_bounded
 from oracles import chord_forward_value
 
 INJECTIVE_32 = [[1.0, 0.2], [0.1, 1.0], [0.4, 0.6]]
@@ -101,6 +102,43 @@ def test_seed_and_step_overrides(tmp_path):
     path = write_scene(tmp_path, "s.json", reconstruct_scene(seed=5))
     a = gx.load_scene(path, seed_override=9, step_override=0.02)
     assert a.seed == 9 and a.step == 0.02
+
+
+@pytest.mark.parametrize("where", ["flag", "scene"])
+def test_nan_step_exits_with_validation_code(tmp_path, where):
+    scene = reconstruct_scene()
+    extra = ["--step", "nan"]
+    if where == "scene":
+        scene["quadrature_step"] = float("nan")
+        extra = []
+    path = write_scene(tmp_path, "s.json", scene)
+    done = run_bounded("import sys; from geoxray import cli; sys.exit(cli.main(sys.argv[1:]))",
+                       "forward", "--scene", path, "--out", str(tmp_path), *extra)
+    assert done.returncode == EXIT_VALIDATION
+    assert "quadrature_step" in done.stderr
+
+
+@pytest.mark.parametrize("trace", ["trace_geodesic", "trace_forward"])
+def test_nan_step_rejected_by_tracer(trace):
+    done = run_bounded(
+        "import geoxray as gx\n"
+        "m = gx.metric_from_config('euclidean')\n"
+        "start = gx.unit_tangent(m, [0.0, 0.0], [1.0, 0.0])\n"
+        "try:\n"
+        f"    gx.{trace}(m, start, step=float('nan'))\n"
+        "except gx.SceneValidationError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert done.returncode == 0
+    assert "step must be positive and finite" in done.stdout
+
+
+@pytest.mark.parametrize("length, step", [(math.nan, 0.01), (0.1, math.nan), (math.inf, 0.01), (0.1, math.inf)])
+def test_flow_with_frame_rejects_non_finite(length, step):
+    m = gx.metric_from_config("euclidean")
+    start = gx.unit_tangent(m, [0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(gx.SceneValidationError):
+        gx.geometry.flow_with_frame(m, start, [0.0, 1.0], length, step=step)
 
 
 # ---------------------------------------------------------------------------

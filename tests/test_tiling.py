@@ -1,4 +1,7 @@
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 import geoxray as gx
 from geoxray.tiling import locate
 
-from conftest import chord_start
+from conftest import chord_start, run_bounded
 from oracles import chord_triangle_length
 
 
@@ -188,3 +191,108 @@ def test_clip_diameter_along_shared_edge_warns(euclidean):
         intervals = gx.clip_path(t, path)
     assert all(iv.triangle is None for iv in intervals)
     assert abs(sum(iv.length for iv in intervals) - path.tau) <= 1e-12
+
+
+def test_clip_matches_golden_pieces():
+    # tests/golden/clip_pieces.json holds the pieces of the scalar line-bisection
+    # clipper (see make_clip_pieces.py); triangles must agree exactly, times to 1e-12
+    cases = json.loads((Path(__file__).parent / "golden" / "clip_pieces.json").read_text())["cases"]
+    tilings = {}
+    for case in cases:
+        levels = case["refine"]
+        if levels not in tilings:
+            tiling = gx.polygon_fan_tiling(6)
+            for _ in range(levels):
+                tiling = gx.refine(tiling)
+            tilings[levels] = tiling
+        tiling = tilings[levels]
+        assert tiling.n_triangles == case["n_triangles"]
+        metric = gx.metric_from_config(case["metric"], case["params"])
+        a, direction = case["descriptor"]
+        path = gx.trace_geodesic(metric, gx.boundary_tangent(metric, a, direction), step=case["step"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", gx.TangencyWarning)
+            pieces = gx.clip_path(tiling, path)
+        assert [p.triangle for p in pieces] == [g[0] for g in case["pieces"]]
+        got = np.array([[p.t0, p.t1] for p in pieces])
+        want = np.array([g[1:] for g in case["pieces"]])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_clip_finds_near_tangent_double_crossing():
+    # A curved geodesic crosses the shared edge twice inside one sample interval,
+    # so the sample grid shows no sign change; the dip into the far triangle is
+    # about 1e-7 deep and 0.4 of the interval long.
+    metric = gx.metric_from_config("conformal-radial", [0.3])
+    path = gx.trace_geodesic(metric, chord_start(metric, 0.4, 2.9), step=0.01)
+    i = path.n_samples // 2
+    t0, h = path.t[i], path.t[i + 1] - path.t[i]
+    p, q = path.position(t0 + 0.3 * h), path.position(t0 + 0.7 * h)
+    u = (q - p) / np.hypot(*(q - p))
+    n = np.array([-u[1], u[0]])
+    a, b = p - 0.15 * u, q + 0.15 * u
+    mid = 0.5 * (a + b)
+    tiling = gx.Tiling([a, b, mid + 0.2 * n, mid - 0.2 * n], [[0, 1, 2], [0, 1, 3]])
+    assert tiling.validate().ok
+    pieces = gx.clip_path(tiling, path)
+    tris = [iv.triangle for iv in pieces]
+    assert len(pieces) == 5 and tris[0] is None and tris[4] is None
+    assert tris[1] == tris[3] and {tris[1], tris[2]} == {0, 1}
+    assert abs(pieces[2].t0 - (t0 + 0.3 * h)) <= 1e-9
+    assert abs(pieces[2].t1 - (t0 + 0.7 * h)) <= 1e-9
+    for iv in pieces[1:4]:
+        loc = locate(tiling, path.position(0.5 * (iv.t0 + iv.t1)))
+        assert loc.kind == "triangle" and loc.triangle == iv.triangle
+
+
+def test_clip_finishes_for_crossings_beyond_arclength_64():
+    # past t = 64 the float spacing (1.4e-14) exceeds the bisection width, so a
+    # bracket there can never shrink to it; the clip must still end
+    done = run_bounded(
+        "import math, geoxray as gx\n"
+        "m = gx.metric_from_config('conformal-radial', [6.0])\n"
+        "c = 0.1 + math.pi\n"
+        "path = gx.trace_geodesic(m, gx.boundary_tangent(m, 0.1, c), step=0.01)\n"
+        "corner = lambda r, a: [r * math.cos(a), r * math.sin(a)]\n"
+        "t = gx.Tiling([corner(1, c - 0.05), corner(1, c + 0.05), corner(0.9, c + 0.2)], [[0, 1, 2]])\n"
+        "inside = [p for p in gx.clip_path(t, path) if p.triangle == 0]\n"
+        "print(path.tau, len(inside), inside[0].t0)\n",
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    tau, count, t0 = done.stdout.split()
+    assert float(tau) > 64 and int(count) == 1 and 64 < float(t0) < float(tau)
+
+
+# messages of the pairwise validation loops before they were vectorised
+SEED_VALIDATION_MESSAGES = {
+    "t-junction": (
+        [[0, 0], [1, 0], [0, 0.9], [0.5, 0.0], [0.9, -0.5]], [[0, 1, 2], [3, 4, 1]],
+        ["vertex outside the closed unit disk",
+         "vertex 3 lies inside an edge of triangle 0: point depths disagree between the two triangles"],
+    ),
+    "overlap": (
+        [[0, 0], [0.8, 0], [0, 0.8], [0.6, 0.6], [0.1, 0.1]], [[0, 1, 2], [0, 1, 3], [4, 1, 2]],
+        ["vertex 4 lies inside an edge of triangle 1: point depths disagree between the two triangles",
+         "triangles 0 and 1 overlap (area 1.600e-01)",
+         "triangles 0 and 2 overlap (area 2.400e-01)",
+         "triangles 1 and 2 overlap (area 1.200e-01)"],
+    ),
+    "degenerate": (
+        [[0, 0], [1, 0], [0.5, 0], [0, 0.5]], [[0, 1, 2], [0, 1, 3]],
+        ["triangle 0 is degenerate (area 0.000e+00)",
+         "vertex 2 lies inside an edge of triangle 1: point depths disagree between the two triangles"],
+    ),
+    "coincident": (
+        [[0, 0], [0.5, 0], [0, 0.5], [0.5, 0], [0.5, 0.5], [0, 0]], [[0, 1, 2], [3, 4, 2], [5, 3, 2]],
+        ["vertices 0 and 5 coincide",
+         "vertices 1 and 3 coincide",
+         "triangles 0 and 2 overlap (area 1.250e-01)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_VALIDATION_MESSAGES))
+def test_validation_messages_unchanged(name):
+    vertices, triangles, messages = SEED_VALIDATION_MESSAGES[name]
+    assert gx.Tiling(vertices, triangles).validate().messages == messages
