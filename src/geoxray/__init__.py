@@ -28,11 +28,11 @@ from .geometry import (
     UnitTangent,
     boundary_tangent,
     convexity_margin,
-    inward_normal,
     metric_from_config,
     parallel_transport,
     trace_forward,
     trace_geodesic,
+    trace_geodesics,
     unit_tangent,
 )
 from .recovery import (
@@ -63,6 +63,7 @@ from .transform import (
     FanGeodesic,
     TangentLine,
     fan_geodesic,
+    fan_geodesics,
     forward,
     frozen_limit,
     scaled_fan_integral,

@@ -13,13 +13,12 @@ import csv
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .errors import GeoxrayError, SceneValidationError, exit_code_for
-from .geometry import boundary_tangent, trace_geodesic
+from .geometry import boundary_tangent, trace_geodesics, unwrap
 from .recovery import (
     RecordedOracle,
     SyntheticOracle,
@@ -38,29 +37,26 @@ def fmt(x: float) -> str:
 
 def write_csv(path, header, rows):
     """Atomic CSV write: header + rows, LF endings, 17 significant digits."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([c if isinstance(c, str) else fmt(c) for c in row])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([c if isinstance(c, str) else fmt(c) for c in row])
+    _write_atomic(path, write)
 
 
 def write_text(path, text):
+    _write_atomic(path, lambda fh: fh.write(text))
+
+
+def _write_atomic(path, write):
+    """Call ``write`` on a UTF-8, LF temp file beside ``path``, then rename it to ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -86,21 +82,18 @@ def _complex_cells(vec):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_forward(scene: Scene, out_dir: str, threads: int = 1) -> str:
+def _trace_plan(scene: Scene, descriptors) -> list:
+    """``trace_geodesics`` entries of the planned chords, all traced together."""
+    return trace_geodesics(scene.metric, [boundary_tangent(scene.metric, a, d) for a, d in descriptors],
+                           step=scene.step)
+
+
+def cmd_forward(scene: Scene, out_dir: str) -> str:
     """One CSV row per planned geodesic with its transform value."""
     descriptors = scene_chord_descriptors(scene)
-
-    def run(desc):
-        path = trace_geodesic(scene.metric, boundary_tangent(scene.metric, desc[0], desc[1]),
-                              step=scene.step)
-        return forward(scene.metric, scene.weight, scene.tiling, scene.field, path)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(run, descriptors))
-    else:
-        values = [run(d) for d in descriptors]
-    rows = [[d[0], d[1]] + _complex_cells(v) for d, v in zip(descriptors, values)]
+    rows = [[d[0], d[1]] + _complex_cells(forward(scene.metric, scene.weight, scene.tiling,
+                                                  scene.field, unwrap(path)))
+            for d, path in zip(descriptors, _trace_plan(scene, descriptors))]
     out = os.path.join(out_dir, "forward.csv")
     write_csv(out, ["boundary_angle", "direction_angle"] + _complex_header("value", scene.weight.m), rows)
     return out
@@ -168,19 +161,9 @@ def cmd_reconstruct(scene: Scene, out_dir: str, data_path=None) -> str:
     return report_path
 
 
-def cmd_spectrum(scene: Scene, out_dir: str, threads: int = 1) -> str:
+def cmd_spectrum(scene: Scene, out_dir: str) -> str:
     """Singular values of the assembled operator over the chord plan."""
-    descriptors = scene_chord_descriptors(scene)
-
-    def trace(desc):
-        return trace_geodesic(scene.metric, boundary_tangent(scene.metric, desc[0], desc[1]),
-                              step=scene.step)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            paths = list(pool.map(trace, descriptors))
-    else:
-        paths = [trace(d) for d in descriptors]
+    paths = [unwrap(path) for path in _trace_plan(scene, scene_chord_descriptors(scene))]
     operator = assemble_operator(scene.metric, scene.weight, scene.tiling, paths)
     spectrum = singular_spectrum(operator)
     out = os.path.join(out_dir, "spectrum.csv")
@@ -210,7 +193,8 @@ def _build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--step", type=float, default=None, help="override the quadrature step")
         p.add_argument("--seed", type=int, default=None, help="override the scene seed")
-        p.add_argument("--threads", type=int, default=1, help="parallel tracing threads")
+        p.add_argument("--threads", type=int, default=1,
+                       help="ignored (all geodesics of a command are traced together); kept for old scripts")
         if needs_data:
             p.add_argument("--data", default=None, help="recorded data CSV (default: synthetic)")
     return parser
@@ -221,13 +205,13 @@ def main(argv=None) -> int:
     try:
         scene = load_scene(args.scene, step_override=args.step, seed_override=args.seed)
         if args.command == "forward":
-            out = cmd_forward(scene, args.out, threads=args.threads)
+            out = cmd_forward(scene, args.out)
         elif args.command == "limit-check":
             out = cmd_limit_check(scene, args.out)
         elif args.command == "reconstruct":
             out = cmd_reconstruct(scene, args.out, data_path=args.data)
         else:
-            out = cmd_spectrum(scene, args.out, threads=args.threads)
+            out = cmd_spectrum(scene, args.out)
     except GeoxrayError as exc:
         print(f"geoxray: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -5,10 +5,14 @@ to the flat metric, ``g_ij(x) = exp(2*lam(x)) * delta_ij``, with the profile
 ``lam`` and its first two derivatives available in closed form; no metric
 quantity is ever differentiated numerically.
 
-Geodesics are integrated with a fixed-step classical Runge-Kutta scheme in
-the state ``(x, v)``; the boundary crossing is located by bisection on
-``|x| - 1`` inside the step that crossed.  Paths are unit speed in ``g``, so
-the curve parameter is arclength.
+Geodesics are integrated with one fixed-step classical Runge-Kutta scheme,
+``rk4``, in the state ``(x, v)``.  All geodesics of a call advance together as
+the rows of one array, in lockstep: a row drops out at the step that leaves
+the disk, and the boundary crossings of all rows are then located together by
+bisection on ``|x| - 1`` inside the steps that crossed.  Each row gets the
+arithmetic of a one-row trace bit for bit, so a path does not depend on what
+it was traced with.  Paths are unit speed in ``g``, so the curve parameter is
+arclength.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from .errors import (
     DomainError,
     FanConstructionError,
+    GeoxrayError,
     SceneValidationError,
     TrappingSuspectedError,
 )
@@ -100,10 +105,10 @@ class MetricField:
     def transport_deriv(self, x, v, w):
         """Right-hand side ``-Gamma(v, w)`` of the parallel transport ODE."""
         d = self.lam_grad(x)
-        dv = d[0] * v[0] + d[1] * v[1]
-        dw = d[0] * w[0] + d[1] * w[1]
-        vw = v[0] * w[0] + v[1] * w[1]
-        return -(dw * v + dv * w - vw * d)
+        dv = d[..., 0] * v[..., 0] + d[..., 1] * v[..., 1]
+        dw = d[..., 0] * w[..., 0] + d[..., 1] * w[..., 1]
+        vw = v[..., 0] * w[..., 0] + v[..., 1] * w[..., 1]
+        return -(dw[..., None] * v + dv[..., None] * w - vw[..., None] * d)
 
     # -- inner products and frames ------------------------------------------
     def inner(self, x, u, w):
@@ -159,7 +164,7 @@ class EuclideanMetric(MetricField):
         return np.zeros_like(np.asarray(v, dtype=float))
 
     def transport_deriv(self, x, v, w):
-        return np.zeros(2)
+        return np.zeros_like(np.asarray(w, dtype=float))
 
 
 class RadialConformalMetric(MetricField):
@@ -231,6 +236,12 @@ def metric_from_config(family: str, params=()) -> MetricField:
         cls = _METRIC_FAMILIES[family]
     except KeyError:
         raise SceneValidationError(f"metric: unknown family {family!r}") from None
+    try:
+        finite = all(math.isfinite(float(p)) for p in params)
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise SceneValidationError(f"metric.params: {params!r} must be a list of finite numbers")
     if cls is EuclideanMetric:
         if params:
             raise SceneValidationError("metric: euclidean takes no parameters")
@@ -256,22 +267,14 @@ def unit_tangent(metric: MetricField, x, v) -> UnitTangent:
     if np.hypot(x[0], x[1]) > DISK_RADIUS + BOUNDARY_TOL:
         raise DomainError(f"base point {x.tolist()} outside the closed disk")
     v = metric.unit(x, v)
-    ut = UnitTangent(x=x, v=v)
-    assert abs(metric.inner(x, v, v) - 1.0) <= 1e-12
-    return ut
+    # false for NaN too: a non-finite point, direction or metric stops here
+    if not abs(metric.inner(x, v, v) - 1.0) <= 1e-12:
+        raise SceneValidationError(f"tangent at {x.tolist()} has no finite unit length in the metric")
+    return UnitTangent(x=x, v=v)
 
 
 def boundary_point(angle: float) -> np.ndarray:
     return np.array([math.cos(angle), math.sin(angle)])
-
-
-def inward_normal(metric: MetricField, boundary_angle: float) -> UnitTangent:
-    """Inward g-unit normal of the boundary circle at the given angle.
-
-    The boundary normal of a conformal disk metric is radial.
-    """
-    x = boundary_point(boundary_angle)
-    return unit_tangent(metric, x, -x)
 
 
 def boundary_tangent(metric: MetricField, boundary_angle: float, direction_angle: float) -> UnitTangent:
@@ -352,61 +355,172 @@ def _hermite(p0, m0, p1, m1, s):
 # integration
 # ---------------------------------------------------------------------------
 
-def _rhs(metric, y):
-    return np.concatenate([y[2:], metric.accel(y[:2], y[2:])])
+def rk4(rhs, y, h):
+    """One classical Runge-Kutta step of ``y' = rhs(y)`` for every row of ``y``.
 
-
-def _rk4_step(metric, y, h):
-    k1 = _rhs(metric, y)
-    k2 = _rhs(metric, y + 0.5 * h * k1)
-    k3 = _rhs(metric, y + 0.5 * h * k2)
-    k4 = _rhs(metric, y + h * k3)
+    ``y`` is ``(N, width)``, ``h`` a scalar or an ``(N, 1)`` column of per-row
+    steps.  Rows do not mix: each gets the arithmetic of a one-row step.
+    """
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _radius_after(metric, y, s):
-    z = _rk4_step(metric, y, s)
-    return math.hypot(z[0], z[1]) - DISK_RADIUS
+def _flow(metric):
+    """Right-hand side of the geodesic flow on rows ``(x, v)``; columns past
+    the fourth hold a vector ``w`` carried along by parallel transport."""
+    def rhs(y):
+        x, v = y[:, :2], y[:, 2:4]
+        parts = [v, metric.accel(x, v)]
+        if y.shape[1] > 4:
+            parts.append(metric.transport_deriv(x, v, y[:, 4:]))
+        return np.concatenate(parts, axis=1)
+    return rhs
 
 
-def _trace_half(metric, x, v, step):
-    """Integrate forward from (x, v) until the boundary; return (t, x, v) arrays."""
+def _radius(x):
+    """``|x|`` of every row, rounded as ``math.hypot`` rounds it: ``np.hypot``
+    may differ in the last bit, which matters only next to the unit circle."""
+    r = np.hypot(x[:, 0], x[:, 1])
+    near = np.abs(r - DISK_RADIUS) < 1e-15
+    if near.any():
+        for i in np.flatnonzero(near):
+            r[i] = math.hypot(x[i, 0], x[i, 1])
+    return r
+
+
+def _bisect_lanes(below, lo, hi, width, *lanes):
+    """Bisect every bracket ``[lo, hi]`` together until it is at most ``width`` wide.
+
+    ``below(mid, *lanes)`` tells, lane by lane, whether the root lies below
+    ``mid``; ``lanes`` are per-lane arrays it reads.  Lane by lane this is the
+    scalar loop ``hi = mid if below else lo = mid`` while ``hi - lo > width``.
+    Each pass takes two of its turns with one call of ``below``, on the
+    midpoint and on both midpoints the next turn may need, so a pass costs
+    few numpy calls however few lanes there are; finished lanes are dropped.
+    Returns the final midpoints.
+    """
+    width = np.broadcast_to(width, np.shape(lo))
+    root = 0.5 * (lo + hi)
+    ids, lanes3 = np.arange(len(root)), None
+    busy = hi - lo > width
+    while True:
+        if lanes3 is None or not busy.all():
+            root[ids[~busy]] = 0.5 * (lo[~busy] + hi[~busy])
+            ids, lo, hi, width = ids[busy], lo[busy], hi[busy], width[busy]
+            lanes = [a[busy] for a in lanes]
+            lanes3 = [np.concatenate([a, a, a]) for a in lanes]
+        if not ids.size:
+            return root
+        mid = 0.5 * (lo + hi)
+        lo_mid, mid_hi = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        down, down_lo, down_hi = below(np.concatenate([mid, lo_mid, mid_hi]), *lanes3).reshape(3, -1)
+        lo, hi = np.where(down, lo, mid), np.where(down, mid, hi)
+        # the second turn, for the lanes it is due on
+        mid, down = np.where(down, lo_mid, mid_hi), np.where(down, down_lo, down_hi)
+        busy = hi - lo > width
+        lo, hi = np.where(busy & ~down, mid, lo), np.where(busy & down, mid, hi)
+        busy = hi - lo > width
+
+
+def _trace_rows(metric, y, step):
+    """Integrate every row ``(x, v)`` of ``y`` forward to the boundary, in lockstep.
+
+    Rows leave the active set at the step that takes them out of the disk;
+    the exits are then located together, by bisection on ``|x| - 1`` inside
+    those steps.  Samples are stored per step for the rows still active, so
+    storage grows with the total sample count.  Returns one entry per row:
+    its ``(t, x, v)`` sample arrays, or the error that tracing the row raises.
+    """
+    n = len(y)
     # a NaN step would never reach the arclength cap: the loop would not end
     if not (math.isfinite(step) and step > 0):
-        raise SceneValidationError("integrator step must be positive and finite")
-    y = np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])
-    ts = [0.0]
-    ys = [y]
-    t = 0.0
-    while True:
-        y_next = _rk4_step(metric, y, step)
-        if math.hypot(y_next[0], y_next[1]) >= DISK_RADIUS:
-            lo, hi = 0.0, step
-            # f(lo) <= 0 by induction (current sample is inside or on the circle)
-            while hi - lo > EVENT_WIDTH:
-                mid = 0.5 * (lo + hi)
-                if _radius_after(metric, y, mid) >= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            s_exit = 0.5 * (lo + hi)
-            y_exit = _rk4_step(metric, y, s_exit)
-            if s_exit > EVENT_WIDTH:
-                ts.append(t + s_exit)
-                ys.append(y_exit)
-            break
-        t += step
-        ts.append(t)
-        ys.append(y_next)
-        y = y_next
-        if t > ARCLENGTH_CAP:
-            raise TrappingSuspectedError(
-                f"geodesic exceeded the arclength cap {ARCLENGTH_CAP:g} without "
-                "exiting; the metric parameters likely violate the nontrapping "
-                "assumption"
-            )
-    arr = np.array(ys)
-    return np.array(ts), arr[:, :2], arr[:, 2:]
+        return [SceneValidationError("integrator step must be positive and finite")] * n
+    finite = np.isfinite(y).all(axis=1)
+    out = [None if ok else SceneValidationError(f"geodesic start state {row.tolist()} is not finite")
+           for ok, row in zip(finite, y)]
+    rhs = _flow(metric)
+    rows, cur, t = np.flatnonzero(finite), y[finite], 0.0
+    samples, exits = [(rows, cur, t)], [(rows[:0], cur[:0], t)]
+    while rows.size and t <= ARCLENGTH_CAP:
+        nxt = rk4(rhs, cur, step)
+        leaving = _radius(nxt) >= DISK_RADIUS
+        if leaving.any():
+            exits.append((rows[leaving], cur[leaving], t))
+            rows, nxt = rows[~leaving], nxt[~leaving]
+        cur, t = nxt, t + step
+        samples.append((rows, cur, t))
+    for i in rows:
+        out[i] = TrappingSuspectedError(
+            f"geodesic exceeded the arclength cap {ARCLENGTH_CAP:g} without exiting; the metric "
+            "parameters likely violate the nontrapping assumption")
+    e_rows, e_y, e_t = (np.concatenate(c) for c in zip(*[(r, y0, np.full(len(r), t0)) for r, y0, t0 in exits]))
+    # |x| <= 1 at lo by induction (the sample is inside or on the circle)
+    s = _bisect_lanes(lambda mid, y0: _radius(rk4(rhs, y0, mid[:, None])) >= DISK_RADIUS,
+                      np.zeros(len(e_rows)), np.full(len(e_rows), float(step)), EVENT_WIDTH, e_y)
+    kept = s > EVENT_WIDTH
+    # group the samples by row, each row's in step order, its exit last
+    step_rows, step_y, step_t = zip(*samples)
+    rows = np.concatenate(step_rows + (e_rows[kept],))
+    order = np.argsort(rows, kind="stable")
+    ys = np.concatenate(step_y + (rk4(rhs, e_y[kept], s[kept, None]),))[order]
+    ts = np.concatenate([np.repeat(step_t, [len(r) for r in step_rows]), e_t[kept] + s[kept]])[order]
+    counts = np.bincount(rows, minlength=n)
+    ends = np.cumsum(counts)
+    return [(ts[b - c:b], ys[b - c:b, :2], ys[b - c:b, 2:]) if e is None else e
+            for e, b, c in zip(out, ends, counts)]
+
+
+def unwrap(entry):
+    """One entry of a batched call, raised instead when it is an error."""
+    if isinstance(entry, GeoxrayError):
+        raise entry
+    return entry
+
+
+def trace_geodesics(metric: MetricField, starts, step: float = DEFAULT_STEP) -> list:
+    """Trace the maximal unit-speed geodesic through every start, all in lockstep.
+
+    Returns one entry per start: the GeodesicPath that ``trace_geodesic``
+    returns for it, or the error that ``trace_geodesic`` raises for it.
+    Errors are returned, not raised, so that a caller working through a
+    plan raises the one of the first failing member (see ``unwrap``).
+    """
+    owners, rows = [], []
+    for start in starts:
+        x, v = np.asarray(start.x, dtype=float), np.asarray(start.v, dtype=float)
+        r = math.hypot(x[0], x[1])
+        if r > DISK_RADIUS + BOUNDARY_TOL:
+            owners.append(DomainError(f"start point {x.tolist()} outside the closed disk"))
+        elif not r >= DISK_RADIUS - BOUNDARY_TOL:
+            # interior start: extend backwards to the boundary, then forwards
+            owners.append((len(rows), len(rows) + 1))
+            rows += [np.concatenate([x, -v]), np.concatenate([x, v])]
+        elif (x[0] * v[0] + x[1] * v[1]) / max(r, 1e-300) > 1e-9:
+            owners.append(DomainError("boundary start must not point outward"))
+        else:
+            owners.append((len(rows),))
+            rows.append(np.concatenate([x, v]))
+    halves = _trace_rows(metric, np.array(rows).reshape(-1, 4), step)
+    return [owner if isinstance(owner, GeoxrayError) else _join(metric, [halves[k] for k in owner])
+            for owner in owners]
+
+
+def _join(metric, halves):
+    """The path from its traced halves, ``[forward]`` or ``[backward, forward]``, or their first error."""
+    errors = [half for half in halves if isinstance(half, GeoxrayError)]
+    if errors:
+        return errors[0]
+    t, x, v = halves[-1]
+    if len(halves) == 2:
+        t_b, x_b, v_b = halves[0]
+        tau_b = t_b[-1]
+        t = np.concatenate([tau_b - t_b[::-1], tau_b + t[1:]])
+        x = np.concatenate([x_b[::-1], x[1:]])
+        v = np.concatenate([-v_b[::-1], v[1:]])
+    return GeodesicPath(t=t, x=x, v=v, endpoints_on_boundary=_ends_on_circle(x), metric=metric)
 
 
 def trace_geodesic(metric: MetricField, start: UnitTangent, step: float = DEFAULT_STEP) -> GeodesicPath:
@@ -433,48 +547,55 @@ def trace_geodesic(metric: MetricField, start: UnitTangent, step: float = DEFAUL
     TrappingSuspectedError
         If the arclength exceeds 100 times the chart diameter.
     SceneValidationError
-        If ``step`` is not a positive finite number.
+        If ``step`` is not a positive finite number, or the start is not
+        finite.
     DomainError
         If the base point is outside the disk or points outward from the
         boundary.
     """
-    x = np.asarray(start.x, dtype=float)
-    v = np.asarray(start.v, dtype=float)
-    r = math.hypot(x[0], x[1])
-    if r > DISK_RADIUS + BOUNDARY_TOL:
-        raise DomainError(f"start point {x.tolist()} outside the closed disk")
-    on_boundary = r >= DISK_RADIUS - BOUNDARY_TOL
-    if on_boundary:
-        outward = (x[0] * v[0] + x[1] * v[1]) / max(r, 1e-300)
-        if outward > 1e-9:
-            raise DomainError("boundary start must not point outward")
-        t_f, x_f, v_f = _trace_half(metric, x, v, step)
-        path = GeodesicPath(t=t_f, x=x_f, v=v_f,
-                            endpoints_on_boundary=_ends_on_circle(x_f),
-                            metric=metric)
-        return path
-    # interior start: extend backwards to the boundary, then forwards
-    t_b, x_b, v_b = _trace_half(metric, x, -v, step)
-    t_f, x_f, v_f = _trace_half(metric, x, v, step)
-    tau_b = t_b[-1]
-    t_all = np.concatenate([tau_b - t_b[::-1], tau_b + t_f[1:]])
-    x_all = np.concatenate([x_b[::-1], x_f[1:]])
-    v_all = np.concatenate([-v_b[::-1], v_f[1:]])
-    return GeodesicPath(t=t_all, x=x_all, v=v_all,
-                        endpoints_on_boundary=_ends_on_circle(x_all),
-                        metric=metric)
+    return unwrap(trace_geodesics(metric, [start], step)[0])
 
 
 def trace_forward(metric: MetricField, start: UnitTangent, step: float = DEFAULT_STEP) -> GeodesicPath:
     """Trace only forward from ``start`` to the boundary (no backward extension)."""
-    t, x, v = _trace_half(metric, np.asarray(start.x, float), np.asarray(start.v, float), step)
-    return GeodesicPath(t=t, x=x, v=v, endpoints_on_boundary=_ends_on_circle(x), metric=metric)
+    row = np.concatenate([np.asarray(start.x, float), np.asarray(start.v, float)])
+    return unwrap(_join(metric, _trace_rows(metric, row[None], step)))
 
 
 def _ends_on_circle(x: np.ndarray) -> bool:
     r0 = math.hypot(x[0, 0], x[0, 1])
     r1 = math.hypot(x[-1, 0], x[-1, 1])
     return abs(r0 - DISK_RADIUS) <= BOUNDARY_TOL and abs(r1 - DISK_RADIUS) <= BOUNDARY_TOL
+
+
+def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float = DEFAULT_STEP) -> list:
+    """Advance every ``(x, v, w)`` its own arclength along its geodesic, in lockstep.
+
+    Lane ``i`` starts at ``starts[i]`` with ``w = frames[i]`` and takes
+    ``ceil(lengths[i] / step)`` equal steps; ``w`` obeys the parallel
+    transport equation.  Returns one entry per lane: its final ``(x, v, w)``,
+    or the error that ``flow_with_frame`` raises for it.
+    """
+    out, n_steps = [None] * len(lengths), np.zeros(len(lengths), dtype=int)
+    for i, length in enumerate(lengths):
+        if not (math.isfinite(length) and length > 0):
+            out[i] = SceneValidationError("transport length must be positive and finite")
+        elif not (math.isfinite(step) and step > 0):
+            out[i] = SceneValidationError("integrator step must be positive and finite")
+        else:
+            n_steps[i] = max(1, int(math.ceil(length / step)))
+    y = np.array([np.concatenate([s.x, s.v, np.asarray(w, dtype=float)])
+                  for s, w in zip(starts, frames)]).reshape(-1, 6)
+    h = (np.asarray(lengths, dtype=float) / np.maximum(n_steps, 1))[:, None]
+    rhs, lanes = _flow(metric), np.flatnonzero(n_steps)
+    for k in range(1, int(n_steps.max(initial=0)) + 1):
+        lanes = lanes[n_steps[lanes] >= k]
+        y[lanes] = z = rk4(rhs, y[lanes], h[lanes])
+        left = _radius(z) > DISK_RADIUS
+        for i in lanes[left]:
+            out[i] = FanConstructionError(f"base geodesic exits the disk before reaching offset {lengths[i]:g}")
+        lanes = lanes[~left]
+    return [(y[i, :2], y[i, 2:4], y[i, 4:]) if e is None else e for i, e in enumerate(out)]
 
 
 def flow_with_frame(metric: MetricField, start: UnitTangent, w0, length: float,
@@ -485,29 +606,7 @@ def flow_with_frame(metric: MetricField, start: UnitTangent, w0, length: float,
     vector to an interior anchor point.  Raises FanConstructionError if the
     geodesic leaves the disk before covering ``length``.
     """
-    if not (math.isfinite(length) and length > 0):
-        raise SceneValidationError("transport length must be positive and finite")
-    if not (math.isfinite(step) and step > 0):
-        raise SceneValidationError("integrator step must be positive and finite")
-    n_steps = max(1, int(math.ceil(length / step)))
-    h = length / n_steps
-    y = np.concatenate([start.x, start.v, np.asarray(w0, dtype=float)])
-
-    def rhs(y):
-        x, v, w = y[:2], y[2:4], y[4:]
-        return np.concatenate([v, metric.accel(x, v), metric.transport_deriv(x, v, w)])
-
-    for _ in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if math.hypot(y[0], y[1]) > DISK_RADIUS:
-            raise FanConstructionError(
-                f"base geodesic exits the disk before reaching offset {length:g}"
-            )
-    return y[:2], y[2:4], y[4:]
+    return unwrap(flow_with_frames(metric, [start], [w0], [length], step)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -517,35 +616,17 @@ def flow_with_frame(metric: MetricField, start: UnitTangent, w0, length: float,
 def parallel_transport(metric: MetricField, path: GeodesicPath, w0) -> np.ndarray:
     """Transport ``w0`` along the path samples; returns an ``(n, 2)`` array.
 
-    Integrates ``w' = -Gamma(x)(v, w)`` with two Runge-Kutta substeps per
-    sample interval, interpolating the carrier state with cubic Hermite
-    polynomials (same order as the tracer, so no accuracy is lost).
+    On each sample interval ``(x, v, w)`` starts from the sample's ``(x, v)``
+    and takes two ``rk4`` substeps of the geodesic flow with ``w`` carried by
+    ``w' = -Gamma(x)(v, w)``, so no accuracy is lost against the tracer.
     """
-    n = path.n_samples
-    out = np.empty((n, 2))
+    rhs = _flow(metric)
+    out = np.empty((path.n_samples, 2))
     out[0] = np.asarray(w0, dtype=float)
-    for i in range(n - 1):
-        t0, t1 = path.t[i], path.t[i + 1]
-        w = out[i]
-        h = (t1 - t0) / 2.0
-        t = t0
-        for _ in range(2):
-            w = _transport_rk4(metric, path, t, w, h)
-            t += h
-        out[i + 1] = w
+    for i, h in enumerate(np.diff(path.t) / 2.0):
+        y = np.concatenate([path.x[i], path.v[i], out[i]])[None]
+        out[i + 1] = rk4(rhs, rk4(rhs, y, h), h)[0, 4:]
     return out
-
-
-def _transport_rk4(metric, path, t, w, h):
-    def f(tt, ww):
-        x, v = path.state(tt)
-        return metric.transport_deriv(x, v, ww)
-
-    k1 = f(t, w)
-    k2 = f(t + 0.5 * h, w + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, w + 0.5 * h * k2)
-    k4 = f(t + h, w + h * k3)
-    return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # ---------------------------------------------------------------------------

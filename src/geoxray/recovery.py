@@ -14,7 +14,7 @@ recovered earlier, whose contribution is subtracted from the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     SceneValidationError,
 )
 from .foliation import FoliationFunction
-from .geometry import DEFAULT_STEP, GeodesicPath, MetricField, boundary_tangent, trace_geodesic
+from .geometry import DEFAULT_STEP, GeodesicPath, MetricField, boundary_tangent, trace_geodesics, unwrap
 from .tiling import Tiling
 from .transform import forward, per_triangle_weight_integrals, sector_chord_lengths
 from .weights import WeightField, injectivity_margin, sphere_bundle_samples
@@ -286,7 +286,6 @@ class ReconstructionReport:
     geodesics_per_batch: list
     foliation_margin: float
     injectivity: float
-    extra: dict = dataclass_field(default_factory=dict)
 
     def to_text(self) -> str:
         lines = [
@@ -351,8 +350,10 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
     for batch, (lo, hi) in zip(batches, windows):
         batch_set = set(batch)
         admissible = []
-        for desc in batch_descriptors(phi, lo, hi, plan):
-            path = trace_geodesic(metric, boundary_tangent(metric, desc[0], desc[1]), step=step)
+        descriptors = batch_descriptors(phi, lo, hi, plan)
+        paths = trace_geodesics(metric, [boundary_tangent(metric, a, d) for a, d in descriptors], step=step)
+        for desc, path in zip(descriptors, paths):
+            path = unwrap(path)
             integrals = per_triangle_weight_integrals(metric, weight, tiling, path)
             hits = {tri for tri, (_m, length) in integrals.items()
                     if length > ADMISSIBLE_LENGTH_TOL}

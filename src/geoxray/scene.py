@@ -53,7 +53,6 @@ class Scene:
     grid_rotations: int
     noise_sigma: float
     cond_cap: float
-    raw: dict
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -130,7 +129,6 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
         grid_rotations=grid_r,
         noise_sigma=noise_sigma,
         cond_cap=cond_cap,
-        raw=raw,
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SceneValidationError, TangencyWarning
-from .geometry import DISK_RADIUS, GeodesicPath, MetricField, _hermite
+from .geometry import DISK_RADIUS, GeodesicPath, MetricField, _bisect_lanes, _hermite
 
 BARY_TOL = 1e-12          # skeleton classification tolerance (barycentric)
 MIN_AREA = 1e-12
@@ -354,12 +354,6 @@ class PiecewiseConstantField:
         im = np.zeros((n_triangles, k)) if real else rng.uniform(-scale, scale, size=(n_triangles, k))
         return PiecewiseConstantField(values=re + 1j * im, k=k)
 
-    def value_at(self, tiling: Tiling, x) -> np.ndarray:
-        loc = locate(tiling, x)
-        if loc.kind == "triangle":
-            return self.values[loc.triangle].copy()
-        return np.zeros(self.k, dtype=complex)
-
 
 # ---------------------------------------------------------------------------
 # point location
@@ -533,7 +527,13 @@ def _edge_crossings(tiling: Tiling, path: GeodesicPath) -> list:
         zeros.append(block_zeros)
         lanes += block_lanes
     edge, i, lo, hi = (np.concatenate(col) for col in zip(*lanes))
-    crossings = _bisect_lanes(_lane_function(path, a_all[edge], e_all[edge], i), lo, hi)
+    data = _lanes(path, a_all[edge], e_all[edge], i)
+    # keep the half whose ends differ in sign; moving lo never changes its sign.
+    # Beyond arclength 64 the float spacing exceeds CLIP_BISECT_WIDTH, so such
+    # a lane stops at adjacent floats instead of halving forever.
+    crossings = _bisect_lanes(lambda mid, lo_negative, *data: (_side(mid, *data) < 0) != lo_negative,
+                              lo, hi, np.maximum(CLIP_BISECT_WIDTH, np.spacing(hi)),
+                              _side(lo, *data) < 0, *data)
     return np.concatenate(zeros + [crossings]).tolist()
 
 
@@ -570,48 +570,26 @@ def _block_brackets(path: GeodesicPath, hull, hull_box, ends, e, first):
     return t[np.nonzero(s == 0.0)[1]], lanes
 
 
-def _lane_function(path: GeodesicPath, a, e, i):
-    """Signed edge-line function of the path, one lane per (edge, interval) pair.
+def _lanes(path: GeodesicPath, a, e, i):
+    """Per-lane arrays of ``_side``, one lane per (edge ``a + s e``, interval ``i``) pair."""
+    t0 = path.t[i]
+    h = path.t[i + 1] - t0
+    return t0, h, path.x[i], path.v[i] * h[:, None], path.x[i + 1], path.v[i + 1] * h[:, None], a, e
 
-    Each lane does the arithmetic of ``path.position`` on interval ``i``
+
+def _side(tt, t0, h, p0, m0, p1, m1, a, e):
+    """Signed edge-line function of the path at times ``tt``, lane by lane.
+
+    Each lane does the arithmetic of ``path.position`` on its interval
     followed by the edge-line cross product, elementwise, so its values
     equal the scalar evaluation bit for bit.
     """
-    t0 = path.t[i]
-    h = path.t[i + 1] - t0
-    p0, m0 = path.x[i], path.v[i] * h[:, None]
-    p1, m1 = path.x[i + 1], path.v[i + 1] * h[:, None]
-
-    def f(tt):
-        return _edge_side(a, e, _hermite(p0, m0, p1, m1, ((tt - t0) / h)[:, None]))
-
-    return f
+    return _edge_side(a, e, _hermite(p0, m0, p1, m1, ((tt - t0) / h)[:, None]))
 
 
 def _edge_side(a, e, p):
     """Signed edge-line function ``e x (p - a)``, row by row."""
     return e[:, 0] * (p[:, 1] - a[:, 1]) - e[:, 1] * (p[:, 0] - a[:, 0])
-
-
-def _bisect_lanes(f, lo, hi):
-    """Bisect every bracket ``[lo, hi]`` of ``f`` together, each to width CLIP_BISECT_WIDTH.
-
-    Lane by lane this is the scalar loop: keep the half whose ends differ in
-    sign, test ``f(mid) < 0`` against ``f(lo) < 0`` (a sign that moving
-    ``lo`` never changes), stop at the width.  Beyond arclength 64 the float
-    spacing exceeds that width, so such a lane stops at adjacent floats
-    instead of halving forever.
-    """
-    width = np.maximum(CLIP_BISECT_WIDTH, np.spacing(hi))
-    lo_negative = f(lo) < 0
-    active = hi - lo > width
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        same = (f(mid) < 0) == lo_negative
-        lo = np.where(active & same, mid, lo)
-        hi = np.where(active & ~same, mid, hi)
-        active = hi - lo > width
-    return 0.5 * (lo + hi)
 
 
 def _tangent_splits(path: GeodesicPath, a, e, i, edge, f) -> list:
@@ -638,13 +616,13 @@ def _tangent_splits(path: GeodesicPath, a, e, i, edge, f) -> list:
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
         roots = (q / qa, qc / q)
-    side = _lane_function(path, a, e, i)
+    lanes = _lanes(path, a, e, i)
     t_lo = t[i]
     t_mid = np.full(len(i), np.nan)
     for u in roots:
         ok = (u > 0.0) & (u < 1.0) & np.isnan(t_mid)
         tc = np.where(ok, t_lo + u * h, t_lo)
-        t_mid = np.where(ok & (side(tc) * f0 < 0.0), tc, t_mid)
+        t_mid = np.where(ok & (_side(tc, *lanes) * f0 < 0.0), tc, t_mid)
     keep = ~np.isnan(t_mid)
     edge, i, t_mid = edge[keep], i[keep], t_mid[keep]
     return [(edge, i, t[i], t_mid), (edge, i, t_mid, t[i + 1])]

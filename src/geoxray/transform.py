@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FanConstructionError, NearParallelSectorError, SceneValidationError
+from .errors import FanConstructionError, GeoxrayError, NearParallelSectorError, SceneValidationError
 from .geometry import (
     BOUNDARY_TOL,
     DEFAULT_STEP,
@@ -27,9 +27,10 @@ from .geometry import (
     GeodesicPath,
     MetricField,
     UnitTangent,
-    flow_with_frame,
-    trace_geodesic,
+    flow_with_frames,
+    trace_geodesics,
     unit_tangent,
+    unwrap,
 )
 from .tiling import PiecewiseConstantField, SectorFan, Tiling, clip_path
 from .weights import WeightField
@@ -138,30 +139,57 @@ def fan_geodesic(metric: MetricField, x, v, h: float, sign: int = 1,
     ``sign * pi/2``) is parallel-transported to distance h, and the maximal
     geodesic through that point in the transported direction is traced.
     """
+    return unwrap(fan_geodesics(metric, x, [(v, h)], sign=sign, step=step)[0])
+
+
+def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
+                  step: float = DEFAULT_STEP) -> list:
+    """Build the offset geodesics of several ``(v, h)`` members at one anchor x.
+
+    Each member is what ``fan_geodesic(metric, x, v, h, sign, step)``
+    builds; the transports of all members run in lockstep, and so do their
+    traces.  Returns one entry per member: its FanGeodesic, or the error
+    that ``fan_geodesic`` raises for it.
+    """
     x = np.asarray(x, dtype=float)
     if abs(math.hypot(x[0], x[1]) - DISK_RADIUS) > BOUNDARY_TOL:
         raise SceneValidationError("fan anchor must sit on the boundary circle")
-    anchor = unit_tangent(metric, x, v)
     nu = metric.unit(x, -x)
-    cosang = metric.inner(x, anchor.v, nu)
-    if cosang < math.cos(FAN_CONE_HALF_ANGLE):
-        raise SceneValidationError(
-            "fan anchor direction lies outside the 30-degree cone about the inward normal"
-        )
-    if h <= 0:
-        raise SceneValidationError("fan offset h must be positive")
-    w0 = metric.rotate90(x, anchor.v, sign=sign)
-    p, v_h, w_h = flow_with_frame(metric, anchor, w0, h, step=step)
-    if math.hypot(p[0], p[1]) > DISK_RADIUS - 1e-12:
-        raise FanConstructionError(f"offset point for h={h:g} is not interior")
-    ortho = metric.inner(p, w_h, v_h)
-    if abs(ortho) > 1e-8:
-        raise FanConstructionError(
-            f"transported normal lost orthogonality ({ortho:.2e}); decrease the step"
-        )
-    start = unit_tangent(metric, p, w_h)
-    path = trace_geodesic(metric, start, step=step)
-    return FanGeodesic(anchor=anchor, offset=h, path=path, transported_normal=np.asarray(w_h))
+    out, anchored = [], []
+    for v, h in members:
+        try:
+            anchor = unit_tangent(metric, x, v)
+            if metric.inner(x, anchor.v, nu) < math.cos(FAN_CONE_HALF_ANGLE):
+                raise SceneValidationError(
+                    "fan anchor direction lies outside the 30-degree cone about the inward normal"
+                )
+            if h <= 0:
+                raise SceneValidationError("fan offset h must be positive")
+            anchored.append((len(out), anchor, h, metric.rotate90(x, anchor.v, sign=sign)))
+            out.append(None)
+        except GeoxrayError as exc:
+            out.append(exc)
+    flows = flow_with_frames(metric, [a[1] for a in anchored], [a[3] for a in anchored],
+                             [a[2] for a in anchored], step=step)
+    traced = []
+    for (i, anchor, h, _w0), flow in zip(anchored, flows):
+        try:
+            p, v_h, w_h = unwrap(flow)
+            if math.hypot(p[0], p[1]) > DISK_RADIUS - 1e-12:
+                raise FanConstructionError(f"offset point for h={h:g} is not interior")
+            ortho = metric.inner(p, w_h, v_h)
+            if abs(ortho) > 1e-8:
+                raise FanConstructionError(
+                    f"transported normal lost orthogonality ({ortho:.2e}); decrease the step"
+                )
+            traced.append((i, anchor, h, w_h, unit_tangent(metric, p, w_h)))
+        except GeoxrayError as exc:
+            out[i] = exc
+    paths = trace_geodesics(metric, [t[4] for t in traced], step=step)
+    for (i, anchor, h, w_h, _start), path in zip(traced, paths):
+        out[i] = path if isinstance(path, GeoxrayError) else FanGeodesic(
+            anchor=anchor, offset=h, path=path, transported_normal=np.asarray(w_h))
+    return out
 
 
 def scaled_fan_integral(metric: MetricField, weight: WeightField, tiling: Tiling,
@@ -270,21 +298,28 @@ def limit_scan(metric: MetricField, weight: WeightField, tiling: Tiling,
     x = np.array([math.cos(anchor_angle), math.sin(anchor_angle)])
     vertex_id = tiling.find_vertex(x)
     fan = tangent_fan(tiling, field, vertex_id, metric)
-    rows = []
+    members, stop = [], None
     for offset in v_offsets:
-        v = _rotate_chart(metric, x, -x, offset)
-        ut = unit_tangent(metric, x, v)
-        frozen = frozen_limit(weight, x, ut.v, fan)
-        for h in h_values:
-            scaled = scaled_fan_integral(metric, weight, tiling, field, x, ut.v, h,
-                                         sign=sign, step=step)
-            rows.append({
-                "h": float(h),
-                "v_angle": fan.angle_of(ut.v),
-                "err": float(np.linalg.norm(scaled - frozen)),
-                "scaled": scaled,
-                "frozen": frozen,
-            })
+        try:
+            ut = unit_tangent(metric, x, _rotate_chart(metric, x, -x, offset))
+            frozen = frozen_limit(weight, x, ut.v, fan)
+        except GeoxrayError as exc:
+            stop = exc   # raised after the members of the earlier offsets
+            break
+        members += [(ut.v, h, frozen) for h in h_values]
+    fans = fan_geodesics(metric, x, [(v, h) for v, h, _ in members], sign=sign, step=step)
+    rows = []
+    for (v, h, frozen), member in zip(members, fans):
+        scaled = forward(metric, weight, tiling, field, unwrap(member).path) / h
+        rows.append({
+            "h": float(h),
+            "v_angle": fan.angle_of(v),
+            "err": float(np.linalg.norm(scaled - frozen)),
+            "scaled": scaled,
+            "frozen": frozen,
+        })
+    if stop is not None:
+        raise stop
     return rows
 
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import SceneValidationError
-from .geometry import DEFAULT_STEP, GeodesicPath, MetricField, UnitTangent, trace_forward, unit_tangent
+from .geometry import DEFAULT_STEP, GeodesicPath, MetricField, UnitTangent, _hermite, trace_forward, unit_tangent
 
 
 class WeightField:
@@ -184,13 +184,7 @@ class _AttenuationPathWeight(PathWeight):
         i = self.path._bracket(t)
         h = ts[i + 1] - ts[i]
         s = (t - ts[i]) / h
-        s2, s3 = s * s, s * s * s
-        tail = (
-            (2 * s3 - 3 * s2 + 1) * self._tail[i]
-            + (s3 - 2 * s2 + s) * (-self._coef[i] * h)
-            + (-2 * s3 + 3 * s2) * self._tail[i + 1]
-            + (s3 - s2) * (-self._coef[i + 1] * h)
-        )
+        tail = _hermite(self._tail[i], -self._coef[i] * h, self._tail[i + 1], -self._coef[i + 1] * h, s)
         return np.array([[np.exp(-self.weight.strength * tail)]], dtype=complex)
 
 

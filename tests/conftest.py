@@ -50,9 +50,10 @@ def chord_start(metric, boundary_angle, exit_angle):
     return gx.unit_tangent(metric, a, b - a)
 
 
-def run_bounded(code, *args, timeout=30):
+def run_bounded(code, *args, timeout=30, flags=()):
     """Run Python code in a child process, so a loop that never ends fails the
-    test on the timeout instead of stalling the suite."""
+    test on the timeout instead of stalling the suite.  ``flags`` go to the
+    interpreter, e.g. ``("-O",)`` to run with assertions stripped."""
     env = dict(os.environ, PYTHONPATH=str(Path(gx.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=timeout,
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], env=env, timeout=timeout,
                           capture_output=True, text=True)

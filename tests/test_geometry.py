@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import geoxray as gx
 from geoxray.geometry import disk_grid, speed_defect
 
 from conftest import chord_start
+from golden.make_paths import TRACERS, digest
 from oracles import fd_christoffel, fd_covariant_hessian_min, observed_order
 
 
@@ -97,6 +100,44 @@ def test_interior_start_gives_maximal_path(euclidean):
 def test_outward_boundary_start_rejected(euclidean):
     with pytest.raises(gx.DomainError):
         gx.trace_geodesic(euclidean, gx.UnitTangent(np.array([1.0, 0.0]), np.array([1.0, 0.0])))
+
+
+GOLDEN_PATHS = json.loads((Path(__file__).parent / "golden" / "paths.json").read_text())["cases"]
+
+
+def test_paths_match_golden_digests():
+    # tests/golden/paths.json holds digests of the per-ray tracer (see make_paths.py);
+    # each start traced on its own must give the same samples bit for bit
+    for case in GOLDEN_PATHS:
+        metric = gx.metric_from_config(case["metric"], case["params"])
+        start = gx.unit_tangent(metric, case["point"], case["direction"])
+        path = TRACERS[case["tracer"]](metric, start, step=case["step"])
+        assert (path.n_samples, path.tau, digest(path)) == (case["n_samples"], case["tau"], case["sha256"])
+
+
+def test_batched_paths_match_golden_digests():
+    # the maximal starts of one metric and step, traced together in one lockstep call
+    groups = {}
+    for case in GOLDEN_PATHS:
+        if case["tracer"] == "maximal":
+            groups.setdefault((case["metric"], tuple(case["params"]), case["step"]), []).append(case)
+    for (family, params, step), cases in groups.items():
+        metric = gx.metric_from_config(family, params)
+        starts = [gx.unit_tangent(metric, c["point"], c["direction"]) for c in cases]
+        for case, path in zip(cases, gx.trace_geodesics(metric, starts, step=step)):
+            assert (path.n_samples, path.tau, digest(path)) == (case["n_samples"], case["tau"], case["sha256"])
+
+
+def test_batched_trace_keeps_each_start_error_in_place(euclidean):
+    good = gx.boundary_tangent(euclidean, 0.0, math.pi + 0.3)
+    outward = gx.UnitTangent(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    not_finite = gx.UnitTangent(np.array([math.nan, 0.0]), np.array([1.0, 0.0]))
+    entries = gx.trace_geodesics(euclidean, [good, outward, not_finite, good], step=1e-2)
+    assert isinstance(entries[1], gx.DomainError)
+    assert isinstance(entries[2], gx.SceneValidationError) and "not finite" in str(entries[2])
+    single = gx.trace_geodesic(euclidean, good, step=1e-2)
+    for path in (entries[0], entries[3]):
+        assert np.array_equal(path.t, single.t) and np.array_equal(path.x, single.x)
 
 
 def test_trapping_cap_raises():

@@ -133,6 +133,51 @@ def test_nan_step_rejected_by_tracer(trace):
     assert "step must be positive and finite" in done.stdout
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_metric_parameter_exits_with_validation_code(tmp_path, value, flags):
+    scene = reconstruct_scene()
+    scene["metric"] = {"family": "conformal-radial", "params": [value]}
+    path = write_scene(tmp_path, "s.json", scene)
+    done = run_bounded("import sys; from geoxray import cli; sys.exit(cli.main(sys.argv[1:]))",
+                       "forward", "--scene", path, "--out", str(tmp_path), flags=flags)
+    assert done.returncode == EXIT_VALIDATION
+    assert "metric.params" in done.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_unit_tangent_rejects_non_finite_metric(flags):
+    # built past metric_from_config's check; an assert would vanish under -O and
+    # the tracer would then run to the arclength cap
+    done = run_bounded(
+        "import math, geoxray as gx\n"
+        "m = gx.geometry.RadialConformalMetric([math.nan])\n"
+        "try:\n"
+        "    gx.unit_tangent(m, [0.0, 0.0], [1.0, 0.0])\n"
+        "except gx.SceneValidationError as exc:\n"
+        "    print(exc)\n",
+        flags=flags,
+    )
+    assert done.returncode == 0
+    assert "no finite unit length" in done.stdout
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_tracer_rejects_non_finite_start(flags):
+    done = run_bounded(
+        "import math, numpy as np, geoxray as gx\n"
+        "m = gx.metric_from_config('conformal-radial', [0.05])\n"
+        "start = gx.UnitTangent(np.array([math.nan, 0.0]), np.array([1.0, 0.0]))\n"
+        "try:\n"
+        "    gx.trace_geodesic(m, start)\n"
+        "except gx.SceneValidationError as exc:\n"
+        "    print(exc)\n",
+        flags=flags,
+    )
+    assert done.returncode == 0
+    assert "is not finite" in done.stdout
+
+
 @pytest.mark.parametrize("length, step", [(math.nan, 0.01), (0.1, math.nan), (math.inf, 0.01), (0.1, math.inf)])
 def test_flow_with_frame_rejects_non_finite(length, step):
     m = gx.metric_from_config("euclidean")

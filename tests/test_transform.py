@@ -142,6 +142,21 @@ def test_fan_geodesic_rejects_too_large_offset(euclidean):
         gx.fan_geodesic(euclidean, [1.0, 0.0], [-1.0, 0.0], h=2.5, step=1e-2)
 
 
+@pytest.mark.parametrize("offsets_deg, h_values, error, message", [
+    ([0, 50], [2.5], gx.FanConstructionError, "before reaching offset 2.5"),
+    ([50, 0], [2.5], gx.SceneValidationError, "30-degree cone"),
+    ([0], [-1.0, 2.5], gx.SceneValidationError, "h must be positive"),
+])
+def test_limit_scan_raises_first_failing_member_in_plan_order(euclidean, anchor_triangle_tiling,
+                                                              offsets_deg, h_values, error, message):
+    # the (offset, h) members are built together; the error raised is the one of
+    # the first failing member in plan order, as when they were built one by one
+    field = gx.PiecewiseConstantField.from_values([[1.0]])
+    with pytest.raises(error, match=message):
+        gx.transform.limit_scan(euclidean, gx.IdentityWeight(1), anchor_triangle_tiling, field, 0.0,
+                                [math.radians(d) for d in offsets_deg], h_values, step=1e-2)
+
+
 def test_fan_geodesic_rejects_wide_anchor_cone(euclidean):
     v = np.array([math.cos(math.pi + 1.0), math.sin(math.pi + 1.0)])  # 57 deg off normal
     with pytest.raises(gx.SceneValidationError):
