@@ -432,3 +432,32 @@ def test_threads_flag_matches_serial(tmp_path):
     assert cli.main(["forward", "--scene", spath, "--out", str(out1)]) == 0
     assert cli.main(["forward", "--scene", spath, "--out", str(out2), "--threads", "4"]) == 0
     assert (out1 / "forward.csv").read_bytes() == (out2 / "forward.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# golden demo outputs
+# ---------------------------------------------------------------------------
+
+def test_demo_outputs_match_golden(tmp_path):
+    # tests/golden/demo holds the outputs of the four commands on scenes/*.json,
+    # written before the commands shared one plan-to-operator layer (see
+    # make_demo_outputs.py): same files, same lines and text, headers exact,
+    # numbers to rtol 1e-12 of the largest magnitude in their column.
+    from golden.make_demo_outputs import OUT, numbered_lines, run_demo
+
+    files = run_demo(tmp_path)
+    assert files == sorted(p.relative_to(OUT).as_posix() for p in OUT.rglob("*") if p.is_file())
+    for name in files:
+        got = numbered_lines((tmp_path / name).read_text(encoding="utf-8"))
+        want = numbered_lines((OUT / name).read_text(encoding="utf-8"))
+        assert [text for text, _ in got] == [text for text, _ in want], name
+        if name.endswith(".csv"):
+            assert (tmp_path / name).read_text().split("\n", 1)[0] == (OUT / name).read_text().split("\n", 1)[0]
+        scale = {}
+        for text, numbers in want:
+            for j, w in enumerate(numbers):
+                scale[text, j] = max(scale.get((text, j), 0.0), abs(w))
+        for line, ((text, g_numbers), (_, w_numbers)) in enumerate(zip(got, want)):
+            assert len(g_numbers) == len(w_numbers), (name, line)
+            for j, (g, w) in enumerate(zip(g_numbers, w_numbers)):
+                assert g == w or abs(g - w) <= 1e-12 * max(abs(w), scale[text, j]), (name, line, j, g, w)
