@@ -61,7 +61,6 @@ from .tiling import (
 )
 from .transform import (
     FanGeodesic,
-    TangentLine,
     fan_geodesic,
     fan_geodesics,
     forward,
@@ -76,7 +75,6 @@ from .weights import (
     IdentityWeight,
     ProductWeight,
     WeightField,
-    evaluate_weight,
     injectivity_margin,
     weight_from_config,
 )

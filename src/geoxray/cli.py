@@ -18,17 +18,10 @@ import numpy as np
 
 from . import __version__
 from .errors import GeoxrayError, SceneValidationError, exit_code_for
-from .geometry import boundary_tangent, trace_geodesics, unwrap
-from .recovery import (
-    RecordedOracle,
-    SyntheticOracle,
-    assemble_operator,
-    reconstruct,
-    singular_spectrum,
-    spectral_summary,
-)
+from .geometry import boundary_tangent, unwrap
+from .recovery import RecordedOracle, SyntheticOracle, reconstruct, singular_spectrum, spectral_summary
 from .scene import Scene, load_scene, scene_chord_descriptors
-from .transform import forward, limit_scan
+from .transform import apply_integrals, dense_operator, limit_scan, plan_weight_integrals
 
 
 def fmt(x: float) -> str:
@@ -82,18 +75,13 @@ def _complex_cells(vec):
 # commands
 # ---------------------------------------------------------------------------
 
-def _trace_plan(scene: Scene, descriptors) -> list:
-    """``trace_geodesics`` entries of the planned chords, all traced together."""
-    return trace_geodesics(scene.metric, [boundary_tangent(scene.metric, a, d) for a, d in descriptors],
-                           step=scene.step)
-
-
 def cmd_forward(scene: Scene, out_dir: str) -> str:
     """One CSV row per planned geodesic with its transform value."""
     descriptors = scene_chord_descriptors(scene)
-    rows = [[d[0], d[1]] + _complex_cells(forward(scene.metric, scene.weight, scene.tiling,
-                                                  scene.field, unwrap(path)))
-            for d, path in zip(descriptors, _trace_plan(scene, descriptors))]
+    entries = plan_weight_integrals(scene.metric, scene.weight, scene.tiling,
+                                    [boundary_tangent(scene.metric, a, d) for a, d in descriptors], scene.step)
+    rows = [[d[0], d[1]] + _complex_cells(apply_integrals(scene.weight, scene.field, unwrap(entry)))
+            for d, entry in zip(descriptors, entries)]
     out = os.path.join(out_dir, "forward.csv")
     write_csv(out, ["boundary_angle", "direction_angle"] + _complex_header("value", scene.weight.m), rows)
     return out
@@ -142,7 +130,7 @@ def cmd_reconstruct(scene: Scene, out_dir: str, data_path=None) -> str:
     """Layer-stripping reconstruction; report plus per-triangle value CSV."""
     if scene.foliation is None:
         raise SceneValidationError("scene.foliation: missing (required by reconstruct)")
-    if scene.chord_mode != "frontier" or scene.chord_plan is None:
+    if scene.chords is None or scene.chords.mode != "frontier":
         raise SceneValidationError("scene.plans.chords: frontier mode required by reconstruct")
     if data_path is not None:
         oracle = read_recorded_csv(data_path, scene.weight.m)
@@ -150,7 +138,7 @@ def cmd_reconstruct(scene: Scene, out_dir: str, data_path=None) -> str:
         oracle = SyntheticOracle(scene.metric, scene.weight, scene.tiling, scene.field,
                                  noise_sigma=scene.noise_sigma, rng=scene.rng())
     report = reconstruct(scene.metric, scene.weight, scene.tiling, oracle, scene.foliation,
-                         plan=scene.chord_plan, step=scene.step, cond_cap=scene.cond_cap)
+                         plan=scene.chords.frontier, step=scene.step, cond_cap=scene.cond_cap)
     report_path = os.path.join(out_dir, "reconstruction_report.txt")
     write_text(report_path, report.to_text())
     rows = []
@@ -163,8 +151,10 @@ def cmd_reconstruct(scene: Scene, out_dir: str, data_path=None) -> str:
 
 def cmd_spectrum(scene: Scene, out_dir: str) -> str:
     """Singular values of the assembled operator over the chord plan."""
-    paths = [unwrap(path) for path in _trace_plan(scene, scene_chord_descriptors(scene))]
-    operator = assemble_operator(scene.metric, scene.weight, scene.tiling, paths)
+    entries = plan_weight_integrals(scene.metric, scene.weight, scene.tiling,
+                                    [boundary_tangent(scene.metric, a, d) for a, d in scene_chord_descriptors(scene)],
+                                    scene.step)
+    operator = dense_operator(scene.weight, scene.tiling, [unwrap(entry) for entry in entries])
     spectrum = singular_spectrum(operator)
     out = os.path.join(out_dir, "spectrum.csv")
     write_csv(out, ["index", "sigma"], [[float(i), s] for i, s in enumerate(spectrum)])

@@ -2,7 +2,11 @@
 
 Every failure mode that the command line surface distinguishes gets its own
 exception class; ``exit_code_for`` maps an exception to the documented code.
+``config_number`` and ``config_numbers`` read the numbers of a scene, or
+raise the validation error that names their key path.
 """
+
+import math
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -66,6 +70,28 @@ class TrappingSuspectedError(GeoxrayError):
 
 class TangencyWarning(UserWarning):
     """A geodesic slid along a tiling edge for a non-negligible length."""
+
+
+def config_number(value, key: str, integer: bool = False):
+    """``value`` as a finite float, or as an int when ``integer``; anything
+    else (no number, NaN, inf, a fraction) raises a SceneValidationError naming ``key``."""
+    if integer and isinstance(value, int):
+        return value
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        raise SceneValidationError(
+            f"{key}: expected {'an integer' if integer else 'a finite number'}, got {value!r}")
+    return int(x) if integer else x
+
+
+def config_numbers(values, key: str, integer: bool = False) -> list:
+    """A list of numbers, each read by ``config_number``."""
+    if not isinstance(values, (list, tuple)):
+        raise SceneValidationError(f"{key}: expected a list, got {values!r}")
+    return [config_number(v, key, integer) for v in values]
 
 
 def exit_code_for(exc: BaseException) -> int:

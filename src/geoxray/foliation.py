@@ -1,8 +1,9 @@
 """Strictly convex exhaustion functions whose level sets drive the sweep.
 
-Both families have circular leaves: the superlevel sets ``{phi >= c}`` are
-the annuli between a centered circle and the boundary, so sweeping c from
-the maximum down moves the leaf front inward from the boundary.
+The offset-radial family (``radial-square`` is its member centred at the
+origin) has circular leaves: the superlevel sets ``{phi >= c}`` are the
+annuli between a centered circle and the boundary, so sweeping c from the
+maximum down moves the leaf front inward from the boundary.
 """
 
 from __future__ import annotations
@@ -11,82 +12,28 @@ import math
 
 import numpy as np
 
-from .errors import SceneValidationError
+from .errors import SceneValidationError, config_numbers
 from .geometry import MetricField, convexity_margin
 
 
 class FoliationFunction:
-    """Closed-form scalar function with gradient and Hessian."""
-
-    family = "base"
-
-    def __init__(self, params=()):
-        self.params = tuple(float(p) for p in params)
-
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def hess(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def center(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def leaf_radius(self, level: float) -> float:
-        """Radius of the leaf circle at a given level."""
-        raise NotImplementedError
-
-    def floor(self) -> float:
-        """Infimum of the function over the disk."""
-        raise NotImplementedError
+    """Closed-form scalar function: ``value``, ``grad`` and ``hess`` at a point,
+    the ``center`` of its leaf circles, ``leaf_radius(level)`` and its
+    infimum ``floor()`` over the disk."""
 
     def certify(self, metric: MetricField, grid: int = 41) -> float:
         """Convexity margin over a disk grid; positive certifies strict convexity."""
         return convexity_margin(metric, self, grid)
 
 
-class RadialSquare(FoliationFunction):
-    """``phi(x) = |x|^2``."""
-
-    family = "radial-square"
-
-    def __init__(self, params=()):
-        super().__init__(params)
-        if self.params:
-            raise SceneValidationError("radial-square takes no parameters")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(x[0] ** 2 + x[1] ** 2)
-
-    def grad(self, x):
-        return 2.0 * np.asarray(x, dtype=float)
-
-    def hess(self, x):
-        return 2.0 * np.eye(2)
-
-    @property
-    def center(self):
-        return np.zeros(2)
-
-    def leaf_radius(self, level):
-        return math.sqrt(max(level, 0.0))
-
-    def floor(self):
-        return 0.0
-
-
 class OffsetRadial(FoliationFunction):
-    """``phi(x) = |x - c|^2`` with an interior center c; params ``[cx, cy]``."""
+    """``phi(x) = |x - c|^2`` with an interior center c; params ``[cx, cy]``,
+    by default the origin."""
 
     family = "offset-radial"
 
-    def __init__(self, params):
-        super().__init__(params)
+    def __init__(self, params=(0.0, 0.0)):
+        self.params = tuple(float(p) for p in params)
         if len(self.params) != 2:
             raise SceneValidationError("offset-radial takes [cx, cy]")
         self._center = np.array(self.params)
@@ -114,6 +61,13 @@ class OffsetRadial(FoliationFunction):
         return 0.0
 
 
+def RadialSquare(params=()) -> OffsetRadial:
+    """``phi(x) = |x|^2``: the offset-radial function about the origin."""
+    if tuple(params):
+        raise SceneValidationError("radial-square takes no parameters")
+    return OffsetRadial()
+
+
 _FOLIATION_FAMILIES = {
     "radial-square": RadialSquare,
     "offset-radial": OffsetRadial,
@@ -125,4 +79,4 @@ def foliation_from_config(family: str, params=()) -> FoliationFunction:
         cls = _FOLIATION_FAMILIES[family]
     except KeyError:
         raise SceneValidationError(f"foliation: unknown family {family!r}") from None
-    return cls(params)
+    return cls(config_numbers(params, "scene.foliation.params"))

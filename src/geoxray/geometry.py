@@ -28,6 +28,7 @@ from .errors import (
     GeoxrayError,
     SceneValidationError,
     TrappingSuspectedError,
+    config_numbers,
 )
 
 DISK_RADIUS = 1.0
@@ -140,11 +141,6 @@ class MetricField:
         u_rot = np.array([-sign * u[1], sign * u[0]])
         return np.linalg.solve(a, u_rot)
 
-    def spd_margin(self, points):
-        """Smallest metric eigenvalue over the sample points (> 0 certifies SPD)."""
-        g = self.matrix(np.asarray(points, dtype=float))
-        return float(np.min(np.linalg.eigvalsh(g)))
-
 
 class EuclideanMetric(MetricField):
     family = "euclidean"
@@ -236,12 +232,7 @@ def metric_from_config(family: str, params=()) -> MetricField:
         cls = _METRIC_FAMILIES[family]
     except KeyError:
         raise SceneValidationError(f"metric: unknown family {family!r}") from None
-    try:
-        finite = all(math.isfinite(float(p)) for p in params)
-    except (TypeError, ValueError):
-        finite = False
-    if not finite:
-        raise SceneValidationError(f"metric.params: {params!r} must be a list of finite numbers")
+    params = config_numbers(params, "scene.metric.params")
     if cls is EuclideanMetric:
         if params:
             raise SceneValidationError("metric: euclidean takes no parameters")
@@ -465,7 +456,10 @@ def _trace_rows(metric, y, step):
     step_rows, step_y, step_t = zip(*samples)
     rows = np.concatenate(step_rows + (e_rows[kept],))
     order = np.argsort(rows, kind="stable")
-    ys = np.concatenate(step_y + (rk4(rhs, e_y[kept], s[kept, None]),))[order]
+    ys = np.concatenate(step_y + (rk4(rhs, e_y[kept], s[kept, None]),))
+    # drop the per-step arrays before the reorder copies the samples again
+    del samples, step_y
+    ys = ys[order]
     ts = np.concatenate([np.repeat(step_t, [len(r) for r in step_rows]), e_t[kept] + s[kept]])[order]
     counts = np.bincount(rows, minlength=n)
     ends = np.cumsum(counts)

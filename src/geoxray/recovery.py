@@ -8,7 +8,12 @@ direction-derivative elimination that proves uniqueness).
 The global solver sweeps the foliation leaves inward.  Triangles are batched
 by the leaf level at first contact; each batch is determined from chords
 that stay above the next level, so they meet only the batch and triangles
-recovered earlier, whose contribution is subtracted from the data.
+recovered earlier, whose contribution is subtracted from the data.  Each
+candidate chord is traced, clipped and integrated once
+(``plan_weight_integrals``): which triangles its integrals touch decides
+whether it is admissible, the synthetic oracle's data are the same
+integrals applied to the field, and the sweep is block forward substitution
+on these rows of the transform's matrix.
 """
 
 from __future__ import annotations
@@ -26,9 +31,15 @@ from .errors import (
     SceneValidationError,
 )
 from .foliation import FoliationFunction
-from .geometry import DEFAULT_STEP, GeodesicPath, MetricField, boundary_tangent, trace_geodesics, unwrap
+from .geometry import DEFAULT_STEP, MetricField, boundary_tangent, unwrap
 from .tiling import Tiling
-from .transform import forward, per_triangle_weight_integrals, sector_chord_lengths
+from .transform import (
+    apply_integrals,
+    dense_operator,
+    per_triangle_weight_integrals,
+    plan_weight_integrals,
+    sector_chord_lengths,
+)
 from .weights import WeightField, injectivity_margin, sphere_bundle_samples
 
 COND_CAP = 1e8
@@ -47,7 +58,7 @@ def descriptor_key(descriptor):
 
 
 class SyntheticOracle:
-    """Computes forward data on demand from a known scene.
+    """Forward data of a known scene, from the chords' per-triangle integrals.
 
     Optional additive complex Gaussian noise (diagnostics only); the noise
     stream is driven by the supplied generator.
@@ -61,8 +72,9 @@ class SyntheticOracle:
         self.noise_sigma = float(noise_sigma)
         self.rng = rng
 
-    def query(self, descriptor, path: GeodesicPath) -> np.ndarray:
-        value = forward(self.metric, self.weight, self.tiling, self.field, path)
+    def query(self, descriptor, integrals) -> np.ndarray:
+        """Data of the chord whose ``per_triangle_weight_integrals`` are given."""
+        value = apply_integrals(self.weight, self.field, integrals)
         if self.noise_sigma > 0.0:
             if self.rng is None:
                 raise SceneValidationError("noisy oracle needs a random generator")
@@ -72,13 +84,17 @@ class SyntheticOracle:
 
 
 class RecordedOracle:
-    """Looks up data rows by geodesic descriptor (boundary angle, direction angle)."""
+    """Looks up data rows by geodesic descriptor (boundary angle, direction angle).
+
+    ``query`` takes the chord's integrals too, like the synthetic oracle, and
+    ignores them.
+    """
 
     def __init__(self, table: dict, m: int):
         self.table = table
         self.m = int(m)
 
-    def query(self, descriptor, path: GeodesicPath) -> np.ndarray:
+    def query(self, descriptor, integrals) -> np.ndarray:
         key = descriptor_key(descriptor)
         if key not in self.table:
             raise CoverageError(
@@ -351,14 +367,14 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
         batch_set = set(batch)
         admissible = []
         descriptors = batch_descriptors(phi, lo, hi, plan)
-        paths = trace_geodesics(metric, [boundary_tangent(metric, a, d) for a, d in descriptors], step=step)
-        for desc, path in zip(descriptors, paths):
-            path = unwrap(path)
-            integrals = per_triangle_weight_integrals(metric, weight, tiling, path)
+        entries = plan_weight_integrals(metric, weight, tiling,
+                                        [boundary_tangent(metric, a, d) for a, d in descriptors], step=step)
+        for desc, entry in zip(descriptors, entries):
+            integrals = unwrap(entry)
             hits = {tri for tri, (_m, length) in integrals.items()
                     if length > ADMISSIBLE_LENGTH_TOL}
             if hits & batch_set and hits <= known | batch_set:
-                admissible.append((desc, path, integrals))
+                admissible.append((desc, integrals))
         if not admissible:
             raise CoverageError(
                 f"no admissible geodesics for batch {sorted(batch)}: the plan is too sparse"
@@ -373,9 +389,8 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
         a = np.zeros((rows, len(batch) * k), dtype=complex)
         b = np.zeros(rows, dtype=complex)
         hit_any = set()
-        for j, (desc, path, integrals) in enumerate(admissible):
-            data = oracle.query(desc, path)
-            data = np.asarray(data, dtype=complex)
+        for j, (desc, integrals) in enumerate(admissible):
+            data = np.asarray(oracle.query(desc, integrals), dtype=complex)
             for tri, (mat, length) in integrals.items():
                 if tri in known:
                     data = data - mat @ values[tri]
@@ -419,18 +434,9 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
 
 def assemble_operator(metric: MetricField, weight: WeightField, tiling: Tiling,
                       paths) -> np.ndarray:
-    """Dense matrix of the discretized transform over a geodesic plan.
-
-    One ``m``-row block per geodesic; the column block of triangle ``j``
-    holds the weight integral over the geodesic's pieces inside it.
-    """
-    paths = list(paths)
-    m, k = weight.m, weight.k
-    a = np.zeros((len(paths) * m, tiling.n_triangles * k), dtype=complex)
-    for i, path in enumerate(paths):
-        for tri, (mat, _length) in per_triangle_weight_integrals(metric, weight, tiling, path).items():
-            a[i * m:(i + 1) * m, tri * k:(tri + 1) * k] = mat
-    return a
+    """Dense matrix of the discretized transform over a geodesic plan (see ``dense_operator``)."""
+    return dense_operator(weight, tiling, [per_triangle_weight_integrals(metric, weight, tiling, p)
+                                           for p in paths])
 
 
 def singular_spectrum(matrix: np.ndarray) -> np.ndarray:

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SceneValidationError
+from .errors import SceneValidationError, config_number, config_numbers
 from .foliation import FoliationFunction, foliation_from_config
 from .geometry import MetricField, metric_from_config
-from .recovery import ChordPlan
+from .recovery import ChordPlan, chord_descriptor, reconstruction_descriptors
 from .tiling import PiecewiseConstantField, Tiling, polygon_fan_tiling, refine
-from .weights import WeightField, weight_from_config
+from .weights import WeightField, complex_matrix, weight_from_config
 
 SCHEMA = "geoxray-scene/1"
 DEFAULT_QUADRATURE_STEP = 1e-2
@@ -31,6 +31,22 @@ class FanLimitPlan:
     v_offsets: list          # radians, relative to the inward normal
     h_values: list
     sign: int = 1
+
+
+@dataclass(frozen=True)
+class SceneChords:
+    """The scene's chord plan (``plans.chords``); ``mode`` says which fields apply.
+
+    ``random``: ``count`` seeded boundary chords; ``grid``: ``distances`` x
+    ``rotations`` chords over the disk; ``frontier``: the reconstruction
+    sweep's chords, ``frontier`` holding its knobs.
+    """
+
+    mode: str                        # "random" | "grid" | "frontier"
+    count: int = 0
+    distances: int = 0
+    rotations: int = 0
+    frontier: ChordPlan | None = None
 
 
 @dataclass
@@ -46,11 +62,7 @@ class Scene:
     weight: WeightField
     foliation: FoliationFunction | None
     fan_plan: FanLimitPlan | None
-    chord_plan: ChordPlan | None
-    chord_mode: str | None    # "random" | "grid" | "frontier"
-    random_count: int
-    grid_distances: int
-    grid_rotations: int
+    chords: SceneChords | None
     noise_sigma: float
     cond_cap: float
 
@@ -77,18 +89,18 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
     schema = raw.get("schema")
     if schema != SCHEMA:
         raise SceneValidationError(f"scene.schema: expected {SCHEMA!r}, got {schema!r}")
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-    step = float(raw.get("quadrature_step", DEFAULT_QUADRATURE_STEP))
-    if step_override is not None:
-        step = float(step_override)
-    if not (math.isfinite(step) and step > 0):
+    seed = config_number(raw.get("seed", 0) if seed_override is None else seed_override,
+                         "scene.seed", integer=True)
+    step = config_number(raw.get("quadrature_step", DEFAULT_QUADRATURE_STEP) if step_override is None
+                         else step_override, "scene.quadrature_step")
+    if not step > 0:
         raise SceneValidationError("scene.quadrature_step: must be positive and finite")
 
-    metric = _build_metric(raw.get("metric"))
-    tiling = _build_tiling(raw.get("tiling"))
-    weight = _build_weight(raw.get("weight"), metric, step)
-    rng = np.random.default_rng(seed)
-    field = _build_field(raw.get("field"), tiling, weight, rng)
+    metric_cfg = _section(raw, "metric", required=True)
+    metric = metric_from_config(metric_cfg.get("family"), metric_cfg.get("params", ()))
+    tiling = _build_tiling(_section(raw, "tiling", required=True))
+    weight = weight_from_config(_section(raw, "weight", required=True), metric, trace_step=step)
+    field = _build_field(_section(raw, "field", required=True), tiling, weight, np.random.default_rng(seed))
     if field.k != weight.k:
         raise SceneValidationError(
             f"scene: field k={field.k} does not match weight k={weight.k}"
@@ -96,97 +108,79 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
 
     foliation = None
     if raw.get("foliation") is not None:
-        cfg = raw["foliation"]
+        cfg = _section(raw, "foliation")
         foliation = foliation_from_config(cfg.get("family"), cfg.get("params", ()))
 
-    fan_plan, chord_plan, chord_mode, random_count, grid_d, grid_r = _build_plans(raw.get("plans"))
+    fan_plan, chords = _build_plans(_section(raw, "plans"))
 
-    noise_sigma = 0.0
-    if raw.get("noise") is not None:
-        noise_sigma = float(raw["noise"].get("sigma", 0.0))
-        if noise_sigma < 0:
-            raise SceneValidationError("scene.noise.sigma: must be nonnegative")
+    noise_sigma = config_number(_section(raw, "noise").get("sigma", 0.0), "scene.noise.sigma")
+    if noise_sigma < 0:
+        raise SceneValidationError("scene.noise.sigma: must be nonnegative")
 
-    tolerances = raw.get("tolerances", {}) or {}
-    cond_cap = float(tolerances.get("condition_cap", 1e8))
+    cond_cap = config_number(_section(raw, "tolerances").get("condition_cap", 1e8),
+                             "scene.tolerances.condition_cap")
     if cond_cap <= 0:
         raise SceneValidationError("scene.tolerances.condition_cap: must be positive")
 
-    return Scene(
-        schema=schema,
-        seed=seed,
-        step=step,
-        metric=metric,
-        tiling=tiling,
-        field=field,
-        weight=weight,
-        foliation=foliation,
-        fan_plan=fan_plan,
-        chord_plan=chord_plan,
-        chord_mode=chord_mode,
-        random_count=random_count,
-        grid_distances=grid_d,
-        grid_rotations=grid_r,
-        noise_sigma=noise_sigma,
-        cond_cap=cond_cap,
-    )
+    return Scene(schema=schema, seed=seed, step=step, metric=metric, tiling=tiling, field=field,
+                 weight=weight, foliation=foliation, fan_plan=fan_plan, chords=chords,
+                 noise_sigma=noise_sigma, cond_cap=cond_cap)
 
 
-def _build_metric(cfg) -> MetricField:
-    if not cfg:
-        raise SceneValidationError("scene.metric: missing")
-    return metric_from_config(cfg.get("family"), cfg.get("params", ()))
+def _section(cfg: dict, name: str, key: str = "scene", required: bool = False) -> dict:
+    """The object ``cfg[name]``; ``{}`` when it is absent or null, unless ``required``."""
+    value = cfg.get(name)
+    if not value and required:
+        raise SceneValidationError(f"{key}.{name}: missing")
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SceneValidationError(f"{key}.{name}: expected an object, got {value!r}")
+    return value
 
 
 def _build_tiling(cfg) -> Tiling:
-    if not cfg:
-        raise SceneValidationError("scene.tiling: missing")
     if "generator" in cfg:
-        gen = cfg["generator"]
+        gen = _section(cfg, "generator", "scene.tiling")
         kind = gen.get("kind")
         if kind != "polygon-fan":
             raise SceneValidationError(f"scene.tiling.generator.kind: unknown {kind!r}")
-        tiling = polygon_fan_tiling(int(gen.get("sides", 6)), float(gen.get("rotation", 0.0)))
-        for _ in range(int(gen.get("refine", 0))):
+        tiling = polygon_fan_tiling(config_number(gen.get("sides", 6), "scene.tiling.generator.sides", integer=True),
+                                    config_number(gen.get("rotation", 0.0), "scene.tiling.generator.rotation"))
+        for _ in range(config_number(gen.get("refine", 0), "scene.tiling.generator.refine", integer=True)):
             tiling = refine(tiling)
         return tiling
     if "vertices" in cfg and "triangles" in cfg:
-        return Tiling(np.asarray(cfg["vertices"], dtype=float), cfg["triangles"])
+        try:
+            vertices = np.asarray(cfg["vertices"], dtype=float)
+            triangles = np.asarray(cfg["triangles"])
+        except (TypeError, ValueError):
+            raise SceneValidationError(
+                "scene.tiling: vertices must be [x, y] rows and triangles [i, j, k] rows of numbers") from None
+        if not np.isfinite(vertices).all():
+            raise SceneValidationError("scene.tiling.vertices: must be finite")
+        if triangles.dtype.kind != "i" and not (triangles.dtype.kind == "f"
+                                                 and np.all(np.mod(triangles, 1.0) == 0.0)):
+            raise SceneValidationError("scene.tiling.triangles: vertex indices must be integers")
+        return Tiling(vertices, triangles)
     raise SceneValidationError("scene.tiling: give a generator or vertices+triangles")
 
 
-def _build_weight(cfg, metric, step) -> WeightField:
-    if not cfg:
-        raise SceneValidationError("scene.weight: missing")
-    return weight_from_config(cfg, metric, trace_step=step)
-
-
 def _build_field(cfg, tiling, weight, rng) -> PiecewiseConstantField:
-    if not cfg:
-        raise SceneValidationError("scene.field: missing")
-    k = int(cfg.get("k", weight.k))
+    k = config_number(cfg.get("k", weight.k), "scene.field.k", integer=True)
     if "values" in cfg:
         rows = cfg["values"]
-        if len(rows) != tiling.n_triangles:
+        if isinstance(rows, list) and len(rows) != tiling.n_triangles:
             raise SceneValidationError(
                 f"scene.field.values: {len(rows)} rows for {tiling.n_triangles} triangles"
             )
-        values = np.zeros((len(rows), k), dtype=complex)
-        for i, row in enumerate(rows):
-            if len(row) != k:
-                raise SceneValidationError(f"scene.field.values[{i}]: expected {k} components")
-            for j, entry in enumerate(row):
-                if isinstance(entry, (list, tuple)):
-                    values[i, j] = complex(entry[0], entry[1])
-                else:
-                    values[i, j] = complex(entry)
-        return PiecewiseConstantField(values=values, k=k)
+        return PiecewiseConstantField(values=complex_matrix(rows, "scene.field.values", k), k=k)
     if "random" in cfg:
-        rcfg = cfg["random"] or {}
+        rcfg = _section(cfg, "random", "scene.field")
         return PiecewiseConstantField.random(
             tiling.n_triangles, k, rng,
             real=bool(rcfg.get("real", False)),
-            scale=float(rcfg.get("scale", 1.0)),
+            scale=config_number(rcfg.get("scale", 1.0), "scene.field.random.scale"),
         )
     if cfg.get("zero"):
         return PiecewiseConstantField.zero(tiling.n_triangles, k)
@@ -195,14 +189,9 @@ def _build_field(cfg, tiling, weight, rng) -> PiecewiseConstantField:
 
 def _build_plans(cfg):
     fan_plan = None
-    chord_plan = None
-    chord_mode = None
-    random_count = 0
-    grid_d = 0
-    grid_r = 0
-    cfg = cfg or {}
+    chords = None
     if cfg.get("fan_limit") is not None:
-        f = cfg["fan_limit"]
+        f = _section(cfg, "fan_limit", "scene.plans")
         offsets = f.get("v_offsets_deg")
         if offsets is None:
             raise SceneValidationError("scene.plans.fan_limit.v_offsets_deg: missing")
@@ -210,35 +199,38 @@ def _build_plans(cfg):
         if exponents is None:
             raise SceneValidationError("scene.plans.fan_limit.h_exponents: missing")
         fan_plan = FanLimitPlan(
-            anchor_angle=float(f.get("anchor_angle", 0.0)),
-            v_offsets=[math.radians(float(d)) for d in offsets],
-            h_values=[2.0 ** (-int(e)) for e in exponents],
-            sign=int(f.get("sign", 1)),
+            anchor_angle=config_number(f.get("anchor_angle", 0.0), "scene.plans.fan_limit.anchor_angle"),
+            v_offsets=[math.radians(d) for d in config_numbers(offsets, "scene.plans.fan_limit.v_offsets_deg")],
+            h_values=[2.0 ** (-e) for e in config_numbers(exponents, "scene.plans.fan_limit.h_exponents", integer=True)],
+            sign=config_number(f.get("sign", 1), "scene.plans.fan_limit.sign", integer=True),
         )
     if cfg.get("chords") is not None:
-        c = cfg["chords"]
-        chord_mode = c.get("mode")
-        if chord_mode not in ("random", "grid", "frontier"):
+        c = _section(cfg, "chords", "scene.plans")
+        mode = c.get("mode")
+
+        def size(name, default):
+            return config_number(c.get(name, default), f"scene.plans.chords.{name}", integer=True)
+
+        if mode == "random":
+            chords = SceneChords(mode, count=size("count", 0))
+            if chords.count <= 0:
+                raise SceneValidationError("scene.plans.chords.count: must be positive")
+        elif mode == "grid":
+            chords = SceneChords(mode, distances=size("distances", 10), rotations=size("rotations", 30))
+            if chords.distances <= 0 or chords.rotations <= 0:
+                raise SceneValidationError("scene.plans.chords: grid sizes must be positive")
+        elif mode == "frontier":
+            levels = c.get("levels")
+            chords = SceneChords(mode, frontier=ChordPlan(
+                rotations=size("rotations", 30),
+                levels_per_batch=size("levels_per_batch", 5),
+                levels=tuple(config_numbers(levels, "scene.plans.chords.levels")) if levels is not None else None,
+            ))
+        else:
             raise SceneValidationError(
                 "scene.plans.chords.mode: expected random, grid, or frontier"
             )
-        if chord_mode == "random":
-            random_count = int(c.get("count", 0))
-            if random_count <= 0:
-                raise SceneValidationError("scene.plans.chords.count: must be positive")
-        elif chord_mode == "grid":
-            grid_d = int(c.get("distances", 10))
-            grid_r = int(c.get("rotations", 30))
-            if grid_d <= 0 or grid_r <= 0:
-                raise SceneValidationError("scene.plans.chords: grid sizes must be positive")
-        else:
-            levels = c.get("levels")
-            chord_plan = ChordPlan(
-                rotations=int(c.get("rotations", 30)),
-                levels_per_batch=int(c.get("levels_per_batch", 5)),
-                levels=tuple(float(l) for l in levels) if levels is not None else None,
-            )
-    return fan_plan, chord_plan, chord_mode, random_count, grid_d, grid_r
+    return fan_plan, chords
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +251,6 @@ def random_chord_descriptors(count: int, rng) -> list:
 
 def grid_chord_descriptors(distances: int, rotations: int) -> list:
     """Deterministic chord grid: distance shells times rotations."""
-    from .recovery import chord_descriptor
-
     out = []
     for i in range(distances):
         d = (i + 0.5) / distances
@@ -274,14 +264,13 @@ def grid_chord_descriptors(distances: int, rotations: int) -> list:
 
 def scene_chord_descriptors(scene: Scene) -> list:
     """The scene's planned chords, per its chord mode."""
-    from .recovery import reconstruction_descriptors
-
-    if scene.chord_mode == "random":
-        return random_chord_descriptors(scene.random_count, scene.rng())
-    if scene.chord_mode == "grid":
-        return grid_chord_descriptors(scene.grid_distances, scene.grid_rotations)
-    if scene.chord_mode == "frontier":
-        if scene.foliation is None:
-            raise SceneValidationError("scene: frontier chords need a foliation")
-        return reconstruction_descriptors(scene.tiling, scene.foliation, scene.chord_plan)
-    raise SceneValidationError("scene: no chord plan configured")
+    chords = scene.chords
+    if chords is None:
+        raise SceneValidationError("scene: no chord plan configured")
+    if chords.mode == "random":
+        return random_chord_descriptors(chords.count, scene.rng())
+    if chords.mode == "grid":
+        return grid_chord_descriptors(chords.distances, chords.rotations)
+    if scene.foliation is None:
+        raise SceneValidationError("scene: frontier chords need a foliation")
+    return reconstruction_descriptors(scene.tiling, scene.foliation, chords.frontier)

@@ -38,13 +38,6 @@ HULL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class Triangle:
-    """Vertex-id view of one triangle; coordinates live in the parent tiling."""
-
-    vertex_ids: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
 class LocateResult:
     kind: str                 # "triangle" | "skeleton" | "outside"
     triangle: int | None
@@ -120,9 +113,6 @@ class Tiling:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    def triangle(self, i: int) -> Triangle:
-        return Triangle(vertex_ids=tuple(int(j) for j in self.triangles[i]))
 
     def coords(self, i: int) -> np.ndarray:
         return self.vertices[self.triangles[i]]

@@ -50,19 +50,6 @@ class FanGeodesic:
     transported_normal: np.ndarray
 
 
-@dataclass(frozen=True)
-class TangentLine:
-    """The line ``v + t*w`` in the orthonormal tangent plane, w = v rotated +pi/2."""
-
-    direction_angle: float
-
-    def point(self, t: float) -> np.ndarray:
-        b = self.direction_angle
-        v = np.array([math.cos(b), math.sin(b)])
-        w = np.array([-math.sin(b), math.cos(b)])
-        return v + t * w
-
-
 # ---------------------------------------------------------------------------
 # forward transform
 # ---------------------------------------------------------------------------
@@ -108,6 +95,57 @@ def _interval_weight_integral(pw, path: GeodesicPath, t0: float, t1: float) -> n
     return total
 
 
+def plan_weight_integrals(metric: MetricField, weight: WeightField, tiling: Tiling,
+                          starts, step: float = DEFAULT_STEP) -> list:
+    """Per-triangle weight integrals of the geodesics through a plan of starts.
+
+    All starts are traced together with one ``trace_geodesics`` call, and
+    each path is clipped and integrated once.  Returns one entry per start:
+    the ``per_triangle_weight_integrals`` dict of its path, or the error that
+    tracing or integrating it raises (see ``unwrap``).  Forward values,
+    synthetic data, the dense operator and the reconstruction sweep are all
+    read from these entries.
+    """
+    out = []
+    for path in trace_geodesics(metric, starts, step=step):
+        try:
+            out.append(per_triangle_weight_integrals(metric, weight, tiling, unwrap(path)))
+        except GeoxrayError as exc:
+            out.append(exc)
+    return out
+
+
+def apply_integrals(weight: WeightField, field: PiecewiseConstantField, integrals) -> np.ndarray:
+    """Forward value in C^m of a path from its per-triangle weight integrals.
+
+    Raises SceneValidationError when the weight and field column dimensions
+    disagree.
+    """
+    if weight.k != field.k:
+        raise SceneValidationError(
+            f"dimension mismatch: weight takes C^{weight.k}, field values lie in C^{field.k}"
+        )
+    total = np.zeros(weight.m, dtype=complex)
+    for tri, (mat, _length) in integrals.items():
+        total += mat @ field.values[tri]
+    return total
+
+
+def dense_operator(weight: WeightField, tiling: Tiling, plan) -> np.ndarray:
+    """Dense matrix of the transform over the per-triangle integrals of a plan.
+
+    One ``m``-row block per path; the column block of triangle ``j`` holds
+    the weight integral over the path's pieces inside it.
+    """
+    plan = list(plan)
+    m, k = weight.m, weight.k
+    a = np.zeros((len(plan) * m, tiling.n_triangles * k), dtype=complex)
+    for i, integrals in enumerate(plan):
+        for tri, (mat, _length) in integrals.items():
+            a[i * m:(i + 1) * m, tri * k:(tri + 1) * k] = mat
+    return a
+
+
 def forward(metric: MetricField, weight: WeightField, tiling: Tiling,
             field: PiecewiseConstantField, path: GeodesicPath, clip=None) -> np.ndarray:
     """Weighted integral of the field along one maximal geodesic, in C^m.
@@ -115,15 +153,7 @@ def forward(metric: MetricField, weight: WeightField, tiling: Tiling,
     Raises SceneValidationError when the tiling fails validation or the
     weight and field column dimensions disagree.
     """
-    if weight.k != field.k:
-        raise SceneValidationError(
-            f"dimension mismatch: weight takes C^{weight.k}, field values lie in C^{field.k}"
-        )
-    integrals = per_triangle_weight_integrals(metric, weight, tiling, path, clip=clip)
-    total = np.zeros(weight.m, dtype=complex)
-    for tri, (mat, _length) in integrals.items():
-        total += mat @ field.values[tri]
-    return total
+    return apply_integrals(weight, field, per_triangle_weight_integrals(metric, weight, tiling, path, clip=clip))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ forward transform so the weight is consistent with the geometry.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .errors import SceneValidationError
-from .geometry import DEFAULT_STEP, GeodesicPath, MetricField, UnitTangent, _hermite, trace_forward, unit_tangent
+from .errors import SceneValidationError, config_number
+from .geometry import DEFAULT_STEP, GeodesicPath, MetricField, _hermite, trace_forward, unit_tangent
 
 
 class WeightField:
@@ -218,11 +219,6 @@ class ProductWeight(WeightField):
         return a @ b
 
 
-def evaluate_weight(weight: WeightField, at: UnitTangent) -> np.ndarray:
-    """The weight matrix at a unit tangent vector."""
-    return weight.at(at.x, at.v)
-
-
 def injectivity_margin(weight: WeightField, samples) -> float:
     """Minimum over the samples of the smallest singular value of the weight.
 
@@ -254,35 +250,55 @@ def sphere_bundle_samples(metric: MetricField, n_points: int = 40, n_dirs: int =
 
 
 def weight_from_config(cfg: dict, metric: MetricField, trace_step: float = DEFAULT_STEP) -> WeightField:
-    """Build a weight from its scene description."""
+    """Build a weight from its scene description (the ``scene.weight`` object)."""
+    return _weight(cfg, "scene.weight", metric, trace_step)
+
+
+def _weight(cfg, key, metric, trace_step):
+    if not isinstance(cfg, dict):
+        raise SceneValidationError(f"{key}: expected an object, got {cfg!r}")
     family = cfg.get("family")
+
+    def number(name, default, integer=False):
+        return config_number(cfg.get(name, default), f"{key}.{name}", integer)
+
     if family == "identity":
-        return IdentityWeight(int(cfg.get("k", 1)))
+        return IdentityWeight(number("k", 1, integer=True))
     if family == "constant-matrix":
-        return ConstantWeight(_parse_complex_matrix(cfg.get("matrix")))
+        if cfg.get("matrix") is None:
+            raise SceneValidationError("constant-matrix weight needs a 'matrix' entry")
+        return ConstantWeight(complex_matrix(cfg["matrix"], f"{key}.matrix"))
     if family == "angular":
-        return AngularWeight(int(cfg.get("k", 1)), int(cfg.get("order", 1)),
-                             float(cfg.get("amplitude", 0.0)),
-                             float(cfg.get("radial_modulation", 0.0)))
+        return AngularWeight(number("k", 1, integer=True), number("order", 1, integer=True),
+                             number("amplitude", 0.0), number("radial_modulation", 0.0))
     if family == "attenuation":
-        return AttenuationWeight(metric, cfg.get("coefficient", "constant"),
-                                 float(cfg.get("strength", 1.0)), trace_step)
+        return AttenuationWeight(metric, cfg.get("coefficient", "constant"), number("strength", 1.0), trace_step)
     if family == "product":
-        return ProductWeight(weight_from_config(cfg["left"], metric, trace_step),
-                             weight_from_config(cfg["right"], metric, trace_step))
+        return ProductWeight(_weight(cfg.get("left"), f"{key}.left", metric, trace_step),
+                             _weight(cfg.get("right"), f"{key}.right", metric, trace_step))
     raise SceneValidationError(f"weight: unknown family {family!r}")
 
 
-def _parse_complex_matrix(rows) -> np.ndarray:
-    if rows is None:
-        raise SceneValidationError("constant-matrix weight needs a 'matrix' entry")
-    out = []
-    for row in rows:
-        out_row = []
-        for entry in row:
-            if isinstance(entry, (list, tuple)):
-                out_row.append(complex(entry[0], entry[1]))
-            else:
-                out_row.append(complex(entry))
-        out.append(out_row)
-    return np.asarray(out, dtype=complex)
+def complex_matrix(rows, key: str, cols: int = None) -> np.ndarray:
+    """A scene's complex matrix: rows of ``cols`` entries (by default as many
+    as the first row has), each a number or an ``[re, im]`` pair.  Anything
+    else (ragged rows, a non-number, NaN) raises a SceneValidationError
+    naming ``key``."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise SceneValidationError(f"{key}: expected a list of rows, got {rows!r}")
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    out = np.zeros((len(rows), cols), dtype=complex)
+    for i, row in enumerate(rows):
+        if len(row) != cols:
+            raise SceneValidationError(f"{key}[{i}]: expected {cols} entries, got {len(row)}")
+        for j, entry in enumerate(row):
+            try:
+                re, im = entry if isinstance(entry, list) else (entry, 0.0)
+                out[i, j] = z = complex(float(re), float(im))
+            except (TypeError, ValueError, OverflowError):
+                z = complex(math.nan)
+            if not cmath.isfinite(z):
+                raise SceneValidationError(
+                    f"{key}[{i}][{j}]: expected a finite number or an [re, im] pair, got {entry!r}")
+    return out

@@ -185,6 +185,29 @@ def test_reconstruct_overdetermined_channels(euclidean, hexagon24):
     assert err <= 1e-6
 
 
+def test_reconstruct_clips_each_candidate_chord_once(monkeypatch, euclidean, hexagon24):
+    # the sweep and the synthetic oracle share one clip per candidate chord
+    import geoxray.recovery
+    import geoxray.transform
+
+    counts = {"clips": 0, "candidates": 0}
+
+    def counted(fn, key, size):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[key] += size(out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(geoxray.transform, "clip_path", counted(gx.clip_path, "clips", lambda _: 1))
+    monkeypatch.setattr(geoxray.recovery, "batch_descriptors", counted(batch_descriptors, "candidates", len))
+    weight = gx.ConstantWeight(INJECTIVE_32)
+    field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 2, np.random.default_rng(3))
+    oracle = gx.SyntheticOracle(euclidean, weight, hexagon24, field)
+    report = gx.reconstruct(euclidean, weight, hexagon24, oracle, gx.RadialSquare(), plan=SMALL_PLAN)
+    assert sum(report.geodesics_per_batch) < counts["candidates"] == counts["clips"]
+
+
 def test_reconstruct_deleted_batch_levels_coverage_error(euclidean, hexagon24):
     # no plan levels inside the middle window (0.25, 0.75): batch 2 starves
     weight = gx.IdentityWeight(1)

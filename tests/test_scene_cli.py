@@ -98,6 +98,28 @@ def test_scene_value_row_count_checked(tmp_path):
     assert "field.values" in str(err.value)
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("seed", "abc", "scene.seed"),
+    ("weight.matrix", [[1.0, 0.2], [0.1], [0.4, 0.6]], "scene.weight.matrix[1]"),
+    ("weight.matrix", [[1.0, math.nan], [0.1, 1.0], [0.4, 0.6]], "scene.weight.matrix[0][1]"),
+    ("noise", {"sigma": "x"}, "scene.noise.sigma"),
+    ("plans.chords.rotations", "x", "scene.plans.chords.rotations"),
+    ("metric", ["euclidean"], "scene.metric"),
+    ("foliation", ["radial-square"], "scene.foliation"),
+    ("tiling", dict(anchor_tiling_json(), triangles=[[0, 1.5, 2]]), "scene.tiling.triangles"),
+])
+def test_bad_scene_value_exits_with_validation_code(tmp_path, capsys, key, value, named):
+    scene = reconstruct_scene()
+    *parents, last = key.split(".")
+    node = scene
+    for name in parents:
+        node = node[name]
+    node[last] = value
+    path = write_scene(tmp_path, "s.json", scene)
+    assert cli.main(["reconstruct", "--scene", path, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert named in capsys.readouterr().err
+
+
 def test_seed_and_step_overrides(tmp_path):
     path = write_scene(tmp_path, "s.json", reconstruct_scene(seed=5))
     a = gx.load_scene(path, seed_override=9, step_override=0.02)

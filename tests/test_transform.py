@@ -289,11 +289,13 @@ def test_limit_decreasing_for_varying_weight(conformal05, anchor_triangle_tiling
 
 
 def test_tangent_line_passes_through_direction_point():
-    line = gx.TangentLine(direction_angle=0.7)
-    assert np.allclose(line.point(0.0), [math.cos(0.7), math.sin(0.7)])
-    # moving along the line keeps unit distance at t = 0 only
-    assert abs(np.hypot(*line.point(0.0)) - 1.0) <= 1e-15
-    assert np.hypot(*line.point(2.0)) > 1.0
+    # the line v + t*w at direction angle beta meets direction beta + arctan(t)
+    # at parameter t, so the sector [beta, beta + arctan(2)] holds a chord of length 2
+    beta = 0.7
+    lengths = gx.transform.sector_chord_lengths([(beta, beta + math.atan(2.0))], beta)
+    assert abs(lengths[0] - 2.0) <= 1e-15
+    lengths = gx.transform.sector_chord_lengths([(beta - 0.3, beta + 0.2)], beta)
+    assert abs(lengths[0] - (math.tan(0.2) + math.tan(0.3))) <= 1e-15
 
 
 def test_limit_sign_independence_on_symmetric_fan(euclidean, anchor_triangle_tiling):

@@ -21,7 +21,8 @@ def ut(metric, x, v):
 
 def test_identity_weight(euclidean):
     w = gx.IdentityWeight(2)
-    val = gx.evaluate_weight(w, ut(euclidean, [0.2, 0.3], [1.0, 0.5]))
+    s = ut(euclidean, [0.2, 0.3], [1.0, 0.5])
+    val = w.at(s.x, s.v)
     assert np.array_equal(val, np.eye(2, dtype=complex))
 
 
@@ -30,12 +31,13 @@ def test_constant_matrix_weight(euclidean):
     w = gx.ConstantWeight(mat)
     assert w.m == 3 and w.k == 2
     for x, v in [([0, 0], [1, 0]), ([0.5, -0.2], [0, 1])]:
-        assert np.array_equal(gx.evaluate_weight(w, ut(euclidean, x, v)), mat)
+        s = ut(euclidean, x, v)
+        assert np.array_equal(w.at(s.x, s.v), mat)
 
 
 def test_angular_weight_singular_value_bound(euclidean):
     w = gx.AngularWeight(2, order=3, amplitude=0.3)
-    worst = min(np.linalg.svd(gx.evaluate_weight(w, s), compute_uv=False)[-1]
+    worst = min(np.linalg.svd(w.at(s.x, s.v), compute_uv=False)[-1]
                 for s in sphere_bundle_samples(euclidean, 20, 16))
     assert worst >= 1.0 - 0.3 - 1e-12
 
@@ -48,7 +50,8 @@ def test_weight_dims_validated():
 def test_attenuation_scalar_form(euclidean):
     # constant coefficient: W(x, v) = exp(-s * distance to exit)
     w = gx.AttenuationWeight(euclidean, "constant", strength=0.5, trace_step=1e-3)
-    val = gx.evaluate_weight(w, ut(euclidean, [0.0, 0.0], [1.0, 0.0]))
+    s = ut(euclidean, [0.0, 0.0], [1.0, 0.0])
+    val = w.at(s.x, s.v)
     assert abs(val[0, 0] - math.exp(-0.5 * 1.0)) <= 1e-9
 
 
@@ -57,7 +60,8 @@ def test_product_weight_scalar_times_matrix(euclidean):
     w = gx.ProductWeight(gx.AttenuationWeight(euclidean, "constant", 1.0, 1e-3),
                          gx.ConstantWeight(mat))
     assert (w.m, w.k) == (3, 2)
-    val = gx.evaluate_weight(w, ut(euclidean, [0.0, 0.0], [0.0, 1.0]))
+    s = ut(euclidean, [0.0, 0.0], [0.0, 1.0])
+    val = w.at(s.x, s.v)
     assert np.max(np.abs(val - math.exp(-1.0) * mat)) <= 1e-9
 
 
