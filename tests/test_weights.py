@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -141,3 +142,30 @@ def test_identity_weight_gives_unweighted_transform(euclidean, hexagon24):
     unweighted = sum(iv.length * field.values[iv.triangle, 0]
                      for iv in gx.clip_path(hexagon24, path) if iv.triangle is not None)
     assert abs(value[0] - unweighted) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# golden integrals and margins
+# ---------------------------------------------------------------------------
+
+def test_weight_integrals_match_golden():
+    # tests/golden/weight_integrals.json holds the per-triangle weight integrals
+    # and the margins of the code that evaluated weights one point at a time
+    # (see make_weight_integrals.py): triangle keys exactly and in order,
+    # numbers to rtol 1e-12 of the largest magnitude of their matrix.
+    from golden.make_weight_integrals import OUT, compute
+
+    want = json.loads(OUT.read_text())
+    got = json.loads(json.dumps(compute()))
+    assert [len(got[key]) for key in want] == [len(want[key]) for key in want]
+    for g, w in zip(got["integrals"], want["integrals"]):
+        name = (w["metric"], w["weight"], w["path"])
+        assert [row[0] for row in g["rows"]] == [row[0] for row in w["rows"]], name
+        for (_, g_re, g_im, g_len), (_, w_re, w_im, w_len) in zip(g["rows"], w["rows"]):
+            g_mat, w_mat = np.array(g_re) + 1j * np.array(g_im), np.array(w_re) + 1j * np.array(w_im)
+            assert np.all(np.abs(g_mat - w_mat) <= 1e-12 * np.max(np.abs(w_mat))), name
+            assert abs(g_len - w_len) <= 1e-12 * w_len, name
+    for key in ("injectivity", "certify"):
+        for g, w in zip(got[key], want[key]):
+            assert {**g, "margin": 0} == {**w, "margin": 0}
+            assert abs(g["margin"] - w["margin"]) <= 1e-12 * abs(w["margin"]), w
