@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import tempfile
@@ -117,10 +118,16 @@ def read_recorded_csv(path, m) -> RecordedOracle:
                     f"data file {path}: expected {2 + 2 * m} columns for m={m}"
                 )
             for rec in reader:
-                ba, da = float(rec[0]), float(rec[1])
-                value = np.array([complex(float(rec[2 + 2 * i]), float(rec[3 + 2 * i]))
-                                  for i in range(m)])
-                rows.append((ba, da, value))
+                try:
+                    cells = [float(c) for c in rec]
+                except ValueError:
+                    cells = []
+                if len(cells) != 2 + 2 * m or not all(math.isfinite(c) for c in cells):
+                    raise SceneValidationError(
+                        f"data file {path}, line {reader.line_num}: expected {2 + 2 * m} finite numbers, got {rec!r}"
+                    )
+                value = np.array([complex(re, im) for re, im in zip(cells[2::2], cells[3::2])])
+                rows.append((cells[0], cells[1], value))
     except FileNotFoundError:
         raise SceneValidationError(f"data file not found: {path}") from None
     return RecordedOracle.from_rows(rows, m)

@@ -2,8 +2,8 @@
 
 The chart domain is the closed unit disk.  All metric families are conformal
 to the flat metric, ``g_ij(x) = exp(2*lam(x)) * delta_ij``, with the profile
-``lam`` and its first two derivatives available in closed form; no metric
-quantity is ever differentiated numerically.
+``lam`` and its gradient available in closed form; no metric quantity is
+ever differentiated numerically.
 
 Geodesics are integrated with one fixed-step classical Runge-Kutta scheme,
 ``rk4``, in the state ``(x, v)``.  All geodesics of a call advance together as
@@ -48,8 +48,8 @@ DEFAULT_STEP = 1e-2
 class MetricField:
     """A conformal metric ``exp(2*lam) * delta`` on the closed unit disk.
 
-    Subclasses implement ``lam``, ``lam_grad`` and ``lam_hess`` for batched
-    chart points of shape ``(..., 2)``.
+    Subclasses implement ``lam`` and ``lam_grad`` for batched chart points of
+    shape ``(..., 2)``.
     """
 
     family = "base"
@@ -64,9 +64,6 @@ class MetricField:
     def lam_grad(self, x):
         raise NotImplementedError
 
-    def lam_hess(self, x):
-        raise NotImplementedError
-
     # -- derived tensor quantities -----------------------------------------
     def matrix(self, x):
         """Metric matrix ``g_ij(x)``, shape ``(..., 2, 2)``."""
@@ -76,25 +73,21 @@ class MetricField:
         return factor[..., None, None] * eye
 
     def christoffel(self, x):
-        """Levi-Civita coefficients ``Gamma[i, j, k] = Gamma^i_{jk}`` at x.
+        """Levi-Civita coefficients ``Gamma[..., i, j, k] = Gamma^i_{jk}`` at points ``(..., 2)``.
 
-        Raises DomainError outside the closed disk (a hair of tolerance is
-        allowed so boundary points are usable).
+        For ``g = exp(2*lam) * delta`` they are ``delta_ij d_k + delta_ik d_j
+        - delta_jk d_i`` with ``d = grad lam``.  Raises DomainError when a
+        point lies outside the closed disk (a hair of tolerance is allowed so
+        boundary points are usable).
         """
         x = np.asarray(x, dtype=float)
-        if float(np.hypot(x[0], x[1])) > DISK_RADIUS + BOUNDARY_TOL:
-            raise DomainError(f"point {x.tolist()} lies outside the chart domain")
+        outside = np.flatnonzero(np.hypot(x[..., 0], x[..., 1]) > DISK_RADIUS + BOUNDARY_TOL)
+        if outside.size:
+            raise DomainError(f"point {x.reshape(-1, 2)[outside[0]].tolist()} lies outside the chart domain")
         d = self.lam_grad(x)
-        gamma = np.zeros((2, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    gamma[i, j, k] = (
-                        (d[k] if i == j else 0.0)
-                        + (d[j] if i == k else 0.0)
-                        - (d[i] if j == k else 0.0)
-                    )
-        return gamma
+        eye = np.eye(2)
+        return (eye[:, :, None] * d[..., None, None, :] + eye[:, None, :] * d[..., None, :, None]
+                - eye * d[..., :, None, None])
 
     def accel(self, x, v):
         """Geodesic acceleration ``-Gamma(v, v)``; no domain check."""
@@ -152,10 +145,6 @@ class EuclideanMetric(MetricField):
     def lam_grad(self, x):
         return np.zeros(np.asarray(x, dtype=float).shape)
 
-    def lam_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2))
-
     def accel(self, x, v):
         return np.zeros_like(np.asarray(v, dtype=float))
 
@@ -181,10 +170,6 @@ class RadialConformalMetric(MetricField):
     def lam_grad(self, x):
         return 2.0 * self.alpha * np.asarray(x, dtype=float)
 
-    def lam_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * self.alpha * np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
-
 
 class GaussianConformalMetric(MetricField):
     """Profile ``lam(x) = a * exp(-|x - c|^2 / w^2)``; params ``[a, cx, cy, w]``."""
@@ -209,15 +194,6 @@ class GaussianConformalMetric(MetricField):
         x = np.asarray(x, dtype=float)
         d = x - self.center
         return self.lam(x)[..., None] * (-2.0 / self.width**2) * d
-
-    def lam_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.center
-        lam = self.lam(x)
-        c = -2.0 / self.width**2
-        outer = d[..., :, None] * d[..., None, :]
-        eye = np.broadcast_to(np.eye(2), outer.shape)
-        return lam[..., None, None] * (c * eye + (c**2) * outer)
 
 
 _METRIC_FAMILIES = {
@@ -298,32 +274,31 @@ class GeodesicPath:
     def n_samples(self) -> int:
         return self.t.shape[0]
 
-    def _bracket(self, t: float) -> int:
-        i = int(np.searchsorted(self.t, t, side="right") - 1)
-        return min(max(i, 0), self.n_samples - 2)
+    def interpolate(self, t, values, slopes) -> np.ndarray:
+        """Cubic Hermite interpolant of per-sample ``values`` with arclength
+        derivatives ``slopes`` at arclengths ``t``, a scalar or an array.
 
-    def position(self, t: float) -> np.ndarray:
-        """Cubic Hermite interpolation of the position at arclength t."""
+        Returns ``t.shape + values.shape[1:]``; at a sample time it returns
+        that sample's value exactly.
+        """
+        t = np.asarray(t, dtype=float)
         if self.n_samples == 1:
-            return self.x[0].copy()
-        i = self._bracket(t)
+            return np.broadcast_to(values[0], t.shape + values.shape[1:]).copy()
+        i = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, self.n_samples - 2)
         h = self.t[i + 1] - self.t[i]
         s = (t - self.t[i]) / h
-        return _hermite(self.x[i], self.v[i] * h, self.x[i + 1], self.v[i + 1] * h, s)
+        trailing = (Ellipsis,) + (None,) * (values.ndim - 1)
+        h, s = h[trailing], s[trailing]
+        return _hermite(values[i], slopes[i] * h, values[i + 1], slopes[i + 1] * h, s)
 
-    def velocity(self, t: float) -> np.ndarray:
-        """Cubic Hermite interpolation of the velocity (uses exact accelerations)."""
-        if self.n_samples == 1:
-            return self.v[0].copy()
-        i = self._bracket(t)
-        h = self.t[i + 1] - self.t[i]
-        s = (t - self.t[i]) / h
-        a0 = self.metric.accel(self.x[i], self.v[i])
-        a1 = self.metric.accel(self.x[i + 1], self.v[i + 1])
-        return _hermite(self.v[i], a0 * h, self.v[i + 1], a1 * h, s)
+    def position(self, t) -> np.ndarray:
+        """Position at arclength ``t`` (a scalar or an array), by cubic Hermite interpolation."""
+        return self.interpolate(t, self.x, self.v)
 
-    def state(self, t: float):
-        return self.position(t), self.velocity(t)
+    def states(self, t):
+        """Positions and velocities ``(x, v)`` at arclengths ``t``; velocities
+        interpolate with the exact accelerations as slopes."""
+        return self.position(t), self.interpolate(t, self.v, self.metric.accel(self.x, self.v))
 
     def max_spacing(self) -> float:
         if self.n_samples < 2:
@@ -638,19 +613,15 @@ def disk_grid(n: int) -> np.ndarray:
 def convexity_margin(metric: MetricField, phi, region) -> float:
     """Minimum eigenvalue of the covariant Hessian of ``phi`` over a grid.
 
-    ``phi`` must provide closed-form ``grad`` and ``hess``.  ``region`` is
-    either an integer grid resolution or an ``(N, 2)`` array of points.  A
-    positive return certifies strict convexity at the sampled resolution; a
-    negative return is a valid "not certified" answer.
+    ``phi`` must provide closed-form ``grad`` and ``hess`` on ``(N, 2)``
+    points.  ``region`` is either an integer grid resolution or an
+    ``(N, 2)`` array of points.  A positive return certifies strict
+    convexity at the sampled resolution; a negative return is a valid "not
+    certified" answer.
     """
-    pts = disk_grid(region) if isinstance(region, int) else np.asarray(region, dtype=float)
-    margin = math.inf
-    for p in pts:
-        gamma = metric.christoffel(p)
-        grad = phi.grad(p)
-        hess = phi.hess(p) - np.einsum("kij,k->ij", gamma, grad)
-        margin = min(margin, float(np.linalg.eigvalsh(hess)[0]))
-    return margin
+    pts = disk_grid(region) if isinstance(region, int) else np.asarray(region, dtype=float).reshape(-1, 2)
+    hess = phi.hess(pts) - np.einsum("...kij,...k->...ij", metric.christoffel(pts), phi.grad(pts))
+    return float(np.linalg.eigvalsh(hess)[..., 0].min(initial=math.inf))
 
 
 def speed_defect(metric: MetricField, path: GeodesicPath) -> float:

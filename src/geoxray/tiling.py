@@ -71,28 +71,15 @@ class Tiling:
         if tris.size and (tris.min() < 0 or tris.max() >= len(self.vertices)):
             raise SceneValidationError("tiling: triangle index out of range")
         # orient counterclockwise
-        tris = tris.copy()
-        for i, (a, b, c) in enumerate(tris):
-            if _signed_area(self.vertices[a], self.vertices[b], self.vertices[c]) < 0:
-                tris[i] = (a, c, b)
+        tris = np.where((_signed_areas(self.vertices[tris]) < 0)[:, None], tris[:, [0, 2, 1]], tris)
         self.triangles = tris
-        self._bary_inv = self._precompute_barycentric()
+        corners = self.vertices[tris]
+        self.areas = _signed_areas(corners)
+        self._bary_inv = _barycentric_inverses(corners)
         self.adjacency = self._build_adjacency()
         self._report = None
 
     # -- construction helpers ------------------------------------------------
-    def _precompute_barycentric(self):
-        inv = np.zeros((len(self.triangles), 2, 2))
-        for i, (a, b, c) in enumerate(self.triangles):
-            m = np.column_stack([self.vertices[b] - self.vertices[a],
-                                 self.vertices[c] - self.vertices[a]])
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            if abs(det) < MIN_AREA:
-                inv[i] = np.nan
-            else:
-                inv[i] = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-        return inv
-
     def _build_adjacency(self):
         adj = {}
         for i, tri in enumerate(self.triangles):
@@ -117,12 +104,8 @@ class Tiling:
     def coords(self, i: int) -> np.ndarray:
         return self.vertices[self.triangles[i]]
 
-    def area(self, i: int) -> float:
-        a, b, c = self.coords(i)
-        return _signed_area(a, b, c)
-
     def total_area(self) -> float:
-        return sum(self.area(i) for i in range(self.n_triangles))
+        return sum(self.areas.tolist())
 
     def incident_triangles(self, vertex_id: int):
         return [i for i, tri in enumerate(self.triangles) if vertex_id in tri]
@@ -147,19 +130,27 @@ class Tiling:
         return report
 
 
-def _signed_area(a, b, c) -> float:
-    return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+def _signed_areas(corners) -> np.ndarray:
+    """Signed areas of triangles with corners ``(T, 3, 2)``, positive when counterclockwise."""
+    ab, ac = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    return 0.5 * (ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+
+
+def _barycentric_inverses(corners) -> np.ndarray:
+    """Inverses of the edge matrices with columns ``b - a`` and ``c - a``; NaN where degenerate."""
+    ab, ac = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    det = ab[:, 0] * ac[:, 1] - ac[:, 0] * ab[:, 1]
+    adjugate = np.stack([ac[:, 1], -ac[:, 0], -ab[:, 1], ab[:, 0]], axis=1).reshape(-1, 2, 2)
+    return adjugate / np.where(np.abs(det) < MIN_AREA, np.nan, det)[:, None, None]
 
 
 def _validate(tiling: Tiling) -> TilingReport:
     msgs = []
     v = tiling.vertices
     nondeg = True
-    for i in range(tiling.n_triangles):
-        area = tiling.area(i)
-        if abs(area) < MIN_AREA:
-            nondeg = False
-            msgs.append(f"triangle {i} is degenerate (area {area:.3e})")
+    for i in np.flatnonzero(np.abs(tiling.areas) < MIN_AREA):
+        nondeg = False
+        msgs.append(f"triangle {i} is degenerate (area {tiling.areas[i]:.3e})")
 
     inside = True
     radii = np.hypot(v[:, 0], v[:, 1]) if len(v) else np.zeros(0)
@@ -484,9 +475,10 @@ def clip_path(tiling: Tiling, path: GeodesicPath) -> list:
     cuts = {0.0, tau}
     cuts.update(_edge_crossings(tiling, path))
     ordered = _dedupe(sorted(cuts))
+    mids = path.position(0.5 * (np.array(ordered[:-1]) + np.array(ordered[1:])))
     raw = []
-    for t0, t1 in zip(ordered, ordered[1:]):
-        loc = locate(tiling, path.position(0.5 * (t0 + t1)))
+    for t0, t1, mid in zip(ordered, ordered[1:], mids):
+        loc = locate(tiling, mid)
         raw.append((loc.triangle, loc.kind, t0, t1))
     merged = _merge_adjacent(raw)
     out = []

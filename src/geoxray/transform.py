@@ -65,34 +65,28 @@ def per_triangle_weight_integrals(metric: MetricField, weight: WeightField,
     tiling.require_valid()
     if clip is None:
         clip = clip_path(tiling, path)
-    pw = weight.along_path(path)
-    out = {}
-    for interval in clip:
-        if interval.triangle is None or interval.length <= 0:
-            continue
-        mat = _interval_weight_integral(pw, path, interval.t0, interval.t1)
-        if interval.triangle in out:
-            prev_mat, prev_len = out[interval.triangle]
-            out[interval.triangle] = (prev_mat + mat, prev_len + interval.length)
-        else:
-            out[interval.triangle] = (mat, interval.length)
-    return out
-
-
-def _interval_weight_integral(pw, path: GeodesicPath, t0: float, t1: float) -> np.ndarray:
+    pieces = [iv for iv in clip if iv.triangle is not None and iv.length > 0]
+    if not pieces:
+        return {}
+    ends = np.array([(iv.t0, iv.t1) for iv in pieces])
+    values = weight.on_path(path, np.concatenate([ends.ravel(), path.t]))
+    at_ends, at_samples = values[:ends.size].reshape(len(pieces), 2, weight.m, weight.k), values[ends.size:]
+    # the samples strictly inside each piece are its inner trapezoid nodes
     eps = 1e-13 * max(1.0, path.tau)
-    i0 = int(np.searchsorted(path.t, t0 + eps, side="left"))
-    i1 = int(np.searchsorted(path.t, t1 - eps, side="right"))
-    nodes = [t0] + [float(t) for t in path.t[i0:i1]] + [t1]
-    values = [pw.at_time(t0)]
-    values += [pw.at_samples[i] for i in range(i0, i1)]
-    values.append(pw.at_time(t1))
-    total = np.zeros((pw.weight.m, pw.weight.k), dtype=complex)
-    for j in range(len(nodes) - 1):
-        dt = nodes[j + 1] - nodes[j]
-        if dt > 0:
-            total += 0.5 * dt * (values[j] + values[j + 1])
-    return total
+    first = np.searchsorted(path.t, ends[:, 0] + eps, side="left")
+    stop = np.searchsorted(path.t, ends[:, 1] - eps, side="right")
+    out = {}
+    for iv, piece_ends, end_values, i0, i1 in zip(pieces, ends, at_ends, first, stop):
+        nodes = np.concatenate([piece_ends[:1], path.t[i0:i1], piece_ends[1:]])
+        w = np.concatenate([end_values[:1], at_samples[i0:i1], end_values[1:]])
+        # cumsum adds the terms in node order, as a running total does
+        mat = np.cumsum((0.5 * np.diff(nodes))[:, None, None] * (w[:-1] + w[1:]), axis=0)[-1]
+        if iv.triangle in out:
+            prev_mat, prev_len = out[iv.triangle]
+            out[iv.triangle] = (prev_mat + mat, prev_len + iv.length)
+        else:
+            out[iv.triangle] = (mat, iv.length)
+    return out
 
 
 def plan_weight_integrals(metric: MetricField, weight: WeightField, tiling: Tiling,

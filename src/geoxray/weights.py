@@ -15,11 +15,11 @@ import math
 import numpy as np
 
 from .errors import SceneValidationError, config_number
-from .geometry import DEFAULT_STEP, GeodesicPath, MetricField, _hermite, trace_forward, unit_tangent
+from .geometry import DEFAULT_STEP, GeodesicPath, MetricField, _trace_rows, unit_tangent, unwrap
 
 
 class WeightField:
-    """Base class; subclasses implement ``at(x, v) -> (m, k) complex``."""
+    """Base class; subclasses implement ``at``."""
 
     family = "base"
 
@@ -30,44 +30,18 @@ class WeightField:
         self.m = int(m)
 
     def at(self, x, v) -> np.ndarray:
+        """Weights at chart points ``x`` with directions ``v``, both ``(..., 2)``:
+        an ``(..., m, k)`` complex array."""
         raise NotImplementedError
 
-    def along_path(self, path: GeodesicPath) -> "PathWeight":
-        return PathWeight(self, path)
+    def on_path(self, path: GeodesicPath, t) -> np.ndarray:
+        """Weights along ``path`` at the arclengths ``t``: ``t.shape + (m, k)``."""
+        return self.at(*path.states(t))
 
 
-class PathWeight:
-    """Weight values along one geodesic, evaluable at arbitrary arclength."""
-
-    def __init__(self, weight: WeightField, path: GeodesicPath):
-        self.weight = weight
-        self.path = path
-        self._samples = None
-
-    @property
-    def at_samples(self) -> np.ndarray:
-        if self._samples is None:
-            n = self.path.n_samples
-            vals = np.empty((n, self.weight.m, self.weight.k), dtype=complex)
-            for i in range(n):
-                vals[i] = self.weight.at(self.path.x[i], self.path.v[i])
-            self._samples = vals
-        return self._samples
-
-    def at_time(self, t: float) -> np.ndarray:
-        x, v = self.path.state(t)
-        return self.weight.at(x, v)
-
-
-class IdentityWeight(WeightField):
-    family = "identity"
-
-    def __init__(self, k: int):
-        super().__init__(k, k)
-        self._eye = np.eye(k, dtype=complex)
-
-    def at(self, x, v):
-        return self._eye.copy()
+def _batch(x, v):
+    """``x`` and ``v`` as float arrays broadcast to one shape ``(..., 2)``."""
+    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
 
 class ConstantWeight(WeightField):
@@ -81,7 +55,14 @@ class ConstantWeight(WeightField):
         self.matrix = mat
 
     def at(self, x, v):
-        return self.matrix.copy()
+        return np.broadcast_to(self.matrix, _batch(x, v)[0].shape[:-1] + self.matrix.shape).copy()
+
+
+class IdentityWeight(ConstantWeight):
+    family = "identity"
+
+    def __init__(self, k: int):
+        super().__init__(np.eye(k, dtype=complex))
 
 
 class AngularWeight(WeightField):
@@ -105,19 +86,18 @@ class AngularWeight(WeightField):
         self.radial_modulation = float(radial_modulation)
 
     def at(self, x, v):
-        phi = self.order * math.atan2(v[1], v[0])
-        amp = self.amplitude * (1.0 + self.radial_modulation * (x[0] ** 2 + x[1] ** 2))
-        w = np.eye(self.k, dtype=complex)
-        c, s = math.cos(phi), math.sin(phi)
-        if self.k == 1:
-            w[0, 0] += amp * c
-        else:
-            w[0, 0] += amp * c
-            w[0, 1] += -amp * s
-            w[1, 0] += amp * s
-            w[1, 1] += amp * c
+        x, v = _batch(x, v)
+        phi = self.order * np.arctan2(v[..., 1], v[..., 0])
+        amp = self.amplitude * (1.0 + self.radial_modulation * (x[..., 0] ** 2 + x[..., 1] ** 2))
+        w = np.broadcast_to(np.eye(self.k, dtype=complex), amp.shape + (self.k, self.k)).copy()
+        c, s = np.cos(phi), np.sin(phi)
+        w[..., 0, 0] += amp * c
+        if self.k > 1:
+            w[..., 0, 1] += -amp * s
+            w[..., 1, 0] += amp * s
+            w[..., 1, 1] += amp * c
             for i in range(2, self.k):
-                w[i, i] += amp
+                w[..., i, i] += amp
         return w
 
 
@@ -150,43 +130,42 @@ class AttenuationWeight(WeightField):
         self.strength = float(strength)
         self.trace_step = float(trace_step)
 
-    def _tail_integral(self, path: GeodesicPath) -> np.ndarray:
-        a = self.profile(path.x)
-        cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(path.t))])
-        return cumulative[-1] - cumulative
+    def _cumulative(self, t, x, counts) -> np.ndarray:
+        """Trapezoid integrals of the coefficient from the first sample of each
+        row to each of its samples.
+
+        ``t`` and ``x`` hold the samples of rows laid end to end, ``counts``
+        how many each row has.  Returns ``(rows, max(counts))``; past its last
+        sample a row keeps its total.  Every row sums in sample order, as
+        ``np.cumsum`` of that row alone does.
+        """
+        a = self.profile(x)
+        terms = 0.5 * (a[1:] + a[:-1]) * np.diff(t)
+        row = np.repeat(np.arange(len(counts)), counts)
+        col = np.arange(len(t)) - (np.cumsum(counts) - counts)[row]
+        joined = np.flatnonzero(col > 0)   # term j - 1 joins sample j - 1 to sample j of one row
+        grid = np.zeros((len(counts), counts.max()))
+        grid[row[joined], col[joined]] = terms[joined - 1]
+        return np.cumsum(grid, axis=1)
 
     def at(self, x, v):
-        start = unit_tangent(self.metric, x, v)
-        path = trace_forward(self.metric, start, self.trace_step)
-        tail = self._tail_integral(path)[0]
-        return np.array([[np.exp(-self.strength * tail)]], dtype=complex)
+        """Points are normalized one at a time as ``unit_tangent`` does, and
+        traced to the boundary together in one lockstep call."""
+        x, v = _batch(x, v)
+        starts = [unit_tangent(self.metric, p, d) for p, d in zip(x.reshape(-1, 2), v.reshape(-1, 2))]
+        rows = np.array([np.concatenate([s.x, s.v]) for s in starts]).reshape(-1, 4)
+        traced = [unwrap(row) for row in _trace_rows(self.metric, rows, self.trace_step)]
+        counts = np.array([len(t) for t, _, _ in traced])
+        tail = self._cumulative(np.concatenate([t for t, _, _ in traced]),
+                                np.concatenate([p for _, p, _ in traced]), counts)[:, -1]
+        return np.exp(-self.strength * tail).reshape(x.shape[:-1] + (1, 1)).astype(complex)
 
-    def along_path(self, path: GeodesicPath) -> "PathWeight":
-        return _AttenuationPathWeight(self, path)
-
-
-class _AttenuationPathWeight(PathWeight):
-    def __init__(self, weight: AttenuationWeight, path: GeodesicPath):
-        super().__init__(weight, path)
-        self._tail = weight._tail_integral(path)
-        self._coef = weight.profile(path.x)
-
-    @property
-    def at_samples(self) -> np.ndarray:
-        if self._samples is None:
-            vals = np.exp(-self.weight.strength * self._tail)
-            self._samples = vals.reshape(-1, 1, 1).astype(complex)
-        return self._samples
-
-    def at_time(self, t: float) -> np.ndarray:
-        # Hermite interpolation of the cumulative integral: its derivative is
-        # the (negated) coefficient, which we know exactly at the samples.
-        ts = self.path.t
-        i = self.path._bracket(t)
-        h = ts[i + 1] - ts[i]
-        s = (t - ts[i]) / h
-        tail = _hermite(self._tail[i], -self._coef[i] * h, self._tail[i + 1], -self._coef[i + 1] * h, s)
-        return np.array([[np.exp(-self.weight.strength * tail)]], dtype=complex)
+    def on_path(self, path: GeodesicPath, t) -> np.ndarray:
+        # Hermite interpolation of the tail integral along the path itself: its
+        # derivative is minus the coefficient, known exactly at the samples.
+        cumulative = self._cumulative(path.t, path.x, np.array([path.n_samples]))[0]
+        tail = path.interpolate(t, cumulative[-1] - cumulative, -self.profile(path.x))
+        return np.exp(-self.strength * tail)[..., None, None].astype(complex)
 
 
 class ProductWeight(WeightField):
@@ -212,10 +191,10 @@ class ProductWeight(WeightField):
     def at(self, x, v):
         a = self.left.at(x, v)
         b = self.right.at(x, v)
-        if a.shape == (1, 1):
-            return a[0, 0] * b
-        if b.shape == (1, 1):
-            return b[0, 0] * a
+        if a.shape[-2:] == (1, 1):
+            return a[..., :1, :1] * b
+        if b.shape[-2:] == (1, 1):
+            return b[..., :1, :1] * a
         return a @ b
 
 
@@ -228,11 +207,8 @@ def injectivity_margin(weight: WeightField, samples) -> float:
     samples = list(samples)
     if not samples:
         raise SceneValidationError("injectivity margin needs a non-empty sample set")
-    margin = math.inf
-    for ut in samples:
-        sv = np.linalg.svd(weight.at(ut.x, ut.v), compute_uv=False)
-        margin = min(margin, float(sv[-1]))
-    return margin
+    w = weight.at(np.array([ut.x for ut in samples]), np.array([ut.v for ut in samples]))
+    return float(np.linalg.svd(w, compute_uv=False)[:, -1].min())
 
 
 def sphere_bundle_samples(metric: MetricField, n_points: int = 40, n_dirs: int = 8):

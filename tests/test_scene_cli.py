@@ -388,6 +388,22 @@ def test_reconstruct_roundtrip_and_recorded_identical(tmp_path):
             == (out_rec / "reconstruction_report.txt").read_bytes())
 
 
+@pytest.mark.parametrize("row, line", [
+    ("abc,0,1,0,1,0,1,0", 2),
+    ("0.1,0.2,1,0,1,0", 2),
+    ("0.1,0.2,1,0,nan,0,1,0", 2),
+    ("0.1,0.2,1,0,1,0,1,0\n0.3,inf,1,0,1,0,1,0", 3),
+])
+def test_bad_recorded_data_exits_with_validation_code(tmp_path, capsys, row, line):
+    # the demo weight is 3 x 2: two descriptor columns and three complex values per row
+    spath = write_scene(tmp_path, "s.json", reconstruct_scene())
+    data = tmp_path / "data.csv"
+    data.write_text("boundary_angle,direction_angle," + ",".join(cli._complex_header("value", 3)) + "\n"
+                    + row + "\n")
+    assert cli.main(["reconstruct", "--scene", spath, "--data", str(data), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert f"data file {data}, line {line}:" in capsys.readouterr().err
+
+
 def test_reconstruct_deleted_batch_coverage_exit(tmp_path):
     scene = reconstruct_scene()
     scene["plans"]["chords"] = {"mode": "frontier", "rotations": 18,

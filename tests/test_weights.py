@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoxray as gx
+from geoxray import geometry, weights
 from geoxray.weights import sphere_bundle_samples
 
 from conftest import chord_start
+from golden.make_weight_integrals import WEIGHTS
 
 
 def ut(metric, x, v):
@@ -66,6 +68,18 @@ def test_product_weight_scalar_times_matrix(euclidean):
     assert np.max(np.abs(val - math.exp(-1.0) * mat)) <= 1e-9
 
 
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_batched_at_matches_per_point_calls(conformal05, name):
+    # every family evaluates (..., 2) arrays in one call, bit for bit as point by point
+    w = gx.weight_from_config(WEIGHTS[name], conformal05, 1e-2)
+    samples = sphere_bundle_samples(conformal05, 6, 4)
+    x, v = np.array([s.x for s in samples]), np.array([s.v for s in samples])
+    batched = w.at(x, v)
+    assert batched.shape == (24, w.m, w.k)
+    assert np.array_equal(batched, np.stack([w.at(p, d) for p, d in zip(x, v)]))
+    assert np.array_equal(w.at(x.reshape(4, 6, 2), v.reshape(4, 6, 2)), batched.reshape(4, 6, w.m, w.k))
+
+
 # ---------------------------------------------------------------------------
 # injectivity margin
 # ---------------------------------------------------------------------------
@@ -88,6 +102,21 @@ def test_margin_attenuation_exp_lower_bound(euclidean):
     samples = sphere_bundle_samples(euclidean, 15, 6)
     margin = gx.injectivity_margin(w, samples)
     assert margin >= math.exp(-2.0 * strength) - 1e-9
+
+
+def test_attenuation_margin_traces_all_samples_in_one_call(monkeypatch, conformal05):
+    calls = []
+    trace_rows = geometry._trace_rows
+
+    def counting(metric, y, step):
+        calls.append(len(y))
+        return trace_rows(metric, y, step)
+
+    for module in (geometry, weights):
+        monkeypatch.setattr(module, "_trace_rows", counting, raising=False)
+    w = gx.AttenuationWeight(conformal05, "gaussian", 0.8)
+    gx.injectivity_margin(w, sphere_bundle_samples(conformal05))
+    assert calls == [320]
 
 
 # ---------------------------------------------------------------------------
