@@ -61,10 +61,12 @@ from .tiling import (
 )
 from .transform import (
     FanGeodesic,
+    PlanOperator,
     fan_geodesic,
     fan_geodesics,
     forward,
     frozen_limit,
+    plan_weight_integrals,
     scaled_fan_integral,
     tangent_line_integral,
 )

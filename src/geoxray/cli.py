@@ -19,10 +19,10 @@ import numpy as np
 
 from . import __version__
 from .errors import GeoxrayError, SceneValidationError, exit_code_for
-from .geometry import boundary_tangent, unwrap
+from .geometry import boundary_tangent
 from .recovery import RecordedOracle, SyntheticOracle, reconstruct, singular_spectrum, spectral_summary
 from .scene import Scene, load_scene, scene_chord_descriptors
-from .transform import apply_integrals, dense_operator, limit_scan, plan_weight_integrals
+from .transform import limit_scan, plan_weight_integrals
 
 
 def fmt(x: float) -> str:
@@ -72,6 +72,12 @@ def _complex_cells(vec):
     return cells
 
 
+def _plan(scene: Scene, descriptors):
+    """The PlanOperator of the scene's chords with the given descriptors."""
+    return plan_weight_integrals(scene.metric, scene.weight, scene.tiling,
+                                 [boundary_tangent(scene.metric, a, d) for a, d in descriptors], scene.step)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -79,10 +85,8 @@ def _complex_cells(vec):
 def cmd_forward(scene: Scene, out_dir: str) -> str:
     """One CSV row per planned geodesic with its transform value."""
     descriptors = scene_chord_descriptors(scene)
-    entries = plan_weight_integrals(scene.metric, scene.weight, scene.tiling,
-                                    [boundary_tangent(scene.metric, a, d) for a, d in descriptors], scene.step)
-    rows = [[d[0], d[1]] + _complex_cells(apply_integrals(scene.weight, scene.field, unwrap(entry)))
-            for d, entry in zip(descriptors, entries)]
+    values = _plan(scene, descriptors).apply(scene.field)
+    rows = [[d[0], d[1]] + _complex_cells(value) for d, value in zip(descriptors, values)]
     out = os.path.join(out_dir, "forward.csv")
     write_csv(out, ["boundary_angle", "direction_angle"] + _complex_header("value", scene.weight.m), rows)
     return out
@@ -130,6 +134,9 @@ def read_recorded_csv(path, m) -> RecordedOracle:
                 rows.append((cells[0], cells[1], value))
     except FileNotFoundError:
         raise SceneValidationError(f"data file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise SceneValidationError(f"data file {path}: {reason}") from None
     return RecordedOracle.from_rows(rows, m)
 
 
@@ -158,11 +165,7 @@ def cmd_reconstruct(scene: Scene, out_dir: str, data_path=None) -> str:
 
 def cmd_spectrum(scene: Scene, out_dir: str) -> str:
     """Singular values of the assembled operator over the chord plan."""
-    entries = plan_weight_integrals(scene.metric, scene.weight, scene.tiling,
-                                    [boundary_tangent(scene.metric, a, d) for a, d in scene_chord_descriptors(scene)],
-                                    scene.step)
-    operator = dense_operator(scene.weight, scene.tiling, [unwrap(entry) for entry in entries])
-    spectrum = singular_spectrum(operator)
+    spectrum = singular_spectrum(_plan(scene, scene_chord_descriptors(scene)).dense())
     out = os.path.join(out_dir, "spectrum.csv")
     write_csv(out, ["index", "sigma"], [[float(i), s] for i, s in enumerate(spectrum)])
     smin, smax, ratio = spectral_summary(spectrum)
@@ -200,6 +203,11 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        out = os.path.abspath(args.out)   # the outputs go under its nearest existing ancestor
+        while not os.path.exists(out):
+            out = os.path.dirname(out)
+        if not os.path.isdir(out):
+            raise SceneValidationError(f"output directory {args.out}: {out} exists and is not a directory")
         scene = load_scene(args.scene, step_override=args.step, seed_override=args.seed)
         if args.command == "forward":
             out = cmd_forward(scene, args.out)

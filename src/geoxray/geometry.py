@@ -455,10 +455,14 @@ def trace_geodesics(metric: MetricField, starts, step: float = DEFAULT_STEP) -> 
     Returns one entry per start: the GeodesicPath that ``trace_geodesic``
     returns for it, or the error that ``trace_geodesic`` raises for it.
     Errors are returned, not raised, so that a caller working through a
-    plan raises the one of the first failing member (see ``unwrap``).
+    plan raises the one of the first failing member (see ``unwrap``).  A
+    start that is already a GeodesicPath, or an error, is returned as it is.
     """
     owners, rows = [], []
     for start in starts:
+        if isinstance(start, (GeodesicPath, GeoxrayError)):
+            owners.append(start)
+            continue
         x, v = np.asarray(start.x, dtype=float), np.asarray(start.v, dtype=float)
         r = math.hypot(x[0], x[1])
         if r > DISK_RADIUS + BOUNDARY_TOL:
@@ -473,7 +477,7 @@ def trace_geodesics(metric: MetricField, starts, step: float = DEFAULT_STEP) -> 
             owners.append((len(rows),))
             rows.append(np.concatenate([x, v]))
     halves = _trace_rows(metric, np.array(rows).reshape(-1, 4), step)
-    return [owner if isinstance(owner, GeoxrayError) else _join(metric, [halves[k] for k in owner])
+    return [_join(metric, [halves[k] for k in owner]) if isinstance(owner, tuple) else owner
             for owner in owners]
 
 

@@ -8,12 +8,13 @@ direction-derivative elimination that proves uniqueness).
 The global solver sweeps the foliation leaves inward.  Triangles are batched
 by the leaf level at first contact; each batch is determined from chords
 that stay above the next level, so they meet only the batch and triangles
-recovered earlier, whose contribution is subtracted from the data.  Each
-candidate chord is traced, clipped and integrated once
-(``plan_weight_integrals``): which triangles its integrals touch decides
-whether it is admissible, the synthetic oracle's data are the same
-integrals applied to the field, and the sweep is block forward substitution
-on these rows of the transform's matrix.
+recovered earlier, whose contribution is subtracted from the data.  The
+candidate chords of every batch are traced, clipped and integrated in one
+``plan_weight_integrals`` call, which gives the rows of the transform's
+matrix as one ``PlanOperator``.  A mask over its triangles and piece
+lengths picks each batch's admissible rows, the synthetic oracle's data are
+those rows applied to the field, and the sweep is block forward
+substitution on them: ordered by batch, the rows are block lower triangular.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .errors import (
     CoverageError,
+    GeoxrayError,
     IllPosedSamplingError,
     IllPosedStepError,
     NonInjectiveWeightError,
@@ -34,9 +36,8 @@ from .foliation import FoliationFunction
 from .geometry import DEFAULT_STEP, MetricField, boundary_tangent, unwrap
 from .tiling import Tiling
 from .transform import (
-    apply_integrals,
-    dense_operator,
-    per_triangle_weight_integrals,
+    PlanOperator,
+    add_by_row,
     plan_weight_integrals,
     sector_chord_lengths,
 )
@@ -58,50 +59,51 @@ def descriptor_key(descriptor):
 
 
 class SyntheticOracle:
-    """Forward data of a known scene, from the chords' per-triangle integrals.
+    """Forward data of a known scene: the chords' operator rows applied to the field.
 
     Optional additive complex Gaussian noise (diagnostics only); the noise
     stream is driven by the supplied generator.
     """
 
     def __init__(self, metric, weight, tiling, field, noise_sigma=0.0, rng=None):
-        self.metric = metric
         self.weight = weight
-        self.tiling = tiling
         self.field = field
         self.noise_sigma = float(noise_sigma)
         self.rng = rng
 
-    def query(self, descriptor, integrals) -> np.ndarray:
-        """Data of the chord whose ``per_triangle_weight_integrals`` are given."""
-        value = apply_integrals(self.weight, self.field, integrals)
+    def query(self, descriptors, rows: PlanOperator) -> np.ndarray:
+        """Data ``(n, m)`` of the chords with these operator rows; noise is drawn chord by chord."""
+        value = rows.apply(self.field)
         if self.noise_sigma > 0.0:
             if self.rng is None:
                 raise SceneValidationError("noisy oracle needs a random generator")
-            noise = self.rng.standard_normal(self.weight.m) + 1j * self.rng.standard_normal(self.weight.m)
-            value = value + self.noise_sigma * noise
+            z = self.rng.standard_normal((rows.n_rows, 2, self.weight.m))
+            value = value + self.noise_sigma * (z[:, 0] + 1j * z[:, 1])
         return value
 
 
 class RecordedOracle:
     """Looks up data rows by geodesic descriptor (boundary angle, direction angle).
 
-    ``query`` takes the chord's integrals too, like the synthetic oracle, and
-    ignores them.
+    ``query`` takes the chords' operator rows too, like the synthetic
+    oracle, and ignores them.
     """
 
     def __init__(self, table: dict, m: int):
         self.table = table
         self.m = int(m)
 
-    def query(self, descriptor, integrals) -> np.ndarray:
-        key = descriptor_key(descriptor)
-        if key not in self.table:
-            raise CoverageError(
-                f"recorded data has no row for geodesic {key}; the table does not "
-                "cover the reconstruction plan"
-            )
-        return self.table[key].copy()
+    def query(self, descriptors, rows) -> np.ndarray:
+        out = np.zeros((len(descriptors), self.m), dtype=complex)
+        for i, descriptor in enumerate(descriptors):
+            key = descriptor_key(descriptor)
+            if key not in self.table:
+                raise CoverageError(
+                    f"recorded data has no row for geodesic {key}; the table does not "
+                    "cover the reconstruction plan"
+                )
+            out[i] = self.table[key]
+        return out
 
     @classmethod
     def from_rows(cls, rows, m: int) -> "RecordedOracle":
@@ -263,28 +265,23 @@ def batch_descriptors(phi: FoliationFunction, lo: float, hi: float, plan: ChordP
     return out
 
 
+def frontier_plan(tiling: Tiling, phi: FoliationFunction, plan: ChordPlan):
+    """The sweep's batches in frontier order, and each batch's candidate descriptors.
+
+    A batch's chords are aimed between its first-contact level and the next
+    batch's (the foliation's floor after the last batch).
+    """
+    batches = order_frontier(tiling, phi)
+    levels = [triangle_level(tiling, phi, b[0]) for b in batches] + [phi.floor()]
+    return batches, [batch_descriptors(phi, lo, hi, plan) for hi, lo in zip(levels, levels[1:])]
+
+
 def reconstruction_descriptors(tiling: Tiling, phi: FoliationFunction, plan: ChordPlan):
     """Union of all batch candidate descriptors, in sweep order, deduplicated."""
-    batches = order_frontier(tiling, phi)
-    seen = set()
-    out = []
-    for b, window in zip(batches, _batch_windows(tiling, phi, batches)):
-        for desc in batch_descriptors(phi, window[0], window[1], plan):
-            key = descriptor_key(desc)
-            if key not in seen:
-                seen.add(key)
-                out.append(desc)
-    return out
-
-
-def _batch_windows(tiling, phi, batches):
-    levels = [triangle_level(tiling, phi, b[0]) for b in batches]
-    floor = phi.floor()
-    windows = []
-    for i, level in enumerate(levels):
-        nxt = levels[i + 1] if i + 1 < len(levels) else floor
-        windows.append((nxt, level))
-    return windows
+    unique = {}
+    for desc in (desc for candidates in frontier_plan(tiling, phi, plan)[1] for desc in candidates):
+        unique.setdefault(descriptor_key(desc), desc)
+    return list(unique.values())
 
 
 # ---------------------------------------------------------------------------
@@ -353,74 +350,72 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
         raise SceneValidationError(
             f"foliation convexity margin {convexity:.3e} is not positive"
         )
-    k = weight.k
-    m = weight.m
-    n_tri = tiling.n_triangles
+    m, k, n_tri = weight.m, weight.k, tiling.n_triangles
     values = np.zeros((n_tri, k), dtype=complex)
     residuals = np.zeros(n_tri)
-    known = set()
-    batches = order_frontier(tiling, phi)
-    windows = _batch_windows(tiling, phi, batches)
-    conds, step_residuals, used_counts, order = [], [], [], []
+    known = np.zeros(n_tri, dtype=bool)
+    batches, candidates = frontier_plan(tiling, phi, plan)
+    starts = []   # a start that cannot be built stands in for its chord, as its error
+    for ba, da in (desc for batch_candidates in candidates for desc in batch_candidates):
+        try:
+            starts.append(boundary_tangent(metric, ba, da))
+        except GeoxrayError as exc:
+            starts.append(exc)
+    operator = plan_weight_integrals(metric, weight, tiling, starts, step=step)
+    stops = np.cumsum([len(c) for c in candidates], dtype=int)
+    conds, step_residuals, used_counts = [], [], []
 
-    for batch, (lo, hi) in zip(batches, windows):
-        batch_set = set(batch)
-        admissible = []
-        descriptors = batch_descriptors(phi, lo, hi, plan)
-        entries = plan_weight_integrals(metric, weight, tiling,
-                                        [boundary_tangent(metric, a, d) for a, d in descriptors], step=step)
-        for desc, entry in zip(descriptors, entries):
-            integrals = unwrap(entry)
-            hits = {tri for tri, (_m, length) in integrals.items()
-                    if length > ADMISSIBLE_LENGTH_TOL}
-            if hits & batch_set and hits <= known | batch_set:
-                admissible.append((desc, integrals))
-        if not admissible:
+    for batch, batch_candidates, stop in zip(batches, candidates, stops):
+        in_batch = np.isin(np.arange(n_tri), batch)
+        chords = np.arange(stop - len(batch_candidates), stop)
+        for j in chords:   # the batch's errors, now that its turn has come: its starts' first
+            unwrap(starts[j])
+        rows = operator.take(chords).require()
+        # admissible: meets the batch, and nothing outside it but recovered triangles
+        hit = rows.length > ADMISSIBLE_LENGTH_TOL
+        meets = np.bincount(rows.row[hit & in_batch[rows.triangle]], minlength=rows.n_rows)
+        strays = np.bincount(rows.row[hit & ~(known | in_batch)[rows.triangle]], minlength=rows.n_rows)
+        admissible = np.flatnonzero((meets > 0) & (strays == 0))
+        if not len(admissible):
             raise CoverageError(
                 f"no admissible geodesics for batch {sorted(batch)}: the plan is too sparse"
             )
-        rows = len(admissible) * m
-        if rows < len(batch) * k:
+        if len(admissible) * m < len(batch) * k:
             raise CoverageError(
-                f"batch {sorted(batch)} is underdetermined: {rows} data rows for "
+                f"batch {sorted(batch)} is underdetermined: {len(admissible) * m} data rows for "
                 f"{len(batch) * k} unknowns"
             )
-        col_of = {tri: i for i, tri in enumerate(batch)}
-        a = np.zeros((rows, len(batch) * k), dtype=complex)
-        b = np.zeros(rows, dtype=complex)
-        hit_any = set()
-        for j, (desc, integrals) in enumerate(admissible):
-            data = np.asarray(oracle.query(desc, integrals), dtype=complex)
-            for tri, (mat, length) in integrals.items():
-                if tri in known:
-                    data = data - mat @ values[tri]
-                elif tri in batch_set and length > ADMISSIBLE_LENGTH_TOL:
-                    c = col_of[tri]
-                    a[j * m:(j + 1) * m, c * k:(c + 1) * k] = mat
-                    hit_any.add(tri)
-            b[j * m:(j + 1) * m] = data
-        missing = batch_set - hit_any
+        system = rows.take(admissible)
+        data = np.array(oracle.query([batch_candidates[j] for j in admissible], system), dtype=complex)
+        # subtract the recovered part, term by term in entry order
+        old = known[system.triangle]
+        b = add_by_row(data, system.row[old],
+                       -np.matmul(system.block[old], values[system.triangle[old]][..., None])[..., 0])
+        new = in_batch[system.triangle] & (system.length > ADMISSIBLE_LENGTH_TOL)
+        col = np.zeros(n_tri, dtype=int)
+        col[batch] = np.arange(len(batch))
+        a = np.zeros((system.n_rows, m, len(batch), k), dtype=complex)
+        a[system.row[new], :, col[system.triangle[new]], :] = system.block[new]
+        missing = set(batch) - set(system.triangle[new].tolist())
         if missing:
             raise CoverageError(
                 f"triangles {sorted(missing)} are never crossed by an admissible geodesic"
             )
-        x, residual, cond = _solve_stacked(a, b, cond_cap, IllPosedStepError)
-        x = x.reshape(len(batch), k)
-        for tri in batch:
-            values[tri] = x[col_of[tri]]
-            residuals[tri] = residual
-        known |= batch_set
+        x, residual, cond = _solve_stacked(a.reshape(system.n_rows * m, len(batch) * k), b.ravel(),
+                                           cond_cap, IllPosedStepError)
+        values[batch] = x.reshape(len(batch), k)
+        residuals[batch] = residual
+        known[batch] = True
         conds.append(cond)
         step_residuals.append(residual)
         used_counts.append(len(admissible))
-        order.extend(batch)
 
     return ReconstructionReport(
         values=values,
         per_triangle_residual=residuals,
         per_step_condition=conds,
         per_step_residual=step_residuals,
-        processing_order=order,
+        processing_order=[tri for batch in batches for tri in batch],
         batches=batches,
         geodesics_per_batch=used_counts,
         foliation_margin=convexity,
@@ -434,9 +429,8 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
 
 def assemble_operator(metric: MetricField, weight: WeightField, tiling: Tiling,
                       paths) -> np.ndarray:
-    """Dense matrix of the discretized transform over a geodesic plan (see ``dense_operator``)."""
-    return dense_operator(weight, tiling, [per_triangle_weight_integrals(metric, weight, tiling, p)
-                                           for p in paths])
+    """Dense matrix of the discretized transform over a geodesic plan (see ``PlanOperator.dense``)."""
+    return plan_weight_integrals(metric, weight, tiling, paths).dense()
 
 
 def singular_spectrum(matrix: np.ndarray) -> np.ndarray:

@@ -76,6 +76,9 @@ def load_scene(path, step_override=None, seed_override=None) -> Scene:
             raw = json.load(fh)
     except FileNotFoundError:
         raise SceneValidationError(f"scene file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise SceneValidationError(f"scene file {path}: {reason}") from None
     except json.JSONDecodeError as exc:
         raise SceneValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"

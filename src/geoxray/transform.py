@@ -3,7 +3,11 @@
 The forward value of a geodesic is the weighted line integral of the field:
 per clip interval the field is a constant vector, so only the weight matrix
 needs quadrature; an endpoint-corrected trapezoid rule on the path samples
-is used inside every interval.
+is used inside every interval.  The paths of a plan are clipped and
+integrated once each into one ``PlanOperator``, the transform's matrix in
+block-CSR form: one ``m``-row block per path, one ``(m, k)`` block per
+triangle it meets.  Forward values, the dense matrix and the systems of the
+reconstruction sweep are array operations on it.
 
 The fan family anchors at a boundary point x with inward direction v: the
 geodesic through the point at arclength h along v, in the direction of the
@@ -89,55 +93,99 @@ def per_triangle_weight_integrals(metric: MetricField, weight: WeightField,
     return out
 
 
-def plan_weight_integrals(metric: MetricField, weight: WeightField, tiling: Tiling,
-                          starts, step: float = DEFAULT_STEP) -> list:
-    """Per-triangle weight integrals of the geodesics through a plan of starts.
+@dataclass(frozen=True)
+class PlanOperator:
+    """The transform's matrix over a plan of paths, in block-CSR form.
 
-    All starts are traced together with one ``trace_geodesics`` call, and
-    each path is clipped and integrated once.  Returns one entry per start:
-    the ``per_triangle_weight_integrals`` dict of its path, or the error that
-    tracing or integrating it raises (see ``unwrap``).  Forward values,
-    synthetic data, the dense operator and the reconstruction sweep are all
-    read from these entries.
+    Row ``i`` is the ``m``-row block of path ``i``; its entries
+    ``row_ptr[i]:row_ptr[i + 1]`` hold, in the order the path first enters
+    them, a ``triangle``, the ``(m, k)`` weight integral ``block`` over the
+    pieces inside it and their total ``length``.  ``errors[i]`` is what
+    tracing or integrating path ``i`` raised (its row is then empty), or None.
     """
-    out = []
-    for path in trace_geodesics(metric, starts, step=step):
-        try:
-            out.append(per_triangle_weight_integrals(metric, weight, tiling, unwrap(path)))
-        except GeoxrayError as exc:
-            out.append(exc)
+
+    row_ptr: np.ndarray
+    triangle: np.ndarray
+    block: np.ndarray
+    length: np.ndarray
+    errors: tuple
+    n_triangles: int
+
+    @classmethod
+    def of_rows(cls, weight: WeightField, tiling: Tiling, rows) -> "PlanOperator":
+        """Pack ``per_triangle_weight_integrals`` dicts, or errors, one per row."""
+        dicts = [{} if isinstance(r, GeoxrayError) else r for r in rows]
+        entries = [(tri, mat, length) for d in dicts for tri, (mat, length) in d.items()]
+        return cls(row_ptr=np.cumsum([0] + [len(d) for d in dicts]),
+                   triangle=np.array([e[0] for e in entries], dtype=int),
+                   block=np.array([e[1] for e in entries], dtype=complex).reshape(-1, weight.m, weight.k),
+                   length=np.array([e[2] for e in entries], dtype=float),
+                   errors=tuple(r if isinstance(r, GeoxrayError) else None for r in rows),
+                   n_triangles=tiling.n_triangles)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.errors)
+
+    @property
+    def row(self) -> np.ndarray:
+        """Row index of every entry."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr))
+
+    def take(self, rows) -> "PlanOperator":
+        """The operator of the given rows, in the given order."""
+        counts = np.diff(self.row_ptr)[rows]
+        row_ptr = np.concatenate([[0], np.cumsum(counts, dtype=int)])
+        at = np.repeat(self.row_ptr[rows] - row_ptr[:-1], counts) + np.arange(row_ptr[-1])
+        return PlanOperator(row_ptr, self.triangle[at], self.block[at], self.length[at],
+                            tuple(self.errors[r] for r in rows), self.n_triangles)
+
+    def require(self) -> "PlanOperator":
+        """Raise the error of the first failed row, if there is one."""
+        for error in self.errors:
+            if error is not None:
+                raise error
+        return self
+
+    def apply(self, field: PiecewiseConstantField) -> np.ndarray:
+        """Forward values ``(n_rows, m)``: per row, its entries' ``block @ value`` summed in order."""
+        _, m, k = self.require().block.shape
+        if k != field.k:
+            raise SceneValidationError(f"dimension mismatch: weight takes C^{k}, field values lie in C^{field.k}")
+        terms = np.matmul(self.block, field.values[self.triangle][..., None])[..., 0]
+        return add_by_row(np.zeros((self.n_rows, m), dtype=complex), self.row, terms)
+
+    def dense(self) -> np.ndarray:
+        """The dense matrix: entry ``(i, j)`` is the block at row block ``i``, column block ``j``."""
+        _, m, k = self.require().block.shape
+        a = np.zeros((self.n_rows, m, self.n_triangles, k), dtype=complex)
+        a[self.row, :, self.triangle, :] = self.block
+        return a.reshape(self.n_rows * m, self.n_triangles * k)
+
+
+def add_by_row(out: np.ndarray, row: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Add the terms to ``out[row]`` in place, per row in term order (``row`` nondecreasing)."""
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    for j in range(rank.max(initial=-1) + 1):
+        sel = rank == j
+        out[row[sel]] += terms[sel]
     return out
 
 
-def apply_integrals(weight: WeightField, field: PiecewiseConstantField, integrals) -> np.ndarray:
-    """Forward value in C^m of a path from its per-triangle weight integrals.
+def plan_weight_integrals(metric: MetricField, weight: WeightField, tiling: Tiling,
+                          starts, step: float = DEFAULT_STEP) -> PlanOperator:
+    """The PlanOperator of a plan of starts: UnitTangents, traced GeodesicPaths or errors.
 
-    Raises SceneValidationError when the weight and field column dimensions
-    disagree.
+    The UnitTangents are traced together in one ``trace_geodesics`` call, and
+    every path is clipped and integrated once.  An error becomes its row's.
     """
-    if weight.k != field.k:
-        raise SceneValidationError(
-            f"dimension mismatch: weight takes C^{weight.k}, field values lie in C^{field.k}"
-        )
-    total = np.zeros(weight.m, dtype=complex)
-    for tri, (mat, _length) in integrals.items():
-        total += mat @ field.values[tri]
-    return total
-
-
-def dense_operator(weight: WeightField, tiling: Tiling, plan) -> np.ndarray:
-    """Dense matrix of the transform over the per-triangle integrals of a plan.
-
-    One ``m``-row block per path; the column block of triangle ``j`` holds
-    the weight integral over the path's pieces inside it.
-    """
-    plan = list(plan)
-    m, k = weight.m, weight.k
-    a = np.zeros((len(plan) * m, tiling.n_triangles * k), dtype=complex)
-    for i, integrals in enumerate(plan):
-        for tri, (mat, _length) in integrals.items():
-            a[i * m:(i + 1) * m, tri * k:(tri + 1) * k] = mat
-    return a
+    rows = []
+    for path in trace_geodesics(metric, starts, step=step):
+        try:
+            rows.append(per_triangle_weight_integrals(metric, weight, tiling, unwrap(path)))
+        except GeoxrayError as exc:
+            rows.append(exc)
+    return PlanOperator.of_rows(weight, tiling, rows)
 
 
 def forward(metric: MetricField, weight: WeightField, tiling: Tiling,
@@ -147,7 +195,8 @@ def forward(metric: MetricField, weight: WeightField, tiling: Tiling,
     Raises SceneValidationError when the tiling fails validation or the
     weight and field column dimensions disagree.
     """
-    return apply_integrals(weight, field, per_triangle_weight_integrals(metric, weight, tiling, path, clip=clip))
+    rows = [per_triangle_weight_integrals(metric, weight, tiling, path, clip=clip)]
+    return PlanOperator.of_rows(weight, tiling, rows).apply(field)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +381,11 @@ def limit_scan(metric: MetricField, weight: WeightField, tiling: Tiling,
             break
         members += [(ut.v, h, frozen) for h in h_values]
     fans = fan_geodesics(metric, x, [(v, h) for v, h, _ in members], sign=sign, step=step)
+    paths = [f if isinstance(f, GeoxrayError) else f.path for f in fans]
+    values = plan_weight_integrals(metric, weight, tiling, paths).apply(field)
     rows = []
-    for (v, h, frozen), member in zip(members, fans):
-        scaled = forward(metric, weight, tiling, field, unwrap(member).path) / h
+    for (v, h, frozen), value in zip(members, values):
+        scaled = value / h
         rows.append({
             "h": float(h),
             "v_angle": fan.angle_of(v),

@@ -1,10 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import geoxray as gx
-from geoxray.recovery import batch_descriptors, chord_descriptor, triangle_level
+from geoxray.recovery import (
+    ADMISSIBLE_LENGTH_TOL,
+    batch_descriptors,
+    chord_descriptor,
+    frontier_plan,
+    triangle_level,
+)
 from geoxray.transform import sector_chord_lengths
 from geoxray.weights import sphere_bundle_samples
 
@@ -206,6 +214,67 @@ def test_reconstruct_clips_each_candidate_chord_once(monkeypatch, euclidean, hex
     oracle = gx.SyntheticOracle(euclidean, weight, hexagon24, field)
     report = gx.reconstruct(euclidean, weight, hexagon24, oracle, gx.RadialSquare(), plan=SMALL_PLAN)
     assert sum(report.geodesics_per_batch) < counts["candidates"] == counts["clips"]
+
+
+def test_reconstruct_traces_its_whole_plan_in_one_call(monkeypatch, euclidean, hexagon24):
+    # the candidates of every batch are planned together, so one lockstep trace serves the sweep
+    import geoxray.transform
+
+    traced = []
+
+    def counted(metric, starts, step):
+        traced.append(len(starts))
+        return gx.trace_geodesics(metric, starts, step=step)
+
+    monkeypatch.setattr(geoxray.transform, "trace_geodesics", counted)
+    weight = gx.ConstantWeight(INJECTIVE_32)
+    field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 2, np.random.default_rng(3))
+    report = gx.reconstruct(euclidean, weight, hexagon24, gx.SyntheticOracle(euclidean, weight, hexagon24, field),
+                            gx.RadialSquare(), plan=SMALL_PLAN)
+    assert len(report.batches) > 1
+    assert traced == [sum(len(c) for c in frontier_plan(hexagon24, gx.RadialSquare(), SMALL_PLAN)[1])]
+
+
+@pytest.mark.parametrize("changes", [
+    {},
+    {"metric": {"family": "conformal-radial", "params": [0.1]},
+     "tiling": {"generator": {"kind": "polygon-fan", "sides": 5, "refine": 1}},
+     "plans": {"chords": {"mode": "frontier", "rotations": 24, "levels_per_batch": 4}}},
+])
+def test_admissible_rows_are_block_lower_triangular(changes):
+    # the layer-stripping argument as a matrix: rows ordered by batch and columns in
+    # frontier order, the admissible rows are block lower triangular and each
+    # diagonal block has full column rank, so forward substitution recovers the field
+    with open(Path(__file__).resolve().parents[1] / "scenes" / "demo_reconstruct.json", encoding="utf-8") as fh:
+        scene = gx.build_scene(dict(json.load(fh), **changes))
+    metric, weight, tiling, phi = scene.metric, scene.weight, scene.tiling, scene.foliation
+    batches, candidates = frontier_plan(tiling, phi, scene.chords.frontier)
+    op = gx.plan_weight_integrals(metric, weight, tiling,
+                                  [gx.boundary_tangent(metric, a, d) for c in candidates for a, d in c],
+                                  step=scene.step)
+    assert op.length.min() > ADMISSIBLE_LENGTH_TOL   # no piece is too short to count as meeting
+    known, rows, first = set(), [], 0
+    for batch, batch_candidates in zip(batches, candidates):
+        chosen = []
+        for r in range(first, first + len(batch_candidates)):
+            hits = set(op.triangle[op.row_ptr[r]:op.row_ptr[r + 1]].tolist())
+            if hits & set(batch) and hits <= known | set(batch):
+                chosen.append(r)
+        rows.append(chosen)
+        known |= set(batch)
+        first += len(batch_candidates)
+    m, k = weight.m, weight.k
+    columns = [t * k + q for batch in batches for t in batch for q in range(k)]
+    a = op.take([r for chosen in rows for r in chosen]).dense()[:, columns]
+    row_edges = np.cumsum([0] + [len(chosen) * m for chosen in rows])
+    col_edges = np.cumsum([0] + [len(batch) * k for batch in batches])
+    for i in range(len(batches)):
+        block_rows = a[row_edges[i]:row_edges[i + 1]]
+        assert not np.any(block_rows[:, col_edges[i + 1]:])
+        assert np.linalg.matrix_rank(block_rows[:, col_edges[i]:col_edges[i + 1]]) == len(batches[i]) * k
+    report = gx.reconstruct(metric, weight, tiling, gx.SyntheticOracle(metric, weight, tiling, scene.field),
+                            phi, plan=scene.chords.frontier, step=scene.step)
+    assert report.geodesics_per_batch == [len(chosen) for chosen in rows]
 
 
 def test_reconstruct_deleted_batch_levels_coverage_error(euclidean, hexagon24):

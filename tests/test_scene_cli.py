@@ -120,6 +120,25 @@ def test_bad_scene_value_exits_with_validation_code(tmp_path, capsys, key, value
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, kind", [
+    ("--scene", "directory"), ("--scene", "latin-1 file"), ("--data", "directory"), ("--out", "file"),
+    ("--out", "path under a file"),
+])
+def test_unusable_path_argument_exits_with_validation_code(tmp_path, capsys, flag, kind):
+    args = {"--scene": write_scene(tmp_path, "s.json", reconstruct_scene()), "--out": str(tmp_path / "out")}
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "latin-1 file":
+        bad.write_bytes('{"schema": "g\xe9oxray"}'.encode("latin-1"))
+    else:
+        bad.write_text("not a directory\n")
+    args[flag] = str(bad / "sub" if kind == "path under a file" else bad)
+    assert cli.main(["reconstruct"] + [x for pair in args.items() for x in pair]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("geoxray: error: ") and err.count("\n") == 1 and str(bad) in err
+
+
 def test_seed_and_step_overrides(tmp_path):
     path = write_scene(tmp_path, "s.json", reconstruct_scene(seed=5))
     a = gx.load_scene(path, seed_override=9, step_override=0.02)

@@ -107,6 +107,49 @@ def test_forward_quadrature_step_convergence(conformal05, hexagon24):
 
 
 # ---------------------------------------------------------------------------
+# the plan operator
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("weight", [
+    gx.ConstantWeight(np.array([[1, 0.2], [0.1, 1], [0.4, 0.6]], dtype=complex)),
+    gx.AngularWeight(2, order=2, amplitude=0.4, radial_modulation=0.5),
+])
+def test_plan_operator_rows_are_the_per_path_integrals(conformal05, hexagon24, weight):
+    # row i holds the N = 1 per-triangle integrals of path i, bit for bit and in
+    # key order; apply sums block @ value per row in that order, as forward does
+    from geoxray.scene import random_chord_descriptors
+
+    rng = np.random.default_rng(8)
+    starts = [gx.boundary_tangent(conformal05, a, d) for a, d in random_chord_descriptors(10, rng)]
+    starts += [gx.unit_tangent(conformal05, [0.1, -0.2], [1.0, 0.4]),
+               gx.UnitTangent(x=np.array([1.5, 0.0]), v=np.array([-1.0, 0.0]))]   # outside the disk
+    op = gx.plan_weight_integrals(conformal05, weight, hexagon24, starts, step=1e-2)
+    field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 2, rng)
+    assert isinstance(op.errors[-1], gx.DomainError) and op.row_ptr[-2] == op.row_ptr[-1]
+    with pytest.raises(gx.DomainError):
+        op.apply(field)
+    good = op.take(np.arange(len(starts) - 1))
+    values, dense = good.apply(field), good.dense()
+    m, k = weight.m, weight.k
+    for i, start in enumerate(starts[:-1]):
+        path = gx.trace_geodesic(conformal05, start, step=1e-2)
+        want = gx.transform.per_triangle_weight_integrals(conformal05, weight, hexagon24, path)
+        entries = slice(op.row_ptr[i], op.row_ptr[i + 1])
+        assert op.triangle[entries].tolist() == list(want)
+        assert np.array_equal(op.block[entries], np.array([mat for mat, _ in want.values()]).reshape(-1, m, k))
+        assert op.length[entries].tolist() == [length for _, length in want.values()]
+        total = np.zeros(m, dtype=complex)
+        for tri, (mat, _length) in want.items():
+            total += mat @ field.values[tri]
+        assert np.array_equal(values[i], total)
+        assert np.array_equal(values[i], gx.forward(conformal05, weight, hexagon24, field, path))
+        row = np.zeros((m, hexagon24.n_triangles, k), dtype=complex)
+        for tri, (mat, _length) in want.items():
+            row[:, tri, :] = mat
+        assert np.array_equal(dense[i * m:(i + 1) * m], row.reshape(m, -1))
+
+
+# ---------------------------------------------------------------------------
 # fan geodesics
 # ---------------------------------------------------------------------------
 
