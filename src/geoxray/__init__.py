@@ -29,7 +29,6 @@ from .geometry import (
     boundary_tangent,
     convexity_margin,
     metric_from_config,
-    parallel_transport,
     trace_forward,
     trace_geodesic,
     trace_geodesics,
@@ -54,7 +53,9 @@ from .tiling import (
     SectorFan,
     Tiling,
     clip_path,
+    clip_paths,
     locate,
+    locate_points,
     polygon_fan_tiling,
     refine,
     tangent_fan,

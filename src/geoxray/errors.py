@@ -72,18 +72,20 @@ class TangencyWarning(UserWarning):
     """A geodesic slid along a tiling edge for a non-negligible length."""
 
 
-def config_number(value, key: str, integer: bool = False):
-    """``value`` as a finite float, or as an int when ``integer``; anything
-    else (no number, NaN, inf, a fraction) raises a SceneValidationError naming ``key``."""
-    if integer and isinstance(value, int):
+def config_number(value, key: str, integer: bool = False, minimum: float = -math.inf):
+    """``value`` as a finite float at least ``minimum``, or as an int when
+    ``integer``; anything else (no number, NaN, inf, a fraction, too small)
+    raises a SceneValidationError naming ``key``."""
+    if integer and isinstance(value, int) and value >= minimum:
         return value
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
-    if not math.isfinite(x) or (integer and not x.is_integer()):
+    if not math.isfinite(x) or (integer and not x.is_integer()) or x < minimum:
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
         raise SceneValidationError(
-            f"{key}: expected {'an integer' if integer else 'a finite number'}, got {value!r}")
+            f"{key}: expected {'an integer' if integer else 'a finite number'}{bound}, got {value!r}")
     return int(x) if integer else x
 
 

@@ -18,6 +18,7 @@ arclength.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,8 @@ EVENT_WIDTH = 1e-13
 # Nontrapping cap: 100 times the chart diameter.
 ARCLENGTH_CAP = 100.0 * (2.0 * DISK_RADIUS)
 DEFAULT_STEP = 1e-2
+# Largest |lam| for which the conformal factor exp(2 lam) is a finite float.
+LAM_LIMIT = 0.5 * math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +216,12 @@ def metric_from_config(family: str, params=()) -> MetricField:
         if params:
             raise SceneValidationError("metric: euclidean takes no parameters")
         return cls()
-    return cls(params)
+    metric = cls(params)
+    # |lam| <= |params[0]| on the disk in both curved families; exp(2 lam) must be a float
+    if abs(metric.params[0]) > LAM_LIMIT:
+        raise SceneValidationError(f"scene.metric.params: |{metric.params[0]:g}| exceeds {LAM_LIMIT:.6g}, "
+                                   "where the metric factor exp(2 lam) overflows")
+    return metric
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +293,7 @@ class GeodesicPath:
         if self.n_samples == 1:
             return np.broadcast_to(values[0], t.shape + values.shape[1:]).copy()
         i = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, self.n_samples - 2)
-        h = self.t[i + 1] - self.t[i]
-        s = (t - self.t[i]) / h
-        trailing = (Ellipsis,) + (None,) * (values.ndim - 1)
-        h, s = h[trailing], s[trailing]
-        return _hermite(values[i], slopes[i] * h, values[i + 1], slopes[i + 1] * h, s)
+        return _hermite_at(self.t, values, slopes, i, t)
 
     def position(self, t) -> np.ndarray:
         """Position at arclength ``t`` (a scalar or an array), by cubic Hermite interpolation."""
@@ -304,6 +308,45 @@ class GeodesicPath:
         if self.n_samples < 2:
             return 0.0
         return float(np.max(np.diff(self.t)))
+
+
+@dataclass(frozen=True)
+class PathStack:
+    """The samples of several paths laid end to end, path ``p`` at rows
+    ``first[p]:stop[p]``, so that a whole plan is clipped in one pass."""
+
+    t: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    first: np.ndarray
+    stop: np.ndarray
+
+    @classmethod
+    def of(cls, paths) -> "PathStack":
+        counts = np.array([p.n_samples for p in paths])
+        return cls(np.concatenate([p.t for p in paths]), np.concatenate([p.x for p in paths]),
+                   np.concatenate([p.v for p in paths]), np.cumsum(counts) - counts, np.cumsum(counts))
+
+    def position(self, path, q) -> np.ndarray:
+        """Positions at arclengths ``q`` on paths ``path``, as ``GeodesicPath.position``
+        gives them; one bisection finds every query's sample interval."""
+        lo, hi = self.first[path], self.stop[path]
+        while (busy := lo < hi).any():   # np.searchsorted(side="right") on each path's times
+            mid = (lo + hi) // 2
+            up = busy & (self.t[np.where(busy, mid, 0)] <= q)
+            lo, hi = np.where(up, mid + 1, lo), np.where(busy & ~up, mid, hi)
+        i = np.clip(lo - 1, self.first[path], self.stop[path] - 2)
+        return _hermite_at(self.t, self.x, self.v, i, q)
+
+
+def _hermite_at(t, values, slopes, i, q):
+    """Cubic Hermite interpolant of ``values`` with ``slopes`` on sample interval ``i``
+    (an index per query) at arclengths ``q``, query by query."""
+    h = t[i + 1] - t[i]
+    s = (q - t[i]) / h
+    trailing = (Ellipsis,) + (None,) * (values.ndim - 1)
+    h, s = h[trailing], s[trailing]
+    return _hermite(values[i], slopes[i] * h, values[i + 1], slopes[i + 1] * h, s)
 
 
 def _hermite(p0, m0, p1, m1, s):
@@ -580,26 +623,6 @@ def flow_with_frame(metric: MetricField, start: UnitTangent, w0, length: float,
     geodesic leaves the disk before covering ``length``.
     """
     return unwrap(flow_with_frames(metric, [start], [w0], [length], step)[0])
-
-
-# ---------------------------------------------------------------------------
-# parallel transport along an existing path
-# ---------------------------------------------------------------------------
-
-def parallel_transport(metric: MetricField, path: GeodesicPath, w0) -> np.ndarray:
-    """Transport ``w0`` along the path samples; returns an ``(n, 2)`` array.
-
-    On each sample interval ``(x, v, w)`` starts from the sample's ``(x, v)``
-    and takes two ``rk4`` substeps of the geodesic flow with ``w`` carried by
-    ``w' = -Gamma(x)(v, w)``, so no accuracy is lost against the tracer.
-    """
-    rhs = _flow(metric)
-    out = np.empty((path.n_samples, 2))
-    out[0] = np.asarray(w0, dtype=float)
-    for i, h in enumerate(np.diff(path.t) / 2.0):
-        y = np.concatenate([path.x[i], path.v[i], out[i]])[None]
-        out[i + 1] = rk4(rhs, rk4(rhs, y, h), h)[0, 4:]
-    return out
 
 
 # ---------------------------------------------------------------------------

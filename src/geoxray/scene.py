@@ -93,7 +93,7 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
     if schema != SCHEMA:
         raise SceneValidationError(f"scene.schema: expected {SCHEMA!r}, got {schema!r}")
     seed = config_number(raw.get("seed", 0) if seed_override is None else seed_override,
-                         "scene.seed", integer=True)
+                         "scene.seed", integer=True, minimum=0)
     step = config_number(raw.get("quadrature_step", DEFAULT_QUADRATURE_STEP) if step_override is None
                          else step_override, "scene.quadrature_step")
     if not step > 0:
@@ -150,7 +150,8 @@ def _build_tiling(cfg) -> Tiling:
             raise SceneValidationError(f"scene.tiling.generator.kind: unknown {kind!r}")
         tiling = polygon_fan_tiling(config_number(gen.get("sides", 6), "scene.tiling.generator.sides", integer=True),
                                     config_number(gen.get("rotation", 0.0), "scene.tiling.generator.rotation"))
-        for _ in range(config_number(gen.get("refine", 0), "scene.tiling.generator.refine", integer=True)):
+        levels = config_number(gen.get("refine", 0), "scene.tiling.generator.refine", integer=True, minimum=0)
+        for _ in range(levels):
             tiling = refine(tiling)
         return tiling
     if "vertices" in cfg and "triangles" in cfg:

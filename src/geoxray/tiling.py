@@ -4,12 +4,16 @@ Triangles are straight in chart coordinates.  The curved disk is covered up
 to a boundary band by an inscribed polygon; piecewise constant fields are
 zero on that band and on the tiling skeleton (edges and vertices).
 
-Clipping cuts a sampled geodesic where its cubic Hermite interpolant crosses
-an edge segment.  Crossings are bracketed on the sample grid, kept only where
-the sample interval's Bezier control hull meets the edge's bounding box, and
-refined by one bisection that advances every bracket in lockstep.  A
-near-tangent interval that crosses an edge twice, with no sign change on the
-grid, is split at the cubic's interior extremum first.
+Clipping cuts sampled geodesics where their cubic Hermite interpolants cross
+an edge segment, a whole plan of paths in one pass.  The samples of all
+paths lie end to end in one ``PathStack``.  Crossings are bracketed on the
+sample grid, in blocks of (edge, sample) pairs over all paths at once, and
+kept only where the sample interval's Bezier control hull meets the edge's
+bounding box; a near-tangent interval that crosses an edge twice, with no
+sign change on the grid, is split at the cubic's interior extremum.  One
+bisection then advances the brackets of all paths in lockstep, and one
+point location classifies the midpoints of all pieces.  Every lane does the
+arithmetic of a one-path clip, so a path's pieces do not depend on the plan.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SceneValidationError, TangencyWarning
-from .geometry import DISK_RADIUS, GeodesicPath, MetricField, _bisect_lanes, _hermite
+from .geometry import DISK_RADIUS, GeodesicPath, MetricField, PathStack, _bisect_lanes, _hermite
 
 BARY_TOL = 1e-12          # skeleton classification tolerance (barycentric)
 MIN_AREA = 1e-12
@@ -32,9 +36,20 @@ TANGENCY_LENGTH = 1e-6
 # boxes x boxes when validating); bounds their temporaries, so long paths and
 # fine tilings do not raise peak memory.
 EDGE_BLOCK = 64
+# Pairs per block of the clipper's searches, so that long plans and fine
+# tilings do not raise peak memory: (edge, sample) pairs when bracketing
+# crossings, and (point, triangle) pairs, with twice the temporaries, when
+# locating.
+CLIP_BLOCK = 6144
+# A sample's control hull costs about this many pairs' temporaries.
+HULL_COST = 16
+LOCATE_BLOCK = 4096
 # Widening of the control-hull box, so that rounding in the Hermite
 # evaluation cannot push a crossing on an edge endpoint out of the box.
 HULL_SLACK = 1e-12
+
+
+LOCATE_KINDS = ("triangle", "skeleton", "outside")
 
 
 @dataclass(frozen=True)
@@ -348,20 +363,44 @@ def locate(tiling: Tiling, x) -> LocateResult:
     over interiors inside that band.  The lowest-numbered triangle whose
     interior holds the point wins; otherwise the deepest skeleton match.
     """
-    p = np.asarray(x, dtype=float)
-    d = p - tiling.vertices[tiling.triangles[:, 0]]
-    inv = tiling._bary_inv
-    lam1 = inv[:, 0, 0] * d[:, 0] + inv[:, 0, 1] * d[:, 1]
-    lam2 = inv[:, 1, 0] * d[:, 0] + inv[:, 1, 1] * d[:, 1]
-    lam = np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=1)
-    inside = lam.min(axis=1) >= -BARY_TOL
-    zeros = np.count_nonzero(np.abs(lam) <= BARY_TOL, axis=1)
-    interior = np.flatnonzero(inside & (zeros == 0))
-    if interior.size:
-        return LocateResult(kind="triangle", triangle=int(interior[0]), depth=0)
-    if inside.any():
-        return LocateResult(kind="skeleton", triangle=None, depth=min(int(zeros[inside].max()), 2))
-    return LocateResult(kind="outside", triangle=None, depth=None)
+    (triangle,), (kind,), (depth,) = locate_points(tiling, np.reshape(np.asarray(x, dtype=float), (1, 2)))
+    return LocateResult(kind=LOCATE_KINDS[kind], triangle=None if triangle < 0 else int(triangle),
+                        depth=None if depth < 0 else int(depth))
+
+
+def locate_points(tiling: Tiling, points):
+    """Classify chart points ``(P, 2)`` as ``locate`` classifies one.
+
+    Returns three ``(P,)`` integer arrays: the triangle (-1 for none), the
+    kind as an index into ``LOCATE_KINDS`` and the depth (-1 outside).
+    Points go in blocks, so the (point, triangle) temporaries stay small.
+    """
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    triangle, kind, depth = np.full(len(p), -1), np.full(len(p), 2), np.full(len(p), -1)
+    a, inv = tiling.vertices[tiling.triangles[:, 0]], tiling._bary_inv
+    rows = max(1, LOCATE_BLOCK // max(tiling.n_triangles, 1))
+    for k in range(0, len(p) if tiling.n_triangles else 0, rows):
+        block = slice(k, k + rows)
+        # the barycentric coordinates as locate computes them, in place to keep the temporaries few
+        d0, d1 = p[block, 0:1] - a[:, 0], p[block, 1:2] - a[:, 1]
+        lam1 = inv[:, 0, 0] * d0
+        lam1 += inv[:, 0, 1] * d1
+        lam2 = np.multiply(d0, inv[:, 1, 0], out=d0)
+        lam2 += np.multiply(d1, inv[:, 1, 1], out=d1)
+        lam0 = np.subtract(1.0, lam1, out=d1)
+        lam0 -= lam2
+        inside = (lam0 >= -BARY_TOL) & (lam1 >= -BARY_TOL) & (lam2 >= -BARY_TOL)
+        zeros = np.zeros(lam0.shape, dtype=np.int8)
+        for lam in (lam0, lam1, lam2):
+            zeros += np.abs(lam, out=lam) <= BARY_TOL
+        del d0, d1, lam0, lam1, lam2
+        interior = inside & (zeros == 0)
+        skeleton = inside.any(axis=1)
+        hit = interior.any(axis=1)
+        triangle[block] = np.where(hit, interior.argmax(axis=1), -1)
+        kind[block] = np.where(hit, 0, np.where(skeleton, 1, 2))
+        depth[block] = np.where(hit, 0, np.where(skeleton, np.minimum((zeros * inside).max(axis=1), 2), -1))
+    return triangle, kind, depth
 
 
 # ---------------------------------------------------------------------------
@@ -454,118 +493,137 @@ class ClipInterval:
 
 
 def clip_path(tiling: Tiling, path: GeodesicPath) -> list:
-    """Partition the path parameter range by the triangle containing each piece.
+    """The ``clip_paths`` intervals of one path."""
+    return clip_paths(tiling, [path])[0]
 
-    The path is the cubic Hermite interpolant of its samples.  An (edge,
+
+def clip_paths(tiling: Tiling, paths) -> list:
+    """Partition each path's parameter range by the triangle containing each piece.
+
+    A path is the cubic Hermite interpolant of its samples.  An (edge,
     sample interval) pair brackets a crossing when the signed edge-line
     function changes sign across the interval and the interval's Bezier
     control hull meets the edge segment's bounding box.  A pair without a
     sign change whose control hull straddles the edge line is split at the
     cubic's interior extremum, so a near-tangent path that crosses an edge
-    twice inside one interval is cut at both crossings.  All brackets are
-    bisected together to width ``CLIP_BISECT_WIDTH``, and sub-intervals are
-    classified by locating their midpoints.  Pieces on the skeleton or
-    outside all triangles get ``triangle=None``.  A skeleton piece longer
-    than 1e-6 raises a TangencyWarning (its field contribution is zero
-    either way).
+    twice inside one interval is cut at both crossings.  The brackets of all
+    paths are bisected together to width ``CLIP_BISECT_WIDTH``, and the
+    sub-intervals of all paths are classified by locating their midpoints
+    together.  Pieces on the skeleton or outside all triangles get
+    ``triangle=None``.  A skeleton piece longer than 1e-6 raises a
+    TangencyWarning (its field contribution is zero either way).  Returns
+    one list of ClipIntervals per path.
     """
-    tau = path.tau
-    if tau <= 0 or tiling.n_triangles == 0:
-        return [ClipInterval(triangle=None, t0=0.0, t1=tau)] if tau > 0 else []
-    cuts = {0.0, tau}
-    cuts.update(_edge_crossings(tiling, path))
-    ordered = _dedupe(sorted(cuts))
-    mids = path.position(0.5 * (np.array(ordered[:-1]) + np.array(ordered[1:])))
-    raw = []
-    for t0, t1, mid in zip(ordered, ordered[1:], mids):
-        loc = locate(tiling, mid)
-        raw.append((loc.triangle, loc.kind, t0, t1))
-    merged = _merge_adjacent(raw)
-    out = []
-    for triangle, kind, t0, t1 in merged:
-        if kind == "skeleton" and t1 - t0 > TANGENCY_LENGTH:
-            warnings.warn(
-                f"geodesic runs along the tiling skeleton for length {t1 - t0:.3g}",
-                TangencyWarning,
-            )
-        out.append(ClipInterval(triangle=triangle, t0=t0, t1=t1))
+    live = [p for p, path in enumerate(paths) if path.tau > 0]
+    if tiling.n_triangles == 0 or not live:
+        return [[ClipInterval(triangle=None, t0=0.0, t1=path.tau)] if path.tau > 0 else [] for path in paths]
+    stack = PathStack.of([paths[p] for p in live])
+    owner, cuts = _edge_crossings(tiling, stack)
+    ids = np.arange(len(live))
+    owner = np.concatenate([ids, ids, owner])
+    cuts = np.concatenate([np.zeros(len(live)), stack.t[stack.stop - 1], cuts])
+    order = np.lexsort((cuts, owner))
+    keep = order[_dedupe(owner[order], cuts[order])]
+    owner, cuts = owner[keep], cuts[keep]
+    # one piece between consecutive cuts of a path, classified by its midpoint
+    piece = np.flatnonzero(owner[1:] == owner[:-1])
+    owner, t0, t1 = owner[piece], cuts[piece], cuts[piece + 1]
+    triangle, kind, _ = locate_points(tiling, stack.position(owner, 0.5 * (t0 + t1)))
+    # merge neighbours of one path in one triangle, or both on the skeleton or outside
+    first = np.flatnonzero(np.diff(owner, prepend=-1) | np.diff(triangle, prepend=-2) | np.diff(kind, prepend=-1))
+    last = np.append(first[1:], len(owner)) - 1
+    out = [[] for _ in paths]
+    for p, tri, k, a, b in zip(owner[first].tolist(), triangle[first].tolist(), kind[first].tolist(),
+                               t0[first].tolist(), t1[last].tolist()):
+        if LOCATE_KINDS[k] == "skeleton" and b - a > TANGENCY_LENGTH:
+            warnings.warn(f"geodesic runs along the tiling skeleton for length {b - a:.3g}", TangencyWarning)
+        out[live[p]].append(ClipInterval(triangle=None if tri < 0 else tri, t0=a, t1=b))
     return out
 
 
-def _edge_crossings(tiling: Tiling, path: GeodesicPath) -> list:
-    """Times where the path meets an edge: bisected crossings and exact zeros at samples."""
-    t, X, V = path.t, path.x, path.v
-    h3 = (np.diff(t) / 3.0)[:, None]
-    # Bezier control points of each sample interval's Hermite segment
-    hull = np.stack([X[:-1], X[:-1] + V[:-1] * h3, X[1:] - V[1:] * h3, X[1:]])
-    hull_box = (hull.min(axis=0) - HULL_SLACK, hull.max(axis=0) + HULL_SLACK)
+def _edge_crossings(tiling: Tiling, stack: PathStack):
+    """Times where the paths meet an edge, with the path of each: crossings
+    bisected in one lockstep pass, and exact zeros at samples.
+
+    The (edge, sample) pairs of all paths are searched in blocks of about
+    ``CLIP_BLOCK`` pairs; the near-tangent intervals they leave are split
+    in one ``_tangent_splits`` call.
+    """
+    t = stack.t
+    owner = np.repeat(np.arange(len(stack.first)), stack.stop - stack.first)
     ends = tiling._edge_ends
     a_all = ends[:, 0]
     e_all = ends[:, 1] - a_all
-    zeros, lanes = [], []
-    for k in range(0, len(ends), EDGE_BLOCK):
-        block = slice(k, k + EDGE_BLOCK)
-        block_zeros, block_lanes = _block_brackets(path, hull, hull_box, ends[block], e_all[block], k)
-        zeros.append(block_zeros)
-        lanes += block_lanes
-    edge, i, lo, hi = (np.concatenate(col) for col in zip(*lanes))
-    data = _lanes(path, a_all[edge], e_all[edge], i)
+    box_lo, box_hi = ends.min(axis=1), ends.max(axis=1)
+    rows = min(len(ends), EDGE_BLOCK)
+    cols = max(1, CLIP_BLOCK // (rows + HULL_COST))
+    found = []
+    for j in range(0, len(t) - 1, cols):
+        n = min(cols, len(t) - 1 - j)
+        hull = _control_hull(stack, slice(j, j + n), slice(j + 1, j + n + 1))
+        hull_lo, hull_hi = hull.min(axis=0) - HULL_SLACK, hull.max(axis=0) + HULL_SLACK
+        # an interval between two paths brackets nothing: its box meets no edge
+        hull_lo[owner[j + 1:j + n + 1] != owner[j:j + n]] = np.inf
+        for k in range(0, len(ends), rows):
+            edges = slice(k, k + rows)
+            zeros, edge, i, tangent_edge, tangent_i = _block_brackets(
+                stack.x[j:j + n + 1], hull, hull_lo, hull_hi,
+                a_all[edges], e_all[edges], box_lo[edges], box_hi[edges])
+            found.append((j + zeros, k + edge, j + i, k + tangent_edge, j + tangent_i))
+    zeros, edge, i, tangent_edge, tangent_i = (np.concatenate(col) for col in zip(*found))
+    brackets = [(edge, i, t[i], t[i + 1])] + _tangent_splits(stack, a_all, e_all, tangent_edge, tangent_i)
+    edge, i, lo, hi = (np.concatenate(col) for col in zip(*brackets))
+    lanes = _lanes(stack, a_all[edge], e_all[edge], i)
     # keep the half whose ends differ in sign; moving lo never changes its sign.
     # Beyond arclength 64 the float spacing exceeds CLIP_BISECT_WIDTH, so such
     # a lane stops at adjacent floats instead of halving forever.
-    crossings = _bisect_lanes(lambda mid, lo_negative, *data: (_side(mid, *data) < 0) != lo_negative,
-                              lo, hi, np.maximum(CLIP_BISECT_WIDTH, np.spacing(hi)),
-                              _side(lo, *data) < 0, *data)
-    return np.concatenate(zeros + [crossings]).tolist()
+    crossings = _bisect_lanes(lambda mid, lo_negative, *lanes: (_side(mid, *lanes) < 0) != lo_negative,
+                              lo, hi, np.maximum(CLIP_BISECT_WIDTH, np.spacing(hi)), _side(lo, *lanes) < 0, *lanes)
+    return np.concatenate([owner[zeros], owner[i]]), np.concatenate([t[zeros], crossings])
 
 
-def _block_brackets(path: GeodesicPath, hull, hull_box, ends, e, first):
-    """Sample zeros and crossing brackets of one block of edges (numbered from ``first``).
+def _block_brackets(X, hull, hull_lo, hull_hi, a, e, box_lo, box_hi):
+    """Zeros and brackets of a block of edges ``a + s e`` on a run of samples ``X``.
 
-    Returns the sample times where an edge-line function is exactly zero, and
-    ``(edge, interval, lo, hi)`` lane arrays: the sign changes whose sample
-    interval's control hull box meets the edge's box, and the double-crossing
-    brackets of ``_tangent_splits``.
+    Returns the samples where an edge-line function is exactly zero, and
+    two (edge, interval) index pairs, both only where the interval's
+    control hull box meets the edge's box: the sign changes, and the
+    intervals whose ends lie on one side of the edge line and whose
+    control ``hull`` straddles it, for ``_tangent_splits``.
     """
-    t, X = path.t, path.x
-    a = ends[:, 0]
     # e_x * (y - a_y) - e_y * (x - a_x), in place to keep the temporaries few
     s = X[:, 1] - a[:, 1:2]
     s *= e[:, 0:1]
     other = X[:, 0] - a[:, 0:1]
     other *= e[:, 1:2]
     s -= other
-    del other
-    hull_lo, hull_hi = hull_box
-    box_lo = ends.min(axis=1)
-    box_hi = ends.max(axis=1)
     near = ((hull_lo[:, 0] <= box_hi[:, 0:1]) & (hull_hi[:, 0] >= box_lo[:, 0:1])
             & (hull_lo[:, 1] <= box_hi[:, 1:2]) & (hull_hi[:, 1] >= box_lo[:, 1:2]))
-    prod = s[:, :-1] * s[:, 1:]
-    ej, ij = np.nonzero(near & (prod < 0.0))
-    lanes = [(first + ej, ij, t[ij], t[ij + 1])]
+    prod = np.multiply(s[:, :-1], s[:, 1:], out=other[:, :-1])
     ej, ij = np.nonzero(near & (prod > 0.0))
-    if ej.size:
-        f = [s[ej, ij], _edge_side(a[ej], e[ej], hull[1, ij]),
-             _edge_side(a[ej], e[ej], hull[2, ij]), s[ej, ij + 1]]
-        lanes += _tangent_splits(path, a[ej], e[ej], ij, first + ej, f)
-    return t[np.nonzero(s == 0.0)[1]], lanes
+    f0 = s[ej, ij]
+    f1, f2 = (_edge_side(a[ej], e[ej], p[ij]) for p in hull[1:3])
+    straddle = np.where(f0 > 0.0, np.minimum(f1, f2) < 0.0, np.maximum(f1, f2) > 0.0)
+    return (np.nonzero(s == 0.0)[1], *np.nonzero(near & (prod < 0.0)), ej[straddle], ij[straddle])
 
 
-def _lanes(path: GeodesicPath, a, e, i):
-    """Per-lane arrays of ``_side``, one lane per (edge ``a + s e``, interval ``i``) pair."""
-    t0 = path.t[i]
-    h = path.t[i + 1] - t0
-    return t0, h, path.x[i], path.v[i] * h[:, None], path.x[i + 1], path.v[i + 1] * h[:, None], a, e
+def _control_hull(stack: PathStack, i, i1):
+    """Bezier control points ``(4, n, 2)`` of the Hermite segments from samples ``i`` to ``i1``."""
+    x, v = stack.x, stack.v
+    h3 = ((stack.t[i1] - stack.t[i]) / 3.0)[:, None]
+    return np.stack([x[i], x[i] + v[i] * h3, x[i1] - v[i1] * h3, x[i1]])
+
+
+def _lanes(stack: PathStack, a, e, i):
+    """Per-lane arrays of ``_side``, one lane per (edge ``a + s e``, sample interval ``i``) pair."""
+    t0 = stack.t[i]
+    h = stack.t[i + 1] - t0
+    return t0, h, stack.x[i], stack.v[i] * h[:, None], stack.x[i + 1], stack.v[i + 1] * h[:, None], a, e
 
 
 def _side(tt, t0, h, p0, m0, p1, m1, a, e):
-    """Signed edge-line function of the path at times ``tt``, lane by lane.
-
-    Each lane does the arithmetic of ``path.position`` on its interval
-    followed by the edge-line cross product, elementwise, so its values
-    equal the scalar evaluation bit for bit.
-    """
+    """Signed edge-line function of the path at times ``tt``, lane by lane: the
+    arithmetic of ``path.position`` and ``_edge_side``, so bit for bit the scalar value."""
     return _edge_side(a, e, _hermite(p0, m0, p1, m1, ((tt - t0) / h)[:, None]))
 
 
@@ -574,31 +632,27 @@ def _edge_side(a, e, p):
     return e[:, 0] * (p[:, 1] - a[:, 1]) - e[:, 1] * (p[:, 0] - a[:, 0])
 
 
-def _tangent_splits(path: GeodesicPath, a, e, i, edge, f) -> list:
-    """Brackets of double crossings inside intervals whose ends lie on one side.
+def _tangent_splits(stack: PathStack, a_all, e_all, edge, i) -> list:
+    """Brackets of double crossings of edges ``edge`` inside sample intervals ``i``.
 
-    On sample interval ``i`` the edge-line function is a cubic with
+    The ends of interval ``i`` lie on one side of the edge line, and its
+    control hull straddles it.  There the edge-line function is a cubic with
     Bernstein coefficients ``f`` (its values at the four control points).
-    Where the middle two straddle zero, the cubic's interior extremum is
-    found, and if the path is on the far side there, the interval splits
-    into two sign-change brackets.  Returns ``(edge, interval, lo, hi)``
-    lane arrays.
+    The cubic's interior extremum is found, and if the path is on the far
+    side there, the interval splits into two sign-change brackets.  Returns
+    ``(edge, interval, lo, hi)`` lane arrays.
     """
-    t = path.t
+    t = stack.t
     h = t[i + 1] - t[i]
-    f0, f1, f2, f3 = f
-    straddle = np.where(f0 > 0.0, np.minimum(f1, f2) < 0.0, np.maximum(f1, f2) > 0.0)
-    if not straddle.any():
-        return []
-    a, e, i, edge, h = a[straddle], e[straddle], i[straddle], edge[straddle], h[straddle]
-    f0, f1, f2, f3 = f0[straddle], f1[straddle], f2[straddle], f3[straddle]
+    a, e = a_all[edge], e_all[edge]
+    f0, f1, f2, f3 = (_edge_side(a, e, p) for p in _control_hull(stack, i, i + 1))
     # derivative / 3 = qa u^2 + qb u + qc on u in [0, 1]; roots by the stable formula
     d0, d1, d2 = f1 - f0, f2 - f1, f3 - f2
     qa, qb, qc = d0 - 2.0 * d1 + d2, 2.0 * (d1 - d0), d0
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
         roots = (q / qa, qc / q)
-    lanes = _lanes(path, a, e, i)
+    lanes = _lanes(stack, a, e, i)
     t_lo = t[i]
     t_mid = np.full(len(i), np.nan)
     for u in roots:
@@ -610,19 +664,14 @@ def _tangent_splits(path: GeodesicPath, a, e, i, edge, f) -> list:
     return [(edge, i, t[i], t_mid), (edge, i, t_mid, t[i + 1])]
 
 
-def _dedupe(ts, tol=1e-11):
-    out = [ts[0]]
-    for t in ts[1:]:
-        if t - out[-1] > tol:
-            out.append(t)
-    return out
-
-
-def _merge_adjacent(raw):
-    out = []
-    for triangle, kind, t0, t1 in raw:
-        if out and out[-1][0] == triangle and out[-1][1] == kind:
-            out[-1] = (triangle, kind, out[-1][2], t1)
-        else:
-            out.append((triangle, kind, t0, t1))
-    return out
+def _dedupe(owner, ts, tol=1e-11):
+    """Which of the sorted cuts to keep: per path, each one more than ``tol``
+    past the last one kept."""
+    keep = np.ones(len(ts), dtype=bool)
+    # a cut further than tol from its predecessor is kept whatever came before
+    for i in np.flatnonzero((owner[1:] == owner[:-1]) & (ts[1:] - ts[:-1] <= tol)).tolist():
+        last = i
+        while not keep[last]:
+            last -= 1
+        keep[i + 1] = ts[i + 1] - ts[last] > tol
+    return keep

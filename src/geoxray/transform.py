@@ -3,8 +3,8 @@
 The forward value of a geodesic is the weighted line integral of the field:
 per clip interval the field is a constant vector, so only the weight matrix
 needs quadrature; an endpoint-corrected trapezoid rule on the path samples
-is used inside every interval.  The paths of a plan are clipped and
-integrated once each into one ``PlanOperator``, the transform's matrix in
+is used inside every interval.  The paths of a plan are clipped together
+and integrated in one pass into one ``PlanOperator``, the transform's matrix in
 block-CSR form: one ``m``-row block per path, one ``(m, k)`` block per
 triangle it meets.  Forward values, the dense matrix and the systems of the
 reconstruction sweep are array operations on it.
@@ -36,12 +36,14 @@ from .geometry import (
     unit_tangent,
     unwrap,
 )
-from .tiling import PiecewiseConstantField, SectorFan, Tiling, clip_path
+from .tiling import PiecewiseConstantField, SectorFan, Tiling, clip_paths
 from .weights import WeightField
 
 # Inward cone about the normal inside which fan anchors are accepted.
 FAN_CONE_HALF_ANGLE = math.radians(30.0) + 1e-9
 NEAR_PARALLEL_TOL = 1e-9
+# Padded nodes per block of the trapezoid sums: bounds their temporaries.
+QUAD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -64,33 +66,11 @@ def per_triangle_weight_integrals(metric: MetricField, weight: WeightField,
 
     Returns ``{triangle_id: (matrix, length)}`` where ``matrix`` is the
     ``(m, k)`` integral of the weight over the pieces inside that triangle
-    and ``length`` their total arclength.
+    and ``length`` their total arclength: the one row of the path's
+    PlanOperator.
     """
-    tiling.require_valid()
-    if clip is None:
-        clip = clip_path(tiling, path)
-    pieces = [iv for iv in clip if iv.triangle is not None and iv.length > 0]
-    if not pieces:
-        return {}
-    ends = np.array([(iv.t0, iv.t1) for iv in pieces])
-    values = weight.on_path(path, np.concatenate([ends.ravel(), path.t]))
-    at_ends, at_samples = values[:ends.size].reshape(len(pieces), 2, weight.m, weight.k), values[ends.size:]
-    # the samples strictly inside each piece are its inner trapezoid nodes
-    eps = 1e-13 * max(1.0, path.tau)
-    first = np.searchsorted(path.t, ends[:, 0] + eps, side="left")
-    stop = np.searchsorted(path.t, ends[:, 1] - eps, side="right")
-    out = {}
-    for iv, piece_ends, end_values, i0, i1 in zip(pieces, ends, at_ends, first, stop):
-        nodes = np.concatenate([piece_ends[:1], path.t[i0:i1], piece_ends[1:]])
-        w = np.concatenate([end_values[:1], at_samples[i0:i1], end_values[1:]])
-        # cumsum adds the terms in node order, as a running total does
-        mat = np.cumsum((0.5 * np.diff(nodes))[:, None, None] * (w[:-1] + w[1:]), axis=0)[-1]
-        if iv.triangle in out:
-            prev_mat, prev_len = out[iv.triangle]
-            out[iv.triangle] = (prev_mat + mat, prev_len + iv.length)
-        else:
-            out[iv.triangle] = (mat, iv.length)
-    return out
+    op = _plan_operator(weight, tiling, [path], None if clip is None else [clip]).require()
+    return {tri: (mat, length) for tri, mat, length in zip(op.triangle.tolist(), op.block, op.length.tolist())}
 
 
 @dataclass(frozen=True)
@@ -110,18 +90,6 @@ class PlanOperator:
     length: np.ndarray
     errors: tuple
     n_triangles: int
-
-    @classmethod
-    def of_rows(cls, weight: WeightField, tiling: Tiling, rows) -> "PlanOperator":
-        """Pack ``per_triangle_weight_integrals`` dicts, or errors, one per row."""
-        dicts = [{} if isinstance(r, GeoxrayError) else r for r in rows]
-        entries = [(tri, mat, length) for d in dicts for tri, (mat, length) in d.items()]
-        return cls(row_ptr=np.cumsum([0] + [len(d) for d in dicts]),
-                   triangle=np.array([e[0] for e in entries], dtype=int),
-                   block=np.array([e[1] for e in entries], dtype=complex).reshape(-1, weight.m, weight.k),
-                   length=np.array([e[2] for e in entries], dtype=float),
-                   errors=tuple(r if isinstance(r, GeoxrayError) else None for r in rows),
-                   n_triangles=tiling.n_triangles)
 
     @property
     def n_rows(self) -> int:
@@ -177,15 +145,98 @@ def plan_weight_integrals(metric: MetricField, weight: WeightField, tiling: Tili
     """The PlanOperator of a plan of starts: UnitTangents, traced GeodesicPaths or errors.
 
     The UnitTangents are traced together in one ``trace_geodesics`` call, and
-    every path is clipped and integrated once.  An error becomes its row's.
+    all paths are clipped together and integrated in one pass.  An error
+    becomes its row's.
     """
-    rows = []
-    for path in trace_geodesics(metric, starts, step=step):
+    return _plan_operator(weight, tiling, trace_geodesics(metric, starts, step=step))
+
+
+def _plan_operator(weight: WeightField, tiling: Tiling, paths, clips=None) -> PlanOperator:
+    """The PlanOperator of traced paths or errors; ``clips``, one ``clip_path``
+    list per path, are found by one ``clip_paths`` call when None.
+
+    Per path, the weight is evaluated once, at every piece end and every
+    sample.  A piece inside a triangle is integrated by the trapezoid rule
+    on its ends and the samples strictly inside it; a row's pieces inside
+    one triangle add up, in path order, into the entry the path made on
+    entering that triangle first.
+    """
+    errors = [path if isinstance(path, GeoxrayError) else None for path in paths]
+    try:
+        tiling.require_valid()
+    except GeoxrayError as exc:
+        errors = [exc if e is None else e for e in errors]
+    good = [r for r, e in enumerate(errors) if e is None]
+    clips = clip_paths(tiling, [paths[r] for r in good]) if clips is None else [clips[r] for r in good]
+    rows, tris, lengths, mats, pending, size = [], [], [], [], [], 0
+    for r, clip in zip(good, clips):
+        path = paths[r]
+        pieces = [iv for iv in clip if iv.triangle is not None and iv.length > 0]
+        if not pieces:
+            continue
+        ends = np.array([(iv.t0, iv.t1) for iv in pieces])
+        nodes = np.concatenate([ends.ravel(), path.t])
         try:
-            rows.append(per_triangle_weight_integrals(metric, weight, tiling, unwrap(path)))
+            values = weight.on_path(path, nodes)
         except GeoxrayError as exc:
-            rows.append(exc)
-    return PlanOperator.of_rows(weight, tiling, rows)
+            errors[r] = exc
+            continue
+        # the samples strictly inside each piece are its inner trapezoid nodes
+        eps = 1e-13 * max(1.0, path.tau)
+        first = np.searchsorted(path.t, ends[:, 0] + eps, side="left")
+        stop = np.searchsorted(path.t, ends[:, 1] - eps, side="right")
+        rows += [r] * len(pieces)
+        tris += [iv.triangle for iv in pieces]
+        lengths += [iv.length for iv in pieces]
+        pending.append((nodes, values, size + 2 * np.arange(len(pieces)), size + ends.size + first,
+                        np.maximum(stop - first, 0)))
+        size += len(nodes)
+        # the paths' weights are integrated in groups, so they are not all held at once
+        if size >= QUAD_BLOCK:
+            mats.append(_trapezoid_sums(*(np.concatenate(a) for a in zip(*pending))))
+            pending, size = [], 0
+    if pending:
+        mats.append(_trapezoid_sums(*(np.concatenate(a) for a in zip(*pending))))
+    mats = np.concatenate(mats) if mats else np.zeros((0, weight.m, weight.k), dtype=complex)
+    # a row's entries in the order it enters their triangles; each piece adds to its entry in path order
+    entries = {}
+    entry = np.array([entries.setdefault(key, len(entries)) for key in zip(rows, tris)], dtype=int)
+    by_entry = np.argsort(entry, kind="stable")
+    entry = entry[by_entry]
+    # -0.0 starts each total as its first piece, as x + -0.0 == x for every x
+    block = add_by_row(-np.zeros((len(entries),) + mats.shape[1:], dtype=mats.dtype), entry, mats[by_entry])
+    length = add_by_row(-np.zeros(len(entries)), entry, np.array(lengths)[by_entry])
+    keys = np.array(list(entries), dtype=int).reshape(-1, 2)
+    return PlanOperator(row_ptr=np.searchsorted(keys[:, 0], np.arange(len(paths) + 1)), triangle=keys[:, 1],
+                        block=block.astype(complex), length=length, errors=tuple(errors),
+                        n_triangles=tiling.n_triangles)
+
+
+def _trapezoid_sums(at, values, end0, inner, count) -> np.ndarray:
+    """Per piece, the trapezoid sum of ``values`` over the nodes ``at[end0]``,
+    ``at[inner:inner + count]`` and ``at[end0 + 1]``, added up in node order.
+
+    Pieces of similar node counts go together into one zero-padded (pieces,
+    nodes) array of at most ``QUAD_BLOCK`` nodes, summed by one ``cumsum``;
+    a padding term is -0.0, which leaves the running total as it is.
+    """
+    out = np.empty((len(count),) + values.shape[1:], dtype=values.dtype)
+    order = np.argsort(count, kind="stable")
+    start = 0
+    while start < len(order):
+        width = count[order[start:]] + 2
+        q = order[start:start + max(1, np.count_nonzero(np.arange(1, len(width) + 1) * width <= QUAD_BLOCK))]
+        start += len(q)
+        col, n = np.arange(width[len(q) - 1]), count[q][:, None]
+        idx = np.where(col > n, end0[q][:, None] + 1, inner[q][:, None] + col - 1)
+        idx[:, 0] = end0[q]
+        w = values[idx]
+        terms = w[:, :-1] + w[:, 1:]
+        del w
+        np.multiply((0.5 * np.diff(at[idx], axis=1))[..., None, None], terms, out=terms)
+        terms[col[:-1] > n] = -np.zeros((), dtype=terms.dtype)
+        out[q] = np.cumsum(terms, axis=1)[:, -1]
+    return out
 
 
 def forward(metric: MetricField, weight: WeightField, tiling: Tiling,
@@ -195,8 +246,7 @@ def forward(metric: MetricField, weight: WeightField, tiling: Tiling,
     Raises SceneValidationError when the tiling fails validation or the
     weight and field column dimensions disagree.
     """
-    rows = [per_triangle_weight_integrals(metric, weight, tiling, path, clip=clip)]
-    return PlanOperator.of_rows(weight, tiling, rows).apply(field)[0]
+    return _plan_operator(weight, tiling, [path], None if clip is None else [clip]).apply(field)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,9 @@ class ConstantWeight(WeightField):
     def at(self, x, v):
         return np.broadcast_to(self.matrix, _batch(x, v)[0].shape[:-1] + self.matrix.shape).copy()
 
+    def on_path(self, path: GeodesicPath, t) -> np.ndarray:
+        return np.broadcast_to(self.matrix, np.shape(t) + self.matrix.shape).copy()
+
 
 class IdentityWeight(ConstantWeight):
     family = "identity"

@@ -194,7 +194,8 @@ def test_reconstruct_overdetermined_channels(euclidean, hexagon24):
 
 
 def test_reconstruct_clips_each_candidate_chord_once(monkeypatch, euclidean, hexagon24):
-    # the sweep and the synthetic oracle share one clip per candidate chord
+    # the sweep and the synthetic oracle share one clip per candidate chord, all
+    # clipped in plan-level calls (counted by the paths they return)
     import geoxray.recovery
     import geoxray.transform
 
@@ -207,7 +208,7 @@ def test_reconstruct_clips_each_candidate_chord_once(monkeypatch, euclidean, hex
             return out
         return wrapper
 
-    monkeypatch.setattr(geoxray.transform, "clip_path", counted(gx.clip_path, "clips", lambda _: 1))
+    monkeypatch.setattr(geoxray.transform, "clip_paths", counted(gx.clip_paths, "clips", len))
     monkeypatch.setattr(geoxray.recovery, "batch_descriptors", counted(batch_descriptors, "candidates", len))
     weight = gx.ConstantWeight(INJECTIVE_32)
     field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 2, np.random.default_rng(3))

@@ -120,6 +120,27 @@ def test_bad_scene_value_exits_with_validation_code(tmp_path, capsys, key, value
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, flags, named", [
+    ("seed", -1, (), "scene.seed"),
+    ("seed", 5, ("--seed", "-3"), "scene.seed"),
+    ("metric", {"family": "conformal-radial", "params": [1e300]}, (), "scene.metric.params"),
+    ("tiling.generator.refine", -1, (), "scene.tiling.generator.refine"),
+])
+def test_out_of_range_scene_value_exits_with_one_error_line(tmp_path, capsys, key, value, flags, named):
+    # a negative seed or refine count and an overflowing metric factor are rejected
+    # at load, with one line naming the key, before numpy or math.exp can raise
+    scene = reconstruct_scene()
+    *parents, last = key.split(".")
+    node = scene
+    for name in parents:
+        node = node[name]
+    node[last] = value
+    path = write_scene(tmp_path, "s.json", scene)
+    assert cli.main(["reconstruct", "--scene", path, "--out", str(tmp_path), *flags]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("geoxray: error: ") and err.count("\n") == 1 and named in err
+
+
 @pytest.mark.parametrize("flag, kind", [
     ("--scene", "directory"), ("--scene", "latin-1 file"), ("--data", "directory"), ("--out", "file"),
     ("--out", "path under a file"),

@@ -219,6 +219,81 @@ def test_clip_matches_golden_pieces():
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_plan_clipper_matches_per_path_golden():
+    # tests/golden/plan_clips.json holds digests of the pieces that the per-path
+    # clipper gave, path by path, on whole plans (see make_plan_clips.py): the
+    # three demo scenes' plans, 40 chords at T = 384, a near-tangent double
+    # crossing and chords through vertices; clip_paths must give them bit for bit
+    from golden.make_plan_clips import OUT, digest, plans
+
+    want = json.loads(OUT.read_text())
+    for name, tiling, paths in plans():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", gx.TangencyWarning)
+            clips = gx.clip_paths(tiling, paths)
+        assert len(clips) == want[name]["paths"] and sum(map(len, clips)) == want[name]["pieces"], name
+        assert digest(clips) == want[name]["sha256"], name
+    assert set(want) == {name for name, _, _ in plans()}
+
+
+def test_plan_clipper_peak_memory_is_bounded():
+    # the four forward-refined chords at T = 384 in one plan: the blocked searches
+    # keep the tracemalloc peak at or below that of the largest single-path clip
+    # before plan-level clipping (371,348 bytes, numpy 2.4 on Python 3.11)
+    import tracemalloc
+
+    from geoxray.scene import random_chord_descriptors
+
+    metric = gx.metric_from_config("conformal-radial", [0.05])
+    tiling = gx.polygon_fan_tiling(6)
+    for _ in range(3):
+        tiling = gx.refine(tiling)
+    starts = [gx.boundary_tangent(metric, a, d) for a, d in random_chord_descriptors(4, np.random.default_rng(0))]
+    paths = gx.trace_geodesics(metric, starts, step=0.01)
+    gx.clip_paths(tiling, paths)
+    tracemalloc.start()
+    try:
+        clips = gx.clip_paths(tiling, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, clips)) > 40
+    assert peak <= 371_348
+
+
+def test_locate_points_matches_locate(hexagon24):
+    # interior, open-edge, vertex and outside points, more of them than one block
+    # holds, classified in one call as locate classifies each one
+    corners = hexagon24.vertices[hexagon24.triangles]
+    edges = 0.5 * (corners + corners[:, [1, 2, 0]])
+    points = np.concatenate([corners.mean(axis=1), edges.reshape(-1, 2), hexagon24.vertices,
+                             [[0.999, 0.999], [-1.2, 0.0], [0.0, 0.7071]]])
+    points = np.concatenate([points] * 3)
+    assert len(points) > gx.tiling.LOCATE_BLOCK // hexagon24.n_triangles
+    triangle, kind, depth = gx.locate_points(hexagon24, points)
+    for p, tri, k, d in zip(points, triangle, kind, depth):
+        want = locate(hexagon24, p)
+        assert (want.kind, want.triangle, want.depth) == (
+            gx.tiling.LOCATE_KINDS[k], None if tri < 0 else tri, None if d < 0 else d)
+    n_tri, n_edge, n_vert = len(corners), edges.size // 2, len(hexagon24.vertices)
+    assert np.array_equal(triangle[:n_tri], np.arange(n_tri)) and np.all(depth[:n_tri] == 0)
+    assert np.all(depth[n_tri:n_tri + n_edge] == 1) and np.all(depth[n_tri + n_edge:n_tri + n_edge + n_vert] == 2)
+    assert gx.tiling.LOCATE_KINDS[kind[n_tri + n_edge + n_vert]] == "outside"
+
+
+def test_locate_points_keeps_first_and_deepest_match():
+    # overlapping triangles: the lowest-numbered interior wins; a vertex of one
+    # triangle on the open edge of another: the deepest skeleton match wins
+    overlap = gx.Tiling([[0, 0], [0.8, 0], [0, 0.8], [0.6, 0.6]], [[0, 1, 3], [0, 1, 2]])
+    triangle, kind, depth = gx.locate_points(overlap, [[0.3, 0.1], [0.1, 0.6]])
+    assert triangle.tolist() == [0, 1] and depth.tolist() == [0, 0]
+    t_junction = gx.Tiling([[0, 0], [1, 0], [0, 0.9], [0.5, 0.0], [0.9, -0.5]], [[0, 1, 2], [3, 4, 1]])
+    triangle, kind, depth = gx.locate_points(t_junction, [[0.5, 0.0], [0.7, 0.0]])
+    assert triangle.tolist() == [-1, -1] and depth.tolist() == [2, 1]
+    assert [gx.tiling.LOCATE_KINDS[k] for k in kind] == ["skeleton", "skeleton"]
+    assert locate(t_junction, [0.5, 0.0]) == gx.tiling.LocateResult(kind="skeleton", triangle=None, depth=2)
+
+
 def test_clip_finds_near_tangent_double_crossing():
     # A curved geodesic crosses the shared edge twice inside one sample interval,
     # so the sample grid shows no sign change; the dip into the far triangle is

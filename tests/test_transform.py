@@ -110,6 +110,33 @@ def test_forward_quadrature_step_convergence(conformal05, hexagon24):
 # the plan operator
 # ---------------------------------------------------------------------------
 
+def test_plan_is_clipped_with_one_bisection_and_one_locate(monkeypatch, conformal05, hexagon24):
+    # the crossing brackets of every path go through one lockstep bisection, and the
+    # piece midpoints of every path through one point location
+    import geoxray.tiling
+    from geoxray.scene import random_chord_descriptors
+
+    calls = {"_bisect_lanes": 0, "locate_points": 0}
+
+    def counted(name):
+        fn = getattr(geoxray.tiling, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(geoxray.tiling, name, counted(name))
+    descriptors = random_chord_descriptors(30, np.random.default_rng(4))
+    starts = [gx.boundary_tangent(conformal05, a, d) for a, d in descriptors]
+    starts.append(gx.unit_tangent(conformal05, [0.1, -0.2], [1.0, 0.4]))
+    weight = gx.ConstantWeight(np.array([[1, 0.2], [0.1, 1], [0.4, 0.6]], dtype=complex))
+    op = gx.plan_weight_integrals(conformal05, weight, hexagon24, starts, step=1e-2)
+    assert calls == {"_bisect_lanes": 1, "locate_points": 1}
+    assert op.n_rows == 31 and len(op.triangle) > 100 and not any(op.errors)
+
+
 @pytest.mark.parametrize("weight", [
     gx.ConstantWeight(np.array([[1, 0.2], [0.1, 1], [0.4, 0.6]], dtype=complex)),
     gx.AngularWeight(2, order=2, amplitude=0.4, radial_modulation=0.5),
