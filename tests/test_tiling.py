@@ -371,3 +371,18 @@ SEED_VALIDATION_MESSAGES = {
 def test_validation_messages_unchanged(name):
     vertices, triangles, messages = SEED_VALIDATION_MESSAGES[name]
     assert gx.Tiling(vertices, triangles).validate().messages == messages
+
+
+def test_validation_matches_golden_areas():
+    # tests/golden/validation_areas.json holds the messages and a digest of the
+    # box-pair overlap areas that the per-pair clipper gave (see
+    # make_validation_areas.py) on the refined fans up to T = 1536 and 300
+    # defective tilings; validation must give them bit for bit
+    from golden.make_validation_areas import OUT, digest, overlap_areas, tilings
+
+    want = json.loads(OUT.read_text())
+    for name, tiling in tilings():
+        areas = overlap_areas(tiling)
+        assert tiling.validate().messages == want[name]["messages"], name
+        assert (len(areas), digest(areas)) == (want[name]["pairs"], want[name]["sha256"]), name
+    assert set(want) == {name for name, _ in tilings()}
