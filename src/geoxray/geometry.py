@@ -184,8 +184,11 @@ class GaussianConformalMetric(MetricField):
         if len(self.params) != 4:
             raise SceneValidationError("conformal-gaussian takes [amplitude, cx, cy, width]")
         self.amplitude, cx, cy, self.width = self.params
-        if self.width <= 0:
-            raise SceneValidationError("conformal-gaussian width must be positive")
+        # width^2 must be positive and finite, and so must |x - c|^2 / width^2 and 2 lam / width^2 on the disk
+        r, w2 = abs(cx) + abs(cy) + 2.0, self.width * self.width
+        if not (self.width > 0 and 0.0 < w2 < math.inf and (r * r + 2.0 * LAM_LIMIT) / w2 < math.inf):
+            raise SceneValidationError(f"scene.metric.params: conformal-gaussian width {self.width:g} must be "
+                                       f"positive, and with center ({cx:g}, {cy:g}) keep the profile finite")
         self.center = np.array([cx, cy])
 
     def lam(self, x):

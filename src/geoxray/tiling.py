@@ -41,6 +41,8 @@ EDGE_BLOCK = 64
 # crossings, and (point, triangle) pairs, with twice the temporaries, when
 # locating.
 CLIP_BLOCK = 6144
+# Triangle pairs per block of validation's batched overlap clip.
+OVERLAP_BLOCK = 384
 # A sample's control hull costs about this many pairs' temporaries.
 HULL_COST = 16
 LOCATE_BLOCK = 4096
@@ -204,11 +206,11 @@ def _validate(tiling: Tiling) -> TilingReport:
     # only triangles whose bounding boxes meet can overlap; one triangle has no pair
     if tiling.n_triangles > 1:
         pairs = _boxes_meet(box_lo, box_hi, box_lo, box_hi)
-        for i, j in pairs[pairs[:, 0] < pairs[:, 1]]:
-            overlap = _convex_overlap_area(corners[i], corners[j])
-            if overlap > 1e-12:
-                disjoint = False
-                msgs.append(f"triangles {i} and {j} overlap (area {overlap:.3e})")
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+        areas = _overlap_areas(corners, *pairs.T)
+        for (i, j), overlap in zip(pairs[areas > 1e-12].tolist(), areas[areas > 1e-12].tolist()):
+            disjoint = False
+            msgs.append(f"triangles {i} and {j} overlap (area {overlap:.3e})")
 
     coverage = math.pi * DISK_RADIUS**2 - tiling.total_area()
     return TilingReport(
@@ -259,33 +261,39 @@ def _on_open_edges(p, corners, tol=1e-12) -> np.ndarray:
     return (L2 != 0) & (s > tol) & (s < 1.0 - tol) & (np.hypot(off[..., 0], off[..., 1]) < tol)
 
 
-def _convex_overlap_area(tri_a, tri_b) -> float:
-    """Area of the intersection of two triangles (Sutherland-Hodgman clip)."""
-    poly = [np.asarray(p, dtype=float) for p in tri_a]
-    for k in range(3):
-        a = tri_b[k]
-        b = tri_b[(k + 1) % 3]
-        edge = b - a
-        out = []
-        for i in range(len(poly)):
-            p = poly[i]
-            q = poly[(i + 1) % len(poly)]
-            sp = edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0])
-            sq = edge[0] * (q[1] - a[1]) - edge[1] * (q[0] - a[0])
-            if sp >= 0:
-                out.append(p)
-            if (sp > 0 > sq) or (sp < 0 < sq):
-                t = sp / (sp - sq)
-                out.append(p + t * (q - p))
-        poly = out
-        if not poly:
-            return 0.0
-    area = 0.0
-    for i in range(len(poly)):
-        p = poly[i]
-        q = poly[(i + 1) % len(poly)]
-        area += p[0] * q[1] - p[1] * q[0]
-    return abs(area) / 2.0
+def _overlap_areas(corners, i, j) -> np.ndarray:
+    """Areas of the intersections of triangles ``corners[i]`` and ``corners[j]``, pair by pair.
+
+    Sutherland-Hodgman on blocks of ``OVERLAP_BLOCK`` pairs, held as ``(pairs, n, 2)`` closed polygons
+    (the first vertex again after the last) with per-pair vertex counts; ``n`` follows the largest
+    count, since in floats a clip can add more than one vertex.  Each pair does the arithmetic of a
+    scalar clip and of its shoelace sum from 0.0 in vertex order, so its area has the scalar bits.
+    """
+    areas = np.empty(len(i))
+    for k in range(0, len(i), OVERLAP_BLOCK):
+        poly, tri = corners[i[k:k + OVERLAP_BLOCK]][:, [0, 1, 2, 0]], corners[j[k:k + OVERLAP_BLOCK]]
+        count, rows = np.full(len(poly), 3), np.arange(len(poly))
+        for e in range(3):
+            a, d = tri[:, e, None], tri[:, (e + 1) % 3, None] - tri[:, e, None]
+            s = d[..., 0] * (poly[..., 1] - a[..., 1]) - d[..., 1] * (poly[..., 0] - a[..., 0])
+            # keep a vertex on or left of the line; add the crossing on a strict sign change
+            sp, sq, valid = s[:, :-1], s[:, 1:], np.arange(s.shape[1] - 1) < count[:, None]
+            keep, cut = valid & (sp >= 0), valid & (((sp > 0) & (sq < 0)) | ((sp < 0) & (sq > 0)))
+            emits = keep + cut.astype(int)
+            at = np.cumsum(emits, axis=1) - emits     # each vertex's first slot in the clipped polygon
+            count = emits.sum(axis=1)
+            clipped = np.zeros((len(poly), count.max() + 1, 2))
+            r, c = np.nonzero(keep)
+            clipped[r, at[r, c]] = poly[r, c]
+            r, c = np.nonzero(cut)
+            p, t = poly[r, c], sp[r, c] / (sp[r, c] - sq[r, c])
+            clipped[r, at[r, c] + keep[r, c]] = p + t[:, None] * (poly[r, c + 1] - p)
+            clipped[rows, count] = clipped[:, 0]
+            poly = clipped
+        terms = poly[:, :-1, 0] * poly[:, 1:, 1] - poly[:, :-1, 1] * poly[:, 1:, 0]
+        terms = np.where(np.arange(terms.shape[1]) < count[:, None], terms, 0.0)   # cumsum adds left to right
+        areas[k:k + OVERLAP_BLOCK] = np.abs(np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)[:, -1]) / 2.0
+    return areas
 
 
 # ---------------------------------------------------------------------------

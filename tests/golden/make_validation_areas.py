@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 import geoxray as gx
-from geoxray.tiling import _boxes_meet, _convex_overlap_area
+from geoxray.tiling import _boxes_meet, _overlap_areas
 
 OUT = Path(__file__).with_name("validation_areas.json")
 SEED = 20190114
@@ -96,8 +96,7 @@ def overlap_pairs(tiling: gx.Tiling) -> np.ndarray:
 
 
 def overlap_areas(tiling: gx.Tiling) -> np.ndarray:
-    corners = tiling.vertices[tiling.triangles]
-    return np.array([_convex_overlap_area(corners[i], corners[j]) for i, j in overlap_pairs(tiling)], dtype=float)
+    return _overlap_areas(tiling.vertices[tiling.triangles], *overlap_pairs(tiling).T)
 
 
 def digest(areas) -> str:

@@ -60,6 +60,96 @@ def test_degenerate_triangle_rejected():
     assert not t.validate().nondegenerate
 
 
+def _convex_overlap_area(tri_a, tri_b) -> float:
+    """Area of the intersection of two triangles (Sutherland-Hodgman clip).
+
+    The per-pair clipper that validation ran before the batched one, kept
+    as the reference that ``_overlap_areas`` must equal bit for bit.
+    """
+    poly = [np.asarray(p, dtype=float) for p in tri_a]
+    for k in range(3):
+        a = tri_b[k]
+        b = tri_b[(k + 1) % 3]
+        edge = b - a
+        out = []
+        for i in range(len(poly)):
+            p = poly[i]
+            q = poly[(i + 1) % len(poly)]
+            sp = edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0])
+            sq = edge[0] * (q[1] - a[1]) - edge[1] * (q[0] - a[0])
+            if sp >= 0:
+                out.append(p)
+            if (sp > 0 > sq) or (sp < 0 < sq):
+                t = sp / (sp - sq)
+                out.append(p + t * (q - p))
+        poly = out
+        if not poly:
+            return 0.0
+    area = 0.0
+    for i in range(len(poly)):
+        p = poly[i]
+        q = poly[(i + 1) % len(poly)]
+        area += p[0] * q[1] - p[1] * q[0]
+    return abs(area) / 2.0
+
+
+# near-collinear pairs whose clipped polygon has 7 and 8 vertices in floats,
+# more than the 6 of exact arithmetic (found by a seeded random search)
+MANY_VERTEX_PAIRS = [
+    ([[0.6291561398088863, -0.5060670566840185], [0.6384924722053348, -0.0059860754876991384],
+      [0.6165466208631407, -1.1814693816055968]],
+     [[0.6448454035884384, 0.3342953138878412], [0.6292945016063164, -0.4986559984139349],
+      [0.6204842763600559, -0.9705571581655423]]),
+    ([[0.9556755773575896, -0.16173962359334232], [0.8765122008178493, -0.6809860725582411],
+      [0.7771639918741771, -1.3326283718117118]],
+     [[0.8694268298967305, -0.7274602611439593], [0.9155127973000368, -0.42517433086575845],
+      [0.7763615240619468, -1.3378918987116797]]),
+]
+
+
+def overlap_test_pairs(rng, n):
+    """``(tri_a, tri_b)``, each ``(P, 3, 2)``: ``n`` pairs of each kind, random
+    and corner-permuted, that share an edge or a vertex, are identical, hold a
+    zero-area triangle or a near-collinear sliver."""
+    def tris():
+        return rng.uniform(-1.0, 1.0, size=(n, 3, 2))
+
+    def near(tri, scale):
+        return tri + rng.normal(scale=scale, size=tri.shape)
+
+    def on_edge(tri, off):
+        # the third corner at ``off`` (relative) from the line of the first two
+        e = tri[:, 1] - tri[:, 0]
+        s = rng.uniform(-0.5, 1.5, size=(n, 1))
+        return np.stack([tri[:, 0], tri[:, 1], tri[:, 0] + s * e + off * np.stack([-e[:, 1], e[:, 0]], axis=1)], axis=1)
+
+    a, b = tris(), tris()
+    sliver = on_edge(a, rng.choice([1e-6, 1e-9, 1e-12, 1e-15], size=(n, 1)))
+    kinds = [
+        (a, b),                                                    # random
+        (a, np.concatenate([a[:, :2], b[:, 2:]], axis=1)),         # a shared edge, either side
+        (a, np.concatenate([a[:, 1::-1], b[:, 2:]], axis=1)),
+        (a, np.concatenate([a[:, :1], b[:, 1:]], axis=1)),         # a shared vertex
+        (a, a), (a, a[:, [2, 0, 1]]), (a, a[:, ::-1]),             # identical
+        (on_edge(a, 0.0), b), (a, on_edge(b, 0.0)),                # zero area
+        (sliver, a), (a, sliver), (sliver, near(sliver, 1e-13)),   # near-collinear slivers
+        (near(a, 1e-13), a),
+        tuple(np.array(MANY_VERTEX_PAIRS).transpose(1, 0, 2, 3)),
+    ]
+    return np.concatenate([k[0] for k in kinds]), np.concatenate([k[1] for k in kinds])
+
+
+def test_batched_overlap_matches_scalar_clip():
+    # more pairs than one block holds, so every block boundary is crossed
+    tri_a, tri_b = overlap_test_pairs(np.random.default_rng(11), 120)
+    assert len(tri_a) > 4 * gx.tiling.OVERLAP_BLOCK
+    n = len(tri_a)
+    got = gx.tiling._overlap_areas(np.concatenate([tri_a, tri_b]), np.arange(n), np.arange(n, 2 * n))
+    want = np.array([_convex_overlap_area(p, q) for p, q in zip(tri_a, tri_b)])
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(want) > n // 4 and np.count_nonzero(want == 0.0) > n // 4
+
+
 def test_refine_preserves_validity_and_area(hexagon24):
     report = hexagon24.validate()
     assert report.ok
@@ -259,6 +349,28 @@ def test_plan_clipper_peak_memory_is_bounded():
         tracemalloc.stop()
     assert sum(map(len, clips)) > 40
     assert peak <= 371_348
+
+
+def test_validation_peak_memory_is_bounded():
+    # validating the forward-refined tiling (T = 384): the overlap pairs are
+    # clipped in blocks, so the tracemalloc peak stays near that of the per-pair
+    # loop before the batched clipper (280,306 bytes, numpy 2.4 on Python 3.11)
+    import tracemalloc
+
+    from geoxray.tiling import _validate
+
+    tiling = gx.polygon_fan_tiling(6)
+    for _ in range(3):
+        tiling = gx.refine(tiling)
+    _validate(tiling)
+    tracemalloc.start()
+    try:
+        report = _validate(tiling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and tiling.n_triangles == 384
+    assert peak <= 350_000
 
 
 def test_locate_points_matches_locate(hexagon24):
