@@ -6,14 +6,15 @@ zero on that band and on the tiling skeleton (edges and vertices).
 
 Clipping cuts sampled geodesics where their cubic Hermite interpolants cross
 an edge segment, a whole plan of paths in one pass.  The samples of all
-paths lie end to end in one ``PathStack``.  Crossings are bracketed on the
-sample grid, in blocks of (edge, sample) pairs over all paths at once, and
-kept only where the sample interval's Bezier control hull meets the edge's
-bounding box; a near-tangent interval that crosses an edge twice, with no
-sign change on the grid, is split at the cubic's interior extremum.  One
-bisection then advances the brackets of all paths in lockstep, and one
-point location classifies the midpoints of all pieces.  Every lane does the
-arithmetic of a one-path clip, so a path's pieces do not depend on the plan.
+paths lie end to end in one ``PathStack``.  A sort-and-sweep over the edges
+sorted on low x pairs each sample interval with the edges whose bounding
+boxes meet its Bezier control hull's box; on those pairs crossings are
+bracketed on the sample grid, and a near-tangent interval that crosses an
+edge twice, with no sign change on the grid, is split at the cubic's
+interior extremum.  One bisection then advances the brackets of all paths
+in lockstep, and one point location classifies the midpoints of all pieces.
+Every lane does the arithmetic of a one-path clip, so a path's pieces do
+not depend on the plan.
 """
 
 from __future__ import annotations
@@ -32,18 +33,18 @@ BARY_TOL = 1e-12          # skeleton classification tolerance (barycentric)
 MIN_AREA = 1e-12
 CLIP_BISECT_WIDTH = 1e-14  # edge-crossing bisection width (contract is 1e-10)
 TANGENCY_LENGTH = 1e-6
-# Rows per block of the blocked pairwise tests (edges x samples when clipping,
-# boxes x boxes when validating); bounds their temporaries, so long paths and
+# Rows per block of validation's pairwise box test; bounds its temporaries, so
 # fine tilings do not raise peak memory.
 EDGE_BLOCK = 64
 # Pairs per block of the clipper's searches, so that long plans and fine
-# tilings do not raise peak memory: (edge, sample) pairs when bracketing
-# crossings, and (point, triangle) pairs, with twice the temporaries, when
-# locating.
+# tilings do not raise peak memory: candidate (edge, sample interval) pairs
+# when bracketing crossings; LOCATE_BLOCK (point, triangle) pairs, with more
+# temporaries each, when locating.
 CLIP_BLOCK = 6144
 # Triangle pairs per block of validation's batched overlap clip.
 OVERLAP_BLOCK = 384
-# A sample's control hull costs about this many pairs' temporaries.
+# The bracket search hulls CLIP_BLOCK // HULL_COST sample intervals at a time;
+# each costs a few pairs' temporaries for its control hull, box and run.
 HULL_COST = 16
 LOCATE_BLOCK = 4096
 # Widening of the control-hull box, so that rounding in the Hermite
@@ -106,12 +107,14 @@ class Tiling:
         return adj
 
     @functools.cached_property
-    def _edge_ends(self) -> np.ndarray:
-        """(E, 2, 2) endpoint coordinates of each edge, in adjacency order.
-
-        Built on the first clip and kept, so setting up a tiling costs no more.
-        """
-        return self.vertices[np.array(list(self.adjacency), dtype=int).reshape(-1, 2)]
+    def _edges(self):
+        """Each edge as ``a + s e`` (``s`` in [0, 1]) and its box's low and high corners,
+        four ``(E, 2)`` arrays sorted on low x, and an x extent no box exceeds (the
+        widest, rounded up one float).  Built on the first clip and kept."""
+        ends = self.vertices[np.array(list(self.adjacency), dtype=int).reshape(-1, 2)]
+        ends = ends[np.argsort(ends[:, :, 0].min(axis=1), kind="stable")]
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        return ends[:, 0], ends[:, 1] - ends[:, 0], lo, hi, np.nextafter(np.max(hi[:, 0] - lo[:, 0]), np.inf)
 
     # -- basic queries ---------------------------------------------------------
     @property
@@ -508,11 +511,13 @@ def clip_path(tiling: Tiling, path: GeodesicPath) -> list:
 def clip_paths(tiling: Tiling, paths) -> list:
     """Partition each path's parameter range by the triangle containing each piece.
 
-    A path is the cubic Hermite interpolant of its samples.  An (edge,
-    sample interval) pair brackets a crossing when the signed edge-line
-    function changes sign across the interval and the interval's Bezier
-    control hull meets the edge segment's bounding box.  A pair without a
-    sign change whose control hull straddles the edge line is split at the
+    A path is the cubic Hermite interpolant of its samples.  Only (edge,
+    sample interval) pairs whose closed boxes meet are searched: the
+    interval's Bezier control hull box, widened by ``HULL_SLACK``, and the
+    edge segment's box.  Such a pair brackets a crossing when the signed
+    edge-line function changes sign across the interval, and cuts at a
+    sample where that function is exactly zero.  A pair without a sign
+    change whose control hull straddles the edge line is split at the
     cubic's interior extremum, so a near-tangent path that crosses an edge
     twice inside one interval is cut at both crossings.  The brackets of all
     paths are bisected together to width ``CLIP_BISECT_WIDTH``, and the
@@ -551,34 +556,10 @@ def clip_paths(tiling: Tiling, paths) -> list:
 
 def _edge_crossings(tiling: Tiling, stack: PathStack):
     """Times where the paths meet an edge, with the path of each: crossings
-    bisected in one lockstep pass, and exact zeros at samples.
-
-    The (edge, sample) pairs of all paths are searched in blocks of about
-    ``CLIP_BLOCK`` pairs; the near-tangent intervals they leave are split
-    in one ``_tangent_splits`` call.
-    """
+    bisected in one lockstep pass, and exact zeros at samples."""
     t = stack.t
-    owner = np.repeat(np.arange(len(stack.first)), stack.stop - stack.first)
-    ends = tiling._edge_ends
-    a_all = ends[:, 0]
-    e_all = ends[:, 1] - a_all
-    box_lo, box_hi = ends.min(axis=1), ends.max(axis=1)
-    rows = min(len(ends), EDGE_BLOCK)
-    cols = max(1, CLIP_BLOCK // (rows + HULL_COST))
-    found = []
-    for j in range(0, len(t) - 1, cols):
-        n = min(cols, len(t) - 1 - j)
-        hull = _control_hull(stack, slice(j, j + n), slice(j + 1, j + n + 1))
-        hull_lo, hull_hi = hull.min(axis=0) - HULL_SLACK, hull.max(axis=0) + HULL_SLACK
-        # an interval between two paths brackets nothing: its box meets no edge
-        hull_lo[owner[j + 1:j + n + 1] != owner[j:j + n]] = np.inf
-        for k in range(0, len(ends), rows):
-            edges = slice(k, k + rows)
-            zeros, edge, i, tangent_edge, tangent_i = _block_brackets(
-                stack.x[j:j + n + 1], hull, hull_lo, hull_hi,
-                a_all[edges], e_all[edges], box_lo[edges], box_hi[edges])
-            found.append((j + zeros, k + edge, j + i, k + tangent_edge, j + tangent_i))
-    zeros, edge, i, tangent_edge, tangent_i = (np.concatenate(col) for col in zip(*found))
+    a_all, e_all = tiling._edges[:2]
+    zeros, edge, i, tangent_edge, tangent_i = _brackets(tiling, stack)
     brackets = [(edge, i, t[i], t[i + 1])] + _tangent_splits(stack, a_all, e_all, tangent_edge, tangent_i)
     edge, i, lo, hi = (np.concatenate(col) for col in zip(*brackets))
     lanes = _lanes(stack, a_all[edge], e_all[edge], i)
@@ -587,32 +568,50 @@ def _edge_crossings(tiling: Tiling, stack: PathStack):
     # a lane stops at adjacent floats instead of halving forever.
     crossings = _bisect_lanes(lambda mid, lo_negative, *lanes: (_side(mid, *lanes) < 0) != lo_negative,
                               lo, hi, np.maximum(CLIP_BISECT_WIDTH, np.spacing(hi)), _side(lo, *lanes) < 0, *lanes)
-    return np.concatenate([owner[zeros], owner[i]]), np.concatenate([t[zeros], crossings])
+    return np.searchsorted(stack.stop, np.concatenate([zeros, i]), side="right"), np.concatenate([t[zeros], crossings])
 
 
-def _block_brackets(X, hull, hull_lo, hull_hi, a, e, box_lo, box_hi):
-    """Zeros and brackets of a block of edges ``a + s e`` on a run of samples ``X``.
+def _brackets(tiling: Tiling, stack: PathStack):
+    """Zeros and brackets of the edges on the sample intervals, by sort and sweep.
 
-    Returns the samples where an edge-line function is exactly zero, and
-    two (edge, interval) index pairs, both only where the interval's
-    control hull box meets the edge's box: the sign changes, and the
-    intervals whose ends lie on one side of the edge line and whose
-    control ``hull`` straddles it, for ``_tangent_splits``.
+    The edges whose box can meet an interval's control hull box are one run
+    of the edges sorted on low x, expanded in parts of about ``CLIP_BLOCK``
+    pairs; only pairs whose closed boxes meet are evaluated.  Returns the
+    samples where such an edge's line function is exactly zero, and (edge,
+    interval) pairs: the sign changes, and the intervals whose ends lie on
+    one side of the edge line and whose control hull straddles it.
     """
-    # e_x * (y - a_y) - e_y * (x - a_x), in place to keep the temporaries few
-    s = X[:, 1] - a[:, 1:2]
-    s *= e[:, 0:1]
-    other = X[:, 0] - a[:, 0:1]
-    other *= e[:, 1:2]
-    s -= other
-    near = ((hull_lo[:, 0] <= box_hi[:, 0:1]) & (hull_hi[:, 0] >= box_lo[:, 0:1])
-            & (hull_lo[:, 1] <= box_hi[:, 1:2]) & (hull_hi[:, 1] >= box_lo[:, 1:2]))
-    prod = np.multiply(s[:, :-1], s[:, 1:], out=other[:, :-1])
-    ej, ij = np.nonzero(near & (prod > 0.0))
-    f0 = s[ej, ij]
-    f1, f2 = (_edge_side(a[ej], e[ej], p[ij]) for p in hull[1:3])
-    straddle = np.where(f0 > 0.0, np.minimum(f1, f2) < 0.0, np.maximum(f1, f2) > 0.0)
-    return (np.nonzero(s == 0.0)[1], *np.nonzero(near & (prod < 0.0)), ej[straddle], ij[straddle])
+    a, e, box_lo, box_hi, reach = tiling._edges
+    # an interval between two paths brackets nothing
+    joint = np.zeros(len(stack.t) - 1, dtype=bool)
+    joint[stack.stop[:-1] - 1] = True
+    found = [(np.zeros(0, dtype=int),) * 5]
+    for j in range(0, len(joint), CLIP_BLOCK // HULL_COST):
+        n = min(CLIP_BLOCK // HULL_COST, len(joint) - j)
+        hull = _control_hull(stack, slice(j, j + n), slice(j + 1, j + n + 1))
+        hull_lo, hull_hi = hull.min(axis=0) - HULL_SLACK, hull.max(axis=0) + HULL_SLACK
+        # fl(lo - reach) is at most the low x of every box whose high x reaches lo,
+        # so the run from there to the last low x at or below hi holds them all
+        start = np.searchsorted(box_lo[:, 0], hull_lo[:, 0] - reach)
+        count = np.searchsorted(box_lo[:, 0], hull_hi[:, 0], side="right") - start
+        count[joint[j:j + n]] = 0
+        first = np.cumsum(count) - count
+        shift = start - first
+        # each part starts at the interval that holds a multiple of CLIP_BLOCK pairs
+        bounds = (np.searchsorted(first, np.arange(0, count.sum(), CLIP_BLOCK), side="right") - 1).tolist()
+        for p, q in zip(bounds, bounds[1:] + [n]):
+            r = np.repeat(np.arange(p, q), count[p:q])
+            c = np.arange(first[p], first[p] + len(r)) + shift[r]
+            # hull_hi x >= box_lo x holds on the whole run
+            near = (hull_lo[r, 0] <= box_hi[c, 0]) & (hull_lo[r, 1] <= box_hi[c, 1]) & (hull_hi[r, 1] >= box_lo[c, 1])
+            r, c = r[near], c[near]
+            f0, f1, f2, f3 = _edge_side(a[c], e[c], hull[:, r])
+            prod = f0 * f3
+            straddle = (prod > 0.0) & np.where(f0 > 0.0, np.minimum(f1, f2) < 0.0, np.maximum(f1, f2) > 0.0)
+            i = j + r
+            found.append((np.concatenate([i[f0 == 0.0], i[f3 == 0.0] + 1]),
+                          c[prod < 0.0], i[prod < 0.0], c[straddle], i[straddle]))
+    return tuple(np.concatenate(col) for col in zip(*found))
 
 
 def _control_hull(stack: PathStack, i, i1):
@@ -636,8 +635,9 @@ def _side(tt, t0, h, p0, m0, p1, m1, a, e):
 
 
 def _edge_side(a, e, p):
-    """Signed edge-line function ``e x (p - a)``, row by row."""
-    return e[:, 0] * (p[:, 1] - a[:, 1]) - e[:, 1] * (p[:, 0] - a[:, 0])
+    """Signed edge-line function ``e x (p - a)``, row by row; ``p`` may have a
+    leading axis, such as the four control points of each row."""
+    return e[..., 0] * (p[..., 1] - a[..., 1]) - e[..., 1] * (p[..., 0] - a[..., 0])
 
 
 def _tangent_splits(stack: PathStack, a_all, e_all, edge, i) -> list:
@@ -653,7 +653,7 @@ def _tangent_splits(stack: PathStack, a_all, e_all, edge, i) -> list:
     t = stack.t
     h = t[i + 1] - t[i]
     a, e = a_all[edge], e_all[edge]
-    f0, f1, f2, f3 = (_edge_side(a, e, p) for p in _control_hull(stack, i, i + 1))
+    f0, f1, f2, f3 = _edge_side(a, e, _control_hull(stack, i, i + 1))
     # derivative / 3 = qa u^2 + qb u + qc on u in [0, 1]; roots by the stable formula
     d0, d1, d2 = f1 - f0, f2 - f1, f3 - f2
     qa, qb, qc = d0 - 2.0 * d1 + d2, 2.0 * (d1 - d0), d0

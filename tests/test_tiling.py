@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import warnings
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import geoxray as gx
-from geoxray.tiling import locate
+from geoxray.geometry import PathStack
+from geoxray.tiling import HULL_SLACK, _control_hull, locate
 
 from conftest import chord_start, run_bounded
 from oracles import chord_triangle_length
@@ -326,10 +328,13 @@ def test_plan_clipper_matches_per_path_golden():
     assert set(want) == {name for name, _, _ in plans()}
 
 
-def test_plan_clipper_peak_memory_is_bounded():
-    # the four forward-refined chords at T = 384 in one plan: the blocked searches
-    # keep the tracemalloc peak at or below that of the largest single-path clip
-    # before plan-level clipping (371,348 bytes, numpy 2.4 on Python 3.11)
+def test_plan_clipper_peak_memory_is_bounded(tmp_path, monkeypatch):
+    # the four forward-refined chords at T = 384 in one plan, and the fan-limit
+    # plan (40 paths, 14,798 samples, one triangle): the blocked searches keep the
+    # tracemalloc peak at or below, for the chords, that of the largest
+    # single-path clip before plan-level clipping (371,348 bytes) and, for the
+    # fan, that of the dense (edge, sample) scan before the sort-and-sweep
+    # search (853,294 bytes), both numpy 2.4 on Python 3.11
     import tracemalloc
 
     from geoxray.scene import random_chord_descriptors
@@ -339,16 +344,18 @@ def test_plan_clipper_peak_memory_is_bounded():
     for _ in range(3):
         tiling = gx.refine(tiling)
     starts = [gx.boundary_tangent(metric, a, d) for a, d in random_chord_descriptors(4, np.random.default_rng(0))]
-    paths = gx.trace_geodesics(metric, starts, step=0.01)
-    gx.clip_paths(tiling, paths)
-    tracemalloc.start()
-    try:
-        clips = gx.clip_paths(tiling, paths)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(map(len, clips)) > 40
-    assert peak <= 371_348
+    (fan, fan_paths), = workload_plans("fan-limit", tmp_path, monkeypatch)
+    for tiling, paths, bound in ((tiling, gx.trace_geodesics(metric, starts, step=0.01), 371_348),
+                                 (fan, fan_paths, 853_294)):
+        gx.clip_paths(tiling, paths)
+        tracemalloc.start()
+        try:
+            clips = gx.clip_paths(tiling, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, clips)) > 40
+        assert peak <= bound
 
 
 def test_validation_peak_memory_is_bounded():
@@ -404,6 +411,148 @@ def test_locate_points_keeps_first_and_deepest_match():
     assert triangle.tolist() == [-1, -1] and depth.tolist() == [2, 1]
     assert [gx.tiling.LOCATE_KINDS[k] for k in kind] == ["skeleton", "skeleton"]
     assert locate(t_junction, [0.5, 0.0]) == gx.tiling.LocateResult(kind="skeleton", triangle=None, depth=2)
+
+
+def _dense_brackets(tiling, stack):
+    """Every edge against every sample interval, in (edge block x sample block)
+    masks: the search that clipping ran before the sort-and-sweep one, kept as
+    the reference for ``_brackets``.  Returns sets of the (edge, sample) pairs
+    where the edge-line function is exactly zero, the (edge, interval) pairs
+    whose boxes meet, the brackets and the tangent candidates."""
+    owner = np.repeat(np.arange(len(stack.first)), stack.stop - stack.first)
+    a_all, e_all, box_lo, box_hi, _ = tiling._edges
+    rows = min(len(a_all), 64)
+    cols = max(1, 6144 // (rows + 16))
+    found = []
+    for j in range(0, len(stack.t) - 1, cols):
+        n = min(cols, len(stack.t) - 1 - j)
+        hull = _control_hull(stack, slice(j, j + n), slice(j + 1, j + n + 1))
+        hull_lo, hull_hi = hull.min(axis=0) - HULL_SLACK, hull.max(axis=0) + HULL_SLACK
+        # an interval between two paths brackets nothing: its box meets no edge
+        hull_lo[owner[j + 1:j + n + 1] != owner[j:j + n]] = np.inf
+        for k in range(0, len(a_all), rows):
+            edges = slice(k, k + rows)
+            a, e, lo, hi = a_all[edges], e_all[edges], box_lo[edges], box_hi[edges]
+            X = stack.x[j:j + n + 1]
+            s = X[:, 1] - a[:, 1:2]
+            s *= e[:, 0:1]
+            other = X[:, 0] - a[:, 0:1]
+            other *= e[:, 1:2]
+            s -= other
+            near = ((hull_lo[:, 0] <= hi[:, 0:1]) & (hull_hi[:, 0] >= lo[:, 0:1])
+                    & (hull_lo[:, 1] <= hi[:, 1:2]) & (hull_hi[:, 1] >= lo[:, 1:2]))
+            prod = s[:, :-1] * s[:, 1:]
+            ej, ij = np.nonzero(near & (prod > 0.0))
+            f0 = s[ej, ij]
+            f1, f2 = (e[ej, 0] * (p[ij, 1] - a[ej, 1]) - e[ej, 1] * (p[ij, 0] - a[ej, 0]) for p in hull[1:3])
+            straddle = np.where(f0 > 0.0, np.minimum(f1, f2) < 0.0, np.maximum(f1, f2) > 0.0)
+            for kind, (edge, i) in enumerate([np.nonzero(s == 0.0), np.nonzero(near),
+                                              np.nonzero(near & (prod < 0.0)), (ej[straddle], ij[straddle])]):
+                found.append((kind, k + edge, j + i))
+    return tuple({pair for kind, edge, i in found if kind == want for pair in zip(edge.tolist(), i.tolist())}
+                 for want in range(4))
+
+
+# the scenes of the benchmark workloads, with random field values: the plans
+# do not depend on the field
+RADIAL = {"family": "conformal-radial", "params": [0.05]}
+WORKLOAD_SCENES = {
+    "fan-limit": ("cmd_limit_check", {
+        "quadrature_step": 0.002,
+        "tiling": {"vertices": [[1.0, 0.0], [0.21215043371796743, 0.13891854213354424],
+                                [0.21215043371796743, -0.13891854213354424]], "triangles": [[0, 1, 2]]},
+        "field": {"k": 1, "random": {}},
+        "weight": {"family": "angular", "k": 1, "order": 2, "amplitude": 0.3},
+        "plans": {"fan_limit": {"anchor_angle": 0.0, "v_offsets_deg": [-28, -14, 0, 14, 28],
+                                "h_exponents": list(range(3, 11))}}}),
+    "forward-refined": ("cmd_forward", {
+        "quadrature_step": 0.01,
+        "tiling": {"generator": {"kind": "polygon-fan", "sides": 6, "refine": 3}},
+        "field": {"k": 2, "random": {}},
+        "weight": {"family": "constant-matrix", "matrix": [[1.0, 0.2], [0.1, 1.0], [0.4, 0.6]]},
+        "plans": {"chords": {"mode": "random", "count": 4}}}),
+    "reconstruct-demo": ("cmd_reconstruct", {
+        "quadrature_step": 0.01,
+        "tiling": {"generator": {"kind": "polygon-fan", "sides": 6, "refine": 1}},
+        "field": {"k": 2, "random": {}},
+        "weight": {"family": "constant-matrix", "matrix": [[1.0, 0.2], [0.1, 1.0], [0.4, 0.6]]},
+        "foliation": {"family": "radial-square", "params": []},
+        "plans": {"chords": {"mode": "frontier", "rotations": 4, "levels_per_batch": 5}}}),
+}
+
+
+def workload_plans(name, tmp_path, monkeypatch):
+    """``(tiling, paths)`` of every ``clip_paths`` call of a workload's command."""
+    import geoxray.cli
+    import geoxray.transform
+
+    command, raw = WORKLOAD_SCENES[name]
+    plans = []
+    clip = geoxray.transform.clip_paths
+    with monkeypatch.context() as patch:
+        patch.setattr(geoxray.transform, "clip_paths",
+                      lambda tiling, paths: plans.append((tiling, list(paths))) or clip(tiling, paths))
+        getattr(geoxray.cli, command)(gx.scene.build_scene({"schema": "geoxray-scene/1", "metric": RADIAL, **raw}),
+                                      str(tmp_path))
+    return plans
+
+
+def euclidean_chord_plan():
+    """Euclidean chords on the T = 24 fan: through the center; from a rim vertex
+    past a spoke midpoint to a rim vertex; through the center and two rim-edge
+    midpoints; and along the spoke lines at angles 0 and pi/3."""
+    metric = gx.metric_from_config("euclidean")
+    starts = [gx.boundary_tangent(metric, a, d) for a, d in [
+        (0.3, 0.3 + math.pi), (0.0, 5.0 * math.pi / 6), (math.pi / 6, math.pi / 6 + math.pi),
+        (0.0, math.pi), (math.pi / 3, 4.0 * math.pi / 3)]]
+    return gx.refine(gx.polygon_fan_tiling(6)), gx.trace_geodesics(metric, starts, step=0.01)
+
+
+def near_tangent_plan():
+    from golden.make_plan_clips import near_tangent_tiling
+
+    metric = gx.metric_from_config("conformal-radial", [0.3])
+    path = gx.trace_geodesic(metric, chord_start(metric, 0.4, 2.9), step=0.01)
+    return near_tangent_tiling(path), [path]
+
+
+def touching_box_plan():
+    """Edges whose boxes touch one sample interval's control hull box from each
+    side, at the hull box's slack or at half of it, on lines that cross the
+    interval: each bracket there needs closed comparisons and the slack."""
+    metric = gx.metric_from_config("euclidean")
+    path = gx.trace_geodesic(metric, gx.boundary_tangent(metric, 1.25 * math.pi, 0.25 * math.pi), step=0.01)
+    i = path.n_samples // 2
+    hull = _control_hull(PathStack.of([path]), [i], [i + 1])[:, 0]
+    lo, hi = hull.min(axis=0), hull.max(axis=0)
+    mid = path.position(0.5 * (path.t[i] + path.t[i + 1]))
+    corners = []
+    for slack in (HULL_SLACK, 0.5 * HULL_SLACK):
+        for p in ([lo[0] - slack, mid[1]], [hi[0] + slack, mid[1]], [mid[0], lo[1] - slack], [mid[0], hi[1] + slack]):
+            out = (p - mid) / np.hypot(*(p - mid))
+            corners.append([p, p + 0.1 * out, p + 0.1 * out + 0.05 * np.array([-out[1], out[0]])])
+    return gx.Tiling(np.reshape(corners, (-1, 2)), np.arange(3 * len(corners)).reshape(-1, 3)), [path]
+
+
+BRACKET_PLANS = {
+    **{name: functools.partial(workload_plans, name) for name in WORKLOAD_SCENES},
+    "euclidean-chords": lambda *_: [euclidean_chord_plan()],
+    "near-tangent": lambda *_: [near_tangent_plan()],
+    "touching-boxes": lambda *_: [touching_box_plan()],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_PLANS))
+def test_sweep_brackets_match_dense_scan(name, tmp_path, monkeypatch):
+    # the sort-and-sweep search keeps the brackets and tangent candidates of the
+    # dense scan, and its exact zeros are the dense scan's on box-meeting pairs
+    for tiling, paths in BRACKET_PLANS[name](tmp_path, monkeypatch):
+        stack = PathStack.of([p for p in paths if p.tau > 0])
+        zeros, edge, i, tangent_edge, tangent_i = gx.tiling._brackets(tiling, stack)
+        want_zeros, near, brackets, tangents = _dense_brackets(tiling, stack)
+        assert brackets and set(zip(edge.tolist(), i.tolist())) == brackets
+        assert set(zip(tangent_edge.tolist(), tangent_i.tolist())) == tangents
+        assert set(zeros.tolist()) == {m for k, m in want_zeros if (k, m - 1) in near or (k, m) in near}
 
 
 def test_clip_finds_near_tangent_double_crossing():
