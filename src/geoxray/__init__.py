@@ -39,7 +39,6 @@ from .recovery import (
     RecordedOracle,
     ReconstructionReport,
     SyntheticOracle,
-    assemble_operator,
     order_frontier,
     reconstruct,
     recover_fan_values,
@@ -63,12 +62,10 @@ from .tiling import (
 from .transform import (
     FanGeodesic,
     PlanOperator,
-    fan_geodesic,
     fan_geodesics,
     forward,
     frozen_limit,
     plan_weight_integrals,
-    scaled_fan_integral,
     tangent_line_integral,
 )
 from .weights import (

@@ -12,7 +12,8 @@ the disk, and the boundary crossings of all rows are then located together by
 bisection on ``|x| - 1`` inside the steps that crossed.  Each row gets the
 arithmetic of a one-row trace bit for bit, so a path does not depend on what
 it was traced with.  Paths are unit speed in ``g``, so the curve parameter is
-arclength.
+arclength.  Paths are evaluated in one place, ``PathStack``: one bisection
+finds every query's sample interval, for cubic Hermite interpolation.
 """
 
 from __future__ import annotations
@@ -285,71 +286,77 @@ class GeodesicPath:
     def n_samples(self) -> int:
         return self.t.shape[0]
 
-    def interpolate(self, t, values, slopes) -> np.ndarray:
-        """Cubic Hermite interpolant of per-sample ``values`` with arclength
-        derivatives ``slopes`` at arclengths ``t``, a scalar or an array.
-
-        Returns ``t.shape + values.shape[1:]``; at a sample time it returns
-        that sample's value exactly.
-        """
-        t = np.asarray(t, dtype=float)
-        if self.n_samples == 1:
-            return np.broadcast_to(values[0], t.shape + values.shape[1:]).copy()
-        i = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, self.n_samples - 2)
-        return _hermite_at(self.t, values, slopes, i, t)
-
     def position(self, t) -> np.ndarray:
         """Position at arclength ``t`` (a scalar or an array), by cubic Hermite interpolation."""
-        return self.interpolate(t, self.x, self.v)
-
-    def states(self, t):
-        """Positions and velocities ``(x, v)`` at arclengths ``t``; velocities
-        interpolate with the exact accelerations as slopes."""
-        return self.position(t), self.interpolate(t, self.v, self.metric.accel(self.x, self.v))
-
-    def max_spacing(self) -> float:
-        if self.n_samples < 2:
-            return 0.0
-        return float(np.max(np.diff(self.t)))
+        if self.n_samples == 1:   # a path of one sample has no interval to interpolate on
+            return np.broadcast_to(self.x[0], np.shape(t) + (2,)).copy()
+        return PathStack.of([self]).position(np.zeros(np.shape(t), dtype=int), np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
 class PathStack:
     """The samples of several paths laid end to end, path ``p`` at rows
-    ``first[p]:stop[p]``, so that a whole plan is clipped in one pass."""
+    ``first[p]:stop[p]``, so that a whole plan is clipped and integrated in
+    one pass.  Every evaluation along a path goes through here: ``search``
+    finds the sample interval of each query, and ``hermite`` interpolates
+    per-sample values on it."""
 
     t: np.ndarray
     x: np.ndarray
     v: np.ndarray
     first: np.ndarray
     stop: np.ndarray
+    metric: MetricField = field(repr=False, compare=False, default=None)
 
     @classmethod
     def of(cls, paths) -> "PathStack":
-        counts = np.array([p.n_samples for p in paths])
-        return cls(np.concatenate([p.t for p in paths]), np.concatenate([p.x for p in paths]),
-                   np.concatenate([p.v for p in paths]), np.cumsum(counts) - counts, np.cumsum(counts))
+        counts = np.array([p.n_samples for p in paths], dtype=int)
+        t = np.concatenate([np.zeros(0)] + [p.t for p in paths])   # the empty blocks shape an empty plan
+        x, v = (np.concatenate([np.zeros((0, 2))] + [getattr(p, a) for p in paths]) for a in "xv")
+        return cls(t, x, v, np.cumsum(counts) - counts, np.cumsum(counts), paths[0].metric if paths else None)
 
-    def position(self, path, q) -> np.ndarray:
-        """Positions at arclengths ``q`` on paths ``path``, as ``GeodesicPath.position``
-        gives them; one bisection finds every query's sample interval."""
+    def search(self, path, q) -> np.ndarray:
+        """Per query, ``np.searchsorted(side="right")`` of arclength ``q`` on the times
+        of path ``path``, as a stack row; one bisection serves every query."""
         lo, hi = self.first[path], self.stop[path]
-        while (busy := lo < hi).any():   # np.searchsorted(side="right") on each path's times
+        while (busy := lo < hi).any():
             mid = (lo + hi) // 2
             up = busy & (self.t[np.where(busy, mid, 0)] <= q)
             lo, hi = np.where(up, mid + 1, lo), np.where(busy & ~up, mid, hi)
-        i = np.clip(lo - 1, self.first[path], self.stop[path] - 2)
-        return _hermite_at(self.t, self.x, self.v, i, q)
+        return lo
+
+    def interval(self, path, q) -> np.ndarray:
+        """Per query, the stack row of the sample that opens its Hermite interval."""
+        return np.clip(self.search(path, q) - 1, self.first[path], self.stop[path] - 2)
+
+    def hermite(self, i, q, values, slopes) -> np.ndarray:
+        """Cubic Hermite interpolant of per-sample ``values`` with arclength
+        derivatives ``slopes`` on sample intervals ``i`` at arclengths ``q``; at
+        a sample time it returns that sample's value exactly."""
+        return _hermite_at(self.t, i, q, values[i], slopes[i], values[i + 1], slopes[i + 1])
+
+    def position(self, path, q) -> np.ndarray:
+        """Positions at arclengths ``q`` on paths ``path``."""
+        return self.hermite(self.interval(path, q), q, self.x, self.v)
+
+    def states(self, path, q):
+        """Positions and velocities ``(x, v)`` at arclengths ``q`` on paths ``path``; velocities
+        take as slopes the exact accelerations at the two samples around each query."""
+        i = self.interval(path, q)
+        x, v = self.x[[i, i + 1]], self.v[[i, i + 1]]
+        a = self.metric.accel(x, v)
+        return (_hermite_at(self.t, i, q, x[0], v[0], x[1], v[1]),
+                _hermite_at(self.t, i, q, v[0], a[0], v[1], a[1]))
 
 
-def _hermite_at(t, values, slopes, i, q):
-    """Cubic Hermite interpolant of ``values`` with ``slopes`` on sample interval ``i``
-    (an index per query) at arclengths ``q``, query by query."""
+def _hermite_at(t, i, q, p0, m0, p1, m1):
+    """Cubic Hermite interpolant on sample interval ``i`` (an index per query) at
+    arclengths ``q``, from the values ``p`` and arclength slopes ``m`` at its ends."""
     h = t[i + 1] - t[i]
     s = (q - t[i]) / h
-    trailing = (Ellipsis,) + (None,) * (values.ndim - 1)
+    trailing = (Ellipsis,) + (None,) * (p0.ndim - np.ndim(i))
     h, s = h[trailing], s[trailing]
-    return _hermite(values[i], slopes[i] * h, values[i + 1], slopes[i + 1] * h, s)
+    return _hermite(p0, m0 * h, p1, m1 * h, s)
 
 
 def _hermite(p0, m0, p1, m1, s):
@@ -522,7 +529,7 @@ def trace_geodesics(metric: MetricField, starts, step: float = DEFAULT_STEP) -> 
         else:
             owners.append((len(rows),))
             rows.append(np.concatenate([x, v]))
-    halves = _trace_rows(metric, np.array(rows).reshape(-1, 4), step)
+    halves = _trace_rows(metric, np.array(rows), step) if rows else []
     return [_join(metric, [halves[k] for k in owner]) if isinstance(owner, tuple) else owner
             for owner in owners]
 
@@ -593,7 +600,7 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
     Lane ``i`` starts at ``starts[i]`` with ``w = frames[i]`` and takes
     ``ceil(lengths[i] / step)`` equal steps; ``w`` obeys the parallel
     transport equation.  Returns one entry per lane: its final ``(x, v, w)``,
-    or the error that ``flow_with_frame`` raises for it.
+    or its error: a bad length or step, or an exit before the length is covered.
     """
     out, n_steps = [None] * len(lengths), np.zeros(len(lengths), dtype=int)
     for i, length in enumerate(lengths):
@@ -615,17 +622,6 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
             out[i] = FanConstructionError(f"base geodesic exits the disk before reaching offset {lengths[i]:g}")
         lanes = lanes[~left]
     return [(y[i, :2], y[i, 2:4], y[i, 4:]) if e is None else e for i, e in enumerate(out)]
-
-
-def flow_with_frame(metric: MetricField, start: UnitTangent, w0, length: float,
-                    step: float = DEFAULT_STEP):
-    """Advance ``(x, v, w)`` a fixed arclength along the geodesic from start.
-
-    ``w`` obeys the parallel transport equation.  Used to carry a normal
-    vector to an interior anchor point.  Raises FanConstructionError if the
-    geodesic leaves the disk before covering ``length``.
-    """
-    return unwrap(flow_with_frames(metric, [start], [w0], [length], step)[0])
 
 
 # ---------------------------------------------------------------------------

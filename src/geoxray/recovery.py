@@ -47,6 +47,10 @@ COND_CAP = 1e8
 MARGIN_FLOOR = 1e-12
 # Clip pieces shorter than this do not count as "meeting" a triangle.
 ADMISSIBLE_LENGTH_TOL = 1e-9
+# First-contact levels this close form one frontier batch.
+TIE_TOL = 1e-9
+# Each further level of a batch turns its chords by this fraction of the rotation step.
+STAGGER = 0.382
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +197,13 @@ def triangle_level(tiling: Tiling, phi: FoliationFunction, i: int) -> float:
     return max(phi.value(p) for p in tiling.coords(i))
 
 
-def order_frontier(tiling: Tiling, phi: FoliationFunction, tie_tol: float = 1e-9):
+def order_frontier(tiling: Tiling, phi: FoliationFunction):
     """Triangles grouped by decreasing first-contact level; ties form one batch."""
     levels = [triangle_level(tiling, phi, i) for i in range(tiling.n_triangles)]
     order = sorted(range(tiling.n_triangles), key=lambda i: -levels[i])
     batches = []
     for i in order:
-        if batches and abs(levels[batches[-1][0]] - levels[i]) <= tie_tol:
+        if batches and abs(levels[batches[-1][0]] - levels[i]) <= TIE_TOL:
             batches[-1].append(i)
         else:
             batches.append([i])
@@ -222,7 +226,6 @@ class ChordPlan:
     rotations: int = 30
     levels_per_batch: int = 5
     levels: tuple | None = None
-    stagger: float = 0.382
 
 
 def chord_descriptor(center, radius: float, normal_angle: float):
@@ -258,7 +261,7 @@ def batch_descriptors(phi: FoliationFunction, lo: float, hi: float, plan: ChordP
     for j, level in enumerate(levels):
         radius = phi.leaf_radius(level)
         for i in range(plan.rotations):
-            psi = 2.0 * math.pi * (i + plan.stagger * (j + 1)) / plan.rotations
+            psi = 2.0 * math.pi * (i + STAGGER * (j + 1)) / plan.rotations
             desc = chord_descriptor(phi.center, radius, psi)
             if desc is not None:
                 out.append(desc)
@@ -424,14 +427,8 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
 
 
 # ---------------------------------------------------------------------------
-# operator assembly and spectrum
+# spectrum
 # ---------------------------------------------------------------------------
-
-def assemble_operator(metric: MetricField, weight: WeightField, tiling: Tiling,
-                      paths) -> np.ndarray:
-    """Dense matrix of the discretized transform over a geodesic plan (see ``PlanOperator.dense``)."""
-    return plan_weight_integrals(metric, weight, tiling, paths).dense()
-
 
 def singular_spectrum(matrix: np.ndarray) -> np.ndarray:
     """Singular values in decreasing order (empty for an empty matrix)."""

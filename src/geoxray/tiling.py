@@ -509,6 +509,14 @@ def clip_path(tiling: Tiling, path: GeodesicPath) -> list:
 
 
 def clip_paths(tiling: Tiling, paths) -> list:
+    """The pieces of ``clip_plan`` as ClipIntervals (``triangle=None`` off the triangles), one list per path."""
+    out = [[] for _ in paths]
+    for p, tri, t0, t1 in zip(*(a.tolist() for a in clip_plan(tiling, paths)[1:])):
+        out[p].append(ClipInterval(triangle=None if tri < 0 else tri, t0=t0, t1=t1))
+    return out
+
+
+def clip_plan(tiling: Tiling, paths):
     """Partition each path's parameter range by the triangle containing each piece.
 
     A path is the cubic Hermite interpolant of its samples.  Only (edge,
@@ -522,19 +530,21 @@ def clip_paths(tiling: Tiling, paths) -> list:
     twice inside one interval is cut at both crossings.  The brackets of all
     paths are bisected together to width ``CLIP_BISECT_WIDTH``, and the
     sub-intervals of all paths are classified by locating their midpoints
-    together.  Pieces on the skeleton or outside all triangles get
-    ``triangle=None``.  A skeleton piece longer than 1e-6 raises a
-    TangencyWarning (its field contribution is zero either way).  Returns
-    one list of ClipIntervals per path.
+    together.  A skeleton piece longer than 1e-6 raises a TangencyWarning
+    (its field contribution is zero either way).
+
+    Returns the paths' PathStack and, piece by piece in path order, arrays of the
+    path index, the triangle (-1 on the skeleton or outside), ``t0`` and ``t1``.
     """
-    live = [p for p, path in enumerate(paths) if path.tau > 0]
-    if tiling.n_triangles == 0 or not live:
-        return [[ClipInterval(triangle=None, t0=0.0, t1=path.tau)] if path.tau > 0 else [] for path in paths]
-    stack = PathStack.of([paths[p] for p in live])
+    stack = PathStack.of(paths)
+    tau = stack.t[stack.stop - 1]
+    if tiling.n_triangles == 0 or not (tau > 0).any():
+        live = np.flatnonzero(tau > 0)
+        return stack, live, np.full(len(live), -1), np.zeros(len(live)), tau[live]
     owner, cuts = _edge_crossings(tiling, stack)
-    ids = np.arange(len(live))
+    ids = np.arange(len(paths))
     owner = np.concatenate([ids, ids, owner])
-    cuts = np.concatenate([np.zeros(len(live)), stack.t[stack.stop - 1], cuts])
+    cuts = np.concatenate([np.zeros(len(paths)), tau, cuts])
     order = np.lexsort((cuts, owner))
     keep = order[_dedupe(owner[order], cuts[order])]
     owner, cuts = owner[keep], cuts[keep]
@@ -545,13 +555,11 @@ def clip_paths(tiling: Tiling, paths) -> list:
     # merge neighbours of one path in one triangle, or both on the skeleton or outside
     first = np.flatnonzero(np.diff(owner, prepend=-1) | np.diff(triangle, prepend=-2) | np.diff(kind, prepend=-1))
     last = np.append(first[1:], len(owner)) - 1
-    out = [[] for _ in paths]
-    for p, tri, k, a, b in zip(owner[first].tolist(), triangle[first].tolist(), kind[first].tolist(),
-                               t0[first].tolist(), t1[last].tolist()):
-        if LOCATE_KINDS[k] == "skeleton" and b - a > TANGENCY_LENGTH:
-            warnings.warn(f"geodesic runs along the tiling skeleton for length {b - a:.3g}", TangencyWarning)
-        out[live[p]].append(ClipInterval(triangle=None if tri < 0 else tri, t0=a, t1=b))
-    return out
+    t0, t1 = t0[first], t1[last]
+    along = (kind[first] == LOCATE_KINDS.index("skeleton")) & (t1 - t0 > TANGENCY_LENGTH)
+    for length in (t1 - t0)[along].tolist():
+        warnings.warn(f"geodesic runs along the tiling skeleton for length {length:.3g}", TangencyWarning)
+    return stack, owner[first], triangle[first], t0, t1
 
 
 def _edge_crossings(tiling: Tiling, stack: PathStack):

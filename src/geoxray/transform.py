@@ -3,11 +3,12 @@
 The forward value of a geodesic is the weighted line integral of the field:
 per clip interval the field is a constant vector, so only the weight matrix
 needs quadrature; an endpoint-corrected trapezoid rule on the path samples
-is used inside every interval.  The paths of a plan are clipped together
-and integrated in one pass into one ``PlanOperator``, the transform's matrix in
-block-CSR form: one ``m``-row block per path, one ``(m, k)`` block per
-triangle it meets.  Forward values, the dense matrix and the systems of the
-reconstruction sweep are array operations on it.
+is used inside every interval.  A plan's paths are clipped as arrays on
+one ``PathStack`` and integrated in one pass, the weight evaluated block by
+block of the trapezoid sums, into one ``PlanOperator``: the transform's
+matrix in block-CSR form, one ``m``-row block per path and one ``(m, k)``
+block per triangle it meets.  Forward values, the dense matrix and the
+systems of the reconstruction sweep are array operations on it.
 
 The fan family anchors at a boundary point x with inward direction v: the
 geodesic through the point at arclength h along v, in the direction of the
@@ -30,13 +31,14 @@ from .geometry import (
     DISK_RADIUS,
     GeodesicPath,
     MetricField,
+    PathStack,
     UnitTangent,
     flow_with_frames,
     trace_geodesics,
     unit_tangent,
     unwrap,
 )
-from .tiling import PiecewiseConstantField, SectorFan, Tiling, clip_paths
+from .tiling import PiecewiseConstantField, SectorFan, Tiling, clip_plan
 from .weights import WeightField
 
 # Inward cone about the normal inside which fan anchors are accepted.
@@ -61,7 +63,7 @@ class FanGeodesic:
 # ---------------------------------------------------------------------------
 
 def per_triangle_weight_integrals(metric: MetricField, weight: WeightField,
-                                  tiling: Tiling, path: GeodesicPath, clip=None):
+                                  tiling: Tiling, path: GeodesicPath):
     """Weight matrix integrals of the path pieces inside each triangle.
 
     Returns ``{triangle_id: (matrix, length)}`` where ``matrix`` is the
@@ -69,7 +71,7 @@ def per_triangle_weight_integrals(metric: MetricField, weight: WeightField,
     and ``length`` their total arclength: the one row of the path's
     PlanOperator.
     """
-    op = _plan_operator(weight, tiling, [path], None if clip is None else [clip]).require()
+    op = _plan_operator(weight, tiling, [path]).require()
     return {tri: (mat, length) for tri, mat, length in zip(op.triangle.tolist(), op.block, op.length.tolist())}
 
 
@@ -151,76 +153,54 @@ def plan_weight_integrals(metric: MetricField, weight: WeightField, tiling: Tili
     return _plan_operator(weight, tiling, trace_geodesics(metric, starts, step=step))
 
 
-def _plan_operator(weight: WeightField, tiling: Tiling, paths, clips=None) -> PlanOperator:
-    """The PlanOperator of traced paths or errors; ``clips``, one ``clip_path``
-    list per path, are found by one ``clip_paths`` call when None.
+def _plan_operator(weight: WeightField, tiling: Tiling, paths) -> PlanOperator:
+    """The PlanOperator of traced paths or errors.
 
-    Per path, the weight is evaluated once, at every piece end and every
-    sample.  A piece inside a triangle is integrated by the trapezoid rule
-    on its ends and the samples strictly inside it; a row's pieces inside
-    one triangle add up, in path order, into the entry the path made on
-    entering that triangle first.
+    The paths are clipped by one ``clip_plan`` call.  A piece inside a
+    triangle is integrated by the trapezoid rule on its ends and the samples
+    strictly inside it; a row's pieces inside one triangle add up, in path
+    order, into the entry the path made on entering that triangle first.
     """
     errors = [path if isinstance(path, GeoxrayError) else None for path in paths]
     try:
         tiling.require_valid()
     except GeoxrayError as exc:
         errors = [exc if e is None else e for e in errors]
-    good = [r for r, e in enumerate(errors) if e is None]
-    clips = clip_paths(tiling, [paths[r] for r in good]) if clips is None else [clips[r] for r in good]
-    rows, tris, lengths, mats, pending, size = [], [], [], [], [], 0
-    for r, clip in zip(good, clips):
-        path = paths[r]
-        pieces = [iv for iv in clip if iv.triangle is not None and iv.length > 0]
-        if not pieces:
-            continue
-        ends = np.array([(iv.t0, iv.t1) for iv in pieces])
-        nodes = np.concatenate([ends.ravel(), path.t])
-        try:
-            values = weight.on_path(path, nodes)
-        except GeoxrayError as exc:
-            errors[r] = exc
-            continue
-        # the samples strictly inside each piece are its inner trapezoid nodes
-        eps = 1e-13 * max(1.0, path.tau)
-        first = np.searchsorted(path.t, ends[:, 0] + eps, side="left")
-        stop = np.searchsorted(path.t, ends[:, 1] - eps, side="right")
-        rows += [r] * len(pieces)
-        tris += [iv.triangle for iv in pieces]
-        lengths += [iv.length for iv in pieces]
-        pending.append((nodes, values, size + 2 * np.arange(len(pieces)), size + ends.size + first,
-                        np.maximum(stop - first, 0)))
-        size += len(nodes)
-        # the paths' weights are integrated in groups, so they are not all held at once
-        if size >= QUAD_BLOCK:
-            mats.append(_trapezoid_sums(*(np.concatenate(a) for a in zip(*pending))))
-            pending, size = [], 0
-    if pending:
-        mats.append(_trapezoid_sums(*(np.concatenate(a) for a in zip(*pending))))
-    mats = np.concatenate(mats) if mats else np.zeros((0, weight.m, weight.k), dtype=complex)
+    good = np.array([r for r, e in enumerate(errors) if e is None], dtype=int)
+    stack, path, tri, t0, t1 = clip_plan(tiling, [paths[r] for r in good])
+    inside = (tri >= 0) & (t1 - t0 > 0)
+    path, tri, t0, t1 = path[inside], tri[inside], t0[inside], t1[inside]
+    # the samples strictly inside each piece are its inner trapezoid nodes: from the
+    # first at or after t0 + eps (the first after the float below it) to t1 - eps
+    eps = 1e-13 * np.maximum(1.0, stack.t[stack.stop - 1][path])
+    inner = stack.search(path, np.nextafter(t0 + eps, -np.inf))
+    mats = _trapezoid_sums(weight, stack, path, t0, t1, inner, np.maximum(stack.search(path, t1 - eps) - inner, 0))
     # a row's entries in the order it enters their triangles; each piece adds to its entry in path order
-    entries = {}
-    entry = np.array([entries.setdefault(key, len(entries)) for key in zip(rows, tris)], dtype=int)
+    row = good[path]
+    _, first, entry = np.unique(row * tiling.n_triangles + tri, return_index=True, return_inverse=True)
+    by_first = np.argsort(first, kind="stable")   # stable like the other sorts: a quicksort pages in more numpy code
+    first, entry = first[by_first], np.argsort(by_first, kind="stable")[entry]
     by_entry = np.argsort(entry, kind="stable")
     entry = entry[by_entry]
     # -0.0 starts each total as its first piece, as x + -0.0 == x for every x
-    block = add_by_row(-np.zeros((len(entries),) + mats.shape[1:], dtype=mats.dtype), entry, mats[by_entry])
-    length = add_by_row(-np.zeros(len(entries)), entry, np.array(lengths)[by_entry])
-    keys = np.array(list(entries), dtype=int).reshape(-1, 2)
-    return PlanOperator(row_ptr=np.searchsorted(keys[:, 0], np.arange(len(paths) + 1)), triangle=keys[:, 1],
-                        block=block.astype(complex), length=length, errors=tuple(errors),
-                        n_triangles=tiling.n_triangles)
+    block = add_by_row(-np.zeros((len(first),) + mats.shape[1:], dtype=complex), entry, mats[by_entry])
+    length = add_by_row(-np.zeros(len(first)), entry, (t1 - t0)[by_entry])
+    return PlanOperator(row_ptr=np.searchsorted(row[first], np.arange(len(paths) + 1)), triangle=tri[first],
+                        block=block, length=length, errors=tuple(errors), n_triangles=tiling.n_triangles)
 
 
-def _trapezoid_sums(at, values, end0, inner, count) -> np.ndarray:
-    """Per piece, the trapezoid sum of ``values`` over the nodes ``at[end0]``,
-    ``at[inner:inner + count]`` and ``at[end0 + 1]``, added up in node order.
+def _trapezoid_sums(weight: WeightField, stack: PathStack, path, t0, t1, inner, count) -> np.ndarray:
+    """Per piece, the trapezoid sum of the weight along stacked path ``path``
+    over the nodes ``t0``, ``stack.t[inner:inner + count]`` and ``t1``, added
+    up in node order.
 
     Pieces of similar node counts go together into one zero-padded (pieces,
-    nodes) array of at most ``QUAD_BLOCK`` nodes, summed by one ``cumsum``;
-    a padding term is -0.0, which leaves the running total as it is.
+    nodes) array of at most ``QUAD_BLOCK`` nodes, where the weight is
+    evaluated and summed by one ``cumsum``; a padding term is -0.0, which
+    leaves the running total as it is.
     """
-    out = np.empty((len(count),) + values.shape[1:], dtype=values.dtype)
+    weight_at, t = weight.along(stack), stack.t
+    out = np.empty((len(count), weight.m, weight.k), dtype=complex)
     order = np.argsort(count, kind="stable")
     start = 0
     while start < len(order):
@@ -228,51 +208,41 @@ def _trapezoid_sums(at, values, end0, inner, count) -> np.ndarray:
         q = order[start:start + max(1, np.count_nonzero(np.arange(1, len(width) + 1) * width <= QUAD_BLOCK))]
         start += len(q)
         col, n = np.arange(width[len(q) - 1]), count[q][:, None]
-        idx = np.where(col > n, end0[q][:, None] + 1, inner[q][:, None] + col - 1)
-        idx[:, 0] = end0[q]
-        w = values[idx]
-        terms = w[:, :-1] + w[:, 1:]
-        del w
-        np.multiply((0.5 * np.diff(at[idx], axis=1))[..., None, None], terms, out=terms)
+        at = np.where(col > n, t1[q][:, None], t[np.minimum(inner[q][:, None] + col - 1, len(t) - 1)])
+        at[:, 0] = t0[q]
+        terms = weight_at(np.broadcast_to(path[q][:, None], at.shape), at)
+        terms = terms[:, :-1] + terms[:, 1:]
+        np.multiply((0.5 * np.diff(at, axis=1))[..., None, None], terms, out=terms)
         terms[col[:-1] > n] = -np.zeros((), dtype=terms.dtype)
         out[q] = np.cumsum(terms, axis=1)[:, -1]
     return out
 
 
 def forward(metric: MetricField, weight: WeightField, tiling: Tiling,
-            field: PiecewiseConstantField, path: GeodesicPath, clip=None) -> np.ndarray:
+            field: PiecewiseConstantField, path: GeodesicPath) -> np.ndarray:
     """Weighted integral of the field along one maximal geodesic, in C^m.
 
     Raises SceneValidationError when the tiling fails validation or the
     weight and field column dimensions disagree.
     """
-    return _plan_operator(weight, tiling, [path], None if clip is None else [clip]).apply(field)[0]
+    return _plan_operator(weight, tiling, [path]).apply(field)[0]
 
 
 # ---------------------------------------------------------------------------
 # fan geodesics
 # ---------------------------------------------------------------------------
 
-def fan_geodesic(metric: MetricField, x, v, h: float, sign: int = 1,
-                 step: float = DEFAULT_STEP) -> FanGeodesic:
-    """Build the offset geodesic at arclength h along the anchor direction.
-
-    ``x`` must be a boundary point and ``v`` an inward unit direction within
-    30 degrees of the inward normal.  The normal of ``v`` (rotated by
-    ``sign * pi/2``) is parallel-transported to distance h, and the maximal
-    geodesic through that point in the transported direction is traced.
-    """
-    return unwrap(fan_geodesics(metric, x, [(v, h)], sign=sign, step=step)[0])
-
-
 def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
                   step: float = DEFAULT_STEP) -> list:
     """Build the offset geodesics of several ``(v, h)`` members at one anchor x.
 
-    Each member is what ``fan_geodesic(metric, x, v, h, sign, step)``
-    builds; the transports of all members run in lockstep, and so do their
-    traces.  Returns one entry per member: its FanGeodesic, or the error
-    that ``fan_geodesic`` raises for it.
+    ``x`` must be a boundary point and each ``v`` an inward unit direction
+    within 30 degrees of the inward normal.  The normal of ``v`` (rotated by
+    ``sign * pi/2``) is parallel-transported to distance h, and the maximal
+    geodesic through that point in the transported direction is traced.
+    The transports of all members run in lockstep, and so do their traces.
+    Returns one entry per member: its FanGeodesic, or the error that
+    building it raises.
     """
     x = np.asarray(x, dtype=float)
     if abs(math.hypot(x[0], x[1]) - DISK_RADIUS) > BOUNDARY_TOL:
@@ -313,14 +283,6 @@ def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
         out[i] = path if isinstance(path, GeoxrayError) else FanGeodesic(
             anchor=anchor, offset=h, path=path, transported_normal=np.asarray(w_h))
     return out
-
-
-def scaled_fan_integral(metric: MetricField, weight: WeightField, tiling: Tiling,
-                        field: PiecewiseConstantField, x, v, h: float,
-                        sign: int = 1, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Forward value of the offset geodesic divided by the offset h."""
-    fan = fan_geodesic(metric, x, v, h, sign=sign, step=step)
-    return forward(metric, weight, tiling, field, fan.path) / h
 
 
 # ---------------------------------------------------------------------------

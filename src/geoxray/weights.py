@@ -4,7 +4,10 @@ A weight assigns an ``m x k`` complex matrix to every (point, direction)
 pair, continuously.  Families are closed form except ``attenuation``, whose
 exponent is the integral of a scalar coefficient along the forward geodesic
 to the boundary; the integral uses the same trapezoid quadrature as the
-forward transform so the weight is consistent with the geometry.
+forward transform so the weight is consistent with the geometry.  Along
+the paths of a ``PathStack``, ``along`` evaluates a weight at the stack's
+Hermite states, an attenuation from each path's own tail integral, and a
+product factor by factor, so integrating a plan traces nothing more.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import SceneValidationError, config_number
-from .geometry import DEFAULT_STEP, GeodesicPath, MetricField, _trace_rows, unit_tangent, unwrap
+from .geometry import DEFAULT_STEP, MetricField, PathStack, _trace_rows, unit_tangent, unwrap
 
 
 class WeightField:
@@ -34,9 +37,10 @@ class WeightField:
         an ``(..., m, k)`` complex array."""
         raise NotImplementedError
 
-    def on_path(self, path: GeodesicPath, t) -> np.ndarray:
-        """Weights along ``path`` at the arclengths ``t``: ``t.shape + (m, k)``."""
-        return self.at(*path.states(t))
+    def along(self, stack: PathStack):
+        """The weight along the paths of ``stack``: a function of path indices
+        and arclengths of one shape that returns ``shape + (m, k)``."""
+        return lambda path, t: self.at(*stack.states(path, t))
 
 
 def _batch(x, v):
@@ -57,8 +61,8 @@ class ConstantWeight(WeightField):
     def at(self, x, v):
         return np.broadcast_to(self.matrix, _batch(x, v)[0].shape[:-1] + self.matrix.shape).copy()
 
-    def on_path(self, path: GeodesicPath, t) -> np.ndarray:
-        return np.broadcast_to(self.matrix, np.shape(t) + self.matrix.shape).copy()
+    def along(self, stack: PathStack):
+        return lambda path, t: np.broadcast_to(self.matrix, np.shape(t) + self.matrix.shape)
 
 
 class IdentityWeight(ConstantWeight):
@@ -133,23 +137,20 @@ class AttenuationWeight(WeightField):
         self.strength = float(strength)
         self.trace_step = float(trace_step)
 
-    def _cumulative(self, t, x, counts) -> np.ndarray:
-        """Trapezoid integrals of the coefficient from the first sample of each
-        row to each of its samples.
-
-        ``t`` and ``x`` hold the samples of rows laid end to end, ``counts``
-        how many each row has.  Returns ``(rows, max(counts))``; past its last
-        sample a row keeps its total.  Every row sums in sample order, as
-        ``np.cumsum`` of that row alone does.
-        """
+    def _tails(self, t, x, counts) -> np.ndarray:
+        """Trapezoid integrals of the coefficient from each sample to the last of
+        its row, for rows laid end to end (``counts`` samples each): the row's
+        total less its sum up to the sample, both summed in sample order, as
+        ``np.cumsum`` of that row alone sums them."""
         a = self.profile(x)
         terms = 0.5 * (a[1:] + a[:-1]) * np.diff(t)
         row = np.repeat(np.arange(len(counts)), counts)
         col = np.arange(len(t)) - (np.cumsum(counts) - counts)[row]
         joined = np.flatnonzero(col > 0)   # term j - 1 joins sample j - 1 to sample j of one row
-        grid = np.zeros((len(counts), counts.max()))
+        grid = np.zeros((len(counts), counts.max(initial=1)))
         grid[row[joined], col[joined]] = terms[joined - 1]
-        return np.cumsum(grid, axis=1)
+        cumulative = np.cumsum(grid, axis=1)   # past its last sample a row keeps its total
+        return cumulative[row, -1] - cumulative[row, col]
 
     def at(self, x, v):
         """Points are normalized one at a time as ``unit_tangent`` does, and
@@ -159,16 +160,18 @@ class AttenuationWeight(WeightField):
         rows = np.array([np.concatenate([s.x, s.v]) for s in starts]).reshape(-1, 4)
         traced = [unwrap(row) for row in _trace_rows(self.metric, rows, self.trace_step)]
         counts = np.array([len(t) for t, _, _ in traced])
-        tail = self._cumulative(np.concatenate([t for t, _, _ in traced]),
-                                np.concatenate([p for _, p, _ in traced]), counts)[:, -1]
-        return np.exp(-self.strength * tail).reshape(x.shape[:-1] + (1, 1)).astype(complex)
+        tail = self._tails(np.concatenate([t for t, _, _ in traced]),
+                           np.concatenate([p for _, p, _ in traced]), counts)[np.cumsum(counts) - counts]
+        return self._weight(tail).reshape(x.shape[:-1] + (1, 1))
 
-    def on_path(self, path: GeodesicPath, t) -> np.ndarray:
-        # Hermite interpolation of the tail integral along the path itself: its
-        # derivative is minus the coefficient, known exactly at the samples.
-        cumulative = self._cumulative(path.t, path.x, np.array([path.n_samples]))[0]
-        tail = path.interpolate(t, cumulative[-1] - cumulative, -self.profile(path.x))
-        return np.exp(-self.strength * tail)[..., None, None].astype(complex)
+    def along(self, stack: PathStack):
+        # Hermite interpolation of every path's tail integral along the path
+        # itself: its derivative is minus the coefficient, known exactly at the samples.
+        tail, slope = self._tails(stack.t, stack.x, stack.stop - stack.first), -self.profile(stack.x)
+        return lambda path, t: self._weight(stack.hermite(stack.interval(path, t), t, tail, slope))[..., None, None]
+
+    def _weight(self, tail):
+        return np.exp(-self.strength * tail).astype(complex)
 
 
 class ProductWeight(WeightField):
@@ -192,8 +195,14 @@ class ProductWeight(WeightField):
         self.right = right
 
     def at(self, x, v):
-        a = self.left.at(x, v)
-        b = self.right.at(x, v)
+        return self._combine(self.left.at(x, v), self.right.at(x, v))
+
+    def along(self, stack: PathStack):
+        left, right = self.left.along(stack), self.right.along(stack)
+        return lambda path, t: self._combine(left(path, t), right(path, t))
+
+    @staticmethod
+    def _combine(a, b):
         if a.shape[-2:] == (1, 1):
             return a[..., :1, :1] * b
         if b.shape[-2:] == (1, 1):

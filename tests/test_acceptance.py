@@ -161,10 +161,10 @@ def test_criterion_5_spectral_injectivity_proxy():
     descriptors = grid_chord_descriptors(10, 30)      # 300 chords
     paths = [gx.trace_geodesic(metric, gx.boundary_tangent(metric, ba, da), step=1e-2)
              for ba, da in descriptors]
-    good = gx.assemble_operator(metric, gx.ConstantWeight(INJECTIVE_32), tiling, paths)
+    good = gx.plan_weight_integrals(metric, gx.ConstantWeight(INJECTIVE_32), tiling, paths).dense()
     ratio_good = gx.spectral_summary(gx.singular_spectrum(good))[2]
     rank_deficient = gx.ConstantWeight(np.array([[1, 0], [1, 0], [0, 0]], dtype=complex))
-    bad = gx.assemble_operator(metric, rank_deficient, tiling, paths)
+    bad = gx.plan_weight_integrals(metric, rank_deficient, tiling, paths).dense()
     ratio_bad = gx.spectral_summary(gx.singular_spectrum(bad))[2]
     elapsed = time.perf_counter() - t0
     ok = len(descriptors) == 300 and ratio_good > 1e-6 and ratio_bad < 1e-12

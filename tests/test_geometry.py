@@ -180,7 +180,7 @@ def test_tau_step_halving_order():
 
 def test_sample_spacing_bounded(conformal05):
     path = gx.trace_geodesic(conformal05, gx.boundary_tangent(conformal05, 0.0, math.pi), step=1e-2)
-    assert path.max_spacing() <= 1e-2 + 1e-12
+    assert np.diff(path.t).max() <= 1e-2 + 1e-12
 
 
 # ---------------------------------------------------------------------------

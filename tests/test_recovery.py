@@ -195,7 +195,7 @@ def test_reconstruct_overdetermined_channels(euclidean, hexagon24):
 
 def test_reconstruct_clips_each_candidate_chord_once(monkeypatch, euclidean, hexagon24):
     # the sweep and the synthetic oracle share one clip per candidate chord, all
-    # clipped in plan-level calls (counted by the paths they return)
+    # clipped in plan-level calls (counted by the paths of the stacks they return)
     import geoxray.recovery
     import geoxray.transform
 
@@ -208,7 +208,8 @@ def test_reconstruct_clips_each_candidate_chord_once(monkeypatch, euclidean, hex
             return out
         return wrapper
 
-    monkeypatch.setattr(geoxray.transform, "clip_paths", counted(gx.clip_paths, "clips", len))
+    monkeypatch.setattr(geoxray.transform, "clip_plan",
+                        counted(geoxray.tiling.clip_plan, "clips", lambda out: len(out[0].first)))
     monkeypatch.setattr(geoxray.recovery, "batch_descriptors", counted(batch_descriptors, "candidates", len))
     weight = gx.ConstantWeight(INJECTIVE_32)
     field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 2, np.random.default_rng(3))
@@ -340,7 +341,7 @@ def test_reconstruct_weight_covariance(euclidean, hexagon24):
 def test_assemble_empty_tiling(euclidean):
     t = gx.Tiling(np.zeros((0, 2)), np.zeros((0, 3), dtype=int))
     path = gx.trace_geodesic(euclidean, chord_start(euclidean, 0.0, 3.0), step=1e-2)
-    a = gx.assemble_operator(euclidean, gx.IdentityWeight(1), t, [path])
+    a = gx.plan_weight_integrals(euclidean, gx.IdentityWeight(1), t, [path]).dense()
     assert a.shape == (1, 0)
     assert len(gx.singular_spectrum(a)) == 0
     assert math.isnan(gx.spectral_summary(gx.singular_spectrum(a))[2])
@@ -351,7 +352,7 @@ def test_assemble_single_triangle_single_chord(euclidean):
 
     t = gx.Tiling([[math.cos(a), math.sin(a)] for a in (0.5, 2.4, 4.2)], [[0, 1, 2]])
     path = gx.trace_geodesic(euclidean, chord_start(euclidean, 0.2, 3.4), step=1e-2)
-    a = gx.assemble_operator(euclidean, gx.IdentityWeight(1), t, [path])
+    a = gx.plan_weight_integrals(euclidean, gx.IdentityWeight(1), t, [path]).dense()
     assert a.shape == (1, 1)
     expected = chord_triangle_length(path.x[0], path.v[0], t.coords(0))
     assert abs(a[0, 0] - expected) <= 1e-9
@@ -363,11 +364,11 @@ def test_spectrum_rank_dichotomy(euclidean, hexagon24):
     descriptors = grid_chord_descriptors(6, 20)
     paths = [gx.trace_geodesic(euclidean, gx.boundary_tangent(euclidean, ba, da), step=1e-2)
              for ba, da in descriptors]
-    a_good = gx.assemble_operator(euclidean, gx.ConstantWeight(INJECTIVE_32), hexagon24, paths)
+    a_good = gx.plan_weight_integrals(euclidean, gx.ConstantWeight(INJECTIVE_32), hexagon24, paths).dense()
     ratio_good = gx.spectral_summary(gx.singular_spectrum(a_good))[2]
     assert ratio_good > 1e-6
     bad = gx.ConstantWeight(np.array([[1, 0], [1, 0], [0, 0]], dtype=complex))
-    a_bad = gx.assemble_operator(euclidean, bad, hexagon24, paths)
+    a_bad = gx.plan_weight_integrals(euclidean, bad, hexagon24, paths).dense()
     ratio_bad = gx.spectral_summary(gx.singular_spectrum(a_bad))[2]
     assert ratio_bad < 1e-12
 

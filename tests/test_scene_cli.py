@@ -250,7 +250,7 @@ def test_flow_with_frame_rejects_non_finite(length, step):
     m = gx.metric_from_config("euclidean")
     start = gx.unit_tangent(m, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(gx.SceneValidationError):
-        gx.geometry.flow_with_frame(m, start, [0.0, 1.0], length, step=step)
+        gx.geometry.unwrap(gx.geometry.flow_with_frames(m, [start], [[0.0, 1.0]], [length], step=step)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -482,15 +482,15 @@ WORKLOAD_SCENES = {
 
 
 def workload_plans(name, tmp_path, monkeypatch):
-    """``(tiling, paths)`` of every ``clip_paths`` call of a workload's command."""
+    """``(tiling, paths)`` of every ``clip_plan`` call of a workload's command."""
     import geoxray.cli
     import geoxray.transform
 
     command, raw = WORKLOAD_SCENES[name]
     plans = []
-    clip = geoxray.transform.clip_paths
+    clip = geoxray.transform.clip_plan
     with monkeypatch.context() as patch:
-        patch.setattr(geoxray.transform, "clip_paths",
+        patch.setattr(geoxray.transform, "clip_plan",
                       lambda tiling, paths: plans.append((tiling, list(paths))) or clip(tiling, paths))
         getattr(geoxray.cli, command)(gx.scene.build_scene({"schema": "geoxray-scene/1", "metric": RADIAL, **raw}),
                                       str(tmp_path))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoxray as gx
+from geoxray.geometry import unwrap
 from geoxray.tiling import Sector, SectorFan
 from geoxray.transform import sector_chord_lengths
 
@@ -137,21 +138,34 @@ def test_plan_is_clipped_with_one_bisection_and_one_locate(monkeypatch, conforma
     assert op.n_rows == 31 and len(op.triangle) > 100 and not any(op.errors)
 
 
+MATRIX_32 = np.array([[1, 0.2], [0.1, 1], [0.4, 0.6]], dtype=complex)
+# the attenuation weights bind the conformal05 fixture's metric
+ATTENUATION = gx.AttenuationWeight(gx.metric_from_config("conformal-radial", [0.05]), "gaussian", 0.8)
+
+
+def plan_starts(metric, rng):
+    """Ten boundary chords, an interior start and a start outside the disk."""
+    from geoxray.scene import random_chord_descriptors
+
+    starts = [gx.boundary_tangent(metric, a, d) for a, d in random_chord_descriptors(10, rng)]
+    return starts + [gx.unit_tangent(metric, [0.1, -0.2], [1.0, 0.4]),
+                     gx.UnitTangent(x=np.array([1.5, 0.0]), v=np.array([-1.0, 0.0]))]
+
+
 @pytest.mark.parametrize("weight", [
-    gx.ConstantWeight(np.array([[1, 0.2], [0.1, 1], [0.4, 0.6]], dtype=complex)),
+    gx.ConstantWeight(MATRIX_32),
     gx.AngularWeight(2, order=2, amplitude=0.4, radial_modulation=0.5),
+    ATTENUATION,
+    gx.ProductWeight(ATTENUATION, gx.ConstantWeight(MATRIX_32)),
 ])
 def test_plan_operator_rows_are_the_per_path_integrals(conformal05, hexagon24, weight):
     # row i holds the N = 1 per-triangle integrals of path i, bit for bit and in
-    # key order; apply sums block @ value per row in that order, as forward does
-    from geoxray.scene import random_chord_descriptors
-
+    # key order (for attenuation, so are the tail integrals of the stacked paths);
+    # apply sums block @ value per row in that order, as forward does
     rng = np.random.default_rng(8)
-    starts = [gx.boundary_tangent(conformal05, a, d) for a, d in random_chord_descriptors(10, rng)]
-    starts += [gx.unit_tangent(conformal05, [0.1, -0.2], [1.0, 0.4]),
-               gx.UnitTangent(x=np.array([1.5, 0.0]), v=np.array([-1.0, 0.0]))]   # outside the disk
+    starts = plan_starts(conformal05, rng)
     op = gx.plan_weight_integrals(conformal05, weight, hexagon24, starts, step=1e-2)
-    field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 2, rng)
+    field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, weight.k, rng)
     assert isinstance(op.errors[-1], gx.DomainError) and op.row_ptr[-2] == op.row_ptr[-1]
     with pytest.raises(gx.DomainError):
         op.apply(field)
@@ -176,12 +190,70 @@ def test_plan_operator_rows_are_the_per_path_integrals(conformal05, hexagon24, w
         assert np.array_equal(dense[i * m:(i + 1) * m], row.reshape(m, -1))
 
 
+def test_product_with_identity_is_the_bare_attenuation(conformal05, hexagon24):
+    # one weight, one transform: the product integrates its attenuation factor
+    # along the path, as the bare weight does, so the operators agree bit for bit
+    starts = plan_starts(conformal05, np.random.default_rng(8))
+    bare = gx.plan_weight_integrals(conformal05, ATTENUATION, hexagon24, starts, step=1e-2)
+    product = gx.plan_weight_integrals(conformal05, gx.ProductWeight(ATTENUATION, gx.IdentityWeight(1)),
+                                       hexagon24, starts, step=1e-2)
+    for name in ("row_ptr", "triangle", "block", "length"):
+        assert getattr(bare, name).tobytes() == getattr(product, name).tobytes(), name
+    assert len(bare.triangle) > 40
+
+
+def test_product_attenuation_integrates_without_tracing(monkeypatch, conformal05, hexagon24):
+    # the attenuation factor of a product reads the tail integrals of the traced
+    # paths, so integrating them traces no further geodesic
+    import geoxray.geometry
+    import geoxray.weights
+
+    paths = gx.trace_geodesics(conformal05, plan_starts(conformal05, np.random.default_rng(8))[:-1], step=1e-2)
+    calls = []
+    trace_rows = geoxray.geometry._trace_rows
+
+    def counting(metric, y, step):
+        calls.append(len(y))
+        return trace_rows(metric, y, step)
+
+    for module in (geoxray.geometry, geoxray.weights):
+        monkeypatch.setattr(module, "_trace_rows", counting)
+    weight = gx.ProductWeight(ATTENUATION, gx.ConstantWeight(MATRIX_32))
+    op = gx.plan_weight_integrals(conformal05, weight, hexagon24, paths)
+    assert calls == [] and op.n_rows == 11 and not any(op.errors)
+
+
+def test_plan_integration_peak_memory_is_bounded(tmp_path, monkeypatch):
+    # the fan-limit plan (40 traced paths, 14,798 samples, one triangle): the
+    # weight is evaluated inside the blocks of the trapezoid sums, with
+    # accelerations only at the samples around each node, so no per-plan weight
+    # array is held; tracemalloc peak 772.6 KB before the one-stack integration
+    # and 842.1 KB with it, against a bound of 1.5 times the former (numpy 2.4
+    # on Python 3.11)
+    import tracemalloc
+
+    from test_tiling import RADIAL, WORKLOAD_SCENES, workload_plans
+
+    (tiling, paths), = workload_plans("fan-limit", tmp_path, monkeypatch)
+    scene = gx.scene.build_scene({"schema": "geoxray-scene/1", "metric": RADIAL, **WORKLOAD_SCENES["fan-limit"][1]})
+    assert len(paths) == 40 and sum(p.n_samples for p in paths) == 14_798
+    gx.plan_weight_integrals(scene.metric, scene.weight, tiling, paths)
+    tracemalloc.start()
+    try:
+        op = gx.plan_weight_integrals(scene.metric, scene.weight, tiling, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.n_rows == 40 and not any(op.errors)
+    assert peak <= 1_160_000
+
+
 # ---------------------------------------------------------------------------
 # fan geodesics
 # ---------------------------------------------------------------------------
 
 def test_fan_geodesic_flat_vertical_chord(euclidean):
-    fan = gx.fan_geodesic(euclidean, [1.0, 0.0], [-1.0, 0.0], h=0.1, step=1e-3)
+    fan = unwrap(gx.fan_geodesics(euclidean, [1.0, 0.0], [([-1.0, 0.0], 0.1)], step=1e-3)[0])
     # path is the vertical chord through (0.9, 0)
     assert np.max(np.abs(fan.path.x[:, 0] - 0.9)) <= 1e-12
     assert abs(abs(fan.transported_normal[1]) - 1.0) <= 1e-12
@@ -190,18 +262,16 @@ def test_fan_geodesic_flat_vertical_chord(euclidean):
 
 def test_fan_geodesic_flat_any_direction_orthogonal_line(euclidean):
     v = np.array([math.cos(math.pi + 0.3), math.sin(math.pi + 0.3)])
-    fan = gx.fan_geodesic(euclidean, [1.0, 0.0], v, h=0.2, step=1e-3)
+    fan = unwrap(gx.fan_geodesics(euclidean, [1.0, 0.0], [(v, 0.2)], step=1e-3)[0])
     p0 = np.array([1.0, 0.0]) + 0.2 * v
     offsets = (fan.path.x - p0) @ v
     assert np.max(np.abs(offsets)) <= 1e-10
 
 
 def test_fan_geodesic_conformal_orthogonality(conformal05):
-    from geoxray.geometry import flow_with_frame
-
-    fan = gx.fan_geodesic(conformal05, [1.0, 0.0], [-1.0, 0.0], h=0.15, step=1e-3)
+    fan = unwrap(gx.fan_geodesics(conformal05, [1.0, 0.0], [([-1.0, 0.0], 0.15)], step=1e-3)[0])
     w0 = conformal05.rotate90(fan.anchor.x, fan.anchor.v)
-    p, v_h, w_h = flow_with_frame(conformal05, fan.anchor, w0, fan.offset, step=1e-3)
+    p, v_h, w_h = unwrap(gx.geometry.flow_with_frames(conformal05, [fan.anchor], [w0], [fan.offset], step=1e-3)[0])
     assert np.max(np.abs(w_h - fan.transported_normal)) <= 1e-12
     assert abs(conformal05.inner(p, w_h, v_h)) <= 1e-8
     assert abs(conformal05.norm(p, w_h) - 1.0) <= 1e-8
@@ -209,7 +279,7 @@ def test_fan_geodesic_conformal_orthogonality(conformal05):
 
 def test_fan_geodesic_rejects_too_large_offset(euclidean):
     with pytest.raises(gx.FanConstructionError):
-        gx.fan_geodesic(euclidean, [1.0, 0.0], [-1.0, 0.0], h=2.5, step=1e-2)
+        unwrap(gx.fan_geodesics(euclidean, [1.0, 0.0], [([-1.0, 0.0], 2.5)], step=1e-2)[0])
 
 
 @pytest.mark.parametrize("offsets_deg, h_values, error, message", [
@@ -230,7 +300,7 @@ def test_limit_scan_raises_first_failing_member_in_plan_order(euclidean, anchor_
 def test_fan_geodesic_rejects_wide_anchor_cone(euclidean):
     v = np.array([math.cos(math.pi + 1.0), math.sin(math.pi + 1.0)])  # 57 deg off normal
     with pytest.raises(gx.SceneValidationError):
-        gx.fan_geodesic(euclidean, [1.0, 0.0], v, h=0.1)
+        unwrap(gx.fan_geodesics(euclidean, [1.0, 0.0], [(v, 0.1)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +410,8 @@ def test_scaled_integral_normal_direction_closed_form(euclidean, anchor_triangle
     w = gx.IdentityWeight(1)
     expected = 2.0 * math.tan(math.radians(10))
     for h in (0.1, 0.02):
-        val = gx.scaled_fan_integral(euclidean, w, anchor_triangle_tiling, field,
-                                     np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
-                                     h, step=2e-3)
+        fan = unwrap(gx.fan_geodesics(euclidean, np.array([1.0, 0.0]), [(np.array([-1.0, 0.0]), h)], step=2e-3)[0])
+        val = gx.forward(euclidean, w, anchor_triangle_tiling, field, fan.path) / h
         assert abs(val[0] - expected) <= 1e-10
 
 
@@ -373,8 +442,7 @@ def test_limit_sign_independence_on_symmetric_fan(euclidean, anchor_triangle_til
     w = gx.IdentityWeight(1)
     x = np.array([1.0, 0.0])
     v = np.array([-1.0, 0.0])
-    plus = gx.scaled_fan_integral(euclidean, w, anchor_triangle_tiling, field, x, v,
-                                  h=0.05, sign=1, step=2e-3)
-    minus = gx.scaled_fan_integral(euclidean, w, anchor_triangle_tiling, field, x, v,
-                                   h=0.05, sign=-1, step=2e-3)
+    plus, minus = (gx.forward(euclidean, w, anchor_triangle_tiling, field,
+                              unwrap(gx.fan_geodesics(euclidean, x, [(v, 0.05)], sign=sign, step=2e-3)[0]).path) / 0.05
+                   for sign in (1, -1))
     assert np.max(np.abs(plus - minus)) <= 1e-9
