@@ -647,3 +647,15 @@ def test_validation_matches_golden_areas():
         assert tiling.validate().messages == want[name]["messages"], name
         assert (len(areas), digest(areas)) == (want[name]["pairs"], want[name]["sha256"]), name
     assert set(want) == {name for name, _ in tilings()}
+
+
+def test_refined_fans_match_golden():
+    # tests/golden/refined_fans.json holds digests of the vertices, triangles and
+    # edge arrays that the dict-based refine and edge list gave (see
+    # make_refined_fans.py) on fans up to T = 6144; they must come out bit for bit
+    from golden.make_refined_fans import OUT, entry, tilings
+
+    want = json.loads(OUT.read_text())
+    for name, tiling in tilings():
+        assert entry(tiling) == want[name], name
+    assert set(want) == {name for name, _ in tilings()}
