@@ -23,6 +23,8 @@ from .weights import WeightField, complex_matrix, weight_from_config
 
 SCHEMA = "geoxray-scene/1"
 DEFAULT_QUADRATURE_STEP = 1e-2
+# The most triangles a scene's tiling may have (sides * 4**refine for a fan), checked before refining.
+MAX_TRIANGLES = 1 << 16
 
 
 @dataclass
@@ -148,9 +150,12 @@ def _build_tiling(cfg) -> Tiling:
         kind = gen.get("kind")
         if kind != "polygon-fan":
             raise SceneValidationError(f"scene.tiling.generator.kind: unknown {kind!r}")
-        tiling = polygon_fan_tiling(config_number(gen.get("sides", 6), "scene.tiling.generator.sides", integer=True),
-                                    config_number(gen.get("rotation", 0.0), "scene.tiling.generator.rotation"))
+        sides = config_number(gen.get("sides", 6), "scene.tiling.generator.sides", integer=True)
         levels = config_number(gen.get("refine", 0), "scene.tiling.generator.refine", integer=True, minimum=0)
+        if sides << 2 * min(levels, 32) > MAX_TRIANGLES:
+            raise SceneValidationError(f"scene.tiling.generator.{'refine' if levels else 'sides'}: {sides} sides "
+                                       f"refined {levels} times exceed the limit of {MAX_TRIANGLES} triangles")
+        tiling = polygon_fan_tiling(sides, config_number(gen.get("rotation", 0.0), "scene.tiling.generator.rotation"))
         for _ in range(levels):
             tiling = refine(tiling)
         return tiling
@@ -166,6 +171,8 @@ def _build_tiling(cfg) -> Tiling:
         if triangles.dtype.kind != "i" and not (triangles.dtype.kind == "f"
                                                  and np.all(np.mod(triangles, 1.0) == 0.0)):
             raise SceneValidationError("scene.tiling.triangles: vertex indices must be integers")
+        if triangles.size > 3 * MAX_TRIANGLES:
+            raise SceneValidationError(f"scene.tiling.triangles: more than the limit of {MAX_TRIANGLES} triangles")
         return Tiling(vertices, triangles)
     raise SceneValidationError("scene.tiling: give a generator or vertices+triangles")
 

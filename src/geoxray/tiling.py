@@ -1,20 +1,19 @@
 """Conforming triangulations of the disk, point location, sector fans, clipping.
 
-Triangles are straight in chart coordinates.  The curved disk is covered up
-to a boundary band by an inscribed polygon; piecewise constant fields are
-zero on that band and on the tiling skeleton (edges and vertices).
+Triangles are straight in chart coordinates.  The curved disk is covered up to a boundary band by
+an inscribed polygon; piecewise constant fields are zero on that band and on the tiling skeleton
+(edges and vertices).  A tiling keeps one numpy edge table, which refinement, validation and
+clipping read.  Validation and point location test only the box pairs that meet, which one blocked
+query on a uniform grid returns.
 
-Clipping cuts sampled geodesics where their cubic Hermite interpolants cross
-an edge segment, a whole plan of paths in one pass.  The samples of all
-paths lie end to end in one ``PathStack``.  A sort-and-sweep over the edges
-sorted on low x pairs each sample interval with the edges whose bounding
-boxes meet its Bezier control hull's box; on those pairs crossings are
-bracketed on the sample grid, and a near-tangent interval that crosses an
-edge twice, with no sign change on the grid, is split at the cubic's
-interior extremum.  One bisection then advances the brackets of all paths
-in lockstep, and one point location classifies the midpoints of all pieces.
-Every lane does the arithmetic of a one-path clip, so a path's pieces do
-not depend on the plan.
+Clipping cuts sampled geodesics where their cubic Hermite interpolants cross an edge segment, a
+whole plan of paths in one pass, the samples of all paths end to end in one ``PathStack``.  A
+sort-and-sweep over the edges sorted on low x pairs each sample interval with the edges whose
+bounding boxes meet its Bezier control hull's box; on those pairs crossings are bracketed on the
+sample grid, and a near-tangent interval that crosses an edge twice, with no sign change on the
+grid, is split at the cubic's interior extremum.  One bisection then advances the brackets of all
+paths in lockstep, and one point location classifies the midpoints of all pieces.  Every lane does
+the arithmetic of a one-path clip, so a path's pieces do not depend on the plan.
 """
 
 from __future__ import annotations
@@ -33,18 +32,15 @@ BARY_TOL = 1e-12          # skeleton classification tolerance (barycentric)
 MIN_AREA = 1e-12
 CLIP_BISECT_WIDTH = 1e-14  # edge-crossing bisection width (contract is 1e-10)
 TANGENCY_LENGTH = 1e-6
-# Rows per block of validation's pairwise box test; bounds its temporaries, so
-# fine tilings do not raise peak memory.
-EDGE_BLOCK = 64
-# Pairs per block of the clipper's searches, so that long plans and fine
-# tilings do not raise peak memory: candidate (edge, sample interval) pairs
-# when bracketing crossings; LOCATE_BLOCK (point, triangle) pairs, with more
+# Pairs per block of the tiling's searches, so that long plans and fine
+# tilings do not raise peak memory: candidate box pairs when bracketing
+# crossings or pairing boxes; LOCATE_BLOCK (point, triangle) pairs, with more
 # temporaries each, when locating.
 CLIP_BLOCK = 6144
 # Triangle pairs per block of validation's batched overlap clip.
 OVERLAP_BLOCK = 384
-# The bracket search hulls CLIP_BLOCK // HULL_COST sample intervals at a time;
-# each costs a few pairs' temporaries for its control hull, box and run.
+# The searches take CLIP_BLOCK // HULL_COST sample intervals or boxes at a
+# time; each costs a few pairs' temporaries for its control hull, box and runs.
 HULL_COST = 16
 LOCATE_BLOCK = 4096
 # Widening of the control-hull box, so that rounding in the Hermite
@@ -77,10 +73,10 @@ class TilingReport:
 
 
 class Tiling:
-    """Vertices, triangle index rows, and edge adjacency.
+    """Vertices, triangle index rows, their areas and barycentric inverses, and an edge table.
 
-    Triangle rows are reoriented counterclockwise at construction.  The
-    object is immutable after validation; all queries are pure.
+    Triangle rows are reoriented counterclockwise at construction.  The edge table and the
+    clipper's edge arrays are built on first use.  The object is immutable; all queries are pure.
     """
 
     def __init__(self, vertices, triangles):
@@ -88,33 +84,49 @@ class Tiling:
         tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
         if tris.size and (tris.min() < 0 or tris.max() >= len(self.vertices)):
             raise SceneValidationError("tiling: triangle index out of range")
-        # orient counterclockwise
-        tris = np.where((_signed_areas(self.vertices[tris]) < 0)[:, None], tris[:, [0, 2, 1]], tris)
-        self.triangles = tris
-        corners = self.vertices[tris]
-        self.areas = _signed_areas(corners)
-        self._bary_inv = _barycentric_inverses(corners)
-        self.adjacency = self._build_adjacency()
+        d = self.vertices[tris[:, 1:]] - self.vertices[tris[:, :1]]    # rows b - a and c - a
+        det = d[:, 0, 0] * d[:, 1, 1] - d[:, 1, 0] * d[:, 0, 1]
+        inv = d[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / np.where(abs(det) < MIN_AREA, np.nan, det)[:, None, None]
+        # orient counterclockwise: swapping b and c negates the area and swaps the inverse's rows, bit for bit
+        areas = 0.5 * det
+        self.triangles = np.where((areas < 0)[:, None], tris[:, [0, 2, 1]], tris)
+        self.areas = np.where(areas < 0, -areas, areas)
+        self._bary_inv = np.where((areas < 0)[:, None, None], inv[:, ::-1], inv)  # inverse of columns b - a, c - a
         self._report = None
 
     # -- construction helpers ------------------------------------------------
-    def _build_adjacency(self):
-        adj = {}
-        for i, tri in enumerate(self.triangles):
-            for k in range(3):
-                e = tuple(sorted((int(tri[k]), int(tri[(k + 1) % 3]))))
-                adj.setdefault(e, []).append(i)
-        return adj
+    @functools.cached_property
+    def _edge_table(self):
+        """The edges as sorted vertex pairs ``(E, 2)``, in the order that the triangle slots
+        (a, b), (b, c), (c, a) first meet them, and each slot's edge ``(T, 3)``."""
+        tris, nxt = self.triangles, self.triangles.take([1, 2, 0], axis=1)
+        lo, hi = np.minimum(tris, nxt).ravel(), np.maximum(tris, nxt).ravel()
+        key = lo * len(self.vertices) + hi
+        order = np.argsort(key, kind="stable")
+        head = np.empty_like(order)             # each slot's first slot with its edge
+        head[order] = order[np.searchsorted(key[order], key[order])]
+        firsts = np.flatnonzero(head == np.arange(len(head)))
+        return np.column_stack([lo[firsts], hi[firsts]]), np.searchsorted(firsts, head).reshape(-1, 3)
 
     @functools.cached_property
     def _edges(self):
-        """Each edge as ``a + s e`` (``s`` in [0, 1]) and its box's low and high corners,
-        four ``(E, 2)`` arrays sorted on low x, and an x extent no box exceeds (the
-        widest, rounded up one float).  Built on the first clip and kept."""
-        ends = self.vertices[np.array(list(self.adjacency), dtype=int).reshape(-1, 2)]
+        """Each edge as ``a + s e`` (``s`` in [0, 1]) and its box's low and high corners, four ``(E, 2)``
+        arrays sorted on low x, and an x extent no box exceeds (the widest, rounded up one float)."""
+        ends = self.vertices[self._edge_table[0]]
         ends = ends[np.argsort(ends[:, :, 0].min(axis=1), kind="stable")]
         lo, hi = ends.min(axis=1), ends.max(axis=1)
         return ends[:, 0], ends[:, 1] - ends[:, 0], lo, hi, np.nextafter(np.max(hi[:, 0] - lo[:, 0]), np.inf)
+
+    @functools.cached_property
+    def _locate_boxes(self):
+        """Low and high corners of the triangle boxes that ``locate_points`` pads, and their triangles."""
+        corners, eps = self.vertices[self.triangles], np.finfo(float).eps
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        w = (hi - lo).max(axis=1)
+        kappa = w * np.abs(self._bary_inv).max(axis=(1, 2))
+        pad = w * (2.0 * BARY_TOL + 256.0 * eps * (kappa + 1.0)) + eps * np.abs(corners).max(axis=(1, 2))
+        pad, ids = np.where(256.0 * eps * kappa < 1.0, pad, np.inf)[:, None], np.flatnonzero(~np.isnan(kappa))
+        return lo[ids] - pad[ids], hi[ids] + pad[ids], ids
 
     # -- basic queries ---------------------------------------------------------
     @property
@@ -126,9 +138,6 @@ class Tiling:
 
     def total_area(self) -> float:
         return sum(self.areas.tolist())
-
-    def incident_triangles(self, vertex_id: int):
-        return [i for i, tri in enumerate(self.triangles) if vertex_id in tri]
 
     def find_vertex(self, p, tol=1e-9) -> int:
         d = np.hypot(*(self.vertices - np.asarray(p, dtype=float)).T)
@@ -150,100 +159,90 @@ class Tiling:
         return report
 
 
-def _signed_areas(corners) -> np.ndarray:
-    """Signed areas of triangles with corners ``(T, 3, 2)``, positive when counterclockwise."""
-    ab, ac = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
-    return 0.5 * (ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
-
-
-def _barycentric_inverses(corners) -> np.ndarray:
-    """Inverses of the edge matrices with columns ``b - a`` and ``c - a``; NaN where degenerate."""
-    ab, ac = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
-    det = ab[:, 0] * ac[:, 1] - ac[:, 0] * ab[:, 1]
-    adjugate = np.stack([ac[:, 1], -ac[:, 0], -ab[:, 1], ab[:, 0]], axis=1).reshape(-1, 2, 2)
-    return adjugate / np.where(np.abs(det) < MIN_AREA, np.nan, det)[:, None, None]
-
-
 def _validate(tiling: Tiling) -> TilingReport:
-    msgs = []
-    v = tiling.vertices
-    nondeg = True
-    for i in np.flatnonzero(np.abs(tiling.areas) < MIN_AREA):
-        nondeg = False
-        msgs.append(f"triangle {i} is degenerate (area {tiling.areas[i]:.3e})")
+    v, areas = tiling.vertices, tiling.areas
+    msgs = [f"triangle {i} is degenerate (area {areas[i]:.3e})" for i in np.flatnonzero(np.abs(areas) < MIN_AREA)]
+    nondeg = not msgs
+    inside = not (len(v) and np.hypot(v[:, 0], v[:, 1]).max() > DISK_RADIUS + 1e-9)
+    msgs += [] if inside else ["vertex outside the closed unit disk"]
 
-    inside = True
-    radii = np.hypot(v[:, 0], v[:, 1]) if len(v) else np.zeros(0)
-    if len(radii) and radii.max() > DISK_RADIUS + 1e-9:
-        inside = False
-        msgs.append("vertex outside the closed unit disk")
-
-    conforming = True
-    # coincident vertices break the equal-depth requirement
-    for i in range(len(v) - 1):
-        d = np.hypot(v[i + 1:, 0] - v[i, 0], v[i + 1:, 1] - v[i, 1])
-        for j in np.flatnonzero(d < 1e-12):
-            conforming = False
-            msgs.append(f"vertices {i} and {i + 1 + int(j)} coincide")
+    before = len(msgs)
+    # coincident vertices break the equal-depth requirement; only vertices
+    # within 2e-12 of each other on both axes can be closer than 1e-12
+    i, j = _box_pairs(v, v, v - 2e-12, v + 2e-12).T
+    near = (i < j) & (np.hypot(*(v[j] - v[i]).T) < 1e-12)
+    msgs += [f"vertices {i} and {j} coincide" for i, j in zip(i[near].tolist(), j[near].tolist())]
     # an edge shared by more than two triangles cannot align depths
-    for e, tris in tiling.adjacency.items():
-        if len(tris) > 2:
-            conforming = False
-            msgs.append(f"edge {e} shared by {len(tris)} triangles")
+    edges, slot_edge = tiling._edge_table
+    shared = np.bincount(slot_edge.ravel(), minlength=len(edges))
+    msgs += [f"edge ({edges[e, 0]}, {edges[e, 1]}) shared by {shared[e]} triangles" for e in np.flatnonzero(shared > 2)]
     # T-junction: a vertex in the open interior of another triangle's edge;
     # only a vertex inside that triangle's bounding box can be one
     corners = v[tiling.triangles]                   # (T, 3, 2); edge k runs corner k -> k+1
-    box_lo = corners.min(axis=1)
-    box_hi = corners.max(axis=1)
-    pairs = _boxes_meet(v, v, box_lo - 1e-12, box_hi + 1e-12)
-    pairs = pairs[~np.any(tiling.triangles[pairs[:, 1]] == pairs[:, :1], axis=1)]
+    box_lo, box_hi = corners.min(axis=1), corners.max(axis=1)
+    pairs = _box_pairs(v, v, box_lo - 1e-12, box_hi + 1e-12)
+    pairs = pairs[(tiling.triangles[pairs[:, 1]] != pairs[:, :1]).all(axis=1)]
     if len(pairs):
-        for p, _k in zip(*np.nonzero(_on_open_edges(v[pairs[:, 0]], corners[pairs[:, 1]]))):
-            conforming = False
-            msgs.append(
-                f"vertex {pairs[p, 0]} lies inside an edge of triangle {pairs[p, 1]}: "
-                "point depths disagree between the two triangles"
-            )
+        on_edge = np.nonzero(_on_open_edges(v[pairs[:, 0]], corners[pairs[:, 1]]))[0]
+        msgs += [f"vertex {pairs[p, 0]} lies inside an edge of triangle {pairs[p, 1]}: "
+                 "point depths disagree between the two triangles" for p in on_edge]
+    conforming, before = len(msgs) == before, len(msgs)
 
-    disjoint = True
     # only triangles whose bounding boxes meet can overlap; one triangle has no pair
     if tiling.n_triangles > 1:
-        pairs = _boxes_meet(box_lo, box_hi, box_lo, box_hi)
+        pairs = _box_pairs(box_lo, box_hi, box_lo, box_hi)
         pairs = pairs[pairs[:, 0] < pairs[:, 1]]
-        areas = _overlap_areas(corners, *pairs.T)
-        for (i, j), overlap in zip(pairs[areas > 1e-12].tolist(), areas[areas > 1e-12].tolist()):
-            disjoint = False
-            msgs.append(f"triangles {i} and {j} overlap (area {overlap:.3e})")
-
-    coverage = math.pi * DISK_RADIUS**2 - tiling.total_area()
-    return TilingReport(
-        nondegenerate=nondeg,
-        inside_disk=inside,
-        conforming=conforming,
-        disjoint=disjoint,
-        coverage_defect=coverage,
-        messages=msgs,
-    )
+        overlap = _overlap_areas(corners, *pairs.T)
+        msgs += [f"triangles {i} and {j} overlap (area {area:.3e})"
+                 for (i, j), area in zip(pairs[overlap > 1e-12].tolist(), overlap[overlap > 1e-12].tolist())]
+    return TilingReport(nondegenerate=nondeg, inside_disk=inside, conforming=conforming, disjoint=len(msgs) == before,
+                        coverage_defect=math.pi * DISK_RADIUS**2 - tiling.total_area(), messages=msgs)
 
 
-def _boxes_meet(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
-    """Index pairs ``(i, j)``, in row-major order, of boxes ``a[i]`` and ``b[j]`` that meet.
+def _box_pairs(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Index pairs ``(i, j)``, in row-major order, of closed boxes ``a[i]`` and ``b[j]`` that meet, ``(P, 2)``.
 
-    Boxes are closed; ``a`` is walked in blocks of ``EDGE_BLOCK`` rows so the
-    ``(rows, len(b))`` masks stay small however many boxes there are.
-    Returns a ``(P, 2)`` integer array.
+    Up to ``CLIP_BLOCK`` pairs are tested all against all.  Otherwise each ``b`` box goes in
+    the cell of its low corner in a uniform grid (Ericson, *Real-Time Collision Detection*, ch. 7) of
+    about ``len(b)`` cells no narrower than the widest box.  The low corners of the boxes that meet
+    ``a[i]`` lie from ``lo_a[i] - reach`` to ``hi_a[i]``, one run of the cell-sorted boxes per grid
+    row; the runs are expanded in parts of about ``CLIP_BLOCK`` pairs.  Boxes may not be unbounded.
     """
-    blocks = [np.zeros((0, 2), dtype=int)]
-    for k in range(0, len(lo_a), EDGE_BLOCK):
-        rows = slice(k, k + EDGE_BLOCK)
-        meet = lo_a[rows, None, 0] <= hi_b[:, 0]
-        meet &= lo_b[:, 0] <= hi_a[rows, None, 0]
-        meet &= lo_a[rows, None, 1] <= hi_b[:, 1]
-        meet &= lo_b[:, 1] <= hi_a[rows, None, 1]
-        pairs = np.argwhere(meet)
-        pairs[:, 0] += k
-        blocks.append(pairs)
-    return np.concatenate(blocks)
+    if len(lo_a) * len(lo_b) <= CLIP_BLOCK:
+        meet = (lo_a[:, None] <= hi_b) & (lo_b <= hi_a[:, None])
+        return np.array(np.nonzero(meet[..., 0] & meet[..., 1])).T
+    # the widest box rounded up one float, so fl(lo_a - reach) is at most the low corner of each box meeting a
+    reach, origin, top = np.nextafter(np.fmax.reduce(hi_b - lo_b), np.inf), np.fmin.reduce(lo_b), np.fmax.reduce(hi_b)
+    size = max(reach.max(), (top - origin).max() / math.sqrt(len(lo_b)))
+    n = np.floor((top - origin) / size).astype(int) + 1
+    def cell(x):                                # monotone in x; NaN, which meets nothing, goes anywhere
+        return np.fmax(np.fmin(np.floor((x - origin) / size), n - 1), 0).astype(int) @ [[1, 0], [0, n[0]]]
+    key = cell(lo_b).sum(axis=1)                # the flat cell number, row by row
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(n[0] * n[1] + 1))   # cell c holds order[bounds[c]:bounds[c + 1]]
+    found = [np.zeros(0, dtype=int)]
+    for k in range(0, len(lo_a), CLIP_BLOCK // HULL_COST):
+        c0, c1 = cell(lo_a[k:k + CLIP_BLOCK // HULL_COST] - reach), cell(hi_a[k:k + CLIP_BLOCK // HULL_COST])
+        a = np.repeat(np.arange(len(c0)), (c1[:, 1] - c0[:, 1]) // n[0] + 1)
+        row = (np.arange(len(a)) - np.searchsorted(a, a)) * n[0] + c0[a, 1]
+        start = bounds[row + c0[a, 0]]
+        count = bounds[row + c1[a, 0] + 1] - start
+        first = np.cumsum(count) - count
+        shift, parts = start - first, np.searchsorted(first, np.arange(0, count.sum(), CLIP_BLOCK), side="right") - 1
+        for p, q in zip(parts.tolist(), parts[1:].tolist() + [len(a)]):
+            r = np.repeat(np.arange(p, q), count[p:q])
+            j = np.arange(first[p], first[p] + len(r))
+            j += shift[r]                       # in place, as these are the largest temporaries
+            i, j = a[r] + k, order[j]
+            del r
+            meet = (lo_a[i, 0] <= hi_b[j, 0]) & (lo_b[j, 0] <= hi_a[i, 0])
+            meet &= (lo_a[i, 1] <= hi_b[j, 1]) & (lo_b[j, 1] <= hi_a[i, 1])
+            found.append(i[meet] * len(lo_b) + j[meet])
+    found = np.concatenate(found)               # the list goes, and the keys sort in place
+    found.sort()
+    pairs = np.empty((len(found), 2), dtype=int)
+    np.divmod(found, len(lo_b), out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 def _on_open_edges(p, corners, tol=1e-12) -> np.ndarray:
@@ -315,22 +314,12 @@ def polygon_fan_tiling(sides: int, rotation: float = 0.0) -> Tiling:
 
 
 def refine(tiling: Tiling) -> Tiling:
-    """Uniform 4-way refinement; edge midpoints are shared, so conformity holds."""
-    vertices = [p.copy() for p in tiling.vertices]
-    midpoint_id = {}
-
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in midpoint_id:
-            midpoint_id[key] = len(vertices)
-            vertices.append(0.5 * (tiling.vertices[a] + tiling.vertices[b]))
-        return midpoint_id[key]
-
-    triangles = []
-    for a, b, c in tiling.triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        triangles += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    return Tiling(np.array(vertices), triangles)
+    """Uniform 4-way refinement; edge midpoints are shared, so conformity holds.  The midpoint of
+    edge ``e`` of the edge table becomes vertex ``V + e``."""
+    v, (edges, slot_edge) = tiling.vertices, tiling._edge_table
+    corners = np.concatenate([tiling.triangles, len(v) + slot_edge], axis=1)     # a, b, c, ab, bc, ca
+    triangles = corners[:, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3)
+    return Tiling(np.concatenate([v, 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])]), triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -382,36 +371,40 @@ def locate(tiling: Tiling, x) -> LocateResult:
 def locate_points(tiling: Tiling, points):
     """Classify chart points ``(P, 2)`` as ``locate`` classifies one.
 
-    Returns three ``(P,)`` integer arrays: the triangle (-1 for none), the
-    kind as an index into ``LOCATE_KINDS`` and the depth (-1 outside).
-    Points go in blocks, so the (point, triangle) temporaries stay small.
+    Returns three ``(P,)`` integer arrays: the triangle (-1 for none), the kind as an index into
+    ``LOCATE_KINDS`` and the depth (-1 outside).  Only the (point, triangle) pairs of ``_box_pairs``
+    are tested, in blocks of ``LOCATE_BLOCK``, each with the arithmetic of a test of every pair.
+
+    The padding of the triangle boxes loses no pair that the test finds inside.  With ``w`` a box's
+    larger extent and ``kappa = w max|inv|``, rounding (three per product and sum, and the stored
+    inverse's, within ``8 eps kappa`` of the exact one) moves a computed barycentric coordinate at
+    most ``18 eps kappa`` times the coordinates' size, plus ``3 eps``.  Computed coordinates
+    ``>= -BARY_TOL`` so mean exact ones ``>= -(BARY_TOL + 36 eps kappa + 3.1 eps)``, at most two
+    negative: the point is at most twice that times ``w`` outside the box.  The pad ``w (2 BARY_TOL
+    + 256 eps (kappa + 1)) + eps |corner|`` covers that and the rounding of the padded corners; where
+    ``256 eps kappa >= 1`` the box is unbounded.  A degenerate triangle (NaN inverse) has no box.
     """
     p = np.asarray(points, dtype=float).reshape(-1, 2)
-    triangle, kind, depth = np.full(len(p), -1), np.full(len(p), 2), np.full(len(p), -1)
+    lo, hi, ids = tiling._locate_boxes
+    # a box that holds every point stands for an unbounded one
+    lo = np.where(np.isinf(lo), np.fmin.reduce(p, initial=0.0), lo)
+    hi = np.where(np.isinf(hi), np.fmax.reduce(p, initial=0.0), hi)
+    pt, tri = _box_pairs(p, p, lo, hi).T
     a, inv = tiling.vertices[tiling.triangles[:, 0]], tiling._bary_inv
-    rows = max(1, LOCATE_BLOCK // max(tiling.n_triangles, 1))
-    for k in range(0, len(p) if tiling.n_triangles else 0, rows):
-        block = slice(k, k + rows)
-        # the barycentric coordinates as locate computes them, in place to keep the temporaries few
-        d0, d1 = p[block, 0:1] - a[:, 0], p[block, 1:2] - a[:, 1]
-        lam1 = inv[:, 0, 0] * d0
-        lam1 += inv[:, 0, 1] * d1
-        lam2 = np.multiply(d0, inv[:, 1, 0], out=d0)
-        lam2 += np.multiply(d1, inv[:, 1, 1], out=d1)
-        lam0 = np.subtract(1.0, lam1, out=d1)
-        lam0 -= lam2
+    first, deepest = np.full(len(p), tiling.n_triangles), np.full(len(p), -1)
+    for k in range(0, len(pt), LOCATE_BLOCK):
+        i, t = pt[k:k + LOCATE_BLOCK], ids[tri[k:k + LOCATE_BLOCK]]
+        d0, d1 = p[i, 0] - a[t, 0], p[i, 1] - a[t, 1]
+        lam1 = inv[t, 0, 0] * d0 + inv[t, 0, 1] * d1
+        lam2 = d0 * inv[t, 1, 0] + d1 * inv[t, 1, 1]
+        lam0 = 1.0 - lam1 - lam2
         inside = (lam0 >= -BARY_TOL) & (lam1 >= -BARY_TOL) & (lam2 >= -BARY_TOL)
-        zeros = np.zeros(lam0.shape, dtype=np.int8)
-        for lam in (lam0, lam1, lam2):
-            zeros += np.abs(lam, out=lam) <= BARY_TOL
-        del d0, d1, lam0, lam1, lam2
-        interior = inside & (zeros == 0)
-        skeleton = inside.any(axis=1)
-        hit = interior.any(axis=1)
-        triangle[block] = np.where(hit, interior.argmax(axis=1), -1)
-        kind[block] = np.where(hit, 0, np.where(skeleton, 1, 2))
-        depth[block] = np.where(hit, 0, np.where(skeleton, np.minimum((zeros * inside).max(axis=1), 2), -1))
-    return triangle, kind, depth
+        zeros = sum((np.abs(lam) <= BARY_TOL).astype(int) for lam in (lam0, lam1, lam2))
+        np.minimum.at(first, i[inside & (zeros == 0)], t[inside & (zeros == 0)])     # lowest interior
+        np.maximum.at(deepest, i[inside], zeros[inside])                             # deepest skeleton
+    hit = first < tiling.n_triangles
+    return (np.where(hit, first, -1), np.where(hit, 0, np.where(deepest >= 0, 1, 2)),
+            np.where(hit, 0, np.minimum(deepest, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +455,7 @@ def tangent_fan(tiling: Tiling, field: PiecewiseConstantField, vertex_id: int,
     p = tiling.vertices[vertex_id]
     frame = metric.frame(p)
     sectors = []
-    for i in tiling.incident_triangles(vertex_id):
+    for i in np.flatnonzero((tiling.triangles == vertex_id).any(axis=1)).tolist():
         ids = list(tiling.triangles[i])
         pos = ids.index(vertex_id)
         q = tiling.vertices[ids[(pos + 1) % 3]]

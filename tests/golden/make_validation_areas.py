@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 import geoxray as gx
-from geoxray.tiling import _boxes_meet, _overlap_areas
+from geoxray.tiling import _box_pairs, _overlap_areas
 
 OUT = Path(__file__).with_name("validation_areas.json")
 SEED = 20190114
@@ -91,7 +91,7 @@ def overlap_pairs(tiling: gx.Tiling) -> np.ndarray:
     """The ``(P, 2)`` box-meeting triangle pairs ``(i, j)``, ``i < j``, in the order validation visits them."""
     corners = tiling.vertices[tiling.triangles]
     lo, hi = corners.min(axis=1), corners.max(axis=1)
-    pairs = _boxes_meet(lo, hi, lo, hi)
+    pairs = _box_pairs(lo, hi, lo, hi)
     return pairs[pairs[:, 0] < pairs[:, 1]]
 
 

@@ -146,6 +146,33 @@ def test_out_of_range_scene_value_exits_with_one_error_line(tmp_path, capsys, ke
     assert err.startswith("geoxray: error: ") and err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize("tiling, named", [
+    ({"generator": {"kind": "polygon-fan", "sides": 6, "refine": 11}}, "scene.tiling.generator.refine"),
+    ({"generator": {"kind": "polygon-fan", "sides": 6, "refine": 10**9}}, "scene.tiling.generator.refine"),
+    ({"generator": {"kind": "polygon-fan", "sides": 70_000}}, "scene.tiling.generator.sides"),
+    (dict(anchor_tiling_json(), triangles=[[0, 1, 2]] * 65_537), "scene.tiling.triangles"),
+])
+def test_tiling_over_the_triangle_limit_exits_before_refining(tmp_path, tiling, named):
+    # a hexagon refined 11 times (25 million triangles) ran past a 20 s timeout
+    # with no output; the scene's triangle count is checked before any
+    # refinement or validation runs, and names the key
+    scene = reconstruct_scene()
+    scene["tiling"] = tiling
+    path = write_scene(tmp_path, "s.json", scene)
+    done = run_bounded("import sys; from geoxray import cli; sys.exit(cli.main(sys.argv[1:]))",
+                       "forward", "--scene", path, "--out", str(tmp_path), timeout=20)
+    assert done.returncode == EXIT_VALIDATION
+    assert done.stderr.startswith("geoxray: error: ") and done.stderr.count("\n") == 1 and named in done.stderr
+    assert str(gx.scene.MAX_TRIANGLES) in done.stderr
+
+
+def test_largest_fans_under_the_triangle_limit_load():
+    from geoxray.scene import MAX_TRIANGLES, _build_tiling
+
+    assert MAX_TRIANGLES == 65_536
+    assert _build_tiling({"generator": {"kind": "polygon-fan", "sides": 4, "refine": 7}}).n_triangles == MAX_TRIANGLES
+
+
 @pytest.mark.parametrize("flag, kind", [
     ("--scene", "directory"), ("--scene", "latin-1 file"), ("--data", "directory"), ("--out", "file"),
     ("--out", "path under a file"),

@@ -361,23 +361,26 @@ def test_plan_clipper_peak_memory_is_bounded(tmp_path, monkeypatch):
 def test_validation_peak_memory_is_bounded():
     # validating the forward-refined tiling (T = 384): the overlap pairs are
     # clipped in blocks, so the tracemalloc peak stays near that of the per-pair
-    # loop before the batched clipper (280,306 bytes, numpy 2.4 on Python 3.11)
+    # loop before the batched clipper (280,306 bytes, numpy 2.4 on Python 3.11);
+    # at T = 1536 the blocked pair query keeps it at or below that of the dense
+    # box test before it (913,994 bytes, measured the same way)
     import tracemalloc
 
     from geoxray.tiling import _validate
 
     tiling = gx.polygon_fan_tiling(6)
-    for _ in range(3):
-        tiling = gx.refine(tiling)
-    _validate(tiling)
-    tracemalloc.start()
-    try:
-        report = _validate(tiling)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok and tiling.n_triangles == 384
-    assert peak <= 350_000
+    for levels, bound in ((3, 350_000), (4, 913_994)):
+        while tiling.n_triangles < 6 * 4**levels:
+            tiling = gx.refine(tiling)
+        _validate(tiling)
+        tracemalloc.start()
+        try:
+            report = _validate(tiling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and tiling.n_triangles == 6 * 4**levels
+        assert peak <= bound
 
 
 def test_locate_points_matches_locate(hexagon24):
@@ -659,3 +662,223 @@ def test_refined_fans_match_golden():
     for name, tiling in tilings():
         assert entry(tiling) == want[name], name
     assert set(want) == {name for name, _ in tilings()}
+
+
+def _dense_box_pairs(lo_a, hi_a, lo_b, hi_b, rows=64):
+    """Every box of ``a`` against every box of ``b``, ``rows`` of ``a`` at a
+    time: the pair search that validation ran before the grid query, kept as
+    the reference for ``_box_pairs``.  Returns the ``(P, 2)`` pairs in
+    row-major order."""
+    blocks = [np.zeros((0, 2), dtype=int)]
+    for k in range(0, len(lo_a), rows):
+        meet = lo_a[k:k + rows, None, 0] <= hi_b[:, 0]
+        meet &= lo_b[:, 0] <= hi_a[k:k + rows, None, 0]
+        meet &= lo_a[k:k + rows, None, 1] <= hi_b[:, 1]
+        meet &= lo_b[:, 1] <= hi_a[k:k + rows, None, 1]
+        pairs = np.argwhere(meet)
+        pairs[:, 0] += k
+        blocks.append(pairs)
+    return np.concatenate(blocks)
+
+
+def box_pair_cases():
+    """``(name, lo_a, hi_a, lo_b, hi_b)`` for the pair query's reference test."""
+    rng = np.random.default_rng(20190115)
+    lo = rng.uniform(-1.0, 1.0, size=(700, 2))
+    hi = lo + rng.exponential(0.05, size=(700, 2)) * (rng.random((700, 1)) < 0.9)
+    yield "random, all against all", lo, hi, lo, hi
+    yield "random, several blocks", lo[:400], lo[:400] + 0.4, lo[400:], hi[400:] + 0.3
+    # unit squares on an integer lattice touch their neighbours on exactly one coordinate
+    corner = np.stack(np.meshgrid(np.arange(12.0), np.arange(9.0)), axis=-1).reshape(-1, 2)
+    yield "touching lattice", corner, corner + 1.0, corner, corner + 1.0
+    yield "lattice points on lattice squares", corner, corner, corner + 0.5, corner + 1.5
+    points = np.repeat(rng.uniform(-1.0, 1.0, size=(60, 2)), 3, axis=0)
+    yield "duplicate zero-width boxes", points, points, points, points
+    yield "zero-width against boxes", points, points, lo, hi
+    yield "one box", lo[:1], hi[:1], lo, hi
+    yield "against one box", lo, hi, lo[:1], hi[:1]
+    empty = np.zeros((0, 2))
+    yield "empty first", empty, empty, lo, hi
+    yield "empty second", lo, hi, empty, empty
+    yield "both empty", empty, empty, empty, empty
+    from golden.make_validation_areas import tilings
+
+    for name, tiling in tilings():
+        v = tiling.vertices
+        corners = v[tiling.triangles]
+        box_lo, box_hi = corners.min(axis=1), corners.max(axis=1)
+        yield f"{name} vertex-vertex", v, v, v - 2e-12, v + 2e-12
+        yield f"{name} vertex-triangle", v, v, box_lo - 1e-12, box_hi + 1e-12
+        yield f"{name} triangle-triangle", box_lo, box_hi, box_lo, box_hi
+
+
+def test_box_pairs_match_dense_reference():
+    # the grid query gives the dense search's pairs, row for row, on random
+    # boxes over several expansion blocks, exactly touching boxes, zero-width
+    # and duplicate boxes, one box, no boxes and the boxes that validation
+    # pairs on every golden tiling; both the dense and the grid branch run
+    from geoxray.tiling import CLIP_BLOCK, _box_pairs
+
+    branches = set()
+    for name, lo_a, hi_a, lo_b, hi_b in box_pair_cases():
+        got, want = _box_pairs(lo_a, hi_a, lo_b, hi_b), _dense_box_pairs(lo_a, hi_a, lo_b, hi_b)
+        assert got.shape == want.shape and got.dtype.kind == "i", name
+        assert np.array_equal(got, want), name
+        branches.add(len(lo_a) * len(lo_b) > CLIP_BLOCK)
+    assert branches == {False, True}
+    several = [case for case in box_pair_cases() if case[0] == "random, several blocks"][0]
+    assert len(_dense_box_pairs(*several[1:])) > 2 * CLIP_BLOCK
+
+
+def _coincidences(vertices):
+    """Messages of the O(V^2) loop that found coincident vertices before the
+    pair query, kept as its reference."""
+    v, msgs = np.asarray(vertices, dtype=float), []
+    for i in range(len(v) - 1):
+        d = np.hypot(v[i + 1:, 0] - v[i, 0], v[i + 1:, 1] - v[i, 1])
+        msgs += [f"vertices {i} and {i + 1 + int(j)} coincide" for j in np.flatnonzero(d < 1e-12)]
+    return msgs
+
+
+def _shared_edges(triangles):
+    """Messages of the adjacency dict that found edges of more than two
+    triangles before the edge table, kept as its reference."""
+    adjacency = {}
+    for i, tri in enumerate(np.asarray(triangles).tolist()):
+        for k in range(3):
+            adjacency.setdefault(tuple(sorted((tri[k], tri[(k + 1) % 3]))), []).append(i)
+    return [f"edge {e} shared by {len(t)} triangles" for e, t in adjacency.items() if len(t) > 2]
+
+
+def coincidence_tilings():
+    """``(name, tiling)``: vertex pairs at and around the 1e-12 threshold
+    along x, y and the diagonal, among enough vertices for the grid, and
+    tilings whose vertices share x exactly."""
+    rng = np.random.default_rng(20190116)
+    base = rng.uniform(-0.9, 0.9, size=(12, 2))
+    steps = [0.0, 5e-13, 9.99e-13, 1e-12, 1.5e-12]
+    directions = [(1.0, 0.0), (0.0, 1.0), (math.sqrt(0.5), math.sqrt(0.5))]
+    moved = [base + s * np.array(d) for s in steps for d in directions]
+    for n_extra in (0, 200):
+        v = np.concatenate([base] + moved + [rng.uniform(-0.9, 0.9, size=(n_extra, 2))])
+        yield f"thresholds, {len(v)} vertices", gx.Tiling(v, [[0, 1, 2]])
+    fan = gx.Tiling([[1.0, 0.0], [0.21215043371796743, 0.13891854213354424],
+                     [0.21215043371796743, -0.13891854213354424]], [[0, 1, 2]])
+    yield "fan-limit triangle", fan
+    column = np.column_stack([np.full(120, 0.25), np.repeat(np.arange(60) * 1e-3, 2) + np.tile([0.0, 7e-13], 60)])
+    yield "one column of shared x", gx.Tiling(column, [[0, 2, 4]])
+    tiling = gx.polygon_fan_tiling(6)
+    for _ in range(3):
+        tiling = gx.refine(tiling)
+    v = np.concatenate([tiling.vertices, tiling.vertices[::7] + [0.0, 8e-13]])
+    yield "refined fan with near copies", gx.Tiling(v, tiling.triangles)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in coincidence_tilings()])
+def test_coincident_vertex_messages_match_pairwise_loop(name):
+    tiling = dict(coincidence_tilings())[name]
+    got = [m for m in tiling.validate().messages if m.startswith("vertices ")]
+    assert got == _coincidences(tiling.vertices)
+    assert (len(got) > 0) == (name != "fan-limit triangle")
+
+
+def test_shared_edge_messages_keep_first_appearance_order():
+    # edge (5, 6) by four triangles, met before edge (0, 1) by three, and a
+    # degenerate row that meets its own edge twice; orders must follow the slots
+    v = np.random.default_rng(3).uniform(-0.5, 0.5, size=(14, 2))
+    triangles = [[9, 5, 6], [0, 1, 2], [6, 5, 7], [1, 0, 3], [5, 6, 8], [0, 4, 1], [10, 6, 5], [11, 12, 12]]
+    tiling = gx.Tiling(v, triangles)
+    got = [m for m in tiling.validate().messages if m.startswith("edge ")]
+    assert got == _shared_edges(tiling.triangles)
+    assert got[:2] == ["edge (5, 6) shared by 4 triangles", "edge (0, 1) shared by 3 triangles"]
+    assert got == _shared_edges(triangles)
+
+
+def _dense_locate(tiling, points, block=4096):
+    """Every point against every triangle, in blocks of about ``block``
+    (point, triangle) pairs: the point location before the pair query, kept
+    as the reference for ``locate_points``."""
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    triangle, kind, depth = np.full(len(p), -1), np.full(len(p), 2), np.full(len(p), -1)
+    a, inv, tol = tiling.vertices[tiling.triangles[:, 0]], tiling._bary_inv, gx.tiling.BARY_TOL
+    rows = max(1, block // max(tiling.n_triangles, 1))
+    for k in range(0, len(p) if tiling.n_triangles else 0, rows):
+        d0, d1 = p[k:k + rows, 0:1] - a[:, 0], p[k:k + rows, 1:2] - a[:, 1]
+        lam1 = inv[:, 0, 0] * d0 + inv[:, 0, 1] * d1
+        lam2 = d0 * inv[:, 1, 0] + d1 * inv[:, 1, 1]
+        lam0 = 1.0 - lam1 - lam2
+        inside = (lam0 >= -tol) & (lam1 >= -tol) & (lam2 >= -tol)
+        zeros = sum((np.abs(lam) <= tol).astype(np.int8) for lam in (lam0, lam1, lam2))
+        interior = inside & (zeros == 0)
+        skeleton, hit = inside.any(axis=1), interior.any(axis=1)
+        triangle[k:k + rows] = np.where(hit, interior.argmax(axis=1), -1)
+        kind[k:k + rows] = np.where(hit, 0, np.where(skeleton, 1, 2))
+        depth[k:k + rows] = np.where(hit, 0, np.where(skeleton, np.minimum((zeros * inside).max(axis=1), 2), -1))
+    return triangle, kind, depth
+
+
+def location_cases():
+    """``(name, tiling, points)``: the T = 384 and 1536 fans at centroids, edge
+    midpoints, vertices, outside points and 10,000 seeded random points; the
+    near-collinear slivers of the golden defective tilings at points on and
+    a hair off their corners and edges; and a sliver so ill-conditioned that
+    its box is unbounded."""
+    rng = np.random.default_rng(20190117)
+    tiling = gx.polygon_fan_tiling(6)
+    for levels in range(1, 5):
+        tiling = gx.refine(tiling)
+        if levels >= 3:
+            corners = tiling.vertices[tiling.triangles]
+            points = np.concatenate([corners.mean(axis=1), (0.5 * (corners + corners[:, [1, 2, 0]])).reshape(-1, 2),
+                                     tiling.vertices, [[0.999, 0.999], [-1.2, 0.0], [3.0, -4.0]],
+                                     rng.uniform(-1.05, 1.05, size=(10_000, 2))])
+            yield f"fan_{tiling.n_triangles}", tiling, points
+    from golden.make_validation_areas import tilings
+
+    for name, tiling in tilings():
+        if name.startswith("sliver"):
+            corners = tiling.vertices[tiling.triangles]
+            s = rng.random((len(corners), 3, 1))
+            on_edges = corners + s * (corners[:, [1, 2, 0]] - corners)
+            near = np.concatenate([corners.reshape(-1, 2), on_edges.reshape(-1, 2)])
+            offsets = rng.normal(size=(4,) + near.shape) * np.array([1e-15, 1e-13, 1e-11, 1e-9])[:, None, None]
+            yield name, tiling, np.concatenate([near, (near + offsets).reshape(-1, 2), corners.mean(axis=1)])
+    # 40 slivers of area 1.1e-12 to 5e-12 and points on their edge lines, up to 1e-2 of the
+    # edge beyond its ends: rounding puts some in a sliver though outside its box grown by BARY_TOL
+    angle, length, s = rng.uniform(0, math.pi, 40), rng.uniform(0.3, 1.5, 40), rng.uniform(-0.5, 1.5, 40)
+    e = length[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    a = rng.uniform(-0.5, 0.5, size=(40, 2))
+    height = rng.choice([2.2e-12, 4e-12, 1e-11], 40) / length
+    c = a + s[:, None] * e + height[:, None] * np.column_stack([-e[:, 1], e[:, 0]]) / length[:, None]
+    along = np.concatenate([-np.logspace(-9, -2, 100), 1.0 + np.logspace(-9, -2, 100)])
+    points = (a[:, None] + along[:, None] * e[:, None] + rng.normal(size=(40, 200, 1)) * 1e-15).reshape(-1, 2)
+    yield "edge-line slivers", gx.Tiling(np.stack([a, a + e, c], axis=1).reshape(-1, 2), np.arange(120).reshape(-1, 3)), points
+    bad = gx.Tiling([[0.0, 0.0], [8.0, 0.0], [4.0, 3e-13], [0.0, 1.0]], [[0, 1, 2], [0, 1, 3]])
+    points = np.concatenate([[[4.0, 1e-13], [2.0, 0.0], [8.0, 0.0], [4.0, 2.9e-13], [1e3, 1e3]],
+                             rng.uniform(-1.0, 9.0, size=(400, 2)) * [1.0, 1e-12]])
+    yield "unbounded sliver", bad, points
+
+
+@pytest.mark.parametrize("name", ["fan_384", "fan_1536", "slivers", "edge-line slivers", "unbounded sliver"])
+def test_locate_points_matches_dense_scan(name):
+    # the padded triangle boxes lose no (point, triangle) pair that the dense
+    # scan finds inside or on the skeleton, so every array is the dense one
+    cases = [case for case in location_cases() if case[0] == name or (name == "slivers" and "sliver_" in case[0])]
+    assert len(cases) == (50 if name == "slivers" else 1)
+    for case, tiling, points in cases:
+        got, want = gx.locate_points(tiling, points), _dense_locate(tiling, points)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), case
+        if case.startswith("fan"):
+            assert {0, 1, 2} <= set(want[1].tolist()) and {0, 1, 2} <= set(want[2].tolist())
+    if name == "unbounded sliver":
+        assert (want[0] == 0).sum() >= 2
+    if name == "edge-line slivers":
+        # points the scan finds in a sliver though outside its box grown by 2 BARY_TOL w: the
+        # padding's rounding term is what keeps their pairs
+        corners = tiling.vertices[tiling.triangles]
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        grown = 2 * gx.tiling.BARY_TOL * (hi - lo).max(axis=1)[:, None]
+        tri = np.repeat(np.arange(40), 200)
+        outside = ((points < lo[tri] - grown[tri]) | (points > hi[tri] + grown[tri])).any(axis=1)
+        assert np.count_nonzero(outside & (want[1] < 2)) >= 10
