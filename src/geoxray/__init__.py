@@ -29,7 +29,6 @@ from .geometry import (
     boundary_tangent,
     convexity_margin,
     metric_from_config,
-    trace_forward,
     trace_geodesic,
     trace_geodesics,
     unit_tangent,

@@ -582,12 +582,6 @@ def trace_geodesic(metric: MetricField, start: UnitTangent, step: float = DEFAUL
     return unwrap(trace_geodesics(metric, [start], step)[0])
 
 
-def trace_forward(metric: MetricField, start: UnitTangent, step: float = DEFAULT_STEP) -> GeodesicPath:
-    """Trace only forward from ``start`` to the boundary (no backward extension)."""
-    row = np.concatenate([np.asarray(start.x, float), np.asarray(start.v, float)])
-    return unwrap(_join(metric, _trace_rows(metric, row[None], step)))
-
-
 def _ends_on_circle(x: np.ndarray) -> bool:
     r0 = math.hypot(x[0, 0], x[0, 1])
     r1 = math.hypot(x[-1, 0], x[-1, 1])
@@ -601,11 +595,12 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
     ``ceil(lengths[i] / step)`` equal steps; ``w`` obeys the parallel
     transport equation.  Returns one entry per lane: its final ``(x, v, w)``,
     or its error: a bad length or step, or an exit before the length is covered.
+    A length above ``ARCLENGTH_CAP``, the tracer's trapping cap, is a bad length.
     """
     out, n_steps = [None] * len(lengths), np.zeros(len(lengths), dtype=int)
     for i, length in enumerate(lengths):
-        if not (math.isfinite(length) and length > 0):
-            out[i] = SceneValidationError("transport length must be positive and finite")
+        if not 0 < length <= ARCLENGTH_CAP:
+            out[i] = SceneValidationError(f"transport length must be positive and at most {ARCLENGTH_CAP:g}")
         elif not (math.isfinite(step) and step > 0):
             out[i] = SceneValidationError("integrator step must be positive and finite")
         else:
@@ -616,6 +611,8 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
     rhs, lanes = _flow(metric), np.flatnonzero(n_steps)
     for k in range(1, int(n_steps.max(initial=0)) + 1):
         lanes = lanes[n_steps[lanes] >= k]
+        if not lanes.size:
+            break
         y[lanes] = z = rk4(rhs, y[lanes], h[lanes])
         left = _radius(z) > DISK_RADIUS
         for i in lanes[left]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SceneValidationError, config_number, config_numbers
 from .foliation import FoliationFunction, foliation_from_config
-from .geometry import MetricField, metric_from_config
+from .geometry import ARCLENGTH_CAP, MetricField, metric_from_config
 from .recovery import ChordPlan, chord_descriptor, reconstruction_descriptors
 from .tiling import PiecewiseConstantField, Tiling, polygon_fan_tiling, refine
 from .weights import WeightField, complex_matrix, weight_from_config
@@ -150,7 +150,7 @@ def _build_tiling(cfg) -> Tiling:
         kind = gen.get("kind")
         if kind != "polygon-fan":
             raise SceneValidationError(f"scene.tiling.generator.kind: unknown {kind!r}")
-        sides = config_number(gen.get("sides", 6), "scene.tiling.generator.sides", integer=True)
+        sides = config_number(gen.get("sides", 6), "scene.tiling.generator.sides", integer=True, minimum=3)
         levels = config_number(gen.get("refine", 0), "scene.tiling.generator.refine", integer=True, minimum=0)
         if sides << 2 * min(levels, 32) > MAX_TRIANGLES:
             raise SceneValidationError(f"scene.tiling.generator.{'refine' if levels else 'sides'}: {sides} sides "
@@ -209,11 +209,20 @@ def _build_plans(cfg):
         exponents = f.get("h_exponents")
         if exponents is None:
             raise SceneValidationError("scene.plans.fan_limit.h_exponents: missing")
+        h_values = []
+        for e in config_numbers(exponents, "scene.plans.fan_limit.h_exponents", integer=True):
+            h = 2.0 ** -min(e, 1075) if e > -1024 else math.inf     # 2**-e, without overflow
+            if not 0.0 < h <= ARCLENGTH_CAP:
+                raise SceneValidationError(f"scene.plans.fan_limit.h_exponents: the offset h = 2^-e must be "
+                                           f"positive and at most {ARCLENGTH_CAP:g}, got e = {e}")
+            h_values.append(h)
+        sign = config_number(f.get("sign", 1), "scene.plans.fan_limit.sign", integer=True)
+        if sign not in (1, -1):
+            raise SceneValidationError(f"scene.plans.fan_limit.sign: expected 1 or -1, got {sign!r}")
         fan_plan = FanLimitPlan(
             anchor_angle=config_number(f.get("anchor_angle", 0.0), "scene.plans.fan_limit.anchor_angle"),
             v_offsets=[math.radians(d) for d in config_numbers(offsets, "scene.plans.fan_limit.v_offsets_deg")],
-            h_values=[2.0 ** (-e) for e in config_numbers(exponents, "scene.plans.fan_limit.h_exponents", integer=True)],
-            sign=config_number(f.get("sign", 1), "scene.plans.fan_limit.sign", integer=True),
+            h_values=h_values, sign=sign,
         )
     if cfg.get("chords") is not None:
         c = _section(cfg, "chords", "scene.plans")

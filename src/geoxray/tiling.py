@@ -3,17 +3,17 @@
 Triangles are straight in chart coordinates.  The curved disk is covered up to a boundary band by
 an inscribed polygon; piecewise constant fields are zero on that band and on the tiling skeleton
 (edges and vertices).  A tiling keeps one numpy edge table, which refinement, validation and
-clipping read.  Validation and point location test only the box pairs that meet, which one blocked
-query on a uniform grid returns.
+clipping read.  Validation, point location and clipping test only the box pairs that meet, which
+one blocked sort-and-sweep query, ``_box_pairs``, returns.
 
 Clipping cuts sampled geodesics where their cubic Hermite interpolants cross an edge segment, a
-whole plan of paths in one pass, the samples of all paths end to end in one ``PathStack``.  A
-sort-and-sweep over the edges sorted on low x pairs each sample interval with the edges whose
-bounding boxes meet its Bezier control hull's box; on those pairs crossings are bracketed on the
-sample grid, and a near-tangent interval that crosses an edge twice, with no sign change on the
-grid, is split at the cubic's interior extremum.  One bisection then advances the brackets of all
-paths in lockstep, and one point location classifies the midpoints of all pieces.  Every lane does
-the arithmetic of a one-path clip, so a path's pieces do not depend on the plan.
+whole plan of paths in one pass, the samples of all paths end to end in one ``PathStack``.  Each
+sample interval is paired with the edges whose bounding boxes meet its Bezier control hull's box;
+on those pairs crossings are bracketed on the sample grid, and a near-tangent interval that
+crosses an edge twice, with no sign change on the grid, is split at the cubic's interior extremum.
+One bisection then advances the brackets of all paths in lockstep, and one point location
+classifies the midpoints of all pieces.  Every lane does the arithmetic of a one-path clip, so a
+path's pieces do not depend on the plan.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ MIN_AREA = 1e-12
 CLIP_BISECT_WIDTH = 1e-14  # edge-crossing bisection width (contract is 1e-10)
 TANGENCY_LENGTH = 1e-6
 # Pairs per block of the tiling's searches, so that long plans and fine
-# tilings do not raise peak memory: candidate box pairs when bracketing
-# crossings or pairing boxes; LOCATE_BLOCK (point, triangle) pairs, with more
-# temporaries each, when locating.
+# tilings do not raise peak memory: candidate box pairs in the sweep of
+# _box_pairs; LOCATE_BLOCK (point, triangle) pairs, with more temporaries
+# each, when locating.
 CLIP_BLOCK = 6144
 # Triangle pairs per block of validation's batched overlap clip.
 OVERLAP_BLOCK = 384
-# The searches take CLIP_BLOCK // HULL_COST sample intervals or boxes at a
-# time; each costs a few pairs' temporaries for its control hull, box and runs.
+# Clipping pairs the edges with CLIP_BLOCK // HULL_COST sample intervals at a
+# time; each costs a few pairs' temporaries for its control hull, box and run.
 HULL_COST = 16
 LOCATE_BLOCK = 4096
 # Widening of the control-hull box, so that rounding in the Hermite
@@ -111,11 +111,10 @@ class Tiling:
     @functools.cached_property
     def _edges(self):
         """Each edge as ``a + s e`` (``s`` in [0, 1]) and its box's low and high corners, four ``(E, 2)``
-        arrays sorted on low x, and an x extent no box exceeds (the widest, rounded up one float)."""
+        arrays sorted on low x, so that the sweep of ``_box_pairs`` sorts them at no cost."""
         ends = self.vertices[self._edge_table[0]]
         ends = ends[np.argsort(ends[:, :, 0].min(axis=1), kind="stable")]
-        lo, hi = ends.min(axis=1), ends.max(axis=1)
-        return ends[:, 0], ends[:, 1] - ends[:, 0], lo, hi, np.nextafter(np.max(hi[:, 0] - lo[:, 0]), np.inf)
+        return ends[:, 0], ends[:, 1] - ends[:, 0], ends.min(axis=1), ends.max(axis=1)
 
     @functools.cached_property
     def _locate_boxes(self):
@@ -202,42 +201,39 @@ def _validate(tiling: Tiling) -> TilingReport:
 def _box_pairs(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     """Index pairs ``(i, j)``, in row-major order, of closed boxes ``a[i]`` and ``b[j]`` that meet, ``(P, 2)``.
 
-    Up to ``CLIP_BLOCK`` pairs are tested all against all.  Otherwise each ``b`` box goes in
-    the cell of its low corner in a uniform grid (Ericson, *Real-Time Collision Detection*, ch. 7) of
-    about ``len(b)`` cells no narrower than the widest box.  The low corners of the boxes that meet
-    ``a[i]`` lie from ``lo_a[i] - reach`` to ``hi_a[i]``, one run of the cell-sorted boxes per grid
-    row; the runs are expanded in parts of about ``CLIP_BLOCK`` pairs.  Boxes may not be unbounded.
+    Up to ``CLIP_BLOCK`` pairs are tested all against all.  Otherwise the ``b`` boxes are sorted on
+    low x and swept (Ericson, *Real-Time Collision Detection*, ch. 7): the low x of each box meeting
+    ``a[i]`` lies from ``lo_a[i] - reach`` to ``hi_a[i]``, ``reach`` an x extent no ``b`` box exceeds,
+    so it is one run of the sorted boxes.  The runs are expanded in parts of about ``CLIP_BLOCK``
+    pairs.  A box with a NaN corner meets nothing.  Only ``b`` boxes may be unbounded.
     """
     if len(lo_a) * len(lo_b) <= CLIP_BLOCK:
         meet = (lo_a[:, None] <= hi_b) & (lo_b <= hi_a[:, None])
         return np.array(np.nonzero(meet[..., 0] & meet[..., 1])).T
-    # the widest box rounded up one float, so fl(lo_a - reach) is at most the low corner of each box meeting a
-    reach, origin, top = np.nextafter(np.fmax.reduce(hi_b - lo_b), np.inf), np.fmin.reduce(lo_b), np.fmax.reduce(hi_b)
-    size = max(reach.max(), (top - origin).max() / math.sqrt(len(lo_b)))
-    n = np.floor((top - origin) / size).astype(int) + 1
-    def cell(x):                                # monotone in x; NaN, which meets nothing, goes anywhere
-        return np.fmax(np.fmin(np.floor((x - origin) / size), n - 1), 0).astype(int) @ [[1, 0], [0, n[0]]]
-    key = cell(lo_b).sum(axis=1)                # the flat cell number, row by row
-    order = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[order], np.arange(n[0] * n[1] + 1))   # cell c holds order[bounds[c]:bounds[c + 1]]
+    # column views, as gathers from one column are much faster than from rows
+    (ax0, ay0), (ax1, ay1), (bx0, by0), (bx1, by1) = lo_a.T, hi_a.T, lo_b.T, hi_b.T
+    order = np.argsort(bx0, kind="stable")
+    x = bx0[order]
+    # the widest box rounded up one float, so fl(lo_a - reach) is at most the low x of each box meeting a
+    reach = np.nextafter(np.fmax.reduce(bx1 - bx0), np.inf)
+    start = np.searchsorted(x, ax0 - reach)
+    # a run may end before it starts (a NaN low x searches past every finite one); a NaN
+    # high x searches past every box, and meets none
+    count = np.maximum(np.searchsorted(x, ax1, side="right") - start, 0) * ~np.isnan(ax1)
+    first = np.cumsum(count) - count
+    shift = start - first
+    # each part starts at the box that holds a multiple of CLIP_BLOCK pairs
+    parts = (np.searchsorted(first, np.arange(0, count.sum(), CLIP_BLOCK), side="right") - 1).tolist()
     found = [np.zeros(0, dtype=int)]
-    for k in range(0, len(lo_a), CLIP_BLOCK // HULL_COST):
-        c0, c1 = cell(lo_a[k:k + CLIP_BLOCK // HULL_COST] - reach), cell(hi_a[k:k + CLIP_BLOCK // HULL_COST])
-        a = np.repeat(np.arange(len(c0)), (c1[:, 1] - c0[:, 1]) // n[0] + 1)
-        row = (np.arange(len(a)) - np.searchsorted(a, a)) * n[0] + c0[a, 1]
-        start = bounds[row + c0[a, 0]]
-        count = bounds[row + c1[a, 0] + 1] - start
-        first = np.cumsum(count) - count
-        shift, parts = start - first, np.searchsorted(first, np.arange(0, count.sum(), CLIP_BLOCK), side="right") - 1
-        for p, q in zip(parts.tolist(), parts[1:].tolist() + [len(a)]):
-            r = np.repeat(np.arange(p, q), count[p:q])
-            j = np.arange(first[p], first[p] + len(r))
-            j += shift[r]                       # in place, as these are the largest temporaries
-            i, j = a[r] + k, order[j]
-            del r
-            meet = (lo_a[i, 0] <= hi_b[j, 0]) & (lo_b[j, 0] <= hi_a[i, 0])
-            meet &= (lo_a[i, 1] <= hi_b[j, 1]) & (lo_b[j, 1] <= hi_a[i, 1])
-            found.append(i[meet] * len(lo_b) + j[meet])
+    for p, q in zip(parts, parts[1:] + [len(lo_a)]):
+        i = np.repeat(np.arange(p, q), count[p:q])
+        j = np.arange(first[p], first[p] + len(i))
+        j += shift[i]                           # in place, as these are the largest temporaries
+        j = order[j]
+        # bx0 <= ax1 holds on the whole run
+        meet = ax0[i] <= bx1[j]
+        meet &= (ay0[i] <= by1[j]) & (by0[j] <= ay1[i])
+        found.append(i[meet] * len(lo_b) + j[meet])
     found = np.concatenate(found)               # the list goes, and the keys sort in place
     found.sort()
     pairs = np.empty((len(found), 2), dtype=int)
@@ -386,9 +382,6 @@ def locate_points(tiling: Tiling, points):
     """
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     lo, hi, ids = tiling._locate_boxes
-    # a box that holds every point stands for an unbounded one
-    lo = np.where(np.isinf(lo), np.fmin.reduce(p, initial=0.0), lo)
-    hi = np.where(np.isinf(hi), np.fmax.reduce(p, initial=0.0), hi)
     pt, tri = _box_pairs(p, p, lo, hi).T
     a, inv = tiling.vertices[tiling.triangles[:, 0]], tiling._bary_inv
     first, deepest = np.full(len(p), tiling.n_triangles), np.full(len(p), -1)
@@ -573,16 +566,12 @@ def _edge_crossings(tiling: Tiling, stack: PathStack):
 
 
 def _brackets(tiling: Tiling, stack: PathStack):
-    """Zeros and brackets of the edges on the sample intervals, by sort and sweep.
-
-    The edges whose box can meet an interval's control hull box are one run
-    of the edges sorted on low x, expanded in parts of about ``CLIP_BLOCK``
-    pairs; only pairs whose closed boxes meet are evaluated.  Returns the
-    samples where such an edge's line function is exactly zero, and (edge,
-    interval) pairs: the sign changes, and the intervals whose ends lie on
-    one side of the edge line and whose control hull straddles it.
-    """
-    a, e, box_lo, box_hi, reach = tiling._edges
+    """Zeros and brackets of the edges on the sample intervals, on the (interval, edge) pairs whose
+    control hull box and edge box meet, as ``_box_pairs`` finds them for a block of intervals at a
+    time.  Returns the samples where such an edge's line function is exactly zero, and (edge,
+    interval) pairs: the sign changes, and the intervals whose ends lie on one side of the edge line
+    and whose control hull straddles it."""
+    a, e, box_lo, box_hi = tiling._edges
     # an interval between two paths brackets nothing
     joint = np.zeros(len(stack.t) - 1, dtype=bool)
     joint[stack.stop[:-1] - 1] = True
@@ -590,28 +579,14 @@ def _brackets(tiling: Tiling, stack: PathStack):
     for j in range(0, len(joint), CLIP_BLOCK // HULL_COST):
         n = min(CLIP_BLOCK // HULL_COST, len(joint) - j)
         hull = _control_hull(stack, slice(j, j + n), slice(j + 1, j + n + 1))
-        hull_lo, hull_hi = hull.min(axis=0) - HULL_SLACK, hull.max(axis=0) + HULL_SLACK
-        # fl(lo - reach) is at most the low x of every box whose high x reaches lo,
-        # so the run from there to the last low x at or below hi holds them all
-        start = np.searchsorted(box_lo[:, 0], hull_lo[:, 0] - reach)
-        count = np.searchsorted(box_lo[:, 0], hull_hi[:, 0], side="right") - start
-        count[joint[j:j + n]] = 0
-        first = np.cumsum(count) - count
-        shift = start - first
-        # each part starts at the interval that holds a multiple of CLIP_BLOCK pairs
-        bounds = (np.searchsorted(first, np.arange(0, count.sum(), CLIP_BLOCK), side="right") - 1).tolist()
-        for p, q in zip(bounds, bounds[1:] + [n]):
-            r = np.repeat(np.arange(p, q), count[p:q])
-            c = np.arange(first[p], first[p] + len(r)) + shift[r]
-            # hull_hi x >= box_lo x holds on the whole run
-            near = (hull_lo[r, 0] <= box_hi[c, 0]) & (hull_lo[r, 1] <= box_hi[c, 1]) & (hull_hi[r, 1] >= box_lo[c, 1])
-            r, c = r[near], c[near]
-            f0, f1, f2, f3 = _edge_side(a[c], e[c], hull[:, r])
-            prod = f0 * f3
-            straddle = (prod > 0.0) & np.where(f0 > 0.0, np.minimum(f1, f2) < 0.0, np.maximum(f1, f2) > 0.0)
-            i = j + r
-            found.append((np.concatenate([i[f0 == 0.0], i[f3 == 0.0] + 1]),
-                          c[prod < 0.0], i[prod < 0.0], c[straddle], i[straddle]))
+        pairs = _box_pairs(hull.min(axis=0) - HULL_SLACK, hull.max(axis=0) + HULL_SLACK, box_lo, box_hi)
+        r, c = pairs[~joint[j + pairs[:, 0]]].T
+        f0, f1, f2, f3 = _edge_side(a[c], e[c], hull[:, r])
+        prod = f0 * f3
+        straddle = (prod > 0.0) & np.where(f0 > 0.0, np.minimum(f1, f2) < 0.0, np.maximum(f1, f2) > 0.0)
+        i = j + r
+        found.append((np.concatenate([i[f0 == 0.0], i[f3 == 0.0] + 1]),
+                      c[prod < 0.0], i[prod < 0.0], c[straddle], i[straddle]))
     return tuple(np.concatenate(col) for col in zip(*found))
 
 

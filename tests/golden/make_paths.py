@@ -5,7 +5,7 @@ SHA-256 of the bytes of the sample arrays ``t``, ``x`` and ``v`` (in that
 order, float64, C order).  The cases cover the three metric families at
 steps 0.002 and 0.01, with boundary chords, near-tangent chords (the two
 boundary angles a few hundredths apart), and interior starts traced both
-ways (``trace_geodesic``) or forward only (``trace_forward``).  The
+ways (``trace_geodesic``) or forward only (``trace_forward`` below).  The
 committed file was written by the per-ray tracer that preceded the lockstep
 one, so ``test_paths_match_golden_digests`` checks the current tracer
 against it bit for bit; running this script on a later version only
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import geoxray as gx
+from geoxray.geometry import DEFAULT_STEP, _join, _trace_rows, unwrap
 
 OUT = Path(__file__).with_name("paths.json")
 SEED = 20190112
@@ -29,7 +30,15 @@ METRICS = (("euclidean", []),
            ("conformal-radial", [0.05]),
            ("conformal-gaussian", [0.3, 0.2, -0.1, 0.5]))
 STEPS = (0.002, 0.01)
-TRACERS = {"maximal": gx.trace_geodesic, "forward": gx.trace_forward}
+
+
+def trace_forward(metric, start, step=DEFAULT_STEP):
+    """Trace only forward from ``start`` to the boundary (no backward extension)."""
+    row = np.concatenate([np.asarray(start.x, float), np.asarray(start.v, float)])
+    return unwrap(_join(metric, _trace_rows(metric, row[None], step)))
+
+
+TRACERS = {"maximal": gx.trace_geodesic, "forward": trace_forward}
 
 
 def digest(path) -> str:

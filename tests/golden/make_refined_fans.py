@@ -43,7 +43,7 @@ def digest(array) -> str:
 
 
 def entry(tiling: gx.Tiling) -> dict:
-    a, e, lo, hi = tiling._edges[:4]
+    a, e, lo, hi = tiling._edges
     return {"triangles": tiling.n_triangles,
             "sha256": {"vertices": digest(tiling.vertices), "triangles": digest(tiling.triangles),
                        "edge_a": digest(a), "edge_e": digest(e), "edge_lo": digest(lo), "edge_hi": digest(hi)}}

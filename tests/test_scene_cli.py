@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,11 +130,15 @@ def test_bad_scene_value_exits_with_validation_code(tmp_path, capsys, key, value
     ("metric", {"family": "conformal-gaussian", "params": [1, 0, 0, 1e300]}, (), "scene.metric.params"),
     ("metric", {"family": "conformal-gaussian", "params": [1, 1e300, 0, 0.5]}, (), "scene.metric.params"),
     ("metric", {"family": "conformal-gaussian", "params": [1, 0, 0, 1e-155]}, (), "scene.metric.params"),
+    ("tiling.generator.sides", 2, (), "scene.tiling.generator.sides"),
+    ("plans.fan_limit", {"v_offsets_deg": [0], "h_exponents": [3], "sign": 0}, (), "scene.plans.fan_limit.sign"),
+    ("plans.fan_limit", {"v_offsets_deg": [0], "h_exponents": [3], "sign": 2}, (), "scene.plans.fan_limit.sign"),
 ])
 def test_out_of_range_scene_value_exits_with_one_error_line(tmp_path, capsys, key, value, flags, named):
-    # a negative seed or refine count, an overflowing metric factor, and a gaussian
-    # width or center whose square, or 1 / width^2, is 0 or overflows are rejected
-    # at load, with one line naming the key, before numpy or math.exp can raise
+    # a negative seed or refine count, an overflowing metric factor, a gaussian
+    # width or center whose square, or 1 / width^2, is 0 or overflows, a fan of
+    # fewer than 3 sides and a fan-limit sign other than +-1 are rejected at load,
+    # with one line naming the key, before numpy, math.exp or the fan builder can raise
     scene = reconstruct_scene()
     *parents, last = key.split(".")
     node = scene
@@ -214,14 +219,20 @@ def test_nan_step_exits_with_validation_code(tmp_path, where):
 
 @pytest.mark.parametrize("trace", ["trace_geodesic", "trace_forward"])
 def test_nan_step_rejected_by_tracer(trace):
+    # trace_forward is the forward-only tracer of tests/golden/make_paths.py
     done = run_bounded(
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "import geoxray as gx\n"
+        "from golden.make_paths import trace_forward\n"
         "m = gx.metric_from_config('euclidean')\n"
         "start = gx.unit_tangent(m, [0.0, 0.0], [1.0, 0.0])\n"
+        "trace = {'trace_geodesic': gx.trace_geodesic, 'trace_forward': trace_forward}[sys.argv[1]]\n"
         "try:\n"
-        f"    gx.{trace}(m, start, step=float('nan'))\n"
+        "    trace(m, start, step=float('nan'))\n"
         "except gx.SceneValidationError as exc:\n"
-        "    print(exc)\n"
+        "    print(exc)\n",
+        trace,
     )
     assert done.returncode == 0
     assert "step must be positive and finite" in done.stdout
@@ -278,6 +289,25 @@ def test_flow_with_frame_rejects_non_finite(length, step):
     start = gx.unit_tangent(m, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(gx.SceneValidationError):
         gx.geometry.unwrap(gx.geometry.flow_with_frames(m, [start], [[0.0, 1.0]], [length], step=step)[0])
+
+
+@pytest.mark.parametrize("length, error", [
+    (150.0, "FanConstructionError"), (1024.0, "SceneValidationError"),
+    (2.0 ** 60, "SceneValidationError"), (2.0 ** 1023, "SceneValidationError"),
+])
+def test_long_transport_ends_with_its_lane_error(length, error):
+    # once every lane had left the disk, the transport kept stepping no lanes up
+    # to ceil(length / step) times, and a huge length overflowed the step count;
+    # a lane that exits ends the loop, and a length above ARCLENGTH_CAP is an error
+    done = run_bounded(
+        "import sys, geoxray as gx\n"
+        "m = gx.metric_from_config('euclidean')\n"
+        "start = gx.unit_tangent(m, [0.0, 0.0], [1.0, 0.0])\n"
+        "(out,) = gx.geometry.flow_with_frames(m, [start], [[0.0, 1.0]], [float(sys.argv[1])], step=1e-4)\n"
+        "print(type(out).__name__)\n",
+        repr(length), timeout=15)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [error]
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +450,21 @@ def test_limit_check_anchor_not_a_vertex_exit(tmp_path):
     scene["plans"]["fan_limit"]["anchor_angle"] = 1.0  # no tiling vertex there
     spath = write_scene(tmp_path, "s.json", scene)
     assert cli.main(["limit-check", "--scene", spath, "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("exponent", [-10, -30, -60, -1023, -1024, 1075])
+def test_fan_offset_out_of_range_exits_with_one_error_line(tmp_path, exponent):
+    # h = 2^10 and 2^30 ran past a 15 s timeout, 2^60, 2^1023 and 2^1024 ended in
+    # OverflowError tracebacks, and h = 0 failed naming no key; an offset must
+    # lie in (0, ARCLENGTH_CAP]
+    scene = limit_scene({"family": "euclidean", "params": []},
+                        {"family": "identity", "k": 1}, [1.0, 0.0], h_exponents=[3, exponent])
+    path = write_scene(tmp_path, "s.json", scene)
+    done = run_bounded("import sys; from geoxray import cli; sys.exit(cli.main(sys.argv[1:]))",
+                       "limit-check", "--scene", path, "--out", str(tmp_path), timeout=15)
+    assert done.returncode == EXIT_VALIDATION
+    assert done.stderr.startswith("geoxray: error: ") and done.stderr.count("\n") == 1
+    assert "scene.plans.fan_limit.h_exponents" in done.stderr
 
 
 def test_limit_check_trapping_exit_code(tmp_path):

@@ -418,12 +418,12 @@ def test_locate_points_keeps_first_and_deepest_match():
 
 def _dense_brackets(tiling, stack):
     """Every edge against every sample interval, in (edge block x sample block)
-    masks: the search that clipping ran before the sort-and-sweep one, kept as
+    masks: the search that clipping ran before the box-pair query, kept as
     the reference for ``_brackets``.  Returns sets of the (edge, sample) pairs
     where the edge-line function is exactly zero, the (edge, interval) pairs
     whose boxes meet, the brackets and the tangent candidates."""
     owner = np.repeat(np.arange(len(stack.first)), stack.stop - stack.first)
-    a_all, e_all, box_lo, box_hi, _ = tiling._edges
+    a_all, e_all, box_lo, box_hi = tiling._edges
     rows = min(len(a_all), 64)
     cols = max(1, 6144 // (rows + 16))
     found = []
@@ -547,7 +547,7 @@ BRACKET_PLANS = {
 
 @pytest.mark.parametrize("name", sorted(BRACKET_PLANS))
 def test_sweep_brackets_match_dense_scan(name, tmp_path, monkeypatch):
-    # the sort-and-sweep search keeps the brackets and tangent candidates of the
+    # the box-pair search keeps the brackets and tangent candidates of the
     # dense scan, and its exact zeros are the dense scan's on box-meeting pairs
     for tiling, paths in BRACKET_PLANS[name](tmp_path, monkeypatch):
         stack = PathStack.of([p for p in paths if p.tau > 0])
@@ -666,7 +666,7 @@ def test_refined_fans_match_golden():
 
 def _dense_box_pairs(lo_a, hi_a, lo_b, hi_b, rows=64):
     """Every box of ``a`` against every box of ``b``, ``rows`` of ``a`` at a
-    time: the pair search that validation ran before the grid query, kept as
+    time: the pair search that validation ran before the sweep query, kept as
     the reference for ``_box_pairs``.  Returns the ``(P, 2)`` pairs in
     row-major order."""
     blocks = [np.zeros((0, 2), dtype=int)]
@@ -688,6 +688,25 @@ def box_pair_cases():
     hi = lo + rng.exponential(0.05, size=(700, 2)) * (rng.random((700, 1)) < 0.9)
     yield "random, all against all", lo, hi, lo, hi
     yield "random, several blocks", lo[:400], lo[:400] + 0.4, lo[400:], hi[400:] + 0.3
+    # a NaN corner meets nothing, in either set and on either axis
+    for name, k, axis in (("low x", 0, 0), ("high x", 1, 0), ("high y", 1, 1)):
+        nan = [lo.copy(), hi.copy()]
+        nan[k][::7, axis] = np.nan
+        yield f"NaN {name} in a", *nan, lo, hi
+        yield f"NaN {name} in b", lo, hi, *nan
+    unbounded = [lo.copy(), hi.copy()]
+    unbounded[0][::50] = -np.inf
+    unbounded[0][25::50, 0] = -np.inf
+    unbounded[1][::50] = np.inf
+    unbounded[1][10::50, 1] = np.inf
+    yield "unbounded boxes in b", lo, hi, *unbounded
+    wide = hi.copy()
+    wide[350, 0] += 30.0 * (hi - lo)[:, 0].max()
+    yield "one box 30 times wider", lo, hi, lo, wide
+    yield "one box 30 times wider in a", lo, wide, lo, hi
+    shared = lo.copy()
+    shared[::2, 0] = 0.25
+    yield "many boxes sharing one low x", shared, hi, shared, np.maximum(hi, shared)
     # unit squares on an integer lattice touch their neighbours on exactly one coordinate
     corner = np.stack(np.meshgrid(np.arange(12.0), np.arange(9.0)), axis=-1).reshape(-1, 2)
     yield "touching lattice", corner, corner + 1.0, corner, corner + 1.0
@@ -713,10 +732,11 @@ def box_pair_cases():
 
 
 def test_box_pairs_match_dense_reference():
-    # the grid query gives the dense search's pairs, row for row, on random
-    # boxes over several expansion blocks, exactly touching boxes, zero-width
-    # and duplicate boxes, one box, no boxes and the boxes that validation
-    # pairs on every golden tiling; both the dense and the grid branch run
+    # the sweep query gives the dense search's pairs, row for row, on random
+    # boxes over several expansion blocks, NaN corners, unbounded boxes, one very wide box,
+    # boxes sharing one low x, exactly touching boxes, zero-width and duplicate
+    # boxes, one box, no boxes and the boxes that validation pairs on every
+    # golden tiling; both the dense and the sweep branch run
     from geoxray.tiling import CLIP_BLOCK, _box_pairs
 
     branches = set()
@@ -752,7 +772,7 @@ def _shared_edges(triangles):
 
 def coincidence_tilings():
     """``(name, tiling)``: vertex pairs at and around the 1e-12 threshold
-    along x, y and the diagonal, among enough vertices for the grid, and
+    along x, y and the diagonal, among enough vertices for the sweep, and
     tilings whose vertices share x exactly."""
     rng = np.random.default_rng(20190116)
     base = rng.uniform(-0.9, 0.9, size=(12, 2))
