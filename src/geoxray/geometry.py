@@ -252,6 +252,22 @@ def unit_tangent(metric: MetricField, x, v) -> UnitTangent:
     return UnitTangent(x=x, v=v)
 
 
+def unit_tangents(metric: MetricField, x, v):
+    """``unit_tangent`` of the rows of ``x`` and ``v`` ``(N, 2)`` in one array pass: the points and
+    their unit directions, ``(N, 2)`` each, row by row the scalar bits.  The factor ``exp(2 lam)``
+    is ``math.exp`` per row, as ``inner`` takes it.  The first row ``unit_tangent`` rejects raises its error."""
+    x, v = np.asarray(x, dtype=float).reshape(-1, 2), np.asarray(v, dtype=float).reshape(-1, 2)
+    factor = np.array([math.exp(2.0 * lam) for lam in metric.lam(x).tolist()])
+    n = np.sqrt(np.maximum(factor * (v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = v / n[:, None]
+    bad = (np.hypot(x[:, 0], x[:, 1]) > DISK_RADIUS + BOUNDARY_TOL) | (n == 0.0)
+    bad |= ~(np.abs(factor * (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1]) - 1.0) <= 1e-12)
+    for r in np.flatnonzero(bad)[:1].tolist():
+        unit_tangent(metric, x[r], v[r])
+    return x, u
+
+
 def boundary_point(angle: float) -> np.ndarray:
     return np.array([math.cos(angle), math.sin(angle)])
 
@@ -595,7 +611,8 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
     ``ceil(lengths[i] / step)`` equal steps; ``w`` obeys the parallel
     transport equation.  Returns one entry per lane: its final ``(x, v, w)``,
     or its error: a bad length or step, or an exit before the length is covered.
-    A length above ``ARCLENGTH_CAP``, the tracer's trapping cap, is a bad length.
+    A length above ``ARCLENGTH_CAP``, the tracer's trapping cap, is a bad length, and a step
+    with which that cap takes more than 2**63 steps is a bad step.
     """
     out, n_steps = [None] * len(lengths), np.zeros(len(lengths), dtype=int)
     for i, length in enumerate(lengths):
@@ -603,6 +620,10 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
             out[i] = SceneValidationError(f"transport length must be positive and at most {ARCLENGTH_CAP:g}")
         elif not (math.isfinite(step) and step > 0):
             out[i] = SceneValidationError("integrator step must be positive and finite")
+        elif not ARCLENGTH_CAP / step < 2.0**63:
+            # so that a lane of any length up to the cap counts its steps in int64
+            out[i] = SceneValidationError(f"integrator step {step:g} is below {ARCLENGTH_CAP / 2.0**63:.3g}: "
+                                          f"an arclength of {ARCLENGTH_CAP:g} would take more than 2**63 steps")
         else:
             n_steps[i] = max(1, int(math.ceil(length / step)))
     y = np.array([np.concatenate([s.x, s.v, np.asarray(w, dtype=float)])

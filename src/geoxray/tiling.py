@@ -4,7 +4,9 @@ Triangles are straight in chart coordinates.  The curved disk is covered up to a
 an inscribed polygon; piecewise constant fields are zero on that band and on the tiling skeleton
 (edges and vertices).  A tiling keeps one numpy edge table, which refinement, validation and
 clipping read.  Validation, point location and clipping test only the box pairs that meet, which
-one blocked sort-and-sweep query, ``_box_pairs``, returns.
+one blocked sort-and-sweep query, ``_box_pairs``, returns.  Validation clips a pair of triangles
+only when no edge line of either separates them, a separating-axis test (Gottschalk, Lin and
+Manocha, "OBBTree", 1996), so a conforming tiling in the disk clips none.
 
 Clipping cuts sampled geodesics where their cubic Hermite interpolants cross an edge segment, a
 whole plan of paths in one pass, the samples of all paths end to end in one ``PathStack``.  Each
@@ -159,6 +161,12 @@ class Tiling:
 
 
 def _validate(tiling: Tiling) -> TilingReport:
+    """Check the tiling, with a message per defect: degenerate triangles, vertices outside the disk,
+    coincident vertices, edges of three triangles, T-junctions, and overlaps (clip areas above 1e-12
+    of box-meeting pairs ``i < j``).  With every vertex in the disk, pairs of nondegenerate, so
+    counterclockwise, triangles that ``_separated`` proves disjoint are not clipped: their exact
+    overlap is at most a rounding-thin sliver along the separating line, and their clip area about
+    1e-16.  Outside the disk rounding grows with the coordinates, so every pair is clipped."""
     v, areas = tiling.vertices, tiling.areas
     msgs = [f"triangle {i} is degenerate (area {areas[i]:.3e})" for i in np.flatnonzero(np.abs(areas) < MIN_AREA)]
     nondeg = not msgs
@@ -189,34 +197,50 @@ def _validate(tiling: Tiling) -> TilingReport:
 
     # only triangles whose bounding boxes meet can overlap; one triangle has no pair
     if tiling.n_triangles > 1:
-        pairs = _box_pairs(box_lo, box_hi, box_lo, box_hi)
-        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
-        overlap = _overlap_areas(corners, *pairs.T)
+        i, j = _box_pairs(box_lo, box_hi).T
+        if inside:
+            clip = ~(_separated(corners, i, j) & (areas[i] >= MIN_AREA) & (areas[j] >= MIN_AREA))
+            i, j = i[clip], j[clip]
+        overlap = _overlap_areas(corners, i, j)
+        big = overlap > 1e-12
         msgs += [f"triangles {i} and {j} overlap (area {area:.3e})"
-                 for (i, j), area in zip(pairs[overlap > 1e-12].tolist(), overlap[overlap > 1e-12].tolist())]
+                 for i, j, area in zip(i[big].tolist(), j[big].tolist(), overlap[big].tolist())]
     return TilingReport(nondegenerate=nondeg, inside_disk=inside, conforming=conforming, disjoint=len(msgs) == before,
                         coverage_defect=math.pi * DISK_RADIUS**2 - tiling.total_area(), messages=msgs)
 
 
-def _box_pairs(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+def _box_pairs(lo_a, hi_a, lo_b=None, hi_b=None) -> np.ndarray:
     """Index pairs ``(i, j)``, in row-major order, of closed boxes ``a[i]`` and ``b[j]`` that meet, ``(P, 2)``.
+    Without ``b`` the boxes ``a`` are paired with themselves, and each meeting pair comes once, ``i < j``.
 
     Up to ``CLIP_BLOCK`` pairs are tested all against all.  Otherwise the ``b`` boxes are sorted on
     low x and swept (Ericson, *Real-Time Collision Detection*, ch. 7): the low x of each box meeting
     ``a[i]`` lies from ``lo_a[i] - reach`` to ``hi_a[i]``, ``reach`` an x extent no ``b`` box exceeds,
-    so it is one run of the sorted boxes.  The runs are expanded in parts of about ``CLIP_BLOCK``
-    pairs.  A box with a NaN corner meets nothing.  Only ``b`` boxes may be unbounded.
+    so it is one run of the sorted boxes.  A set paired with itself needs no ``reach``: each pair is
+    found from its box that sorts first, whose run starts just past it.  The runs are expanded in
+    parts of about ``CLIP_BLOCK`` pairs.  A box with a NaN corner meets nothing.  Only ``b`` boxes
+    of two sets may be unbounded.
     """
+    one_set = lo_b is None
+    if one_set:
+        lo_b, hi_b = lo_a, hi_a
     if len(lo_a) * len(lo_b) <= CLIP_BLOCK:
         meet = (lo_a[:, None] <= hi_b) & (lo_b <= hi_a[:, None])
-        return np.array(np.nonzero(meet[..., 0] & meet[..., 1])).T
+        meet = meet[..., 0] & meet[..., 1]
+        return np.array(np.nonzero(np.triu(meet, 1) if one_set else meet)).T
     # column views, as gathers from one column are much faster than from rows
-    (ax0, ay0), (ax1, ay1), (bx0, by0), (bx1, by1) = lo_a.T, hi_a.T, lo_b.T, hi_b.T
+    (bx0, by0), (bx1, by1) = lo_b.T, hi_b.T
     order = np.argsort(bx0, kind="stable")
     x = bx0[order]
-    # the widest box rounded up one float, so fl(lo_a - reach) is at most the low x of each box meeting a
-    reach = np.nextafter(np.fmax.reduce(bx1 - bx0), np.inf)
-    start = np.searchsorted(x, ax0 - reach)
+    if one_set:
+        # row s is the box at sorted position s, and its run the boxes after it
+        (ax0, ay0), (ax1, ay1) = lo_a[order].T, hi_a[order].T
+        start = np.arange(1, len(order) + 1)
+    else:
+        (ax0, ay0), (ax1, ay1) = lo_a.T, hi_a.T
+        # the widest box rounded up one float, so fl(lo_a - reach) is at most the low x of each box meeting a
+        reach = np.nextafter(np.fmax.reduce(bx1 - bx0), np.inf)
+        start = np.searchsorted(x, ax0 - reach)
     # a run may end before it starts (a NaN low x searches past every finite one); a NaN
     # high x searches past every box, and meets none
     count = np.maximum(np.searchsorted(x, ax1, side="right") - start, 0) * ~np.isnan(ax1)
@@ -233,7 +257,11 @@ def _box_pairs(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
         # bx0 <= ax1 holds on the whole run
         meet = ax0[i] <= bx1[j]
         meet &= (ay0[i] <= by1[j]) & (by0[j] <= ay1[i])
-        found.append(i[meet] * len(lo_b) + j[meet])
+        i, j = i[meet], j[meet]
+        if one_set:
+            i = order[i]
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        found.append(i * len(lo_b) + j)
     found = np.concatenate(found)               # the list goes, and the keys sort in place
     found.sort()
     pairs = np.empty((len(found), 2), dtype=int)
@@ -257,6 +285,30 @@ def _on_open_edges(p, corners, tol=1e-12) -> np.ndarray:
         s = (ap[..., 0] * ab[..., 0] + ap[..., 1] * ab[..., 1]) / L2
     off = p[:, None] - (a + s[..., None] * ab)
     return (L2 != 0) & (s > tol) & (s < 1.0 - tol) & (np.hypot(off[..., 0], off[..., 1]) < tol)
+
+
+def _separated(corners, i, j) -> np.ndarray:
+    """Which pairs of counterclockwise triangles ``corners[i]`` and ``corners[j]`` an edge line of
+    either one separates: the three corners of the other lie on its closed outer side, with the
+    arithmetic of ``_edge_side(...) <= 0.0``, the clipper's.  The edges of ``corners[i]`` are tried
+    first, and those of ``corners[j]`` on the pairs left, in blocks of ``OVERLAP_BLOCK`` pairs."""
+    # (corner, triangle) arrays, so that each operation runs over contiguous pairs
+    x, y = np.ascontiguousarray(corners[..., 0].T), np.ascontiguousarray(corners[..., 1].T)
+    ex, ey = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y     # edge k runs corner k -> k + 1
+
+    def outside(p, q):
+        # out[e, c]: corner c of q on the closed outer side of edge e of p, pair by pair
+        out = ex[:, None, p] * (y[None, :, q] - y[:, None, p]) - ey[:, None, p] * (x[None, :, q] - x[:, None, p]) <= 0.0
+        out = out[:, 0] & out[:, 1] & out[:, 2]
+        return out[0] | out[1] | out[2]
+
+    sep = np.zeros(len(i), dtype=bool)
+    for k in range(0, len(i), OVERLAP_BLOCK):
+        p, q = i[k:k + OVERLAP_BLOCK], j[k:k + OVERLAP_BLOCK]
+        s = outside(p, q)
+        s[~s] = outside(q[~s], p[~s])
+        sep[k:k + OVERLAP_BLOCK] = s
+    return sep
 
 
 def _overlap_areas(corners, i, j) -> np.ndarray:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import SceneValidationError, config_number
-from .geometry import DEFAULT_STEP, MetricField, PathStack, _trace_rows, unit_tangent, unwrap
+from .geometry import DEFAULT_STEP, MetricField, PathStack, UnitTangent, _trace_rows, unit_tangents, unwrap
 
 
 class WeightField:
@@ -153,11 +153,10 @@ class AttenuationWeight(WeightField):
         return cumulative[row, -1] - cumulative[row, col]
 
     def at(self, x, v):
-        """Points are normalized one at a time as ``unit_tangent`` does, and
-        traced to the boundary together in one lockstep call."""
+        """Points are normalized as ``unit_tangent`` does, in one ``unit_tangents`` pass,
+        and traced to the boundary together in one lockstep call."""
         x, v = _batch(x, v)
-        starts = [unit_tangent(self.metric, p, d) for p, d in zip(x.reshape(-1, 2), v.reshape(-1, 2))]
-        rows = np.array([np.concatenate([s.x, s.v]) for s in starts]).reshape(-1, 4)
+        rows = np.concatenate(unit_tangents(self.metric, x, v), axis=1)
         traced = [unwrap(row) for row in _trace_rows(self.metric, rows, self.trace_step)]
         counts = np.array([len(t) for t, _, _ in traced])
         tail = self._tails(np.concatenate([t for t, _, _ in traced]),
@@ -224,17 +223,18 @@ def injectivity_margin(weight: WeightField, samples) -> float:
 
 
 def sphere_bundle_samples(metric: MetricField, n_points: int = 40, n_dirs: int = 8):
-    """Deterministic (point, direction) grid for margin and continuity probes."""
-    out = []
+    """Deterministic (point, direction) grid for margin and continuity probes, normalized in one
+    ``unit_tangents`` pass."""
     golden = math.pi * (3.0 - math.sqrt(5.0))
+    points = []
     for i in range(n_points):
         r = math.sqrt((i + 0.5) / n_points) * 0.999
         ang = golden * i
-        x = np.array([r * math.cos(ang), r * math.sin(ang)])
-        for j in range(n_dirs):
-            theta = 2.0 * math.pi * j / n_dirs
-            out.append(unit_tangent(metric, x, np.array([math.cos(theta), math.sin(theta)])))
-    return out
+        points.append([r * math.cos(ang), r * math.sin(ang)])
+    thetas = [2.0 * math.pi * j / n_dirs for j in range(n_dirs)]
+    dirs = [[math.cos(theta), math.sin(theta)] for theta in thetas]
+    x, v = unit_tangents(metric, np.repeat(np.reshape(points, (-1, 2)), n_dirs, axis=0), np.tile(dirs, (n_points, 1)))
+    return [UnitTangent(x=p, v=d) for p, d in zip(x, v)]
 
 
 def weight_from_config(cfg: dict, metric: MetricField, trace_step: float = DEFAULT_STEP) -> WeightField:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoxray as gx
 from geoxray.geometry import PathStack
@@ -748,6 +750,137 @@ def test_box_pairs_match_dense_reference():
     assert branches == {False, True}
     several = [case for case in box_pair_cases() if case[0] == "random, several blocks"][0]
     assert len(_dense_box_pairs(*several[1:])) > 2 * CLIP_BLOCK
+
+
+def test_box_pairs_of_one_set_match_dense_reference():
+    # a box set paired with itself gives the dense search's pairs with i < j,
+    # row for row, on each box set of the reference cases; both branches run
+    from geoxray.tiling import CLIP_BLOCK, _box_pairs
+
+    branches = set()
+    for name, *boxes in box_pair_cases():
+        for lo, hi in (boxes[:2], boxes[2:]):
+            want = _dense_box_pairs(lo, hi, lo, hi)
+            want = want[want[:, 0] < want[:, 1]]
+            got = _box_pairs(lo, hi)
+            assert got.shape == want.shape and got.dtype.kind == "i", name
+            assert np.array_equal(got, want), name
+            branches.add(len(lo) ** 2 > CLIP_BLOCK)
+    assert branches == {False, True}
+
+
+def _validate_reference(tiling):
+    """``validate``'s messages, with the overlap messages (they come last) as validation wrote
+    them before the separating-axis pass, which clipped every box-meeting pair ``i < j``; kept
+    as the pass's reference."""
+    from geoxray.tiling import _overlap_areas
+
+    corners = tiling.vertices[tiling.triangles]
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    pairs = _dense_box_pairs(lo, hi, lo, hi)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    areas = _overlap_areas(corners, *pairs.T)
+    return ([m for m in tiling.validate().messages if not m.startswith("triangles ")]
+            + [f"triangles {i} and {j} overlap (area {area:.3e})"
+               for (i, j), area in zip(pairs.tolist(), areas.tolist()) if area > 1e-12])
+
+
+def test_separating_axes_leave_no_pair_of_refined_fans_to_clip(monkeypatch):
+    # every box-meeting pair of a conforming fan shares an edge, a vertex or
+    # nothing, and an edge line separates it on its closed outer side; the
+    # tilings with an extra overlapping triangle keep a pair to clip
+    from geoxray import tiling as module
+    from golden.make_validation_areas import tilings
+
+    clipped, clip = [], module._overlap_areas
+    monkeypatch.setattr(module, "_overlap_areas", lambda corners, i, j: clipped.append(len(i)) or clip(corners, i, j))
+
+    def validate(tiling):
+        """The report's ``ok`` and the number of pairs clipped."""
+        clipped.clear()
+        return module._validate(tiling).ok, sum(clipped)
+
+    tiling = gx.polygon_fan_tiling(6)
+    for _ in range(4):
+        tiling = gx.refine(tiling)
+        assert validate(tiling) == (True, 0), tiling.n_triangles
+    extra = [tiling for name, tiling in tilings() if name.startswith("extra_")]
+    assert len(extra) == 50
+    for tiling in extra:
+        ok, count = validate(tiling)
+        assert not ok and count > 0
+
+
+def test_separating_axes_try_the_edges_of_both_triangles():
+    # only the long edge of a separates it from b, whose corners are all on or
+    # beyond that edge's line; no edge line of b has every corner of a outside
+    from geoxray.tiling import _separated
+
+    a, b = [[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]], [[0.165, 0.165], [0.9, -0.3], [-0.3, 0.9]]
+    tiling = gx.Tiling(a + b, [[0, 1, 2], [3, 4, 5]])
+    corners = tiling.vertices[tiling.triangles]
+    assert _separated(corners, np.array([0, 1]), np.array([1, 0])).tolist() == [True, True]
+    assert tiling.validate().messages == _validate_reference(tiling) == []
+    # b's apex pushed across the line: now the pair overlaps and is clipped
+    b[0] = [0.14, 0.14]
+    tiling = gx.Tiling(a + b, [[0, 1, 2], [3, 4, 5]])
+    assert _separated(tiling.vertices[tiling.triangles], np.array([0]), np.array([1])).tolist() == [False]
+    assert tiling.validate().messages == _validate_reference(tiling) != []
+
+
+def test_every_pair_is_clipped_outside_the_disk():
+    # two triangles on one edge whose shared corners differ in the last bits: an
+    # edge line separates them, and the clip leaves a rounding-level area.  Powers
+    # of two scale every rounding exactly: by 2**-1 the pair is inside the disk and
+    # goes unclipped; by 2**30 it is not, and its area passes 1e-12.
+    from geoxray.tiling import _overlap_areas, _separated
+
+    corners = np.array([[-0.42232195801998, 0.5294750915195797], [0.4038038958946938, -0.6731709937425667],
+                        [0.8682445700734599, 0.530929890753554], [0.4038038958946939, -0.6731709937425666],
+                        [-0.42232195801998, 0.5294750915195796], [-0.5653112105742037, 0.37544948920998067]])
+    for scale, message in ((0.5, []), (2.0**30, ["triangles 0 and 1 overlap (area 2.720e+02)"])):
+        tiling = gx.Tiling(scale * corners, [[0, 1, 2], [3, 4, 5]])
+        pair = tiling.vertices[tiling.triangles], np.array([0]), np.array([1])
+        assert _separated(*pair).tolist() == [True] and _overlap_areas(*pair)[0] == 2.3592239273284576e-16 * scale**2
+        assert tiling.validate().inside_disk == (scale < 1.0)
+        assert [m for m in tiling.validate().messages if m.startswith("triangles ")] == message
+        assert tiling.validate().messages == _validate_reference(tiling)
+
+
+@st.composite
+def in_disk_tilings(draw):
+    """Jittered fans, refined or not, with extra triangles on shared edges or
+    vertices and slivers 1e-6 to 1e-15 off collinear, scaled into the disk."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tiling = gx.polygon_fan_tiling(draw(st.integers(3, 8)), rotation=draw(st.floats(0.0, math.pi)))
+    if draw(st.booleans()):
+        tiling = gx.refine(tiling)
+    v, tris = tiling.vertices.copy(), tiling.triangles.tolist()
+    jitter = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-4, 0.05]))
+    v += rng.normal(scale=jitter, size=v.shape) * (rng.random((len(v), 1)) < 0.5)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b, c = tris[int(rng.integers(len(tris)))]
+        kind = draw(st.sampled_from(["apex", "vertices", "sliver"]))
+        if kind == "apex":      # a new triangle on a shared edge, on either side of it
+            v = np.vstack([v, 0.5 * (v[a] + v[b]) + rng.normal(scale=0.3, size=2)])
+            tris.append([a, b, len(v) - 1])
+        elif kind == "vertices":    # three vertices of the tiling
+            tris.append(rng.choice(len(v), 3, replace=False).tolist())
+        else:                   # the third corner a hair off the opposite edge, either side
+            e = v[b] - v[a]
+            off = draw(st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15])) * rng.choice([-1.0, 1.0])
+            v = np.vstack([v, v[a] + float(rng.random()) * e + off * np.array([-e[1], e[0]])])
+            tris[tris.index([a, b, c])] = [a, b, len(v) - 1]
+    v /= max(1.0, float(np.hypot(v[:, 0], v[:, 1]).max()))
+    return gx.Tiling(v, tris)
+
+
+@settings(max_examples=40, deadline=None)
+@given(in_disk_tilings())
+def test_separating_axes_keep_every_overlap_message(tiling):
+    # inside the disk, the pairs that an edge line separates and go unclipped
+    # would overlap by a rounding-level area at most, under the 1e-12 of a message
+    assert tiling.validate().messages == _validate_reference(tiling)
 
 
 def _coincidences(vertices):
