@@ -12,8 +12,11 @@ the disk, and the boundary crossings of all rows are then located together by
 bisection on ``|x| - 1`` inside the steps that crossed.  Each row gets the
 arithmetic of a one-row trace bit for bit, so a path does not depend on what
 it was traced with.  Paths are unit speed in ``g``, so the curve parameter is
-arclength.  Paths are evaluated in one place, ``PathStack``: one bisection
-finds every query's sample interval, for cubic Hermite interpolation.
+arclength.  One gather lays the paths of a call end to end in one
+``PathStack``, and each GeodesicPath is a view of it; clipping and
+integration read that stack as it is.  Paths are evaluated in one place, the
+stack: one bisection finds every query's sample interval, for cubic Hermite
+interpolation.
 """
 
 from __future__ import annotations
@@ -281,41 +284,41 @@ def boundary_tangent(metric: MetricField, boundary_angle: float, direction_angle
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """A sampled unit-speed geodesic.
+    """A sampled unit-speed geodesic, path ``p`` of ``stack``.
 
     ``t`` is arclength from the first sample, ``x`` and ``v`` the per-sample
-    positions and velocities.  ``endpoints_on_boundary`` is set when both
-    ends lie on the boundary circle within 1e-9.
+    positions and velocities, slices of the stack's.  ``endpoints_on_boundary``
+    is set when both ends lie on the boundary circle within 1e-9.
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    endpoints_on_boundary: bool
-    metric: MetricField = field(repr=False, compare=False, default=None)
+    stack: "PathStack" = field(repr=False)
+    p: int
+
+    t = property(lambda self: self.stack.t[self.stack.first[self.p]:self.stack.stop[self.p]])
+    x = property(lambda self: self.stack.x[self.stack.first[self.p]:self.stack.stop[self.p]])
+    v = property(lambda self: self.stack.v[self.stack.first[self.p]:self.stack.stop[self.p]])
+    metric = property(lambda self: self.stack.metric)
+    tau = property(lambda self: float(self.t[-1]))
+    n_samples = property(lambda self: len(self.t))
 
     @property
-    def tau(self) -> float:
-        return float(self.t[-1])
-
-    @property
-    def n_samples(self) -> int:
-        return self.t.shape[0]
+    def endpoints_on_boundary(self) -> bool:
+        return all(abs(math.hypot(*self.x[i]) - DISK_RADIUS) <= BOUNDARY_TOL for i in (0, -1))
 
     def position(self, t) -> np.ndarray:
         """Position at arclength ``t`` (a scalar or an array), by cubic Hermite interpolation."""
         if self.n_samples == 1:   # a path of one sample has no interval to interpolate on
             return np.broadcast_to(self.x[0], np.shape(t) + (2,)).copy()
-        return PathStack.of([self]).position(np.zeros(np.shape(t), dtype=int), np.asarray(t, dtype=float))
+        return self.stack.position(np.full(np.shape(t), self.p), np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
 class PathStack:
     """The samples of several paths laid end to end, path ``p`` at rows
     ``first[p]:stop[p]``, so that a whole plan is clipped and integrated in
-    one pass.  Every evaluation along a path goes through here: ``search``
-    finds the sample interval of each query, and ``hermite`` interpolates
-    per-sample values on it."""
+    one pass; ``trace_geodesics`` lays out the paths of a call in one.  Every
+    evaluation along a path goes through here: ``search`` finds the sample
+    interval of each query, and ``hermite`` interpolates per-sample values on it."""
 
     t: np.ndarray
     x: np.ndarray
@@ -326,10 +329,14 @@ class PathStack:
 
     @classmethod
     def of(cls, paths) -> "PathStack":
+        """The stack of ``paths`` if they are all its paths in order, else their samples copied end to end."""
+        stack = paths[0].stack if paths else None
+        if stack and [p.p if p.stack is stack else -1 for p in paths] == list(range(len(stack.first))):
+            return stack
         counts = np.array([p.n_samples for p in paths], dtype=int)
         t = np.concatenate([np.zeros(0)] + [p.t for p in paths])   # the empty blocks shape an empty plan
         x, v = (np.concatenate([np.zeros((0, 2))] + [getattr(p, a) for p in paths]) for a in "xv")
-        return cls(t, x, v, np.cumsum(counts) - counts, np.cumsum(counts), paths[0].metric if paths else None)
+        return cls(t, x, v, np.cumsum(counts) - counts, np.cumsum(counts), stack and stack.metric)
 
     def search(self, path, q) -> np.ndarray:
         """Per query, ``np.searchsorted(side="right")`` of arclength ``q`` on the times
@@ -460,22 +467,23 @@ def _bisect_lanes(below, lo, hi, width, *lanes):
         busy = hi - lo > width
 
 
-def _trace_rows(metric, y, step):
+def _trace_rows(metric, y, step, back=None):
     """Integrate every row ``(x, v)`` of ``y`` forward to the boundary, in lockstep.
 
     Rows leave the active set at the step that takes them out of the disk;
     the exits are then located together, by bisection on ``|x| - 1`` inside
-    those steps.  Samples are stored per step for the rows still active, so
-    storage grows with the total sample count.  Returns one entry per row:
-    its ``(t, x, v)`` sample arrays, or the error that tracing the row raises.
+    those steps.  Samples are stored per step for the rows still active, then
+    gathered once into a PathStack.  A row is a path, or where ``back`` marks it
+    the backward half of the next row's path: laid first, reversed, at arclength
+    ``tau_b - t`` with ``v`` negated (``tau_b`` its exit time), sharing its start.
+    Returns the stack and, per path, its GeodesicPath or its rows' first error.
     """
-    n = len(y)
+    back = np.zeros(len(y), dtype=bool) if back is None else back
     # a NaN step would never reach the arclength cap: the loop would not end
-    if not (math.isfinite(step) and step > 0):
-        return [SceneValidationError("integrator step must be positive and finite")] * n
-    finite = np.isfinite(y).all(axis=1)
-    out = [None if ok else SceneValidationError(f"geodesic start state {row.tolist()} is not finite")
-           for ok, row in zip(finite, y)]
+    ok = math.isfinite(step) and step > 0
+    finite = np.isfinite(y).all(axis=1) & ok
+    out = [None if f else SceneValidationError(f"geodesic start state {row.tolist()} is not finite") if ok
+           else SceneValidationError("integrator step must be positive and finite") for f, row in zip(finite, y)]
     rhs = _flow(metric)
     rows, cur, t = np.flatnonzero(finite), y[finite], 0.0
     samples, exits = [(rows, cur, t)], [(rows[:0], cur[:0], t)]
@@ -496,19 +504,29 @@ def _trace_rows(metric, y, step):
     s = _bisect_lanes(lambda mid, y0: _radius(rk4(rhs, y0, mid[:, None])) >= DISK_RADIUS,
                       np.zeros(len(e_rows)), np.full(len(e_rows), float(step)), EVENT_WIDTH, e_y)
     kept = s > EVENT_WIDTH
-    # group the samples by row, each row's in step order, its exit last
     step_rows, step_y, step_t = zip(*samples)
+    step_y += (rk4(rhs, e_y[kept], s[kept, None]),)
+    x, v = (np.concatenate([y0[:, c] for y0 in step_y]) for c in (slice(2), slice(2, 4)))
+    del samples, step_y   # before the gather copies the samples again
     rows = np.concatenate(step_rows + (e_rows[kept],))
-    order = np.argsort(rows, kind="stable")
-    ys = np.concatenate(step_y + (rk4(rhs, e_y[kept], s[kept, None]),))
-    # drop the per-step arrays before the reorder copies the samples again
-    del samples, step_y
-    ys = ys[order]
-    ts = np.concatenate([np.repeat(step_t, [len(r) for r in step_rows]), e_t[kept] + s[kept]])[order]
-    counts = np.bincount(rows, minlength=n)
-    ends = np.cumsum(counts)
-    return [(ts[b - c:b], ys[b - c:b, :2], ys[b - c:b, 2:]) if e is None else e
-            for e, b, c in zip(out, ends, counts)]
+    ts = np.concatenate([np.repeat(step_t, [len(r) for r in step_rows]), e_t[kept] + s[kept]])
+    ts = np.where(back[rows], -ts, ts)
+    path = np.cumsum(~back) - ~back
+    errors = [out[r - 1] or out[r] if r and back[r - 1] else out[r] for r in np.flatnonzero(~back).tolist()]
+    # sort by row, then by arclength negated along a backward row, so its samples come in reverse;
+    # keep the samples of the paths that traced, less the forward start that ends a backward row
+    order = np.lexsort((ts, rows))
+    keep = np.array([e is None for e in errors], dtype=bool)[path][rows]
+    order = order[(keep & ~((ts == 0.0) & np.append(False, back[:-1])[rows]))[order]]
+    rows, ts = rows[order], ts[order]
+    counts = (c := np.bincount(path[rows]))[c > 0]
+    first = np.cumsum(counts) - counts
+    x = x[order]
+    v = v[order]
+    v[back[rows]] *= -1.0
+    ts -= np.repeat(ts[first], counts)   # tau_b - t as -t - (-tau_b), and tau_b + t: the same floats
+    stack, good = PathStack(ts, x, v, first, first + counts, metric), iter(range(len(counts)))
+    return stack, [GeodesicPath(stack, next(good)) if e is None else e for e in errors]
 
 
 def unwrap(entry):
@@ -525,44 +543,27 @@ def trace_geodesics(metric: MetricField, starts, step: float = DEFAULT_STEP) -> 
     returns for it, or the error that ``trace_geodesic`` raises for it.
     Errors are returned, not raised, so that a caller working through a
     plan raises the one of the first failing member (see ``unwrap``).  A
-    start that is already a GeodesicPath, or an error, is returned as it is.
+    start that is already a GeodesicPath, or an error, is returned as it is;
+    the traced paths are views of one PathStack, which ``clip_plan`` reads.
     """
-    owners, rows = [], []
+    out, rows, back = [], [], []
     for start in starts:
         if isinstance(start, (GeodesicPath, GeoxrayError)):
-            owners.append(start)
+            out.append(start)
             continue
         x, v = np.asarray(start.x, dtype=float), np.asarray(start.v, dtype=float)
         r = math.hypot(x[0], x[1])
+        interior = not r >= DISK_RADIUS - BOUNDARY_TOL
         if r > DISK_RADIUS + BOUNDARY_TOL:
-            owners.append(DomainError(f"start point {x.tolist()} outside the closed disk"))
-        elif not r >= DISK_RADIUS - BOUNDARY_TOL:
-            # interior start: extend backwards to the boundary, then forwards
-            owners.append((len(rows), len(rows) + 1))
-            rows += [np.concatenate([x, -v]), np.concatenate([x, v])]
-        elif (x[0] * v[0] + x[1] * v[1]) / max(r, 1e-300) > 1e-9:
-            owners.append(DomainError("boundary start must not point outward"))
-        else:
-            owners.append((len(rows),))
-            rows.append(np.concatenate([x, v]))
-    halves = _trace_rows(metric, np.array(rows), step) if rows else []
-    return [_join(metric, [halves[k] for k in owner]) if isinstance(owner, tuple) else owner
-            for owner in owners]
-
-
-def _join(metric, halves):
-    """The path from its traced halves, ``[forward]`` or ``[backward, forward]``, or their first error."""
-    errors = [half for half in halves if isinstance(half, GeoxrayError)]
-    if errors:
-        return errors[0]
-    t, x, v = halves[-1]
-    if len(halves) == 2:
-        t_b, x_b, v_b = halves[0]
-        tau_b = t_b[-1]
-        t = np.concatenate([tau_b - t_b[::-1], tau_b + t[1:]])
-        x = np.concatenate([x_b[::-1], x[1:]])
-        v = np.concatenate([-v_b[::-1], v[1:]])
-    return GeodesicPath(t=t, x=x, v=v, endpoints_on_boundary=_ends_on_circle(x), metric=metric)
+            out.append(DomainError(f"start point {x.tolist()} outside the closed disk"))
+        elif not interior and (x[0] * v[0] + x[1] * v[1]) / max(r, 1e-300) > 1e-9:
+            out.append(DomainError("boundary start must not point outward"))
+        else:   # an interior start extends backwards to the boundary, then forwards
+            rows += [np.concatenate([x, -v])] * interior + [np.concatenate([x, v])]
+            back += [True] * interior + [False]
+            out.append(None)
+    traced = iter(_trace_rows(metric, np.array(rows), step, np.array(back))[1] if rows else [])
+    return [next(traced) if o is None else o for o in out]
 
 
 def trace_geodesic(metric: MetricField, start: UnitTangent, step: float = DEFAULT_STEP) -> GeodesicPath:
@@ -596,12 +597,6 @@ def trace_geodesic(metric: MetricField, start: UnitTangent, step: float = DEFAUL
         boundary.
     """
     return unwrap(trace_geodesics(metric, [start], step)[0])
-
-
-def _ends_on_circle(x: np.ndarray) -> bool:
-    r0 = math.hypot(x[0, 0], x[0, 1])
-    r1 = math.hypot(x[-1, 0], x[-1, 1])
-    return abs(r0 - DISK_RADIUS) <= BOUNDARY_TOL and abs(r1 - DISK_RADIUS) <= BOUNDARY_TOL
 
 
 def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float = DEFAULT_STEP) -> list:

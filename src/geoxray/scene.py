@@ -25,6 +25,9 @@ SCHEMA = "geoxray-scene/1"
 DEFAULT_QUADRATURE_STEP = 1e-2
 # The most triangles a scene's tiling may have (sides * 4**refine for a fan), checked before refining.
 MAX_TRIANGLES = 1 << 16
+# The most integrator steps a geodesic may take before the tracer's arclength cap ends it as
+# trapped: a scene's step is at least ARCLENGTH_CAP / MAX_TRACE_STEPS (2e-4).
+MAX_TRACE_STEPS = 10**6
 
 
 @dataclass
@@ -100,6 +103,10 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
                          else step_override, "scene.quadrature_step")
     if not step > 0:
         raise SceneValidationError("scene.quadrature_step: must be positive and finite")
+    if ARCLENGTH_CAP / step > MAX_TRACE_STEPS:
+        raise SceneValidationError(f"integrator step {step:g} (scene.quadrature_step / --step) is below "
+                                   f"{ARCLENGTH_CAP / MAX_TRACE_STEPS:g}: a geodesic up to the arclength cap "
+                                   f"{ARCLENGTH_CAP:g} would take more than {MAX_TRACE_STEPS:,} steps")
 
     metric_cfg = _section(raw, "metric", required=True)
     metric = metric_from_config(metric_cfg.get("family"), metric_cfg.get("params", ()))

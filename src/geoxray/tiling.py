@@ -169,9 +169,10 @@ def _validate(tiling: Tiling) -> TilingReport:
     1e-16.  Outside the disk rounding grows with the coordinates, so every pair is clipped."""
     v, areas = tiling.vertices, tiling.areas
     msgs = [f"triangle {i} is degenerate (area {areas[i]:.3e})" for i in np.flatnonzero(np.abs(areas) < MIN_AREA)]
-    nondeg = not msgs
-    inside = not (len(v) and np.hypot(v[:, 0], v[:, 1]).max() > DISK_RADIUS + 1e-9)
-    msgs += [] if inside else ["vertex outside the closed unit disk"]
+    nondeg, before, finite = not msgs, len(msgs), np.isfinite(v).all(axis=1)
+    msgs += [f"vertex {k} {v[k].tolist()} is not finite" for k in np.flatnonzero(~finite)]
+    msgs += ["vertex outside the closed unit disk"] if (np.hypot(*v[finite].T) > DISK_RADIUS + 1e-9).any() else []
+    inside = len(msgs) == before
 
     before = len(msgs)
     # coincident vertices break the equal-depth requirement; only vertices

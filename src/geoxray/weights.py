@@ -137,15 +137,14 @@ class AttenuationWeight(WeightField):
         self.strength = float(strength)
         self.trace_step = float(trace_step)
 
-    def _tails(self, t, x, counts) -> np.ndarray:
-        """Trapezoid integrals of the coefficient from each sample to the last of
-        its row, for rows laid end to end (``counts`` samples each): the row's
-        total less its sum up to the sample, both summed in sample order, as
-        ``np.cumsum`` of that row alone sums them."""
-        a = self.profile(x)
-        terms = 0.5 * (a[1:] + a[:-1]) * np.diff(t)
+    def _tails(self, stack: PathStack) -> np.ndarray:
+        """Trapezoid integrals of the coefficient from each sample of the stack to
+        the last of its path: the path's total less its sum up to the sample,
+        both summed in sample order, as ``np.cumsum`` of that path alone sums them."""
+        a, counts = self.profile(stack.x), stack.stop - stack.first
+        terms = 0.5 * (a[1:] + a[:-1]) * np.diff(stack.t)
         row = np.repeat(np.arange(len(counts)), counts)
-        col = np.arange(len(t)) - (np.cumsum(counts) - counts)[row]
+        col = np.arange(len(stack.t)) - stack.first[row]
         joined = np.flatnonzero(col > 0)   # term j - 1 joins sample j - 1 to sample j of one row
         grid = np.zeros((len(counts), counts.max(initial=1)))
         grid[row[joined], col[joined]] = terms[joined - 1]
@@ -156,17 +155,17 @@ class AttenuationWeight(WeightField):
         """Points are normalized as ``unit_tangent`` does, in one ``unit_tangents`` pass,
         and traced to the boundary together in one lockstep call."""
         x, v = _batch(x, v)
-        rows = np.concatenate(unit_tangents(self.metric, x, v), axis=1)
-        traced = [unwrap(row) for row in _trace_rows(self.metric, rows, self.trace_step)]
-        counts = np.array([len(t) for t, _, _ in traced])
-        tail = self._tails(np.concatenate([t for t, _, _ in traced]),
-                           np.concatenate([p for _, p, _ in traced]), counts)[np.cumsum(counts) - counts]
+        stack, paths = _trace_rows(self.metric, np.concatenate(unit_tangents(self.metric, x, v), axis=1),
+                                   self.trace_step)
+        for path in paths:
+            unwrap(path)
+        tail = self._tails(stack)[stack.first]
         return self._weight(tail).reshape(x.shape[:-1] + (1, 1))
 
     def along(self, stack: PathStack):
         # Hermite interpolation of every path's tail integral along the path
         # itself: its derivative is minus the coefficient, known exactly at the samples.
-        tail, slope = self._tails(stack.t, stack.x, stack.stop - stack.first), -self.profile(stack.x)
+        tail, slope = self._tails(stack), -self.profile(stack.x)
         return lambda path, t: self._weight(stack.hermite(stack.interval(path, t), t, tail, slope))[..., None, None]
 
     def _weight(self, tail):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import geoxray as gx
-from geoxray.geometry import DEFAULT_STEP, _join, _trace_rows, unwrap
+from geoxray.geometry import DEFAULT_STEP, _trace_rows, unwrap
 
 OUT = Path(__file__).with_name("paths.json")
 SEED = 20190112
@@ -35,7 +35,7 @@ STEPS = (0.002, 0.01)
 def trace_forward(metric, start, step=DEFAULT_STEP):
     """Trace only forward from ``start`` to the boundary (no backward extension)."""
     row = np.concatenate([np.asarray(start.x, float), np.asarray(start.v, float)])
-    return unwrap(_join(metric, _trace_rows(metric, row[None], step)))
+    return unwrap(_trace_rows(metric, row[None], step)[1][0])
 
 
 TRACERS = {"maximal": gx.trace_geodesic, "forward": trace_forward}

@@ -128,16 +128,25 @@ def test_batched_paths_match_golden_digests():
             assert (path.n_samples, path.tau, digest(path)) == (case["n_samples"], case["tau"], case["sha256"])
 
 
-def test_batched_trace_keeps_each_start_error_in_place(euclidean):
+def test_batched_trace_keeps_each_start_error_in_place(euclidean, hexagon24):
+    # the paths of one call are views of one PathStack, which clipping takes as it is
     good = gx.boundary_tangent(euclidean, 0.0, math.pi + 0.3)
     outward = gx.UnitTangent(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     not_finite = gx.UnitTangent(np.array([math.nan, 0.0]), np.array([1.0, 0.0]))
-    entries = gx.trace_geodesics(euclidean, [good, outward, not_finite, good], step=1e-2)
+    interior = gx.unit_tangent(euclidean, [0.2, -0.1], [0.6, 0.8])
+    interior_not_finite = gx.UnitTangent(np.array([0.2, -0.1]), np.array([math.inf, 0.8]))
+    boundary = gx.boundary_tangent(euclidean, 2.0, 2.0 + math.pi - 0.5)
+    starts = [good, outward, not_finite, good, interior, interior_not_finite, boundary]
+    entries = gx.trace_geodesics(euclidean, starts, step=1e-2)
     assert isinstance(entries[1], gx.DomainError)
-    assert isinstance(entries[2], gx.SceneValidationError) and "not finite" in str(entries[2])
-    single = gx.trace_geodesic(euclidean, good, step=1e-2)
-    for path in (entries[0], entries[3]):
-        assert np.array_equal(path.t, single.t) and np.array_equal(path.x, single.x)
+    for k in (2, 5):
+        assert isinstance(entries[k], gx.SceneValidationError) and "not finite" in str(entries[k])
+    paths = [entries[k] for k in (0, 3, 4, 6)]
+    for k, path in zip((0, 3, 4, 6), paths):
+        single = gx.trace_geodesic(euclidean, starts[k], step=1e-2)
+        assert [getattr(path, a).tobytes() for a in "txv"] == [getattr(single, a).tobytes() for a in "txv"]
+    assert all(path.stack is paths[0].stack for path in paths) and paths[2].endpoints_on_boundary
+    assert gx.tiling.clip_plan(hexagon24, paths)[0] is paths[0].stack
 
 
 def test_trapping_cap_raises():

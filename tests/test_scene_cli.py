@@ -467,15 +467,18 @@ def test_fan_offset_out_of_range_exits_with_one_error_line(tmp_path, exponent):
     assert "scene.plans.fan_limit.h_exponents" in done.stderr
 
 
-@pytest.mark.parametrize("step", ["1e-20", "1e-300"])
+@pytest.mark.parametrize("step", ["1e-20", "1e-300", "1e-15", "2.2e-17"])
 def test_step_too_small_to_count_exits_with_one_error_line(tmp_path, step):
-    # the transport of each fan member counts its steps in int64; these steps
-    # ended in OverflowError tracebacks with exit 1
+    # the transport of each fan member counts its steps in int64: the first two
+    # steps ended in OverflowError tracebacks with exit 1, and the last two, whose
+    # counts fit in int64 but take years, hung; the scene's step is now checked
+    # against MAX_TRACE_STEPS at load, before anything is traced
     path = str(Path(__file__).resolve().parents[1] / "scenes" / "demo_limit_check.json")
     done = run_bounded("import sys; from geoxray import cli; sys.exit(cli.main(sys.argv[1:]))",
                        "limit-check", "--scene", path, "--out", str(tmp_path), "--step", step, timeout=15)
     assert done.returncode == EXIT_VALIDATION
     assert done.stderr.startswith("geoxray: error: integrator step ") and done.stderr.count("\n") == 1
+    assert "scene.quadrature_step / --step" in done.stderr
 
 
 def test_limit_check_trapping_exit_code(tmp_path):

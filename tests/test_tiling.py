@@ -34,6 +34,16 @@ def test_single_inscribed_triangle_valid():
     assert report.coverage_defect > 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_vertex_is_reported_by_index(bad):
+    # a NaN vertex made NaN areas and radii that passed every test, and boxes that meet nothing,
+    # so the tiling was valid; an infinite one read only as a vertex outside the disk
+    with np.errstate(invalid="ignore"):
+        report = gx.Tiling([[0, 0], [0.5, 0], [bad, 0.5], [0.5, 0.5]], [[0, 1, 2], [1, 3, 2]]).validate()
+    assert not report.ok and not report.inside_disk
+    assert report.messages == [f"vertex 2 [{bad}, 0.5] is not finite"]
+
+
 def test_two_triangles_sharing_edge_conforming():
     t = gx.Tiling([[0, 0], [1, 0], [0.5, 0.7], [0.5, -0.7]], [[0, 1, 2], [0, 1, 3]])
     assert t.validate().ok

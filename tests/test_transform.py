@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,9 +213,9 @@ def test_product_attenuation_integrates_without_tracing(monkeypatch, conformal05
     calls = []
     trace_rows = geoxray.geometry._trace_rows
 
-    def counting(metric, y, step):
+    def counting(metric, y, *args):
         calls.append(len(y))
-        return trace_rows(metric, y, step)
+        return trace_rows(metric, y, *args)
 
     for module in (geoxray.geometry, geoxray.weights):
         monkeypatch.setattr(module, "_trace_rows", counting)
@@ -228,24 +229,32 @@ def test_plan_integration_peak_memory_is_bounded(tmp_path, monkeypatch):
     # weight is evaluated inside the blocks of the trapezoid sums, with
     # accelerations only at the samples around each node, so no per-plan weight
     # array is held; tracemalloc peak 772.6 KB before the one-stack integration
-    # and 842.1 KB with it, against a bound of 1.5 times the former (numpy 2.4
-    # on Python 3.11)
+    # and 842.1 KB with it, against a bound of 1.5 times the former.  The
+    # 450-chord demo plan (59,640 samples), traced from its starts: the tracer
+    # lays the samples out once, in the stack that clipping and integration
+    # read; peak 7.18 MB while the traced paths were copied into a new stack,
+    # 4.62 MB without (numpy 2.4 on Python 3.11)
     import tracemalloc
 
+    from geoxray.scene import scene_chord_descriptors
     from test_tiling import RADIAL, WORKLOAD_SCENES, workload_plans
 
     (tiling, paths), = workload_plans("fan-limit", tmp_path, monkeypatch)
     scene = gx.scene.build_scene({"schema": "geoxray-scene/1", "metric": RADIAL, **WORKLOAD_SCENES["fan-limit"][1]})
     assert len(paths) == 40 and sum(p.n_samples for p in paths) == 14_798
-    gx.plan_weight_integrals(scene.metric, scene.weight, tiling, paths)
-    tracemalloc.start()
-    try:
-        op = gx.plan_weight_integrals(scene.metric, scene.weight, tiling, paths)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert op.n_rows == 40 and not any(op.errors)
-    assert peak <= 1_160_000
+    demo = gx.load_scene(str(Path(__file__).resolve().parents[1] / "scenes" / "demo_reconstruct.json"))
+    starts = [gx.boundary_tangent(demo.metric, a, d) for a, d in scene_chord_descriptors(demo)]
+    assert len(starts) == 450
+    for scene, tiling, plan, bound in ((scene, tiling, paths, 1_160_000), (demo, demo.tiling, starts, 6_200_000)):
+        gx.plan_weight_integrals(scene.metric, scene.weight, tiling, plan, step=scene.step)
+        tracemalloc.start()
+        try:
+            op = gx.plan_weight_integrals(scene.metric, scene.weight, tiling, plan, step=scene.step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.n_rows == len(plan) and not any(op.errors)
+        assert peak <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,9 @@ def test_attenuation_margin_traces_all_samples_in_one_call(monkeypatch, conforma
     calls = []
     trace_rows = geometry._trace_rows
 
-    def counting(metric, y, step):
+    def counting(metric, y, *args):
         calls.append(len(y))
-        return trace_rows(metric, y, step)
+        return trace_rows(metric, y, *args)
 
     for module in (geometry, weights):
         monkeypatch.setattr(module, "_trace_rows", counting, raising=False)
