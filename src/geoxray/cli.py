@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import GeoxrayError, SceneValidationError, exit_code_for
-from .geometry import boundary_tangent
+from .geometry import boundary_tangents, unwrap
 from .recovery import RecordedOracle, SyntheticOracle, reconstruct, singular_spectrum, spectral_summary
 from .scene import Scene, load_scene, scene_chord_descriptors
 from .transform import limit_scan, plan_weight_integrals
@@ -74,8 +74,8 @@ def _complex_cells(vec):
 
 def _plan(scene: Scene, descriptors):
     """The PlanOperator of the scene's chords with the given descriptors."""
-    return plan_weight_integrals(scene.metric, scene.weight, scene.tiling,
-                                 [boundary_tangent(scene.metric, a, d) for a, d in descriptors], scene.step)
+    starts = [unwrap(start) for start in boundary_tangents(scene.metric, descriptors)]
+    return plan_weight_integrals(scene.metric, scene.weight, scene.tiling, starts, scene.step)
 
 
 # ---------------------------------------------------------------------------

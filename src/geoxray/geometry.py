@@ -282,6 +282,24 @@ def boundary_tangent(metric: MetricField, boundary_angle: float, direction_angle
     return unit_tangent(metric, x, v)
 
 
+def boundary_tangents(metric: MetricField, descriptors) -> list:
+    """``boundary_tangent`` of every (boundary angle, direction angle) pair, in one ``unit_tangents``
+    pass: per pair the UnitTangent, bit for bit, or the error that ``boundary_tangent`` raises for it.
+    Points and directions come from ``math.cos`` and ``math.sin``, as ``boundary_point`` takes them."""
+    rows = np.array([[math.cos(a), math.sin(a), math.cos(d), math.sin(d)] for a, d in descriptors]).reshape(-1, 4)
+    try:
+        x, v = unit_tangents(metric, rows[:, :2], rows[:, 2:])
+    except GeoxrayError:
+        out = []   # some start cannot be built: each pair gets its own start or error
+        for a, d in descriptors:
+            try:
+                out.append(boundary_tangent(metric, a, d))
+            except GeoxrayError as exc:
+                out.append(exc)
+        return out
+    return [UnitTangent(x=p, v=u) for p, u in zip(x, v)]
+
+
 @dataclass(frozen=True)
 class GeodesicPath:
     """A sampled unit-speed geodesic, path ``p`` of ``stack``.
@@ -433,6 +451,15 @@ def _radius(x):
     return r
 
 
+def _outside(x):
+    """Which rows are on or past the unit circle, as ``_radius(x) >= DISK_RADIUS`` tells; None for no
+    row when one ``np.hypot`` and one max show every row more than 1e-15 inside it, where ``_radius``
+    keeps ``np.hypot``'s value.  A NaN row fails that test and takes the rule."""
+    if np.hypot(x[:, 0], x[:, 1]).max() < DISK_RADIUS - 1e-15:
+        return None
+    return _radius(x) >= DISK_RADIUS
+
+
 def _bisect_lanes(below, lo, hi, width, *lanes):
     """Bisect every bracket ``[lo, hi]`` together until it is at most ``width`` wide.
 
@@ -489,8 +516,8 @@ def _trace_rows(metric, y, step, back=None):
     samples, exits = [(rows, cur, t)], [(rows[:0], cur[:0], t)]
     while rows.size and t <= ARCLENGTH_CAP:
         nxt = rk4(rhs, cur, step)
-        leaving = _radius(nxt) >= DISK_RADIUS
-        if leaving.any():
+        leaving = _outside(nxt)
+        if leaving is not None and leaving.any():
             exits.append((rows[leaving], cur[leaving], t))
             rows, nxt = rows[~leaving], nxt[~leaving]
         cur, t = nxt, t + step
@@ -501,8 +528,11 @@ def _trace_rows(metric, y, step, back=None):
             "parameters likely violate the nontrapping assumption")
     e_rows, e_y, e_t = (np.concatenate(c) for c in zip(*[(r, y0, np.full(len(r), t0)) for r, y0, t0 in exits]))
     # |x| <= 1 at lo by induction (the sample is inside or on the circle)
-    s = _bisect_lanes(lambda mid, y0: _radius(rk4(rhs, y0, mid[:, None])) >= DISK_RADIUS,
-                      np.zeros(len(e_rows)), np.full(len(e_rows), float(step)), EVENT_WIDTH, e_y)
+    def below(mid, y0):
+        out = _outside(rk4(rhs, y0, mid[:, None]))
+        return np.zeros(len(mid), dtype=bool) if out is None else out
+
+    s = _bisect_lanes(below, np.zeros(len(e_rows)), np.full(len(e_rows), float(step)), EVENT_WIDTH, e_y)
     kept = s > EVENT_WIDTH
     step_rows, step_y, step_t = zip(*samples)
     step_y += (rk4(rhs, e_y[kept], s[kept, None]),)

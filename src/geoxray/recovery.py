@@ -26,14 +26,13 @@ import numpy as np
 
 from .errors import (
     CoverageError,
-    GeoxrayError,
     IllPosedSamplingError,
     IllPosedStepError,
     NonInjectiveWeightError,
     SceneValidationError,
 )
 from .foliation import FoliationFunction
-from .geometry import DEFAULT_STEP, MetricField, boundary_tangent, unwrap
+from .geometry import DEFAULT_STEP, MetricField, boundary_tangents, unwrap
 from .tiling import Tiling
 from .transform import (
     PlanOperator,
@@ -358,12 +357,8 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
     residuals = np.zeros(n_tri)
     known = np.zeros(n_tri, dtype=bool)
     batches, candidates = frontier_plan(tiling, phi, plan)
-    starts = []   # a start that cannot be built stands in for its chord, as its error
-    for ba, da in (desc for batch_candidates in candidates for desc in batch_candidates):
-        try:
-            starts.append(boundary_tangent(metric, ba, da))
-        except GeoxrayError as exc:
-            starts.append(exc)
+    # a start that cannot be built stands in for its chord, as its error
+    starts = boundary_tangents(metric, [desc for batch_candidates in candidates for desc in batch_candidates])
     operator = plan_weight_integrals(metric, weight, tiling, starts, step=step)
     stops = np.cumsum([len(c) for c in candidates], dtype=int)
     conds, step_residuals, used_counts = [], [], []

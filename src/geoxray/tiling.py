@@ -10,9 +10,11 @@ Manocha, "OBBTree", 1996), so a conforming tiling in the disk clips none.
 
 Clipping cuts sampled geodesics where their cubic Hermite interpolants cross an edge segment, a
 whole plan of paths in one pass, the samples of all paths end to end in one ``PathStack``.  Each
-sample interval is paired with the edges whose bounding boxes meet its Bezier control hull's box;
-on those pairs crossings are bracketed on the sample grid, and a near-tangent interval that
-crosses an edge twice, with no sign change on the grid, is split at the cubic's interior extremum.
+sample interval is paired with the edges whose bounding boxes meet its Bezier control hull's box:
+the boxes of runs of ``HULL_RUN`` intervals go through ``_box_pairs`` first, and only the
+intervals of a run that meets an edge are tested against it.  On those pairs crossings are
+bracketed on the sample grid, and a near-tangent interval that crosses an edge twice, with no
+sign change on the grid, is split at the cubic's interior extremum.
 One bisection then advances the brackets of all paths in lockstep, and one point location
 classifies the midpoints of all pieces.  Every lane does the arithmetic of a one-path clip, so a
 path's pieces do not depend on the plan.
@@ -42,8 +44,13 @@ CLIP_BLOCK = 6144
 # Triangle pairs per block of validation's batched overlap clip.
 OVERLAP_BLOCK = 384
 # Clipping pairs the edges with CLIP_BLOCK // HULL_COST sample intervals at a
-# time; each costs a few pairs' temporaries for its control hull, box and run.
-HULL_COST = 16
+# time; each costs a few pairs' temporaries for its control hull and box, as
+# only the runs of HULL_RUN intervals go through the sweep of _box_pairs.
+HULL_COST = 4
+# Sample intervals per run whose common box is paired with the edges before
+# the intervals are: 8 steps of 0.01 span less than an edge of the tilings in
+# use up to T = 384, so a run meets few edges that none of its intervals meet.
+HULL_RUN = 8
 LOCATE_BLOCK = 4096
 # Widening of the control-hull box, so that rounding in the Hermite
 # evaluation cannot push a crossing on an edge endpoint out of the box.
@@ -86,9 +93,11 @@ class Tiling:
         tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
         if tris.size and (tris.min() < 0 or tris.max() >= len(self.vertices)):
             raise SceneValidationError("tiling: triangle index out of range")
-        d = self.vertices[tris[:, 1:]] - self.vertices[tris[:, :1]]    # rows b - a and c - a
-        det = d[:, 0, 0] * d[:, 1, 1] - d[:, 1, 0] * d[:, 0, 1]
-        inv = d[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / np.where(abs(det) < MIN_AREA, np.nan, det)[:, None, None]
+        # a vertex that is not finite, or huge, makes NaN areas and inverses, which validation reports
+        with np.errstate(all="ignore"):
+            d = self.vertices[tris[:, 1:]] - self.vertices[tris[:, :1]]    # rows b - a and c - a
+            det = d[:, 0, 0] * d[:, 1, 1] - d[:, 1, 0] * d[:, 0, 1]
+            inv = d[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / np.where(abs(det) < MIN_AREA, np.nan, det)[:, None, None]
         # orient counterclockwise: swapping b and c negates the area and swaps the inverse's rows, bit for bit
         areas = 0.5 * det
         self.triangles = np.where((areas < 0)[:, None], tris[:, [0, 2, 1]], tris)
@@ -150,7 +159,9 @@ class Tiling:
     # -- validation --------------------------------------------------------------
     def validate(self) -> TilingReport:
         if self._report is None:
-            self._report = _validate(self)
+            # NaN and inf from vertices that are not finite, or huge, are reported, not warned of
+            with np.errstate(all="ignore"):
+                self._report = _validate(self)
         return self._report
 
     def require_valid(self):
@@ -561,7 +572,7 @@ def clip_plan(tiling: Tiling, paths):
     A path is the cubic Hermite interpolant of its samples.  Only (edge,
     sample interval) pairs whose closed boxes meet are searched: the
     interval's Bezier control hull box, widened by ``HULL_SLACK``, and the
-    edge segment's box.  Such a pair brackets a crossing when the signed
+    edge segment's box, found run by run of intervals (``_brackets``).  Such a pair brackets a crossing when the signed
     edge-line function changes sign across the interval, and cuts at a
     sample where that function is exactly zero.  A pair without a sign
     change whose control hull straddles the edge line is split at the
@@ -620,11 +631,15 @@ def _edge_crossings(tiling: Tiling, stack: PathStack):
 
 def _brackets(tiling: Tiling, stack: PathStack):
     """Zeros and brackets of the edges on the sample intervals, on the (interval, edge) pairs whose
-    control hull box and edge box meet, as ``_box_pairs`` finds them for a block of intervals at a
-    time.  Returns the samples where such an edge's line function is exactly zero, and (edge,
-    interval) pairs: the sign changes, and the intervals whose ends lie on one side of the edge line
+    control hull box and edge box meet.  The intervals go in blocks of ``CLIP_BLOCK // HULL_COST``;
+    in each, the boxes of runs of ``HULL_RUN`` consecutive intervals go through one ``_box_pairs``
+    query, and only the intervals of the runs that meet an edge are tested against it, with the
+    closed comparisons of ``_box_pairs``, so the kept pairs are the ones it would find.  Returns the
+    samples where such an edge's line function is exactly zero, and (edge, interval) pairs in
+    interval order: the sign changes, and the intervals whose ends lie on one side of the edge line
     and whose control hull straddles it."""
     a, e, box_lo, box_hi = tiling._edges
+    (ex0, ey0), (ex1, ey1) = box_lo.T, box_hi.T
     # an interval between two paths brackets nothing
     joint = np.zeros(len(stack.t) - 1, dtype=bool)
     joint[stack.stop[:-1] - 1] = True
@@ -632,8 +647,21 @@ def _brackets(tiling: Tiling, stack: PathStack):
     for j in range(0, len(joint), CLIP_BLOCK // HULL_COST):
         n = min(CLIP_BLOCK // HULL_COST, len(joint) - j)
         hull = _control_hull(stack, slice(j, j + n), slice(j + 1, j + n + 1))
-        pairs = _box_pairs(hull.min(axis=0) - HULL_SLACK, hull.max(axis=0) + HULL_SLACK, box_lo, box_hi)
-        r, c = pairs[~joint[j + pairs[:, 0]]].T
+        # low and high corners of the interval boxes, NaN on joints and past the last interval: a NaN
+        # box meets nothing, and the run boxes, fmin and fmax over runs, are those of the others
+        box = np.full((2, -(-n // HULL_RUN) * HULL_RUN, 2), np.nan)
+        box[0, :n], box[1, :n] = hull.min(axis=0) - HULL_SLACK, hull.max(axis=0) + HULL_SLACK
+        box[:, np.flatnonzero(joint[j:j + n])] = np.nan
+        runs = np.arange(0, n, HULL_RUN)
+        run, c = _box_pairs(np.fmin.reduceat(box[0], runs), np.fmax.reduceat(box[1], runs), box_lo, box_hi).T
+        lo, hi = box.reshape(2, -1, HULL_RUN, 2)[:, run]
+        meet = ((lo[..., 0] <= ex1[c, None]) & (ex0[c, None] <= hi[..., 0])
+                & (lo[..., 1] <= ey1[c, None]) & (ey0[c, None] <= hi[..., 1]))
+        p, k = np.nonzero(meet)
+        # row-major (interval, edge) order, as a query on the intervals returns it
+        key = (run[p] * HULL_RUN + k) * len(a) + c[p]
+        key.sort()
+        r, c = np.divmod(key, len(a))
         f0, f1, f2, f3 = _edge_side(a[c], e[c], hull[:, r])
         prod = f0 * f3
         straddle = (prod > 0.0) & np.where(f0 > 0.0, np.minimum(f1, f2) < 0.0, np.maximum(f1, f2) > 0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import geoxray as gx
-from geoxray.geometry import _flow, disk_grid, rk4, speed_defect
+from geoxray.geometry import _flow, _outside, _radius, boundary_tangents, disk_grid, rk4, speed_defect
 
 from conftest import chord_start
 from golden.make_paths import TRACERS, digest
@@ -147,6 +147,60 @@ def test_batched_trace_keeps_each_start_error_in_place(euclidean, hexagon24):
         assert [getattr(path, a).tobytes() for a in "txv"] == [getattr(single, a).tobytes() for a in "txv"]
     assert all(path.stack is paths[0].stack for path in paths) and paths[2].endpoints_on_boundary
     assert gx.tiling.clip_plan(hexagon24, paths)[0] is paths[0].stack
+
+
+def test_boundary_tangents_match_boundary_tangent():
+    # the starts of the demo plans in one array pass, bit for bit as built one by
+    # one; a descriptor that cannot be built keeps its own error at its row
+    from golden.make_plan_clips import SCENES
+    from geoxray.recovery import frontier_plan
+
+    plans = []
+    for name in ("demo_reconstruct", "demo_spectrum"):
+        scene = gx.load_scene(SCENES / f"{name}.json")
+        plans.append((scene.metric, gx.scene.scene_chord_descriptors(scene)))
+        if scene.foliation is not None:
+            _, candidates = frontier_plan(scene.tiling, scene.foliation, scene.chords.frontier)
+            descriptors = [desc for batch in candidates for desc in batch]
+            plans.append((scene.metric, descriptors))
+            plans.append((gx.metric_from_config("conformal-gaussian", [0.4, 0.2, -0.1, 0.5]), descriptors))
+    for metric, descriptors in plans:
+        starts = boundary_tangents(metric, descriptors)
+        assert len(starts) == len(descriptors) > 20
+        for (a, d), start in zip(descriptors, starts):
+            want = gx.boundary_tangent(metric, a, d)
+            assert (start.x.tobytes(), start.v.tobytes()) == (want.x.tobytes(), want.v.tobytes())
+    metric, descriptors = plans[1]      # a NaN point has no unit tangent in a curved metric
+    bad = list(descriptors)
+    bad[3] = (math.nan, bad[3][1])
+    starts = boundary_tangents(metric, bad)
+    with pytest.raises(gx.SceneValidationError) as want:
+        gx.boundary_tangent(metric, *bad[3])
+    assert type(starts[3]) is type(want.value) and str(starts[3]) == str(want.value)
+    for k in (2, 4, len(bad) - 1):
+        want = gx.boundary_tangent(metric, *bad[k])
+        assert (starts[k].x.tobytes(), starts[k].v.tobytes()) == (want.x.tobytes(), want.v.tobytes())
+
+
+def test_exit_test_matches_radius_rule():
+    # the tracer's exit test is _radius(y) >= 1 row by row; rows within 1e-15 of
+    # the circle take math.hypot's rounding, which np.hypot may miss by a bit
+    theta = np.linspace(0.0, 2.0 * math.pi, 4001)
+    rows = {r: np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+            for r in (0.5, 1.0 - 2e-15, 1.0 - 1e-16, 1.0, 1.0 + 1e-16)}
+    for r, x in rows.items():
+        near = np.abs(np.hypot(x[:, 0], x[:, 1]) - 1.0) < 1e-15
+        assert near.all() if r in (1.0 - 1e-16, 1.0, 1.0 + 1e-16) else not near.any()
+        assert _radius(x)[near].tolist() == [math.hypot(*row) for row in x[near].tolist()]
+    assert any(math.hypot(*row) != np.hypot(*row) for row in rows[1.0].tolist())
+    x = np.concatenate(list(rows.values()) + [[[math.nan, 0.0], [0.1, 0.2]]])
+    rng = np.random.default_rng(0)
+    for rows_at in [rng.permutation(len(x))[:n] for n in (1, 7, 300, len(x))] + [np.arange(4001)]:
+        got, want = _outside(x[rows_at]), _radius(x[rows_at]) >= 1.0
+        assert np.array_equal(np.zeros(len(rows_at), dtype=bool) if got is None else got, want)
+    # rows all more than 1e-15 inside: one np.hypot and one max tell, and none leaves
+    assert _outside(np.concatenate([rows[0.5], rows[1.0 - 2e-15]])) is None
+    assert _outside(np.array([[math.nan, 0.0], [0.1, 0.2]])).tolist() == [False, False]
 
 
 def test_trapping_cap_raises():

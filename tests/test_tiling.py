@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import geoxray as gx
 from geoxray.geometry import PathStack
-from geoxray.tiling import HULL_SLACK, _control_hull, locate
+from geoxray.tiling import CLIP_BLOCK, HULL_COST, HULL_RUN, HULL_SLACK, _control_hull, locate
 
 from conftest import chord_start, run_bounded
 from oracles import chord_triangle_length
@@ -37,11 +37,15 @@ def test_single_inscribed_triangle_valid():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_vertex_is_reported_by_index(bad):
     # a NaN vertex made NaN areas and radii that passed every test, and boxes that meet nothing,
-    # so the tiling was valid; an infinite one read only as a vertex outside the disk
-    with np.errstate(invalid="ignore"):
+    # so the tiling was valid; an infinite one read only as a vertex outside the disk.  Building
+    # and validating either, or two of them, is reported and warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = gx.Tiling([[0, 0], [0.5, 0], [bad, 0.5], [0.5, 0.5]], [[0, 1, 2], [1, 3, 2]]).validate()
+        two = gx.Tiling([[0, 0], [bad, 0], [bad, 0.5], [0.5, 0.5]], [[0, 1, 2], [1, 3, 2]]).validate()
     assert not report.ok and not report.inside_disk
     assert report.messages == [f"vertex 2 [{bad}, 0.5] is not finite"]
+    assert two.messages == [f"vertex 1 [{bad}, 0.0] is not finite", f"vertex 2 [{bad}, 0.5] is not finite"]
 
 
 def test_two_triangles_sharing_edge_conforming():
@@ -549,11 +553,32 @@ def touching_box_plan():
     return gx.Tiling(np.reshape(corners, (-1, 2)), np.arange(3 * len(corners)).reshape(-1, 3)), [path]
 
 
+def run_layout_plan(count, layout):
+    """``count`` seeded chords on the T = 96 fan, whose sample intervals, as ``_brackets`` takes
+    them in runs of ``HULL_RUN`` and blocks of ``CLIP_BLOCK // HULL_COST``, have the layout that
+    ``layout(intervals, joints)`` asserts; ``joints`` are the intervals between two paths."""
+    from geoxray.scene import random_chord_descriptors
+
+    metric = gx.metric_from_config("conformal-radial", [0.05])
+    starts = [gx.boundary_tangent(metric, a, d) for a, d in random_chord_descriptors(count, np.random.default_rng(3))]
+    paths = gx.trace_geodesics(metric, starts, step=0.01)
+    stack = PathStack.of(paths)
+    assert layout(len(stack.t) - 1, stack.stop[:-1] - 1)
+    return gx.refine(gx.refine(gx.polygon_fan_tiling(6))), paths
+
+
+BLOCK = CLIP_BLOCK // HULL_COST
 BRACKET_PLANS = {
     **{name: functools.partial(workload_plans, name) for name in WORKLOAD_SCENES},
     "euclidean-chords": lambda *_: [euclidean_chord_plan()],
     "near-tangent": lambda *_: [near_tangent_plan()],
     "touching-boxes": lambda *_: [touching_box_plan()],
+    # one block whose last run is short
+    "run-tail": lambda *_: [run_layout_plan(1, lambda n, joints: n < BLOCK and n % HULL_RUN != 0)],
+    # a run holding the last interval of one path, the joint and the first ones of the next
+    "run-joint": lambda *_: [run_layout_plan(2, lambda n, joints: 0 < joints[0] % HULL_RUN < HULL_RUN - 1)],
+    # more than one block, the last one short
+    "blocks": lambda *_: [run_layout_plan(16, lambda n, joints: n > BLOCK and n % BLOCK % HULL_RUN != 0)],
 }
 
 
