@@ -46,23 +46,17 @@ from .recovery import (
 )
 from .scene import Scene, build_scene, load_scene
 from .tiling import (
-    ClipInterval,
     PiecewiseConstantField,
     SectorFan,
     Tiling,
-    clip_path,
-    clip_paths,
-    locate,
     locate_points,
     polygon_fan_tiling,
     refine,
     tangent_fan,
 )
 from .transform import (
-    FanGeodesic,
     PlanOperator,
     fan_geodesics,
-    forward,
     frozen_limit,
     plan_weight_integrals,
     tangent_line_integral,

@@ -6,17 +6,17 @@ to the flat metric, ``g_ij(x) = exp(2*lam(x)) * delta_ij``, with the profile
 ever differentiated numerically.
 
 Geodesics are integrated with one fixed-step classical Runge-Kutta scheme,
-``rk4``, in the state ``(x, v)``.  All geodesics of a call advance together as
-the rows of one array, in lockstep: a row drops out at the step that leaves
-the disk, and the boundary crossings of all rows are then located together by
-bisection on ``|x| - 1`` inside the steps that crossed.  Each row gets the
-arithmetic of a one-row trace bit for bit, so a path does not depend on what
-it was traced with.  Paths are unit speed in ``g``, so the curve parameter is
-arclength.  One gather lays the paths of a call end to end in one
-``PathStack``, and each GeodesicPath is a view of it; clipping and
-integration read that stack as it is.  Paths are evaluated in one place, the
-stack: one bisection finds every query's sample interval, for cubic Hermite
-interpolation.
+``rk4``, in the state ``(x, v)``, in one lockstep loop, ``_lockstep``: the rows
+of a call advance as one array, each to its own step count or to the step that
+its caller's exit test marks.  The tracer's exits are then located together by
+bisection on ``|x| - 1`` inside the steps that crossed; parallel transport
+appends a vector ``w`` to the state.  Each row gets the arithmetic of a one-row
+run bit for bit, so a path does not depend on what it was traced with.  Paths
+are unit speed in ``g``, so the curve parameter is arclength.  One gather lays
+the paths of a call end to end in one ``PathStack``, and each GeodesicPath is a
+view of it; clipping and integration read that stack as it is.  Paths are
+evaluated in one place, the stack: one bisection finds every query's sample
+interval, for cubic Hermite interpolation.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ BOUNDARY_TOL = 1e-9
 EVENT_WIDTH = 1e-13
 # Nontrapping cap: 100 times the chart diameter.
 ARCLENGTH_CAP = 100.0 * (2.0 * DISK_RADIUS)
+# Samples (rows times steps) past which a tracer call takes the rows still inside as trapped, about 80
+# bytes each at the gather; the 11,100 frontier chords of the demo fan at T = 1536 store 1,647,810 at step 0.01.
+MAX_TRACE_SAMPLES = 1 << 21
 DEFAULT_STEP = 1e-2
 # Largest |lam| for which the conformal factor exp(2 lam) is a finite float.
 LAM_LIMIT = 0.5 * math.log(sys.float_info.max)
@@ -271,13 +274,9 @@ def unit_tangents(metric: MetricField, x, v):
     return x, u
 
 
-def boundary_point(angle: float) -> np.ndarray:
-    return np.array([math.cos(angle), math.sin(angle)])
-
-
 def boundary_tangent(metric: MetricField, boundary_angle: float, direction_angle: float) -> UnitTangent:
     """Unit tangent at a boundary point with a chart direction angle."""
-    x = boundary_point(boundary_angle)
+    x = np.array([math.cos(boundary_angle), math.sin(boundary_angle)])
     v = np.array([math.cos(direction_angle), math.sin(direction_angle)])
     return unit_tangent(metric, x, v)
 
@@ -285,7 +284,7 @@ def boundary_tangent(metric: MetricField, boundary_angle: float, direction_angle
 def boundary_tangents(metric: MetricField, descriptors) -> list:
     """``boundary_tangent`` of every (boundary angle, direction angle) pair, in one ``unit_tangents``
     pass: per pair the UnitTangent, bit for bit, or the error that ``boundary_tangent`` raises for it.
-    Points and directions come from ``math.cos`` and ``math.sin``, as ``boundary_point`` takes them."""
+    Points and directions come from ``math.cos`` and ``math.sin``, as ``boundary_tangent`` takes them."""
     rows = np.array([[math.cos(a), math.sin(a), math.cos(d), math.sin(d)] for a, d in descriptors]).reshape(-1, 4)
     try:
         x, v = unit_tangents(metric, rows[:, :2], rows[:, 2:])
@@ -444,10 +443,8 @@ def _radius(x):
     """``|x|`` of every row, rounded as ``math.hypot`` rounds it: ``np.hypot``
     may differ in the last bit, which matters only next to the unit circle."""
     r = np.hypot(x[:, 0], x[:, 1])
-    near = np.abs(r - DISK_RADIUS) < 1e-15
-    if near.any():
-        for i in np.flatnonzero(near):
-            r[i] = math.hypot(x[i, 0], x[i, 1])
+    for i in np.flatnonzero(np.abs(r - DISK_RADIUS) < 1e-15):
+        r[i] = math.hypot(x[i, 0], x[i, 1])
     return r
 
 
@@ -494,6 +491,27 @@ def _bisect_lanes(below, lo, hi, width, *lanes):
         busy = hi - lo > width
 
 
+def _lockstep(metric, y, h, steps, past):
+    """Step the rows ``(x, v, ...)`` of ``y`` together by RK4 steps of ``h``, a scalar or an ``(N, 1)``
+    column, each row with the arithmetic of a one-row run.  Row ``i`` takes ``steps[i]`` steps, or stops
+    at the first whose new state ``past`` marks (a row mask, or None for no row).  After each step it
+    yields the rows that go on with their new states, and the rows that stopped with their old ones."""
+    rhs, k, rows, per_row = _flow(metric), 0, np.flatnonzero(steps > 0), np.ndim(h) > 0
+    cur, ends = y[rows], set(steps[rows].tolist())   # the step counts that rows end at
+    none = rows[:0], y[:0]   # no row stopped at the step
+    while rows.size:
+        k += 1
+        nxt = rk4(rhs, cur, h[rows] if per_row else h)
+        gone, before = none
+        stop = past(nxt)
+        if stop is not None and stop.any():
+            gone, before, rows, nxt = rows[stop], cur[stop], rows[~stop], nxt[~stop]
+        yield rows, nxt, gone, before
+        if k in ends:   # the rows whose count is done stop
+            rows, nxt = rows[steps[rows] > k], nxt[steps[rows] > k]
+        cur = nxt
+
+
 def _trace_rows(metric, y, step, back=None):
     """Integrate every row ``(x, v)`` of ``y`` forward to the boundary, in lockstep.
 
@@ -503,6 +521,7 @@ def _trace_rows(metric, y, step, back=None):
     gathered once into a PathStack.  A row is a path, or where ``back`` marks it
     the backward half of the next row's path: laid first, reversed, at arclength
     ``tau_b - t`` with ``v`` negated (``tau_b`` its exit time), sharing its start.
+    Rows still inside past the arclength cap or the call's ``MAX_TRACE_SAMPLES`` are suspected trapped.
     Returns the stack and, per path, its GeodesicPath or its rows' first error.
     """
     back = np.zeros(len(y), dtype=bool) if back is None else back
@@ -511,21 +530,25 @@ def _trace_rows(metric, y, step, back=None):
     finite = np.isfinite(y).all(axis=1) & ok
     out = [None if f else SceneValidationError(f"geodesic start state {row.tolist()} is not finite") if ok
            else SceneValidationError("integrator step must be positive and finite") for f, row in zip(finite, y)]
-    rhs = _flow(metric)
-    rows, cur, t = np.flatnonzero(finite), y[finite], 0.0
-    samples, exits = [(rows, cur, t)], [(rows[:0], cur[:0], t)]
-    while rows.size and t <= ARCLENGTH_CAP:
-        nxt = rk4(rhs, cur, step)
-        leaving = _outside(nxt)
-        if leaving is not None and leaving.any():
-            exits.append((rows[leaving], cur[leaving], t))
-            rows, nxt = rows[~leaving], nxt[~leaving]
-        cur, t = nxt, t + step
+    rows, t = np.flatnonzero(finite), 0.0
+    samples, exits, stored = [(rows, y[rows], t)], [(rows[:0], y[:0], t)], len(rows)
+    # _outside is _radius >= DISK_RADIUS: a row on the unit circle has left; the budget ends every row
+    for rows, cur, gone, before in _lockstep(metric, y, step, np.where(finite, MAX_TRACE_SAMPLES, 0), _outside):
+        if gone.size:
+            exits.append((gone, before, t))
+        t, stored = t + step, stored + len(rows)
         samples.append((rows, cur, t))
+        if t > ARCLENGTH_CAP or stored > MAX_TRACE_SAMPLES:
+            break
     for i in rows:
         out[i] = TrappingSuspectedError(
-            f"geodesic exceeded the arclength cap {ARCLENGTH_CAP:g} without exiting; the metric "
-            "parameters likely violate the nontrapping assumption")
+            f"geodesic exceeded the arclength cap {ARCLENGTH_CAP:g}, or its call the sample budget "
+            f"{MAX_TRACE_SAMPLES:,}, without exiting; the metric parameters likely violate the nontrapping assumption")
+    if rows.size:   # in place, so that the gather copies only the samples of the other rows
+        live = np.isin(np.arange(len(y)), rows, invert=True)
+        for j, (r, cur, t0) in enumerate(samples):
+            samples[j] = r[live[r]], cur[live[r]], t0
+    rhs = _flow(metric)
     e_rows, e_y, e_t = (np.concatenate(c) for c in zip(*[(r, y0, np.full(len(r), t0)) for r, y0, t0 in exits]))
     # |x| <= 1 at lo by induction (the sample is inside or on the circle)
     def below(mid, y0):
@@ -618,7 +641,7 @@ def trace_geodesic(metric: MetricField, start: UnitTangent, step: float = DEFAUL
     Raises
     ------
     TrappingSuspectedError
-        If the arclength exceeds 100 times the chart diameter.
+        If the arclength cap (100 chart diameters) or ``MAX_TRACE_SAMPLES`` comes first.
     SceneValidationError
         If ``step`` is not a positive finite number, or the start is not
         finite.
@@ -654,16 +677,11 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
     y = np.array([np.concatenate([s.x, s.v, np.asarray(w, dtype=float)])
                   for s, w in zip(starts, frames)]).reshape(-1, 6)
     h = (np.asarray(lengths, dtype=float) / np.maximum(n_steps, 1))[:, None]
-    rhs, lanes = _flow(metric), np.flatnonzero(n_steps)
-    for k in range(1, int(n_steps.max(initial=0)) + 1):
-        lanes = lanes[n_steps[lanes] >= k]
-        if not lanes.size:
-            break
-        y[lanes] = z = rk4(rhs, y[lanes], h[lanes])
-        left = _radius(z) > DISK_RADIUS
-        for i in lanes[left]:
+    # a lane on the unit circle goes on: it has left only past it, _radius > DISK_RADIUS
+    for rows, z, gone, _ in _lockstep(metric, y, h, n_steps, lambda z: _radius(z) > DISK_RADIUS):
+        y[rows] = z
+        for i in gone.tolist():
             out[i] = FanConstructionError(f"base geodesic exits the disk before reaching offset {lengths[i]:g}")
-        lanes = lanes[~left]
     return [(y[i, :2], y[i, 2:4], y[i, 4:]) if e is None else e for i, e in enumerate(out)]
 
 

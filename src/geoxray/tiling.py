@@ -15,9 +15,9 @@ the boxes of runs of ``HULL_RUN`` intervals go through ``_box_pairs`` first, and
 intervals of a run that meets an edge are tested against it.  On those pairs crossings are
 bracketed on the sample grid, and a near-tangent interval that crosses an edge twice, with no
 sign change on the grid, is split at the cubic's interior extremum.
-One bisection then advances the brackets of all paths in lockstep, and one point location
-classifies the midpoints of all pieces.  Every lane does the arithmetic of a one-path clip, so a
-path's pieces do not depend on the plan.
+One bisection then advances the brackets of all paths in lockstep, and one point location,
+``locate_points``, classifies the midpoints of all pieces.  Every lane does the arithmetic of a
+one-path clip, so a path's pieces do not depend on the plan; ``clip_plan`` returns them as arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SceneValidationError, TangencyWarning
-from .geometry import DISK_RADIUS, GeodesicPath, MetricField, PathStack, _bisect_lanes, _hermite
+from .geometry import DISK_RADIUS, MetricField, PathStack, _bisect_lanes, _hermite
 
 BARY_TOL = 1e-12          # skeleton classification tolerance (barycentric)
 MIN_AREA = 1e-12
@@ -58,13 +58,6 @@ HULL_SLACK = 1e-12
 
 
 LOCATE_KINDS = ("triangle", "skeleton", "outside")
-
-
-@dataclass(frozen=True)
-class LocateResult:
-    kind: str                 # "triangle" | "skeleton" | "outside"
-    triangle: int | None
-    depth: int | None         # 0 interior, 1 open edge, 2 vertex
 
 
 @dataclass
@@ -415,25 +408,13 @@ class PiecewiseConstantField:
 # point location
 # ---------------------------------------------------------------------------
 
-def locate(tiling: Tiling, x) -> LocateResult:
-    """Classify a chart point against the tiling.
-
-    Depth 0 is an open triangle interior, 1 an open edge, 2 a vertex;
-    classification happens at barycentric tolerance 1e-12, edges winning
-    over interiors inside that band.  The lowest-numbered triangle whose
-    interior holds the point wins; otherwise the deepest skeleton match.
-    """
-    (triangle,), (kind,), (depth,) = locate_points(tiling, np.reshape(np.asarray(x, dtype=float), (1, 2)))
-    return LocateResult(kind=LOCATE_KINDS[kind], triangle=None if triangle < 0 else int(triangle),
-                        depth=None if depth < 0 else int(depth))
-
-
 def locate_points(tiling: Tiling, points):
-    """Classify chart points ``(P, 2)`` as ``locate`` classifies one.
-
-    Returns three ``(P,)`` integer arrays: the triangle (-1 for none), the kind as an index into
-    ``LOCATE_KINDS`` and the depth (-1 outside).  Only the (point, triangle) pairs of ``_box_pairs``
-    are tested, in blocks of ``LOCATE_BLOCK``, each with the arithmetic of a test of every pair.
+    """Classify chart points ``(P, 2)``, each as alone, into three ``(P,)`` integer arrays: the triangle
+    (-1 for none), the kind as an index into ``LOCATE_KINDS`` and the depth (0 an open triangle interior,
+    1 an open edge, 2 a vertex, -1 outside), at barycentric tolerance 1e-12, edges winning over
+    interiors inside that band.  The lowest-numbered triangle whose interior holds a point wins, else
+    the deepest skeleton match.  Only the (point, triangle) pairs of ``_box_pairs`` are tested, in
+    blocks of ``LOCATE_BLOCK``, each with the arithmetic of a test of every pair.
 
     The padding of the triangle boxes loses no pair that the test finds inside.  With ``w`` a box's
     larger extent and ``kappa = w max|inv|``, rounding (three per product and sum, and the stored
@@ -541,30 +522,6 @@ def tangent_fan(tiling: Tiling, field: PiecewiseConstantField, vertex_id: int,
 # ---------------------------------------------------------------------------
 # geodesic clipping
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClipInterval:
-    triangle: int | None      # None: skeleton or outside every triangle
-    t0: float
-    t1: float
-
-    @property
-    def length(self) -> float:
-        return self.t1 - self.t0
-
-
-def clip_path(tiling: Tiling, path: GeodesicPath) -> list:
-    """The ``clip_paths`` intervals of one path."""
-    return clip_paths(tiling, [path])[0]
-
-
-def clip_paths(tiling: Tiling, paths) -> list:
-    """The pieces of ``clip_plan`` as ClipIntervals (``triangle=None`` off the triangles), one list per path."""
-    out = [[] for _ in paths]
-    for p, tri, t0, t1 in zip(*(a.tolist() for a in clip_plan(tiling, paths)[1:])):
-        out[p].append(ClipInterval(triangle=None if tri < 0 else tri, t0=t0, t1=t1))
-    return out
-
 
 def clip_plan(tiling: Tiling, paths):
     """Partition each path's parameter range by the triangle containing each piece.

@@ -7,14 +7,14 @@ is used inside every interval.  A plan's paths are clipped as arrays on
 one ``PathStack`` and integrated in one pass, the weight evaluated block by
 block of the trapezoid sums, into one ``PlanOperator``: the transform's
 matrix in block-CSR form, one ``m``-row block per path and one ``(m, k)``
-block per triangle it meets.  Forward values, the dense matrix and the
-systems of the reconstruction sweep are array operations on it.
+block per triangle it meets.  Forward values (of one path: a plan of one), the
+dense matrix and the reconstruction sweep's systems are array operations on it.
 
 The fan family anchors at a boundary point x with inward direction v: the
 geodesic through the point at arclength h along v, in the direction of the
-parallel-transported normal of v.  As h shrinks, the integral scaled by 1/h
-converges to a weighted line integral of the sector fan on the tangent
-plane; both sides are implemented here so the convergence can be measured.
+parallel-transported normal of v, traced into a plan as any path.  As h shrinks,
+the integral scaled by 1/h converges to a weighted line integral of the sector
+fan on the tangent plane; both sides are here so the convergence can be measured.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .geometry import (
     GeodesicPath,
     MetricField,
     PathStack,
-    UnitTangent,
     flow_with_frames,
     trace_geodesics,
     unit_tangent,
@@ -46,16 +45,6 @@ FAN_CONE_HALF_ANGLE = math.radians(30.0) + 1e-9
 NEAR_PARALLEL_TOL = 1e-9
 # Padded nodes per block of the trapezoid sums: bounds their temporaries.
 QUAD_BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class FanGeodesic:
-    """One member of the offset fan family at a boundary anchor."""
-
-    anchor: UnitTangent
-    offset: float
-    path: GeodesicPath
-    transported_normal: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +207,6 @@ def _trapezoid_sums(weight: WeightField, stack: PathStack, path, t0, t1, inner, 
     return out
 
 
-def forward(metric: MetricField, weight: WeightField, tiling: Tiling,
-            field: PiecewiseConstantField, path: GeodesicPath) -> np.ndarray:
-    """Weighted integral of the field along one maximal geodesic, in C^m.
-
-    Raises SceneValidationError when the tiling fails validation or the
-    weight and field column dimensions disagree.
-    """
-    return _plan_operator(weight, tiling, [path]).apply(field)[0]
-
-
 # ---------------------------------------------------------------------------
 # fan geodesics
 # ---------------------------------------------------------------------------
@@ -241,8 +220,8 @@ def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
     ``sign * pi/2``) is parallel-transported to distance h, and the maximal
     geodesic through that point in the transported direction is traced.
     The transports of all members run in lockstep, and so do their traces.
-    Returns one entry per member: its FanGeodesic, or the error that
-    building it raises.
+    Returns one entry per member: its traced GeodesicPath, or the error
+    that building it raises.
     """
     x = np.asarray(x, dtype=float)
     if abs(math.hypot(x[0], x[1]) - DISK_RADIUS) > BOUNDARY_TOL:
@@ -264,8 +243,7 @@ def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
             out.append(exc)
     flows = flow_with_frames(metric, [a[1] for a in anchored], [a[3] for a in anchored],
                              [a[2] for a in anchored], step=step)
-    traced = []
-    for (i, anchor, h, _w0), flow in zip(anchored, flows):
+    for (i, _anchor, h, _w0), flow in zip(anchored, flows):
         try:
             p, v_h, w_h = unwrap(flow)
             if math.hypot(p[0], p[1]) > DISK_RADIUS - 1e-12:
@@ -275,14 +253,10 @@ def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
                 raise FanConstructionError(
                     f"transported normal lost orthogonality ({ortho:.2e}); decrease the step"
                 )
-            traced.append((i, anchor, h, w_h, unit_tangent(metric, p, w_h)))
+            out[i] = unit_tangent(metric, p, w_h)
         except GeoxrayError as exc:
             out[i] = exc
-    paths = trace_geodesics(metric, [t[4] for t in traced], step=step)
-    for (i, anchor, h, w_h, _start), path in zip(traced, paths):
-        out[i] = path if isinstance(path, GeoxrayError) else FanGeodesic(
-            anchor=anchor, offset=h, path=path, transported_normal=np.asarray(w_h))
-    return out
+    return trace_geodesics(metric, out, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +366,7 @@ def limit_scan(metric: MetricField, weight: WeightField, tiling: Tiling,
             stop = exc   # raised after the members of the earlier offsets
             break
         members += [(ut.v, h, frozen) for h in h_values]
-    fans = fan_geodesics(metric, x, [(v, h) for v, h, _ in members], sign=sign, step=step)
-    paths = [f if isinstance(f, GeoxrayError) else f.path for f in fans]
+    paths = fan_geodesics(metric, x, [(v, h) for v, h, _ in members], sign=sign, step=step)
     values = plan_weight_integrals(metric, weight, tiling, paths).apply(field)
     rows = []
     for (v, h, frozen), value in zip(members, values):

@@ -50,6 +50,25 @@ def chord_start(metric, boundary_angle, exit_angle):
     return gx.unit_tangent(metric, a, b - a)
 
 
+def clip_pieces(tiling, paths):
+    """Per path, its ``clip_plan`` pieces as ``(triangle, t0, t1)``, the triangle None off the triangles."""
+    pieces = [[] for _ in paths]
+    for p, tri, t0, t1 in zip(*(a.tolist() for a in gx.tiling.clip_plan(tiling, paths)[1:])):
+        pieces[p].append((None if tri < 0 else tri, t0, t1))
+    return pieces
+
+
+def locate(tiling, point):
+    """``locate_points`` of one point: its kind's name, its triangle (-1 for none) and its depth (-1 outside)."""
+    (triangle,), (kind,), (depth,) = gx.locate_points(tiling, np.reshape(point, (1, 2)))
+    return gx.tiling.LOCATE_KINDS[kind], int(triangle), int(depth)
+
+
+def forward(metric, weight, tiling, field, path):
+    """The forward value of one traced path: the one row of a plan of one."""
+    return gx.plan_weight_integrals(metric, weight, tiling, [path]).apply(field)[0]
+
+
 def run_bounded(code, *args, timeout=30, flags=()):
     """Run Python code in a child process, so a loop that never ends fails the
     test on the timeout instead of stalling the suite.  ``flags`` go to the

@@ -1,7 +1,7 @@
 """Write ``clip_pieces.json``: the clip pieces of seeded chords on refined fans.
 
 Each case traces one random boundary chord and records every
-``clip_path`` interval as ``[triangle, t0, t1]`` (``triangle`` is null on
+``clip_plan`` piece as ``[triangle, t0, t1]`` (``triangle`` is null on
 the skeleton or outside).  The committed file was written by the scalar
 line-bisection clipper that preceded the segment-filtered one, so
 ``test_clip_golden.py`` checks the current clipper against it; running this
@@ -18,7 +18,7 @@ import numpy as np
 
 import geoxray as gx
 from geoxray.scene import random_chord_descriptors
-from geoxray.tiling import clip_path
+from geoxray.tiling import clip_plan
 
 OUT = Path(__file__).with_name("clip_pieces.json")
 STEP = 0.01
@@ -41,7 +41,7 @@ def main():
                 path = gx.trace_geodesic(metric, gx.boundary_tangent(metric, a, direction), step=STEP)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", gx.TangencyWarning)
-                    pieces = clip_path(tiling, path)
+                    _, _, triangle, t0, t1 = clip_plan(tiling, [path])
                 cases.append({
                     "metric": family,
                     "params": params,
@@ -49,7 +49,8 @@ def main():
                     "n_triangles": tiling.n_triangles,
                     "step": STEP,
                     "descriptor": [float(a), float(direction)],
-                    "pieces": [[p.triangle, p.t0, p.t1] for p in pieces],
+                    "pieces": [[None if tri < 0 else tri, a, b]
+                               for tri, a, b in zip(triangle.tolist(), t0.tolist(), t1.tolist())],
                 })
     OUT.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
     print(f"{OUT}: {len(cases)} cases, {sum(len(c['pieces']) for c in cases)} pieces")

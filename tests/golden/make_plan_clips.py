@@ -7,10 +7,10 @@ candidate chords of ``reconstruct`` and the grid chords of ``spectrum``),
 crossing (two crossings of one edge inside one sample interval) and three
 euclidean chords through tiling vertices of the T = 24 fan.  A plan's
 entry holds its path count, its piece count and the SHA-256 of every
-path's ``clip_path`` intervals as ``triangle, t0.hex(), t1.hex()`` text.
+path's ``clip_plan`` pieces as ``triangle, t0.hex(), t1.hex()`` text.
 The committed file was written by the per-path clipper that preceded the
 plan-level one, so ``test_plan_clipper_matches_per_path_golden`` checks
-``clip_paths`` against it bit for bit; running this script on a later
+``clip_plan`` against it bit for bit; running this script on a later
 version only reproduces that version's pieces.
 
     PYTHONPATH=src python tests/golden/make_plan_clips.py
@@ -45,7 +45,7 @@ def _scene_plans():
     members = [(gx.unit_tangent(metric, x, _rotate_chart(metric, x, -x, offset)).v, h)
                for offset in plan.v_offsets for h in plan.h_values]
     fans = gx.fan_geodesics(metric, x, members, sign=plan.sign, step=scene.step)
-    yield "demo_limit_check", scene.tiling, [gx.geometry.unwrap(f).path for f in fans]
+    yield "demo_limit_check", scene.tiling, [gx.geometry.unwrap(f) for f in fans]
     scene = gx.load_scene(SCENES / "demo_reconstruct.json")
     _, candidates = frontier_plan(scene.tiling, scene.foliation, scene.chords.frontier)
     starts = [gx.boundary_tangent(scene.metric, a, d) for c in candidates for a, d in c]
@@ -91,9 +91,12 @@ def plans():
     yield "vertex_hits", gx.refine(gx.polygon_fan_tiling(6)), _traced(metric, starts, 0.01)
 
 
-def digest(clips) -> str:
-    text = "\n".join(";".join(f"{iv.triangle},{iv.t0.hex()},{iv.t1.hex()}" for iv in clip) for clip in clips)
-    return hashlib.sha256(text.encode()).hexdigest()
+def digest(n_paths, path, triangle, t0, t1) -> str:
+    """SHA-256 of the ``clip_plan`` pieces of ``n_paths`` paths, path by path, ``None`` off the triangles."""
+    text = [[] for _ in range(n_paths)]
+    for p, tri, a, b in zip(path.tolist(), triangle.tolist(), t0.tolist(), t1.tolist()):
+        text[p].append(f"{None if tri < 0 else tri},{a.hex()},{b.hex()}")
+    return hashlib.sha256("\n".join(";".join(pieces) for pieces in text).encode()).hexdigest()
 
 
 def main():
@@ -101,8 +104,8 @@ def main():
     for name, tiling, paths in plans():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", gx.TangencyWarning)
-            clips = [gx.clip_path(tiling, path) for path in paths]
-        record[name] = {"paths": len(paths), "pieces": sum(len(c) for c in clips), "sha256": digest(clips)}
+            _, *pieces = gx.tiling.clip_plan(tiling, paths)
+        record[name] = {"paths": len(paths), "pieces": len(pieces[0]), "sha256": digest(len(paths), *pieces)}
     OUT.write_text(json.dumps(record, indent=1) + "\n")
     print(f"{OUT}: {len(record)} plans, {sum(r['pieces'] for r in record.values())} pieces")
 

@@ -19,6 +19,7 @@ from geoxray.recovery import triangle_level
 from geoxray.scene import grid_chord_descriptors, random_chord_descriptors
 from geoxray.transform import limit_scan, sector_chord_lengths
 
+from conftest import forward
 from oracles import chord_forward_value, observed_order
 
 INJECTIVE_32 = np.array([[1.0, 0.2], [0.1, 1.0], [0.4, 0.6]], dtype=complex)
@@ -49,7 +50,7 @@ def test_criterion_1_euclidean_exactness():
     for ba, da in random_chord_descriptors(100, rng):
         start = gx.boundary_tangent(metric, ba, da)
         path = gx.trace_geodesic(metric, start, step=1e-2)
-        got = gx.forward(metric, weight, tiling, field, path)[0]
+        got = forward(metric, weight, tiling, field, path)[0]
         expected = chord_forward_value(path.x[0], path.v[0], tiling, field.values)[0]
         # relative to the chord value with a unit floor for near-zero data
         worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))

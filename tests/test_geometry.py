@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import geoxray as gx
-from geoxray.geometry import _flow, _outside, _radius, boundary_tangents, disk_grid, rk4, speed_defect
+from geoxray.geometry import (_flow, _outside, _radius, _trace_rows, boundary_tangents, disk_grid, flow_with_frames,
+                              rk4, speed_defect)
 
-from conftest import chord_start
+from conftest import chord_start, run_bounded
 from golden.make_paths import TRACERS, digest
 from oracles import fd_christoffel, fd_covariant_hessian_min, observed_order
 
@@ -210,6 +211,41 @@ def test_trapping_cap_raises():
         gx.trace_geodesic(metric, start, step=1e-2)
 
 
+def test_trapped_rows_stop_at_the_sample_budget():
+    # on conformal-radial -2.5, r exp(lam) is above its boundary value 0.082 for 0.1 < r < 0.95, so a
+    # geodesic that starts tangent to a circle of radius 0.2 to 0.8 never reaches the boundary.  At
+    # step 2e-4 the arclength cap would let these 400 rows store 4e8 samples; the call stops past
+    # MAX_TRACE_SAMPLES with exit code 6, at a tracemalloc peak of 70.1 MB (numpy 2.4, Python 3.11)
+    done = run_bounded(
+        "import math, tracemalloc, numpy as np, geoxray as gx\n"
+        "m = gx.metric_from_config('conformal-radial', [-2.5])\n"
+        "a, r = np.linspace(0.0, 2.0 * math.pi, 200), np.linspace(0.2, 0.8, 200)\n"
+        "starts = [gx.unit_tangent(m, [c * math.cos(b), c * math.sin(b)], [-math.sin(b), math.cos(b)])\n"
+        "          for b, c in zip(a, r)]\n"
+        "tracemalloc.start()\n"
+        "out = gx.trace_geodesics(m, starts, step=2e-4)\n"
+        "print(tracemalloc.get_traced_memory()[1], *sorted({getattr(o, 'exit_code', 0) for o in out}))\n",
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    peak, *codes = done.stdout.split()
+    assert codes == ["6"] and int(peak) <= 80_000_000
+
+
+@pytest.mark.parametrize("x0, exits_in_step, transported", [
+    (0.625, True, True), (0.625 - 2.0**-53, False, True), (0.625 + 2.0**-52, True, False)])
+def test_exit_rules_on_the_unit_circle(euclidean, x0, exits_in_step, transported):
+    # one euclidean step of 0.375 along the x axis lands exactly on 1 - 2**-53, 1 or 1 + 2**-52:
+    # a row on the circle has left the tracer (>=), but goes on in the transport (>)
+    (path,) = _trace_rows(euclidean, np.array([[x0, 0.0, 1.0, 0.0]]), 0.375)[1]
+    assert (path.t[-1] < 0.375) == exits_in_step and path.n_samples == 2
+    (lane,) = flow_with_frames(euclidean, [gx.unit_tangent(euclidean, [x0, 0.0], [1.0, 0.0])], [[0.0, 1.0]],
+                               [0.375], step=0.375)
+    if transported:
+        assert lane[0].tolist() == [x0 + 0.375, 0.0]
+    else:
+        assert isinstance(lane, gx.FanConstructionError)
+
+
 def test_unit_speed_preserved(conformal10):
     start = gx.boundary_tangent(conformal10, 0.3, math.pi + 0.5)
     path = gx.trace_geodesic(conformal10, start, step=1e-2)
@@ -264,6 +300,23 @@ def parallel_transport(metric, path, w0):
         y = np.concatenate([path.x[i], path.v[i], out[i]])[None]
         out[i + 1] = rk4(rhs, rk4(rhs, y, h), h)[0, 4:]
     return out
+
+
+def test_transport_lanes_do_not_interact(conformal05):
+    # lanes of different lengths, one that leaves the disk before its length and one
+    # with a bad length, in one call: each is, bit for bit, a call on it alone
+    starts = [gx.boundary_tangent(conformal05, a, a + math.pi - d)
+              for a, d in ((0.3, 0.2), (1.9, 0.5), (4.0, 1.2), (2.5, 0.1), (5.1, 0.0))]
+    frames = [conformal05.rotate90(s.x, s.v) for s in starts]
+    lengths = [0.0537, 0.7123, 3.5, -1.0, 1.3049]
+    lanes = flow_with_frames(conformal05, starts, frames, lengths, step=0.01)
+    assert isinstance(lanes[2], gx.FanConstructionError) and isinstance(lanes[3], gx.SceneValidationError)
+    for lane, start, frame, length in zip(lanes, starts, frames, lengths):
+        (alone,) = flow_with_frames(conformal05, [start], [frame], [length], step=0.01)
+        if isinstance(alone, gx.GeoxrayError):
+            assert (type(lane), str(lane)) == (type(alone), str(alone))
+        else:
+            assert [a.tobytes() for a in lane] == [a.tobytes() for a in alone]
 
 
 def test_transport_flat_is_constant(euclidean):

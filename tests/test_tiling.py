@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import geoxray as gx
 from geoxray.geometry import PathStack
-from geoxray.tiling import CLIP_BLOCK, HULL_COST, HULL_RUN, HULL_SLACK, _control_hull, locate
+from geoxray.tiling import CLIP_BLOCK, HULL_COST, HULL_RUN, HULL_SLACK, _control_hull
 
-from conftest import chord_start, run_bounded
+from conftest import chord_start, clip_pieces, locate, run_bounded
 from oracles import chord_triangle_length
 
 
@@ -183,27 +183,24 @@ def test_refine_preserves_validity_and_area(hexagon24):
 def test_locate_centroid(hexagon24):
     for tri in (0, 7, 23):
         c = hexagon24.coords(tri).mean(axis=0)
-        loc = locate(hexagon24, c)
-        assert loc.kind == "triangle"
-        assert loc.triangle == tri
-        assert loc.depth == 0
+        assert locate(hexagon24, c) == ("triangle", tri, 0)
 
 
 def test_locate_edge_midpoint(hexagon24):
     a, b = hexagon24.coords(0)[0], hexagon24.coords(0)[1]
-    loc = locate(hexagon24, 0.5 * (a + b))
-    assert loc.kind == "skeleton"
-    assert loc.depth == 1
+    kind, _, depth = locate(hexagon24, 0.5 * (a + b))
+    assert kind == "skeleton"
+    assert depth == 1
 
 
 def test_locate_vertex(hexagon24):
-    loc = locate(hexagon24, hexagon24.vertices[0])
-    assert loc.kind == "skeleton"
-    assert loc.depth == 2
+    kind, _, depth = locate(hexagon24, hexagon24.vertices[0])
+    assert kind == "skeleton"
+    assert depth == 2
 
 
 def test_locate_outside(hexagon24):
-    assert locate(hexagon24, np.array([0.999, 0.999])).kind == "outside"
+    assert locate(hexagon24, np.array([0.999, 0.999]))[0] == "outside"
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +263,7 @@ def test_clip_chord_single_triangle_matches_analytic(euclidean):
         start = chord_start(euclidean, a, b)
         path = gx.trace_geodesic(euclidean, start, step=1e-2)
         expected = chord_triangle_length(path.x[0], path.v[0], t.coords(0))
-        got = sum(iv.length for iv in gx.clip_path(t, path) if iv.triangle == 0)
+        got = sum(t1 - t0 for tri, t0, t1 in clip_pieces(t, [path])[0] if tri == 0)
         assert abs(got - expected) <= 1e-9
         checked += 1
     assert checked >= 15
@@ -280,25 +277,24 @@ def test_clip_partition_sums_to_tau(hexagon24, conformal05):
             continue
         start = chord_start(conformal05, a, b)
         path = gx.trace_geodesic(conformal05, start, step=1e-2)
-        intervals = gx.clip_path(hexagon24, path)
-        assert abs(sum(iv.length for iv in intervals) - path.tau) <= 1e-8
+        intervals = clip_pieces(hexagon24, [path])[0]
+        assert abs(sum(t1 - t0 for _, t0, t1 in intervals) - path.tau) <= 1e-8
         # disjoint and ordered
         for u, w in zip(intervals, intervals[1:]):
-            assert abs(u.t1 - w.t0) <= 1e-12
+            assert abs(u[2] - w[1]) <= 1e-12
         # midpoint of each triangle interval locates to that triangle
-        for iv in intervals:
-            if iv.triangle is not None:
-                loc = locate(hexagon24, path.position(0.5 * (iv.t0 + iv.t1)))
-                assert loc.kind == "triangle" and loc.triangle == iv.triangle
+        for tri, t0, t1 in intervals:
+            if tri is not None:
+                assert locate(hexagon24, path.position(0.5 * (t0 + t1))) == ("triangle", tri, 0)
 
 
 def test_clip_diameter_along_shared_edge_warns(euclidean):
     t = gx.Tiling([[-1, 0], [1, 0], [0, 1], [0, -1]], [[0, 1, 2], [0, 1, 3]])
     path = gx.trace_geodesic(euclidean, gx.boundary_tangent(euclidean, math.pi, 0.0), step=1e-2)
     with pytest.warns(gx.TangencyWarning):
-        intervals = gx.clip_path(t, path)
-    assert all(iv.triangle is None for iv in intervals)
-    assert abs(sum(iv.length for iv in intervals) - path.tau) <= 1e-12
+        intervals = clip_pieces(t, [path])[0]
+    assert all(tri is None for tri, _, _ in intervals)
+    assert abs(sum(t1 - t0 for _, t0, t1 in intervals) - path.tau) <= 1e-12
 
 
 def test_clip_matches_golden_pieces():
@@ -320,9 +316,9 @@ def test_clip_matches_golden_pieces():
         path = gx.trace_geodesic(metric, gx.boundary_tangent(metric, a, direction), step=case["step"])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", gx.TangencyWarning)
-            pieces = gx.clip_path(tiling, path)
-        assert [p.triangle for p in pieces] == [g[0] for g in case["pieces"]]
-        got = np.array([[p.t0, p.t1] for p in pieces])
+            pieces = clip_pieces(tiling, [path])[0]
+        assert [tri for tri, _, _ in pieces] == [g[0] for g in case["pieces"]]
+        got = np.array([[t0, t1] for _, t0, t1 in pieces])
         want = np.array([g[1:] for g in case["pieces"]])
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -331,16 +327,16 @@ def test_plan_clipper_matches_per_path_golden():
     # tests/golden/plan_clips.json holds digests of the pieces that the per-path
     # clipper gave, path by path, on whole plans (see make_plan_clips.py): the
     # three demo scenes' plans, 40 chords at T = 384, a near-tangent double
-    # crossing and chords through vertices; clip_paths must give them bit for bit
+    # crossing and chords through vertices; clip_plan must give them bit for bit
     from golden.make_plan_clips import OUT, digest, plans
 
     want = json.loads(OUT.read_text())
     for name, tiling, paths in plans():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", gx.TangencyWarning)
-            clips = gx.clip_paths(tiling, paths)
-        assert len(clips) == want[name]["paths"] and sum(map(len, clips)) == want[name]["pieces"], name
-        assert digest(clips) == want[name]["sha256"], name
+            _, *pieces = gx.tiling.clip_plan(tiling, paths)
+        assert len(paths) == want[name]["paths"] and len(pieces[0]) == want[name]["pieces"], name
+        assert digest(len(paths), *pieces) == want[name]["sha256"], name
     assert set(want) == {name for name, _, _ in plans()}
 
 
@@ -363,14 +359,14 @@ def test_plan_clipper_peak_memory_is_bounded(tmp_path, monkeypatch):
     (fan, fan_paths), = workload_plans("fan-limit", tmp_path, monkeypatch)
     for tiling, paths, bound in ((tiling, gx.trace_geodesics(metric, starts, step=0.01), 371_348),
                                  (fan, fan_paths, 853_294)):
-        gx.clip_paths(tiling, paths)
+        gx.tiling.clip_plan(tiling, paths)
         tracemalloc.start()
         try:
-            clips = gx.clip_paths(tiling, paths)
+            pieces = gx.tiling.clip_plan(tiling, paths)[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(map(len, clips)) > 40
+        assert len(pieces) > 40
         assert peak <= bound
 
 
@@ -401,7 +397,7 @@ def test_validation_peak_memory_is_bounded():
 
 def test_locate_points_matches_locate(hexagon24):
     # interior, open-edge, vertex and outside points, more of them than one block
-    # holds, classified in one call as locate classifies each one
+    # holds, classified in one call as a call on each point alone classifies it
     corners = hexagon24.vertices[hexagon24.triangles]
     edges = 0.5 * (corners + corners[:, [1, 2, 0]])
     points = np.concatenate([corners.mean(axis=1), edges.reshape(-1, 2), hexagon24.vertices,
@@ -410,9 +406,7 @@ def test_locate_points_matches_locate(hexagon24):
     assert len(points) > gx.tiling.LOCATE_BLOCK // hexagon24.n_triangles
     triangle, kind, depth = gx.locate_points(hexagon24, points)
     for p, tri, k, d in zip(points, triangle, kind, depth):
-        want = locate(hexagon24, p)
-        assert (want.kind, want.triangle, want.depth) == (
-            gx.tiling.LOCATE_KINDS[k], None if tri < 0 else tri, None if d < 0 else d)
+        assert locate(hexagon24, p) == (gx.tiling.LOCATE_KINDS[k], tri, d)
     n_tri, n_edge, n_vert = len(corners), edges.size // 2, len(hexagon24.vertices)
     assert np.array_equal(triangle[:n_tri], np.arange(n_tri)) and np.all(depth[:n_tri] == 0)
     assert np.all(depth[n_tri:n_tri + n_edge] == 1) and np.all(depth[n_tri + n_edge:n_tri + n_edge + n_vert] == 2)
@@ -429,7 +423,7 @@ def test_locate_points_keeps_first_and_deepest_match():
     triangle, kind, depth = gx.locate_points(t_junction, [[0.5, 0.0], [0.7, 0.0]])
     assert triangle.tolist() == [-1, -1] and depth.tolist() == [2, 1]
     assert [gx.tiling.LOCATE_KINDS[k] for k in kind] == ["skeleton", "skeleton"]
-    assert locate(t_junction, [0.5, 0.0]) == gx.tiling.LocateResult(kind="skeleton", triangle=None, depth=2)
+    assert locate(t_junction, [0.5, 0.0]) == ("skeleton", -1, 2)
 
 
 def _dense_brackets(tiling, stack):
@@ -610,15 +604,14 @@ def test_clip_finds_near_tangent_double_crossing():
     mid = 0.5 * (a + b)
     tiling = gx.Tiling([a, b, mid + 0.2 * n, mid - 0.2 * n], [[0, 1, 2], [0, 1, 3]])
     assert tiling.validate().ok
-    pieces = gx.clip_path(tiling, path)
-    tris = [iv.triangle for iv in pieces]
+    pieces = clip_pieces(tiling, [path])[0]
+    tris = [tri for tri, _, _ in pieces]
     assert len(pieces) == 5 and tris[0] is None and tris[4] is None
     assert tris[1] == tris[3] and {tris[1], tris[2]} == {0, 1}
-    assert abs(pieces[2].t0 - (t0 + 0.3 * h)) <= 1e-9
-    assert abs(pieces[2].t1 - (t0 + 0.7 * h)) <= 1e-9
-    for iv in pieces[1:4]:
-        loc = locate(tiling, path.position(0.5 * (iv.t0 + iv.t1)))
-        assert loc.kind == "triangle" and loc.triangle == iv.triangle
+    assert abs(pieces[2][1] - (t0 + 0.3 * h)) <= 1e-9
+    assert abs(pieces[2][2] - (t0 + 0.7 * h)) <= 1e-9
+    for tri, a, b in pieces[1:4]:
+        assert locate(tiling, path.position(0.5 * (a + b))) == ("triangle", tri, 0)
 
 
 def test_clip_finishes_for_crossings_beyond_arclength_64():
@@ -631,8 +624,8 @@ def test_clip_finishes_for_crossings_beyond_arclength_64():
         "path = gx.trace_geodesic(m, gx.boundary_tangent(m, 0.1, c), step=0.01)\n"
         "corner = lambda r, a: [r * math.cos(a), r * math.sin(a)]\n"
         "t = gx.Tiling([corner(1, c - 0.05), corner(1, c + 0.05), corner(0.9, c + 0.2)], [[0, 1, 2]])\n"
-        "inside = [p for p in gx.clip_path(t, path) if p.triangle == 0]\n"
-        "print(path.tau, len(inside), inside[0].t0)\n",
+        "_, _, tri, t0, t1 = gx.tiling.clip_plan(t, [path])\n"
+        "print(path.tau, (tri == 0).sum(), t0[tri == 0][0])\n",
         timeout=60,
     )
     assert done.returncode == 0, done.stderr

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoxray as gx
-from geoxray.geometry import unwrap
+from geoxray.geometry import flow_with_frames, unwrap
 from geoxray.tiling import Sector, SectorFan
 from geoxray.transform import sector_chord_lengths
 
-from conftest import chord_start
+from conftest import chord_start, forward
 from oracles import chord_forward_value, quadrature_sector_length
 
 
@@ -29,7 +29,7 @@ def test_forward_zero_field(euclidean, hexagon24):
     field = gx.PiecewiseConstantField.zero(hexagon24.n_triangles, 2)
     w = gx.ConstantWeight(np.array([[1, 0], [0, 1], [1, 1]], dtype=complex))
     path = gx.trace_geodesic(euclidean, chord_start(euclidean, 0.1, 2.0), step=1e-2)
-    assert np.all(gx.forward(euclidean, w, hexagon24, field, path) == 0.0)
+    assert np.all(forward(euclidean, w, hexagon24, field, path) == 0.0)
 
 
 def test_forward_single_triangle_clipping_oracle(euclidean):
@@ -44,7 +44,7 @@ def test_forward_single_triangle_clipping_oracle(euclidean):
             continue
         path = gx.trace_geodesic(euclidean, chord_start(euclidean, a, b), step=1e-2)
         expected = chord_forward_value(path.x[0], path.v[0], t, field.values)
-        got = gx.forward(euclidean, w, t, field, path)
+        got = forward(euclidean, w, t, field, path)
         assert np.max(np.abs(got - expected)) <= 1e-8
 
 
@@ -59,7 +59,7 @@ def test_forward_attenuated_diameter_closed_form(euclidean):
     w = gx.AttenuationWeight(euclidean, "constant", a, trace_step=1e-3)
     path = gx.trace_geodesic(euclidean, gx.boundary_tangent(euclidean, math.pi, 0.0), step=1e-3)
     expected = c * (1.0 - math.exp(-a * path.tau)) / a
-    got = gx.forward(euclidean, w, t, field, path)
+    got = forward(euclidean, w, t, field, path)
     assert abs(got[0] - expected) <= 1e-6
 
 
@@ -68,14 +68,14 @@ def test_forward_rejects_invalid_tiling(euclidean):
     field = gx.PiecewiseConstantField.zero(2, 1)
     path = gx.trace_geodesic(euclidean, chord_start(euclidean, 0.0, 3.0), step=1e-2)
     with pytest.raises(gx.SceneValidationError):
-        gx.forward(euclidean, gx.IdentityWeight(1), bad, field, path)
+        forward(euclidean, gx.IdentityWeight(1), bad, field, path)
 
 
 def test_forward_rejects_dim_mismatch(euclidean, hexagon24):
     field = gx.PiecewiseConstantField.zero(hexagon24.n_triangles, 2)
     path = gx.trace_geodesic(euclidean, chord_start(euclidean, 0.0, 3.0), step=1e-2)
     with pytest.raises(gx.SceneValidationError):
-        gx.forward(euclidean, gx.IdentityWeight(1), hexagon24, field, path)
+        forward(euclidean, gx.IdentityWeight(1), hexagon24, field, path)
 
 
 def test_forward_linearity(euclidean, hexagon24):
@@ -86,9 +86,9 @@ def test_forward_linearity(euclidean, hexagon24):
     combo = gx.PiecewiseConstantField.from_values(alpha * f.values + beta * g.values)
     w = gx.ConstantWeight(np.array([[1, 0.2], [0.1, 1], [0.4, 0.6]], dtype=complex))
     path = gx.trace_geodesic(euclidean, chord_start(euclidean, 1.0, 4.0), step=1e-2)
-    lhs = gx.forward(euclidean, w, hexagon24, combo, path)
-    rhs = (alpha * gx.forward(euclidean, w, hexagon24, f, path)
-           + beta * gx.forward(euclidean, w, hexagon24, g, path))
+    lhs = forward(euclidean, w, hexagon24, combo, path)
+    rhs = (alpha * forward(euclidean, w, hexagon24, f, path)
+           + beta * forward(euclidean, w, hexagon24, g, path))
     scale = max(np.max(np.abs(lhs)), 1.0)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
@@ -101,7 +101,7 @@ def test_forward_quadrature_step_convergence(conformal05, hexagon24):
     vals = {}
     for s in (2e-2, 1e-2, 5e-3):
         path = gx.trace_geodesic(conformal05, start, step=s)
-        vals[s] = gx.forward(conformal05, w, hexagon24, field, path)
+        vals[s] = forward(conformal05, w, hexagon24, field, path)
     err_coarse = np.max(np.abs(vals[2e-2] - vals[5e-3]))
     err_fine = np.max(np.abs(vals[1e-2] - vals[5e-3]))
     # second-order quadrature: halving the step cuts the error by about 4
@@ -184,7 +184,7 @@ def test_plan_operator_rows_are_the_per_path_integrals(conformal05, hexagon24, w
         for tri, (mat, _length) in want.items():
             total += mat @ field.values[tri]
         assert np.array_equal(values[i], total)
-        assert np.array_equal(values[i], gx.forward(conformal05, weight, hexagon24, field, path))
+        assert np.array_equal(values[i], forward(conformal05, weight, hexagon24, field, path))
         row = np.zeros((m, hexagon24.n_triangles, k), dtype=complex)
         for tri, (mat, _length) in want.items():
             row[:, tri, :] = mat
@@ -262,26 +262,32 @@ def test_plan_integration_peak_memory_is_bounded(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_fan_geodesic_flat_vertical_chord(euclidean):
-    fan = unwrap(gx.fan_geodesics(euclidean, [1.0, 0.0], [([-1.0, 0.0], 0.1)], step=1e-3)[0])
+    path = unwrap(gx.fan_geodesics(euclidean, [1.0, 0.0], [([-1.0, 0.0], 0.1)], step=1e-3)[0])
     # path is the vertical chord through (0.9, 0)
-    assert np.max(np.abs(fan.path.x[:, 0] - 0.9)) <= 1e-12
-    assert abs(abs(fan.transported_normal[1]) - 1.0) <= 1e-12
-    assert fan.path.endpoints_on_boundary
+    assert np.max(np.abs(path.x[:, 0] - 0.9)) <= 1e-12
+    anchor = gx.unit_tangent(euclidean, [1.0, 0.0], [-1.0, 0.0])
+    _, _, w_h = unwrap(flow_with_frames(euclidean, [anchor], [euclidean.rotate90(anchor.x, anchor.v)], [0.1],
+                                        step=1e-3)[0])
+    assert abs(abs(w_h[1]) - 1.0) <= 1e-12
+    assert path.endpoints_on_boundary
 
 
 def test_fan_geodesic_flat_any_direction_orthogonal_line(euclidean):
     v = np.array([math.cos(math.pi + 0.3), math.sin(math.pi + 0.3)])
-    fan = unwrap(gx.fan_geodesics(euclidean, [1.0, 0.0], [(v, 0.2)], step=1e-3)[0])
+    path = unwrap(gx.fan_geodesics(euclidean, [1.0, 0.0], [(v, 0.2)], step=1e-3)[0])
     p0 = np.array([1.0, 0.0]) + 0.2 * v
-    offsets = (fan.path.x - p0) @ v
+    offsets = (path.x - p0) @ v
     assert np.max(np.abs(offsets)) <= 1e-10
 
 
 def test_fan_geodesic_conformal_orthogonality(conformal05):
-    fan = unwrap(gx.fan_geodesics(conformal05, [1.0, 0.0], [([-1.0, 0.0], 0.15)], step=1e-3)[0])
-    w0 = conformal05.rotate90(fan.anchor.x, fan.anchor.v)
-    p, v_h, w_h = unwrap(gx.geometry.flow_with_frames(conformal05, [fan.anchor], [w0], [fan.offset], step=1e-3)[0])
-    assert np.max(np.abs(w_h - fan.transported_normal)) <= 1e-12
+    path = unwrap(gx.fan_geodesics(conformal05, [1.0, 0.0], [([-1.0, 0.0], 0.15)], step=1e-3)[0])
+    anchor = gx.unit_tangent(conformal05, [1.0, 0.0], [-1.0, 0.0])
+    w0 = conformal05.rotate90(anchor.x, anchor.v)
+    p, v_h, w_h = unwrap(flow_with_frames(conformal05, [anchor], [w0], [0.15], step=1e-3)[0])
+    # the member is the geodesic through the transported point along the transported normal
+    (at,) = np.flatnonzero((path.x == p).all(axis=1))
+    assert np.array_equal(path.v[at], gx.unit_tangent(conformal05, p, w_h).v)
     assert abs(conformal05.inner(p, w_h, v_h)) <= 1e-8
     assert abs(conformal05.norm(p, w_h) - 1.0) <= 1e-8
 
@@ -419,8 +425,8 @@ def test_scaled_integral_normal_direction_closed_form(euclidean, anchor_triangle
     w = gx.IdentityWeight(1)
     expected = 2.0 * math.tan(math.radians(10))
     for h in (0.1, 0.02):
-        fan = unwrap(gx.fan_geodesics(euclidean, np.array([1.0, 0.0]), [(np.array([-1.0, 0.0]), h)], step=2e-3)[0])
-        val = gx.forward(euclidean, w, anchor_triangle_tiling, field, fan.path) / h
+        path = unwrap(gx.fan_geodesics(euclidean, np.array([1.0, 0.0]), [(np.array([-1.0, 0.0]), h)], step=2e-3)[0])
+        val = forward(euclidean, w, anchor_triangle_tiling, field, path) / h
         assert abs(val[0] - expected) <= 1e-10
 
 
@@ -451,7 +457,7 @@ def test_limit_sign_independence_on_symmetric_fan(euclidean, anchor_triangle_til
     w = gx.IdentityWeight(1)
     x = np.array([1.0, 0.0])
     v = np.array([-1.0, 0.0])
-    plus, minus = (gx.forward(euclidean, w, anchor_triangle_tiling, field,
-                              unwrap(gx.fan_geodesics(euclidean, x, [(v, 0.05)], sign=sign, step=2e-3)[0]).path) / 0.05
+    plus, minus = (forward(euclidean, w, anchor_triangle_tiling, field,
+                           unwrap(gx.fan_geodesics(euclidean, x, [(v, 0.05)], sign=sign, step=2e-3)[0])) / 0.05
                    for sign in (1, -1))
     assert np.max(np.abs(plus - minus)) <= 1e-9

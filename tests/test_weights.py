@@ -10,7 +10,7 @@ import geoxray as gx
 from geoxray import geometry, weights
 from geoxray.weights import sphere_bundle_samples
 
-from conftest import chord_start
+from conftest import chord_start, clip_pieces, forward
 from golden.make_weight_integrals import WEIGHTS
 
 
@@ -167,9 +167,9 @@ def test_identity_weight_gives_unweighted_transform(euclidean, hexagon24):
     w = gx.IdentityWeight(1)
     start = chord_start(euclidean, 0.4, 2.9)
     path = gx.trace_geodesic(euclidean, start, step=1e-2)
-    value = gx.forward(euclidean, w, hexagon24, field, path)
-    unweighted = sum(iv.length * field.values[iv.triangle, 0]
-                     for iv in gx.clip_path(hexagon24, path) if iv.triangle is not None)
+    value = forward(euclidean, w, hexagon24, field, path)
+    unweighted = sum((t1 - t0) * field.values[tri, 0]
+                     for tri, t0, t1 in clip_pieces(hexagon24, [path])[0] if tri is not None)
     assert abs(value[0] - unweighted) <= 1e-10
 
 
