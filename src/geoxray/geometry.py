@@ -43,8 +43,8 @@ BOUNDARY_TOL = 1e-9
 EVENT_WIDTH = 1e-13
 # Nontrapping cap: 100 times the chart diameter.
 ARCLENGTH_CAP = 100.0 * (2.0 * DISK_RADIUS)
-# Samples (rows times steps) past which a tracer call takes the rows still inside as trapped, about 80
-# bytes each at the gather; the 11,100 frontier chords of the demo fan at T = 1536 store 1,647,810 at step 0.01.
+# Samples (rows times steps) a tracer call stores before it pauses the rows still inside, about 80 bytes
+# each at the gather: so a trapped row costs no memory past it, only its steps up to the arclength cap.
 MAX_TRACE_SAMPLES = 1 << 21
 DEFAULT_STEP = 1e-2
 # Largest |lam| for which the conformal factor exp(2 lam) is a finite float.
@@ -443,8 +443,10 @@ def _radius(x):
     """``|x|`` of every row, rounded as ``math.hypot`` rounds it: ``np.hypot``
     may differ in the last bit, which matters only next to the unit circle."""
     r = np.hypot(x[:, 0], x[:, 1])
-    for i in np.flatnonzero(np.abs(r - DISK_RADIUS) < 1e-15):
-        r[i] = math.hypot(x[i, 0], x[i, 1])
+    near = np.abs(r - DISK_RADIUS) < 1e-15
+    if near.any():
+        for i in np.flatnonzero(near):
+            r[i] = math.hypot(x[i, 0], x[i, 1])
     return r
 
 
@@ -521,7 +523,8 @@ def _trace_rows(metric, y, step, back=None):
     gathered once into a PathStack.  A row is a path, or where ``back`` marks it
     the backward half of the next row's path: laid first, reversed, at arclength
     ``tau_b - t`` with ``v`` negated (``tau_b`` its exit time), sharing its start.
-    Rows still inside past the arclength cap or the call's ``MAX_TRACE_SAMPLES`` are suspected trapped.
+    Rows still inside past the arclength cap are suspected trapped.  Past ``MAX_TRACE_SAMPLES`` stored
+    samples the rows still inside go on unstored to tell the trapped, and the others resume from there.
     Returns the stack and, per path, its GeodesicPath or its rows' first error.
     """
     back = np.zeros(len(y), dtype=bool) if back is None else back
@@ -530,20 +533,36 @@ def _trace_rows(metric, y, step, back=None):
     finite = np.isfinite(y).all(axis=1) & ok
     out = [None if f else SceneValidationError(f"geodesic start state {row.tolist()} is not finite") if ok
            else SceneValidationError("integrator step must be positive and finite") for f, row in zip(finite, y)]
-    rows, t = np.flatnonzero(finite), 0.0
-    samples, exits, stored = [(rows, y[rows], t)], [(rows[:0], y[:0], t)], len(rows)
-    # _outside is _radius >= DISK_RADIUS: a row on the unit circle has left; the budget ends every row
-    for rows, cur, gone, before in _lockstep(metric, y, step, np.where(finite, MAX_TRACE_SAMPLES, 0), _outside):
-        if gone.size:
-            exits.append((gone, before, t))
-        t, stored = t + step, stored + len(rows)
-        samples.append((rows, cur, t))
-        if t > ARCLENGTH_CAP or stored > MAX_TRACE_SAMPLES:
+    rows, t, z, budget = np.flatnonzero(finite), 0.0, y, MAX_TRACE_SAMPLES
+    samples, exits, trapped = [], [(rows[:0], y[:0], t)], []
+    while True:   # a second pass resumes the rows that the budget paused and that exit
+        samples.append((rows, z[rows], t))
+        budget, paused = budget - len(rows), None
+        # _outside is _radius >= DISK_RADIUS: a row on the unit circle has left
+        for rows, cur, gone, before in _lockstep(metric, z, step, np.isin(np.arange(len(y)), rows) * sys.maxsize,
+                                                 _outside):
+            if paused is None and gone.size:
+                exits.append((gone, before, t))
+            t = t + step
+            if paused is None and len(rows) > budget:   # the rows go on unstored, to tell the trapped
+                paused = rows, cur, t
+            elif paused is None:
+                samples.append((rows, cur, t))
+                budget -= len(rows)
+            if t > ARCLENGTH_CAP:
+                break
+        trapped.append(rows)
+        if paused is None:
             break
+        rows, cur, t = paused
+        late = np.isin(rows, trapped[-1], invert=True)
+        rows, z, budget = rows[late], y.copy(), math.inf
+        z[rows] = cur[late]
+    rows = np.concatenate(trapped)
     for i in rows:
         out[i] = TrappingSuspectedError(
-            f"geodesic exceeded the arclength cap {ARCLENGTH_CAP:g}, or its call the sample budget "
-            f"{MAX_TRACE_SAMPLES:,}, without exiting; the metric parameters likely violate the nontrapping assumption")
+            f"geodesic exceeded the arclength cap {ARCLENGTH_CAP:g} without exiting; the metric "
+            "parameters likely violate the nontrapping assumption")
     if rows.size:   # in place, so that the gather copies only the samples of the other rows
         live = np.isin(np.arange(len(y)), rows, invert=True)
         for j, (r, cur, t0) in enumerate(samples):
@@ -641,7 +660,7 @@ def trace_geodesic(metric: MetricField, start: UnitTangent, step: float = DEFAUL
     Raises
     ------
     TrappingSuspectedError
-        If the arclength cap (100 chart diameters) or ``MAX_TRACE_SAMPLES`` comes first.
+        If the arclength exceeds 100 times the chart diameter.
     SceneValidationError
         If ``step`` is not a positive finite number, or the start is not
         finite.

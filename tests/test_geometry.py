@@ -211,24 +211,42 @@ def test_trapping_cap_raises():
         gx.trace_geodesic(metric, start, step=1e-2)
 
 
-def test_trapped_rows_stop_at_the_sample_budget():
+def test_trapped_rows_store_no_samples_past_the_budget():
     # on conformal-radial -2.5, r exp(lam) is above its boundary value 0.082 for 0.1 < r < 0.95, so a
-    # geodesic that starts tangent to a circle of radius 0.2 to 0.8 never reaches the boundary.  At
-    # step 2e-4 the arclength cap would let these 400 rows store 4e8 samples; the call stops past
-    # MAX_TRACE_SAMPLES with exit code 6, at a tracemalloc peak of 70.1 MB (numpy 2.4, Python 3.11)
+    # geodesic that starts tangent to a circle of radius 0.2 to 0.8 never reaches the boundary.  Up to
+    # the arclength cap these 240 rows take 4.8e6 samples (a tracer without the budget peaked at 84.7 MB
+    # for 60 of them); past MAX_TRACE_SAMPLES they go on unstored and exit 6 at a tracemalloc peak of
+    # 69.2 MB (numpy 2.4, Python 3.11)
     done = run_bounded(
         "import math, tracemalloc, numpy as np, geoxray as gx\n"
         "m = gx.metric_from_config('conformal-radial', [-2.5])\n"
-        "a, r = np.linspace(0.0, 2.0 * math.pi, 200), np.linspace(0.2, 0.8, 200)\n"
+        "a, r = np.linspace(0.0, 2.0 * math.pi, 120), np.linspace(0.2, 0.8, 120)\n"
         "starts = [gx.unit_tangent(m, [c * math.cos(b), c * math.sin(b)], [-math.sin(b), math.cos(b)])\n"
         "          for b, c in zip(a, r)]\n"
         "tracemalloc.start()\n"
-        "out = gx.trace_geodesics(m, starts, step=2e-4)\n"
+        "out = gx.trace_geodesics(m, starts, step=1e-2)\n"
         "print(tracemalloc.get_traced_memory()[1], *sorted({getattr(o, 'exit_code', 0) for o in out}))\n",
         timeout=60)
     assert done.returncode == 0, done.stderr
     peak, *codes = done.stdout.split()
     assert codes == ["6"] and int(peak) <= 80_000_000
+
+
+@pytest.mark.parametrize("budget", [1, 60, 200, 400])
+def test_sample_budget_keeps_each_path(monkeypatch, budget):
+    # the budget pauses the rows still inside, at any step of the call: the ones that exit resume
+    # from there, so each start traces as it does alone, and only a row past its own cap is trapped
+    metric = gx.metric_from_config("conformal-radial", [-2.5])
+    starts = [gx.unit_tangent(metric, [0.9, 0.0], [math.cos(a), math.sin(a)]) for a in np.linspace(0.0, 1.5, 7)]
+    starts += [gx.unit_tangent(metric, [0.6, 0.0], [math.cos(0.5), math.sin(0.5)]),
+               gx.boundary_tangent(metric, 2.0, 2.0 + math.pi - 0.3)]
+    alone = [gx.trace_geodesics(metric, [start], step=0.05)[0] for start in starts]
+    assert sum(isinstance(a, gx.TrappingSuspectedError) for a in alone) == 2
+    monkeypatch.setattr(gx.geometry, "MAX_TRACE_SAMPLES", budget)
+    for got, want in zip(gx.trace_geodesics(metric, starts, step=0.05), alone):
+        assert type(got) is type(want)
+        if isinstance(want, gx.GeodesicPath):
+            assert [getattr(got, a).tobytes() for a in "txv"] == [getattr(want, a).tobytes() for a in "txv"]
 
 
 @pytest.mark.parametrize("x0, exits_in_step, transported", [
