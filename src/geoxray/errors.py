@@ -74,12 +74,12 @@ class TangencyWarning(UserWarning):
 
 def config_number(value, key: str, integer: bool = False, minimum: float = -math.inf):
     """``value`` as a finite float at least ``minimum``, or as an int when
-    ``integer``; anything else (no number, NaN, inf, a fraction, too small)
-    raises a SceneValidationError naming ``key``."""
-    if integer and isinstance(value, int) and value >= minimum:
+    ``integer``; anything else (no number, a boolean, NaN, inf, a fraction, too
+    small) raises a SceneValidationError naming ``key``."""
+    if integer and type(value) is int and value >= minimum:
         return value
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x) or (integer and not x.is_integer()) or x < minimum:

@@ -77,6 +77,6 @@ _FOLIATION_FAMILIES = {
 def foliation_from_config(family: str, params=()) -> FoliationFunction:
     try:
         cls = _FOLIATION_FAMILIES[family]
-    except KeyError:
-        raise SceneValidationError(f"foliation: unknown family {family!r}") from None
+    except (KeyError, TypeError):   # TypeError: a list or an object is no family name
+        raise SceneValidationError(f"scene.foliation.family: unknown family {family!r}") from None
     return cls(config_numbers(params, "scene.foliation.params"))

@@ -172,11 +172,14 @@ def recover_fan_values(weight_of_angle, sector_angles, samples, cond_cap: float 
 
 
 def _solve_stacked(a, b, cond_cap, error_cls):
+    # weight integrals that overflowed make the system ill-posed; LAPACK is not handed them
+    if not np.isfinite(a).all():
+        raise error_cls("stacked system has non-finite entries: the weight integrals overflow")
     sv = np.linalg.svd(a, compute_uv=False)
     smax = float(sv[0]) if len(sv) else 0.0
     smin = float(sv[-1]) if len(sv) else 0.0
     cond = math.inf if smin == 0.0 else smax / smin
-    if cond > cond_cap:
+    if not cond <= cond_cap:   # a NaN condition too
         raise error_cls(f"stacked system condition number {cond:.3e} exceeds cap {cond_cap:.1e}")
     x, _res, _rank, _sv = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ x - b))

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SceneValidationError, config_number, config_numbers
 from .foliation import FoliationFunction, foliation_from_config
 from .geometry import ARCLENGTH_CAP, MetricField, metric_from_config
-from .recovery import ChordPlan, chord_descriptor, reconstruction_descriptors
+from .recovery import ChordPlan, chord_descriptor, order_frontier, reconstruction_descriptors
 from .tiling import PiecewiseConstantField, Tiling, polygon_fan_tiling, refine
 from .weights import WeightField, complex_matrix, weight_from_config
 
@@ -28,6 +28,9 @@ MAX_TRIANGLES = 1 << 16
 # The most integrator steps a geodesic may take before the tracer's arclength cap ends it as
 # trapped: a scene's step is at least ARCLENGTH_CAP / MAX_TRACE_STEPS (2e-4).
 MAX_TRACE_STEPS = 10**6
+# The most integrator steps a scene's chord plan may take, its planned rays each up to the arclength cap:
+# 50,000 rays at step 0.01, 1,000 at 2e-4.  A plan past it (1e30 rotations, say) would run for ever.
+MAX_PLAN_STEPS = 10**9
 
 
 @dataclass
@@ -113,10 +116,6 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
     tiling = _build_tiling(_section(raw, "tiling", required=True))
     weight = weight_from_config(_section(raw, "weight", required=True), metric, trace_step=step)
     field = _build_field(_section(raw, "field", required=True), tiling, weight, np.random.default_rng(seed))
-    if field.k != weight.k:
-        raise SceneValidationError(
-            f"scene: field k={field.k} does not match weight k={weight.k}"
-        )
 
     foliation = None
     if raw.get("foliation") is not None:
@@ -124,6 +123,7 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
         foliation = foliation_from_config(cfg.get("family"), cfg.get("params", ()))
 
     fan_plan, chords = _build_plans(_section(raw, "plans"))
+    _check_plan_size(chords, step, tiling, foliation)
 
     noise_sigma = config_number(_section(raw, "noise").get("sigma", 0.0), "scene.noise.sigma")
     if noise_sigma < 0:
@@ -173,6 +173,10 @@ def _build_tiling(cfg) -> Tiling:
         except (TypeError, ValueError):
             raise SceneValidationError(
                 "scene.tiling: vertices must be [x, y] rows and triangles [i, j, k] rows of numbers") from None
+        if vertices.size and (vertices.ndim != 2 or vertices.shape[1] != 2):
+            raise SceneValidationError(f"scene.tiling.vertices: expected [x, y] rows, got {cfg['vertices']!r}")
+        if triangles.size and (triangles.ndim != 2 or triangles.shape[1] != 3):
+            raise SceneValidationError(f"scene.tiling.triangles: expected [i, j, k] rows, got {cfg['triangles']!r}")
         if not np.isfinite(vertices).all():
             raise SceneValidationError("scene.tiling.vertices: must be finite")
         if triangles.dtype.kind != "i" and not (triangles.dtype.kind == "f"
@@ -186,6 +190,8 @@ def _build_tiling(cfg) -> Tiling:
 
 def _build_field(cfg, tiling, weight, rng) -> PiecewiseConstantField:
     k = config_number(cfg.get("k", weight.k), "scene.field.k", integer=True)
+    if k != weight.k:
+        raise SceneValidationError(f"scene.field.k: field k={k:g} does not match weight k={weight.k}")
     if "values" in cfg:
         rows = cfg["values"]
         if isinstance(rows, list) and len(rows) != tiling.n_triangles:
@@ -195,11 +201,11 @@ def _build_field(cfg, tiling, weight, rng) -> PiecewiseConstantField:
         return PiecewiseConstantField(values=complex_matrix(rows, "scene.field.values", k), k=k)
     if "random" in cfg:
         rcfg = _section(cfg, "random", "scene.field")
-        return PiecewiseConstantField.random(
-            tiling.n_triangles, k, rng,
-            real=bool(rcfg.get("real", False)),
-            scale=config_number(rcfg.get("scale", 1.0), "scene.field.random.scale"),
-        )
+        scale = config_number(rcfg.get("scale", 1.0), "scene.field.random.scale", minimum=0.0)
+        if not 2.0 * scale < math.inf:
+            raise SceneValidationError(f"scene.field.random.scale: {scale:g} overflows the width of [-scale, scale]")
+        return PiecewiseConstantField.random(tiling.n_triangles, k, rng, real=bool(rcfg.get("real", False)),
+                                             scale=scale)
     if cfg.get("zero"):
         return PiecewiseConstantField.zero(tiling.n_triangles, k)
     raise SceneValidationError("scene.field: give values, random, or zero")
@@ -258,6 +264,31 @@ def _build_plans(cfg):
                 "scene.plans.chords.mode: expected random, grid, or frontier"
             )
     return fan_plan, chords
+
+
+def _check_plan_size(chords, step, tiling, foliation):
+    """Reject a chord plan whose rays, each stepped up to the arclength cap, could take more than
+    ``MAX_PLAN_STEPS`` steps, naming the key of its largest factor.  A frontier plan aims
+    ``rotations`` chords at each level: ``levels_per_batch`` per batch, or each pinned level once."""
+    if chords is None:
+        return
+    plan, batches = chords.frontier, 1
+    if chords.mode == "random":
+        factors = {"count": chords.count}
+    elif chords.mode == "grid":
+        factors = {"distances": chords.distances, "rotations": chords.rotations}
+    elif plan.levels is not None:
+        factors = {"levels": len(plan.levels), "rotations": plan.rotations}
+    else:   # a batch per triangle at most; the batch count itself only where that bound is over
+        factors, batches = {"levels_per_batch": plan.levels_per_batch, "rotations": plan.rotations}, tiling.n_triangles
+    rays = math.prod(float(min(max(n, 0), 1e308)) for n in factors.values())   # a float, inf past its range
+    steps = rays * (ARCLENGTH_CAP / step)
+    if steps * batches > MAX_PLAN_STEPS and batches > 1 and foliation is not None:
+        batches = len(order_frontier(tiling, foliation))
+    if steps * batches > MAX_PLAN_STEPS:
+        raise SceneValidationError(
+            f"scene.plans.chords.{max(factors, key=factors.get)}: {rays * batches:.3g} planned rays at step "
+            f"{step:g} could take {steps * batches:.3g} integrator steps, over the limit of {MAX_PLAN_STEPS:.0e}")
 
 
 # ---------------------------------------------------------------------------

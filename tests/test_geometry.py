@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import geoxray as gx
-from geoxray.geometry import (_flow, _outside, _radius, _trace_rows, boundary_tangents, disk_grid, flow_with_frames,
-                              rk4, speed_defect)
+from geoxray.geometry import (FLOAT_ROWS, _flow, _outside, _radius, _rk4_floats, _trace_rows, boundary_tangents,
+                              disk_grid, flow_with_frames, rk4, speed_defect)
 
 from conftest import chord_start, run_bounded
 from golden.make_paths import TRACERS, digest
@@ -262,6 +262,45 @@ def test_exit_rules_on_the_unit_circle(euclidean, x0, exits_in_step, transported
         assert lane[0].tolist() == [x0 + 0.375, 0.0]
     else:
         assert isinstance(lane, gx.FanConstructionError)
+
+
+FAMILIES = [("euclidean", []), ("conformal-radial", [0.3]), ("conformal-gaussian", [0.5, 0.1, -0.2, 0.4])]
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_float_kernel_matches_numpy_step(family, params):
+    # rk4 steps a few rows in Python floats: each row must get numpy's bits, for a scalar step and for a
+    # column of steps.  Python's v ** 2 differs from numpy's square on about 1 value in 1,200 and math.exp
+    # from np.exp on a few percent, so 100,000 random rows in the disk, and 1,000 rows whose one speed
+    # component squares differently by pow, catch a kernel written with either
+    rng = np.random.default_rng(17)
+    n = 100_000
+    r, a, b = np.sqrt(rng.uniform(0.0, 1.0, n)), rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.0, 2.0 * math.pi, n)
+    speed = rng.uniform(0.1, 2.0, n)
+    y = np.column_stack([r * np.cos(a), r * np.sin(a), speed * np.cos(b), speed * np.sin(b)])
+    odd = [s for s in rng.uniform(-2.0, 2.0, 2_000_000).tolist() if s ** 2 != s * s][:1000]
+    y[:len(odd), 2:] = np.column_stack([odd, np.zeros(len(odd))])
+    rhs = _flow(gx.metric_from_config(family, params))
+    assert len(odd) == 1000 and len(y) > FLOAT_ROWS
+    for h in (0.01, rng.uniform(0.0, 0.05, (n, 1))):
+        assert np.array_equal(_rk4_floats(rhs.accel, y, h), rk4(rhs, y, h))
+    assert np.array_equal(rk4(rhs, y[:FLOAT_ROWS], 0.01), rk4(rhs, y, 0.01)[:FLOAT_ROWS])
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_paths_do_not_depend_on_the_rows_in_flight(family, params):
+    # 40 chords of spread lengths and 2 interior starts: rk4 takes numpy while more than FLOAT_ROWS rows are
+    # in flight and Python floats after, and the exits of all are bisected together, on numpy; alone,
+    # each row steps in floats throughout.  Each path must be the one its start traces alone, byte for byte
+    metric = gx.metric_from_config(family, params)
+    starts = [gx.boundary_tangent(metric, a, a + math.pi - d)
+              for a, d in zip(np.linspace(0.0, 6.0, 40), np.linspace(0.0, 1.45, 40))]
+    starts += [gx.unit_tangent(metric, [0.3, -0.2], [0.6, 0.8]), gx.unit_tangent(metric, [-0.7, 0.1], [0.2, 1.0])]
+    paths = gx.trace_geodesics(metric, starts, step=0.01)
+    assert len({path.n_samples for path in paths}) > 2 * FLOAT_ROWS
+    for start, path in zip(starts, paths):
+        alone = gx.trace_geodesic(metric, start, step=0.01)
+        assert [getattr(path, a).tobytes() for a in "txv"] == [getattr(alone, a).tobytes() for a in "txv"]
 
 
 def test_unit_speed_preserved(conformal10):

@@ -151,6 +151,72 @@ def test_out_of_range_scene_value_exits_with_one_error_line(tmp_path, capsys, ke
     assert err.startswith("geoxray: error: ") and err.count("\n") == 1 and named in err
 
 
+def demo_scene_path(tmp_path, name, key, value):
+    """``scenes/<name>.json`` with the value at the dotted ``key`` replaced, written under ``tmp_path``."""
+    from golden.make_demo_outputs import SCENES
+
+    scene = json.loads((SCENES / f"{name}.json").read_text(encoding="utf-8"))
+    *parents, last = key.split(".")
+    node = scene
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    return write_scene(tmp_path, "s.json", scene)
+
+
+@pytest.mark.parametrize("name, command, key, value", [
+    ("demo_reconstruct", "reconstruct", "metric.family", []),
+    ("demo_reconstruct", "reconstruct", "metric.family", {}),
+    ("demo_reconstruct", "reconstruct", "foliation.family", []),
+    ("demo_reconstruct", "reconstruct", "foliation.family", {}),
+    ("demo_reconstruct", "reconstruct", "field.k", True),
+    ("demo_reconstruct", "reconstruct", "field.k", -1),
+    ("demo_reconstruct", "reconstruct", "field.k", 1e308),
+    ("demo_reconstruct", "reconstruct", "field.random.scale", -1),
+    ("demo_reconstruct", "reconstruct", "field.random.scale", 1e308),
+    ("demo_limit_check", "limit-check", "tiling.triangles", [1, 2]),
+    ("demo_limit_check", "limit-check", "tiling.triangles", -1),
+    ("demo_limit_check", "limit-check", "tiling.vertices", True),
+])
+def test_mistyped_demo_scene_key_exits_with_one_error_line(tmp_path, capsys, name, command, key, value):
+    # each of these ended in a TypeError, ValueError or OverflowError traceback from a dict
+    # lookup, numpy's random generator or a reshape; now one line names the key
+    path = demo_scene_path(tmp_path, name, key, value)
+    assert cli.main([command, "--scene", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("geoxray: error: ") and err.count("\n") == 1 and f"scene.{key}" in err
+
+
+@pytest.mark.parametrize("name, command, key, value", [
+    ("demo_reconstruct", "forward", "plans.chords.rotations", 1e30),
+    ("demo_reconstruct", "reconstruct", "plans.chords.levels_per_batch", 1e30),
+    ("demo_reconstruct", "reconstruct", "plans.chords.levels_per_batch", 1e308),
+    ("demo_spectrum", "spectrum", "plans.chords.distances", 1e30),
+    ("demo_spectrum", "spectrum", "plans.chords.rotations", 1e30),
+    ("demo_spectrum", "forward", "plans.chords", {"mode": "random", "count": 1e30}),
+])
+def test_plan_over_the_step_limit_exits_at_load(tmp_path, name, command, key, value):
+    # each ran past a 20 s timeout building or tracing its chords; the planned rays times the
+    # steps of a ray up to the arclength cap are bounded at load, and the error names the key
+    path = demo_scene_path(tmp_path, name, key, value)
+    done = run_bounded("import sys; from geoxray import cli; sys.exit(cli.main(sys.argv[1:]))",
+                       command, "--scene", path, "--out", str(tmp_path / "out"), timeout=20)
+    assert done.returncode == EXIT_VALIDATION
+    named = key if key.count(".") == 2 else "plans.chords.count"
+    assert done.stderr.startswith("geoxray: error: ") and done.stderr.count("\n") == 1
+    assert f"scene.{named}" in done.stderr and f"{gx.scene.MAX_PLAN_STEPS:.0e}" in done.stderr
+
+
+def test_demo_plans_at_the_smallest_step_load():
+    # the frontier bound takes the sweep's batch count (3 for the demo) where one batch per
+    # triangle (24) would be over the limit
+    from golden.make_demo_outputs import SCENES
+
+    small = gx.scene.ARCLENGTH_CAP / gx.scene.MAX_TRACE_STEPS
+    for name in ("demo_reconstruct", "demo_spectrum"):
+        assert gx.load_scene(SCENES / f"{name}.json", step_override=small).step == small
+
+
 @pytest.mark.parametrize("tiling, named", [
     ({"generator": {"kind": "polygon-fan", "sides": 6, "refine": 11}}, "scene.tiling.generator.refine"),
     ({"generator": {"kind": "polygon-fan", "sides": 6, "refine": 10**9}}, "scene.tiling.generator.refine"),
@@ -548,6 +614,15 @@ def test_reconstruct_non_injective_exit(tmp_path):
     scene["weight"] = {"family": "constant-matrix", "matrix": [[1, 0], [1, 0], [0, 0]]}
     spath = write_scene(tmp_path, "s.json", scene)
     assert cli.main(["reconstruct", "--scene", spath, "--out", str(tmp_path)]) == EXIT_NON_INJECTIVE
+
+
+def test_reconstruct_overflowing_weight_is_ill_posed(tmp_path, capsys):
+    # a weight entry of 1e308 overflows the trapezoid sums to inf: the SVD of that system gave NaN
+    # singular values, which passed the condition cap, and lstsq raised LinAlgError
+    path = demo_scene_path(tmp_path, "demo_reconstruct", "weight.matrix", [[1e308, 0.2], [0.1, 1.0], [0.4, 0.6]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["reconstruct", "--scene", path, "--out", str(tmp_path / "out")]) == EXIT_ILL_POSED
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_reconstruct_condition_cap_exit(tmp_path):
