@@ -220,6 +220,9 @@ def main(argv=None) -> int:
     except GeoxrayError as exc:
         print(f"geoxray: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except Exception as exc:   # a fault of the program, not of the scene: one line, no traceback
+        print(f"geoxray: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     print(out)
     return 0
 

@@ -9,14 +9,15 @@ Geodesics are integrated with one fixed-step classical Runge-Kutta scheme,
 ``rk4``, in the state ``(x, v)``, in one lockstep loop, ``_lockstep``: the rows
 of a call advance as one array, each to its own step count or to the step that
 its caller's exit test marks.  The tracer's exits are then located together by
-bisection on ``|x| - 1`` inside the steps that crossed; parallel transport
-appends a vector ``w`` to the state.  Each row gets the arithmetic of a one-row
-run bit for bit, so a path does not depend on what it was traced with.  Paths
-are unit speed in ``g``, so the curve parameter is arclength.  One gather lays
-the paths of a call end to end in one ``PathStack``, and each GeodesicPath is a
-view of it; clipping and integration read that stack as it is.  Paths are
-evaluated in one place, the stack: one bisection finds every query's sample
-interval, for cubic Hermite interpolation.
+bisection on ``|x| - 1`` inside the steps that crossed, on the turns a Newton
+guess predicts as far as the exit test, checking them all at once, agrees: the
+guess decides no turn.  Parallel transport appends a vector ``w`` to the state.
+Each row gets the arithmetic of a one-row run bit for bit, so a path does not
+depend on what it was traced with.  Paths are unit speed in ``g``, so the curve
+parameter is arclength.  One gather lays the paths of a call end to end in one
+``PathStack``, and each GeodesicPath is a view of it; clipping and integration
+read that stack as it is.  Paths are evaluated in one place, the stack: one
+bisection finds every query's sample interval, for cubic Hermite interpolation.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ LAM_LIMIT = 0.5 * math.log(sys.float_info.max)
 # 41-49 us on conformal-radial and 68-93 us on conformal-gaussian, and a float row 1.3, 2.4 and
 # 4.5 us (one np.exp per stage): the crossovers are at about 13, 20 and 18 rows.
 FLOAT_ROWS = 16
+# Midpoints per call of the exit check; at 8192 the demo plan's tracemalloc peak rises from 4.62 to 4.90 MB.
+EXIT_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +467,7 @@ def _rk4_floats(accel, y, h):
     """``rk4`` of rows ``(x, v)`` one at a time in Python floats, with ``accel`` a
     ``MetricField.accel_floats``: numpy's operations element by element, in its order."""
     out = []
-    for (x0, x1, v0, v1), h in zip(y.tolist(), h[:, 0].tolist() if np.ndim(h) else [float(h)] * len(y)):
+    for (x0, x1, v0, v1), h in zip(y.tolist(), h.ravel().tolist() if isinstance(h, np.ndarray) else [float(h)] * len(y)):
         hh, h6 = 0.5 * h, h / 6.0
         a0, a1 = accel(x0, x1, v0, v1)   # k1 = (v, a), then k2 = (q, b), k3 = (r, c), k4 = (s, e)
         q0, q1 = v0 + hh * a0, v1 + hh * a1
@@ -495,34 +498,34 @@ def _radius(x):
     """``|x|`` of every row, rounded as ``math.hypot`` rounds it: ``np.hypot``
     may differ in the last bit, which matters only next to the unit circle."""
     r = np.hypot(x[:, 0], x[:, 1])
-    near = np.abs(r - DISK_RADIUS) < 1e-15
-    if near.any():
-        for i in np.flatnonzero(near):
-            r[i] = math.hypot(x[i, 0], x[i, 1])
+    for i in np.flatnonzero(np.abs(r - DISK_RADIUS) < 1e-15):
+        r[i] = math.hypot(x[i, 0], x[i, 1])
     return r
 
 
 def _outside(x):
     """Which rows are on or past the unit circle, as ``_radius(x) >= DISK_RADIUS`` tells; None for no
-    row when one ``np.hypot`` and one max show every row more than 1e-15 inside it, where ``_radius``
-    keeps ``np.hypot``'s value.  A NaN row fails that test and takes the rule."""
-    if np.hypot(x[:, 0], x[:, 1]).max() < DISK_RADIUS - 1e-15:
-        return None
-    return _radius(x) >= DISK_RADIUS
+    row when every row is more than 1e-15 inside it, where ``_radius`` keeps ``np.hypot``'s value: up
+    to ``FLOAT_ROWS`` rows ``x0*x0 + x1*x1 < (1 - 2e-15)**2`` in Python floats tells, past them one
+    ``np.hypot`` and one max.  A NaN row fails either test and takes the rule."""
+    inside = (all(a * a + b * b < (1.0 - 2e-15) ** 2 for a, b in x[:, :2].tolist()) if len(x) <= FLOAT_ROWS
+              else np.hypot(x[:, 0], x[:, 1]).max() < DISK_RADIUS - 1e-15)
+    return None if inside else _radius(x) >= DISK_RADIUS
 
 
-def _bisect_lanes(below, lo, hi, width, *lanes):
+def _bisect_lanes(below, lo, hi, width, *lanes, guess=None):
     """Bisect every bracket ``[lo, hi]`` together until it is at most ``width`` wide.
 
     ``below(mid, *lanes)`` tells, lane by lane, whether the root lies below
     ``mid``; ``lanes`` are per-lane arrays it reads.  Lane by lane this is the
     scalar loop ``hi = mid if below else lo = mid`` while ``hi - lo > width``.
-    Each pass takes two of its turns with one call of ``below``, on the
-    midpoint and on both midpoints the next turn may need, so a pass costs
-    few numpy calls however few lanes there are; finished lanes are dropped.
-    Returns the final midpoints.
+    Given a ``guess`` of each root, ``_verified_walk`` first takes each lane's turns up to the first
+    the guess predicts wrong; then each pass takes two turns with one call of ``below``, on the midpoint
+    and on both midpoints the next turn may need, so a pass costs few numpy calls however few lanes there
+    are; finished lanes are dropped.  Every turn is ``below``'s.  Returns the final midpoints.
     """
     width = np.broadcast_to(width, np.shape(lo))
+    lo, hi = (lo, hi) if guess is None else _verified_walk(below, lo, hi, width, guess, lanes)
     root = 0.5 * (lo + hi)
     ids, lanes3 = np.arange(len(root)), None
     busy = hi - lo > width
@@ -543,6 +546,40 @@ def _bisect_lanes(below, lo, hi, width, *lanes):
         busy = hi - lo > width
         lo, hi = np.where(busy & ~down, mid, lo), np.where(busy & down, mid, hi)
         busy = hi - lo > width
+
+
+def _verified_walk(below, lo, hi, width, guess, lanes):
+    """Each lane's bracket after its turns up to the first that ``below`` contradicts, taken its way, or after
+    all: walked in Python floats as the guess predicts (below where ``guess <= mid``), checked in blocks."""
+    mids, ends = [], []
+    for l, h, w, g in zip(lo.tolist(), hi.tolist(), width.tolist(), guess.tolist()):
+        while h - l > w:   # a NaN guess predicts up at every turn
+            m = 0.5 * (l + h)
+            mids.append(m)
+            l, h = (l, m) if g <= m else (m, h)
+        ends.append(len(mids))
+    if not mids:
+        return lo, hi
+    mid, ends, n = np.array(mids), np.array(ends), np.diff(ends, prepend=0)
+    lane = np.repeat(np.arange(len(lo)), n)
+    told = np.concatenate([below(mid[j:j + EXIT_BLOCK], *(a[lane[j:j + EXIT_BLOCK]] for a in lanes))
+                           for j in range(0, len(mid), EXIT_BLOCK)])
+    # a lane stops at its first contradicted turn, else its last, bounded by its last midpoints each way
+    wrong = np.flatnonzero(told != (guess[lane] <= mid))
+    first, stop = wrong[np.diff(lane[wrong], prepend=-1) != 0], ends - 1
+    stop[lane[first]] = first
+    last = (np.maximum.accumulate(np.where(told == d, np.arange(len(mid)), -1))[stop] for d in (False, True))
+    return tuple(np.where((n > 0) & (i >= ends - n), mid[i], end) for i, end in zip(last, (lo, hi)))
+
+
+def _exit_guess(rhs, y0, step):
+    """Exit arclengths in ``[0, step]`` guessed by Newton on the RK4 step map: ``|x(s)|^2 = 1``, slope ``2 x.v``."""
+    s = np.zeros(len(y0))
+    with np.errstate(all="ignore"):   # a grazing row may divide by zero: the guess decides no turn
+        for k in range(4):   # Newton steps: at 3, an exit at x.v = 0.07 was 4e-12 off and took 4 more passes
+            x0, x1, v0, v1 = (rk4(rhs, y0, s[:, None]) if k else y0).T
+            s = np.clip(s + (1.0 - x0 * x0 - x1 * x1) / (2.0 * (x0 * v0 + x1 * v1)), 0.0, step)
+    return s
 
 
 def _lockstep(metric, y, h, steps, past):
@@ -626,7 +663,8 @@ def _trace_rows(metric, y, step, back=None):
         out = _outside(rk4(rhs, y0, mid[:, None]))
         return np.zeros(len(mid), dtype=bool) if out is None else out
 
-    s = _bisect_lanes(below, np.zeros(len(e_rows)), np.full(len(e_rows), float(step)), EVENT_WIDTH, e_y)
+    s = _bisect_lanes(below, np.zeros(len(e_rows)), np.full(len(e_rows), float(step)), EVENT_WIDTH, e_y,
+                      guess=_exit_guess(rhs, e_y, step))
     kept = s > EVENT_WIDTH
     step_rows, step_y, step_t = zip(*samples)
     step_y += (rk4(rhs, e_y[kept], s[kept, None]),)

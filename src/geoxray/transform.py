@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FanConstructionError, GeoxrayError, NearParallelSectorError, SceneValidationError
+from .errors import FanConstructionError, GeoxrayError, IllPosedStepError, NearParallelSectorError, SceneValidationError
 from .geometry import (
     BOUNDARY_TOL,
     DEFAULT_STEP,
@@ -148,7 +148,8 @@ def _plan_operator(weight: WeightField, tiling: Tiling, paths) -> PlanOperator:
     The paths are clipped by one ``clip_plan`` call.  A piece inside a
     triangle is integrated by the trapezoid rule on its ends and the samples
     strictly inside it; a row's pieces inside one triangle add up, in path
-    order, into the entry the path made on entering that triangle first.
+    order, into the entry the path made on entering that triangle first.  A
+    row whose weight integrals overflow gets an IllPosedStepError.
     """
     errors = [path if isinstance(path, GeoxrayError) else None for path in paths]
     try:
@@ -163,7 +164,6 @@ def _plan_operator(weight: WeightField, tiling: Tiling, paths) -> PlanOperator:
     # first at or after t0 + eps (the first after the float below it) to t1 - eps
     eps = 1e-13 * np.maximum(1.0, stack.t[stack.stop - 1][path])
     inner = stack.search(path, np.nextafter(t0 + eps, -np.inf))
-    mats = _trapezoid_sums(weight, stack, path, t0, t1, inner, np.maximum(stack.search(path, t1 - eps) - inner, 0))
     # a row's entries in the order it enters their triangles; each piece adds to its entry in path order
     row = good[path]
     _, first, entry = np.unique(row * tiling.n_triangles + tri, return_index=True, return_inverse=True)
@@ -171,9 +171,13 @@ def _plan_operator(weight: WeightField, tiling: Tiling, paths) -> PlanOperator:
     first, entry = first[by_first], np.argsort(by_first, kind="stable")[entry]
     by_entry = np.argsort(entry, kind="stable")
     entry = entry[by_entry]
-    # -0.0 starts each total as its first piece, as x + -0.0 == x for every x
-    block = add_by_row(-np.zeros((len(first),) + mats.shape[1:], dtype=complex), entry, mats[by_entry])
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is its row's error, below
+        mats = _trapezoid_sums(weight, stack, path, t0, t1, inner, np.maximum(stack.search(path, t1 - eps) - inner, 0))
+        # -0.0 starts each total as its first piece, as x + -0.0 == x for every x
+        block = add_by_row(-np.zeros((len(first),) + mats.shape[1:], dtype=complex), entry, mats[by_entry])
     length = add_by_row(-np.zeros(len(first)), entry, (t1 - t0)[by_entry])
+    for r in row[first][~np.isfinite(block).all(axis=(1, 2))].tolist():
+        errors[r] = IllPosedStepError(f"plan row {r}: the weight integrals are non-finite (the weight overflows)")
     return PlanOperator(row_ptr=np.searchsorted(row[first], np.arange(len(paths) + 1)), triangle=tri[first],
                         block=block, length=length, errors=tuple(errors), n_triangles=tiling.n_triangles)
 

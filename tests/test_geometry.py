@@ -4,10 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoxray as gx
-from geoxray.geometry import (FLOAT_ROWS, _flow, _outside, _radius, _rk4_floats, _trace_rows, boundary_tangents,
-                              disk_grid, flow_with_frames, rk4, speed_defect)
+from geoxray.geometry import (EVENT_WIDTH, EXIT_BLOCK, FLOAT_ROWS, _bisect_lanes, _flow, _outside, _radius,
+                              _rk4_floats, _trace_rows, boundary_tangents, disk_grid, flow_with_frames, rk4,
+                              speed_defect)
+from geoxray.scene import random_chord_descriptors, scene_chord_descriptors
 
 from conftest import chord_start, run_bounded
 from golden.make_paths import TRACERS, digest
@@ -201,6 +205,12 @@ def test_exit_test_matches_radius_rule():
         assert np.array_equal(np.zeros(len(rows_at), dtype=bool) if got is None else got, want)
     # rows all more than 1e-15 inside: one np.hypot and one max tell, and none leaves
     assert _outside(np.concatenate([rows[0.5], rows[1.0 - 2e-15]])) is None
+    # up to FLOAT_ROWS rows a test in Python floats tells instead, only where the numpy one would
+    for chunk in np.array_split(x[rng.permutation(len(x))], len(x) // FLOAT_ROWS + 1):
+        got = _outside(chunk)
+        assert len(chunk) <= FLOAT_ROWS and (got is None) <= (np.hypot(chunk[:, 0], chunk[:, 1]).max() < 1.0 - 1e-15)
+        assert np.array_equal(np.zeros(len(chunk), dtype=bool) if got is None else got, _radius(chunk) >= 1.0)
+    assert _outside(rows[0.5][:FLOAT_ROWS]) is None and _outside(rows[1.0 - 2e-15][:1]) is not None
     assert _outside(np.array([[math.nan, 0.0], [0.1, 0.2]])).tolist() == [False, False]
 
 
@@ -247,6 +257,111 @@ def test_sample_budget_keeps_each_path(monkeypatch, budget):
         assert type(got) is type(want)
         if isinstance(want, gx.GeodesicPath):
             assert [getattr(got, a).tobytes() for a in "txv"] == [getattr(want, a).tobytes() for a in "txv"]
+
+
+def plain_bisect(below, lo, hi, width, *lanes, guess=None):
+    """The scalar loop of ``_bisect_lanes`` lane by lane, one ``below`` call per turn; with a ``guess``,
+    also each lane's turns on the walk its guess predicts and its turns after the first it predicts wrong."""
+    roots, walks, after = [], [], []
+    for i, g in enumerate(np.full(len(lo), np.nan) if guess is None else guess):
+        l, h, turns, wrong = lo[i], hi[i], 0, None
+        while h - l > width[i]:
+            m = 0.5 * (l + h)
+            down = bool(below(np.array([m]), *(a[i:i + 1] for a in lanes))[0])
+            wrong = turns if wrong is None and down != (g <= m) else wrong
+            l, h, turns = (l, m, turns + 1) if down else (m, h, turns + 1)
+        roots.append(0.5 * (l + h))
+        after.append(0 if wrong is None else turns - wrong - 1)
+        l, h, walk = lo[i], hi[i], 0
+        while h - l > width[i]:
+            m, walk = 0.5 * (l + h), walk + 1
+            l, h = (l, m) if g <= m else (m, h)
+        walks.append(walk)
+    return np.array(roots), walks, after
+
+
+def noisy_below(mid, root, band):
+    """The root lies below ``mid`` past ``root``, except within ``band`` of it, where a hash of the
+    bits of ``mid`` tells: monotone outside the band, and the same answer for the same ``mid``."""
+    noise = (mid.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(63) == 1
+    return np.where(np.abs(mid - root) <= band, noise, mid > root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 4.0), st.floats(1e-9, 1.0), st.floats(-5.0, 5.0),
+                          st.floats(0.0, 1.0), st.one_of(st.floats(), st.floats(-5.0, 5.0))), min_size=1, max_size=6),
+       st.integers(1, 40))
+def test_bisect_lanes_does_not_depend_on_the_guess(lanes, block):
+    # below is monotone but for a noisy band about each root: whatever the guess, and however few
+    # midpoints a check takes, every lane ends where the scalar loop ends
+    lo, span, width, root, band, guess = (np.array(c) for c in zip(*lanes))
+    hi = lo + span
+    want = plain_bisect(noisy_below, lo, hi, width, root, band)[0]
+    saved = gx.geometry.EXIT_BLOCK
+    try:
+        gx.geometry.EXIT_BLOCK = block
+        for g in (None, guess, root, lo, hi, np.full(len(lo), np.nan)):
+            assert _bisect_lanes(noisy_below, lo, hi, width, root, band, guess=g).tobytes() == want.tobytes()
+    finally:
+        gx.geometry.EXIT_BLOCK = saved
+
+
+def guess_plans():
+    """Plans whose exits are hard to guess or many: the fan-limit members at h = 2**-10, boundary
+    starts within 1e-9 of tangent, random chords, and chords whose walks fill more than two checks."""
+    metric = gx.metric_from_config("conformal-radial", [0.05])
+    offsets = np.radians([-28.0, -14.0, 0.0, 14.0, 28.0])
+    fan = [(np.array([-math.cos(o), -math.sin(o)]), 2.0 ** -10) for o in offsets]
+    tangent = [gx.boundary_tangent(metric, a, a + side * (0.5 * math.pi + d))
+               for a in (0.0, 1.0, 2.5) for side in (1, -1) for d in (0.0, -1e-12, -1e-10, -1e-9)]
+    many = 3 * EXIT_BLOCK // int(math.log2(0.01 / EVENT_WIDTH))
+    return {
+        "fan": lambda: gx.fan_geodesics(metric, [1.0, 0.0], fan, step=0.002),
+        "tangent": lambda: gx.trace_geodesics(metric, tangent, step=0.01),
+        "chords": lambda: gx.trace_geodesics(metric, [gx.boundary_tangent(metric, a, d) for a, d in
+                                                      random_chord_descriptors(40, np.random.default_rng(3))]),
+        "many": lambda: gx.trace_geodesics(metric, [gx.boundary_tangent(metric, a, d) for a, d in
+                                                    random_chord_descriptors(many, np.random.default_rng(5))]),
+    }
+
+
+@pytest.mark.parametrize("plan", ["fan", "tangent", "chords", "many"])
+def test_exit_times_do_not_depend_on_the_guess(monkeypatch, plan):
+    # the guess only predicts the bisection's turns, which below then checks: NaN, the bracket's ends
+    # or a random point in it must give the stack of the Newton guess, byte for byte
+    trace = guess_plans()[plan]
+    paths = trace()
+    assert all(isinstance(p, gx.GeodesicPath) for p in paths)
+    want = [getattr(paths[0].stack, a).tobytes() for a in ("t", "x", "v", "first", "stop")]
+    rng = np.random.default_rng(8)
+    for guess in (lambda s, n: np.full(n, np.nan), lambda s, n: np.zeros(n), lambda s, n: np.full(n, s),
+                  lambda s, n: rng.uniform(0.0, s, n)):
+        monkeypatch.setattr(gx.geometry, "_exit_guess", lambda rhs, y0, step: guess(step, len(y0)))
+        stack = trace()[0].stack
+        assert [getattr(stack, a).tobytes() for a in ("t", "x", "v", "first", "stop")] == want
+
+
+@pytest.mark.parametrize("plan", ["forward-refined", "demo"])
+def test_exits_are_located_with_one_check_per_block(monkeypatch, plan):
+    # every midpoint of every lane's predicted walk is checked EXIT_BLOCK to a call of below, and only
+    # the lanes it contradicts go on in passes of two turns: the plain passes took 19 calls on these plans.
+    # The 4 chords take one check; the 450 take 5 checks of their 16,650 midpoints and one pass for the 4
+    # lanes contradicted on their last turn but one, 3.6e-14 from the root
+    metric = gx.metric_from_config("conformal-radial", [0.05])
+    descriptors = random_chord_descriptors(4, np.random.default_rng(0))
+    if plan == "demo":
+        demo = gx.load_scene(str(Path(__file__).resolve().parents[1] / "scenes" / "demo_reconstruct.json"))
+        metric, descriptors = demo.metric, scene_chord_descriptors(demo)
+    bisect, calls, expected = gx.geometry._bisect_lanes, [], []
+
+    def counted(below, lo, hi, width, *lanes, guess=None):
+        _, walks, after = plain_bisect(below, lo, hi, np.broadcast_to(width, lo.shape), *lanes, guess=guess)
+        expected.append(-(-sum(walks) // EXIT_BLOCK) + -(-max(after) // 2))
+        return bisect(lambda *a: calls.append(1) or below(*a), lo, hi, width, *lanes, guess=guess)
+    monkeypatch.setattr(gx.geometry, "_bisect_lanes", counted)
+    gx.trace_geodesics(metric, [gx.boundary_tangent(metric, a, d) for a, d in descriptors], step=0.01)
+    assert len(calls) == expected[0] and len(expected) == 1
+    assert len(calls) == (1 if plan == "forward-refined" else 6)
 
 
 @pytest.mark.parametrize("x0, exits_in_step, transported", [

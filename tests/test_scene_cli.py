@@ -625,6 +625,28 @@ def test_reconstruct_overflowing_weight_is_ill_posed(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, output", [("forward", "forward.csv"), ("spectrum", "spectrum.csv")])
+def test_overflowing_weight_exits_ill_posed(tmp_path, capfd, command, output):
+    # the same entry made forward print numpy's overflow warnings and write nan values, and spectrum
+    # hand LAPACK's scaling routine non-finite entries too; each exited 0.  Now the plan row whose
+    # integrals overflow carries the error: one line, exit 4, no warning (they are errors here) and no file
+    path = demo_scene_path(tmp_path, "demo_spectrum", "weight.matrix", [[1e308, 0.2], [0.1, 1.0], [0.4, 0.6]])
+    assert cli.main([command, "--scene", path, "--out", str(tmp_path / "out")]) == EXIT_ILL_POSED
+    out, err = capfd.readouterr()
+    assert out == "" and err == "geoxray: error: plan row 0: the weight integrals are non-finite (the weight overflows)\n"
+    assert not (tmp_path / "out" / output).exists()
+
+
+def test_unexpected_exception_exits_with_one_line(tmp_path, capsys, monkeypatch):
+    # an exception that is no GeoxrayError is a fault of the program: one line naming its type, exit 1
+    def broken(scene, out_dir):
+        raise RuntimeError("broken on purpose")
+    monkeypatch.setattr(cli, "cmd_forward", broken)
+    path = demo_scene_path(tmp_path, "demo_spectrum", "seed", 1)
+    assert cli.main(["forward", "--scene", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", "geoxray: internal error: RuntimeError: broken on purpose\n")
+
+
 def test_reconstruct_condition_cap_exit(tmp_path):
     scene = reconstruct_scene()
     scene["tolerances"] = {"condition_cap": 1.0000001}
