@@ -50,13 +50,18 @@ MAX_TRACE_SAMPLES = 1 << 21
 DEFAULT_STEP = 1e-2
 # Largest |lam| for which the conformal factor exp(2 lam) is a finite float.
 LAM_LIMIT = 0.5 * math.log(sys.float_info.max)
-# rk4 steps up to this many rows (x, v) in Python floats, and more through numpy.  On a 2-vCPU host
-# (numpy 2.4, CPython 3.11, medians of 15) a numpy step of 1-16 rows costs 19-21 us on euclidean,
-# 41-49 us on conformal-radial and 68-93 us on conformal-gaussian, and a float row 1.3, 2.4 and
-# 4.5 us (one np.exp per stage): the crossovers are at about 13, 20 and 18 rows.
-FLOAT_ROWS = 16
+# rk4 steps up to this many rows (x, v) or (x, v, w) in Python floats, and more through numpy.  On a 2-vCPU
+# host in a slow phase (numpy 2.4, CPython 3.11, medians of 300 interleaved timings) a numpy step of 24 rows
+# (x, v) costs 28-47 / 94-104 / 130-161 us on euclidean / conformal-radial / conformal-gaussian and a float
+# row 2.0-3.2 / 3.3-3.7 / 5.4-6.3 us, crossovers at about 15, 29 and 24 rows; rows (x, v, w) cross at 36-39.
+FLOAT_ROWS = 24
 # Midpoints per call of the exit check; at 8192 the demo plan's tracemalloc peak rises from 4.62 to 4.90 MB.
 EXIT_BLOCK = 4096
+# _verified_walk walks up to this many lanes in Python floats, and more in numpy, on the same midpoints.  On the
+# 2-vCPU host (medians of 201 alternations) a walk and its check take 0.33 / 0.72 ms (floats / numpy) on the
+# forward-refined plan's 4 exits, 1.98 / 1.95 ms on reconstruct-demo's 60, 1.79 / 1.67 ms on fan-limit's 80
+# and 8.5 / 6.1 ms on the 450 of the demo plan.
+WALK_LANES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +123,6 @@ class MetricField:
         """``lam_grad`` of one point in Python floats, by the same operations in the same order."""
         raise NotImplementedError
 
-    def accel_floats(self, x0, x1, v0, v1):
-        """``accel`` of one row in Python floats, bit for bit: squares are products, as numpy's are."""
-        d0, d1 = self.grad_floats(x0, x1)
-        dv, vv = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1
-        return -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
-
     def transport_deriv(self, x, v, w):
         """Right-hand side ``-Gamma(v, w)`` of the parallel transport ODE."""
         d = self.lam_grad(x)
@@ -176,7 +175,7 @@ class EuclideanMetric(MetricField):
     def accel(self, x, v):
         return np.zeros_like(np.asarray(v, dtype=float))
 
-    def accel_floats(self, x0, x1, v0, v1):
+    def grad_floats(self, x0, x1):
         return 0.0, 0.0
 
     def transport_deriv(self, x, v, w):
@@ -193,17 +192,17 @@ class RadialConformalMetric(MetricField):
         if len(self.params) != 1:
             raise SceneValidationError("conformal-radial takes exactly one parameter")
         self.alpha = self.params[0]
+        self.slope = 2.0 * self.alpha
 
     def lam(self, x):
         x = np.asarray(x, dtype=float)
         return self.alpha * (x[..., 0] ** 2 + x[..., 1] ** 2)
 
     def lam_grad(self, x):
-        return 2.0 * self.alpha * np.asarray(x, dtype=float)
+        return self.slope * np.asarray(x, dtype=float)
 
     def grad_floats(self, x0, x1):
-        c = 2.0 * self.alpha
-        return c * x0, c * x1
+        return self.slope * x0, self.slope * x1
 
 
 class GaussianConformalMetric(MetricField):
@@ -222,22 +221,22 @@ class GaussianConformalMetric(MetricField):
             raise SceneValidationError(f"scene.metric.params: conformal-gaussian width {self.width:g} must be "
                                        f"positive, and with center ({cx:g}, {cy:g}) keep the profile finite")
         self.center = np.array([cx, cy])
+        self.width2, self.slope = self.width**2, -2.0 / self.width**2
 
     def lam(self, x):
         x = np.asarray(x, dtype=float)
         d = x - self.center
-        return self.amplitude * np.exp(-(d[..., 0] ** 2 + d[..., 1] ** 2) / self.width**2)
+        return self.amplitude * np.exp(-(d[..., 0] ** 2 + d[..., 1] ** 2) / self.width2)
 
     def lam_grad(self, x):
         x = np.asarray(x, dtype=float)
         d = x - self.center
-        return self.lam(x)[..., None] * (-2.0 / self.width**2) * d
+        return self.lam(x)[..., None] * self.slope * d
 
     def grad_floats(self, x0, x1):
         # np.exp, not math.exp: the two differ in the last bit on some arguments
-        _, cx, cy, w = self.params
-        d0, d1 = x0 - cx, x1 - cy
-        c = self.amplitude * float(np.exp(-(d0 * d0 + d1 * d1) / w**2)) * (-2.0 / w**2)
+        d0, d1 = x0 - self.params[1], x1 - self.params[2]
+        c = self.amplitude * float(np.exp(-(d0 * d0 + d1 * d1) / self.width2)) * self.slope
         return c * d0, c * d1
 
 
@@ -451,11 +450,11 @@ def rk4(rhs, y, h):
 
     ``y`` is ``(N, width)``, ``h`` a scalar or an ``(N, 1)`` column of per-row
     steps.  Rows do not mix: each gets the arithmetic of a one-row step.  Up to
-    ``FLOAT_ROWS`` rows ``(x, v)`` are stepped in Python floats by the same
-    operations, so with the same bits; wider rows and more rows go through numpy.
+    ``FLOAT_ROWS`` rows ``(x, v)`` or, but on a euclidean metric, ``(x, v, w)`` are stepped
+    in Python floats by the same operations, so with the same bits; the rest go through numpy.
     """
-    if len(y) <= FLOAT_ROWS and y.shape[1] == 4:
-        return _rk4_floats(rhs.accel, y, h)
+    if len(y) <= FLOAT_ROWS and y.shape[1] in rhs.widths:
+        return _rk4_floats(rhs.grad, y, h)
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * h * k1)
     k3 = rhs(y + 0.5 * h * k2)
@@ -463,22 +462,57 @@ def rk4(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_floats(accel, y, h):
-    """``rk4`` of rows ``(x, v)`` one at a time in Python floats, with ``accel`` a
-    ``MetricField.accel_floats``: numpy's operations element by element, in its order."""
-    out = []
-    for (x0, x1, v0, v1), h in zip(y.tolist(), h.ravel().tolist() if isinstance(h, np.ndarray) else [float(h)] * len(y)):
+def _rk4_floats(grad, y, h):
+    """``rk4`` of rows ``(x, v)`` or ``(x, v, w)`` one at a time in Python floats on ``grad``, a ``grad_floats``:
+    numpy's operations element by element in its order, ``accel`` as ``-2.0*dv*v + vv*d``, ``transport_deriv`` as
+    ``-(dw*v + dv*w - vw*d)``, squares as products.  k1 = (v, a, t), k2 = (q, b, u), k3 = (r, c, o), k4 = (s, e, z)."""
+    out, rows = [], zip(y.tolist(), h.ravel().tolist() if isinstance(h, np.ndarray) else [float(h)] * len(y))
+    if y.shape[1] == 4:
+        for (x0, x1, v0, v1), h in rows:
+            hh, h6 = 0.5 * h, h / 6.0
+            d0, d1 = grad(x0, x1)
+            dv, vv = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1
+            a0, a1 = -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
+            q0, q1 = v0 + hh * a0, v1 + hh * a1
+            d0, d1 = grad(x0 + hh * v0, x1 + hh * v1)
+            dv, vv = d0 * q0 + d1 * q1, q0 * q0 + q1 * q1
+            b0, b1 = -2.0 * dv * q0 + vv * d0, -2.0 * dv * q1 + vv * d1
+            r0, r1 = v0 + hh * b0, v1 + hh * b1
+            d0, d1 = grad(x0 + hh * q0, x1 + hh * q1)
+            dv, vv = d0 * r0 + d1 * r1, r0 * r0 + r1 * r1
+            c0, c1 = -2.0 * dv * r0 + vv * d0, -2.0 * dv * r1 + vv * d1
+            s0, s1 = v0 + h * c0, v1 + h * c1
+            d0, d1 = grad(x0 + h * r0, x1 + h * r1)
+            dv, vv = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1
+            e0, e1 = -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
+            out.append((x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1),
+                        v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0), v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)))
+        return np.array(out).reshape(-1, 4)
+    for (x0, x1, v0, v1, w0, w1), h in rows:   # at most three names an assignment: no tuple built
         hh, h6 = 0.5 * h, h / 6.0
-        a0, a1 = accel(x0, x1, v0, v1)   # k1 = (v, a), then k2 = (q, b), k3 = (r, c), k4 = (s, e)
-        q0, q1 = v0 + hh * a0, v1 + hh * a1
-        b0, b1 = accel(x0 + hh * v0, x1 + hh * v1, q0, q1)
-        r0, r1 = v0 + hh * b0, v1 + hh * b1
-        c0, c1 = accel(x0 + hh * q0, x1 + hh * q1, r0, r1)
-        s0, s1 = v0 + h * c0, v1 + h * c1
-        e0, e1 = accel(x0 + h * r0, x1 + h * r1, s0, s1)
+        d0, d1 = grad(x0, x1)
+        dv, vv, dw = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1, d0 * w0 + d1 * w1
+        vw, a0, a1 = v0 * w0 + v1 * w1, -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
+        t0, t1, q0 = -(dw * v0 + dv * w0 - vw * d0), -(dw * v1 + dv * w1 - vw * d1), v0 + hh * a0
+        q1, p0, p1 = v1 + hh * a1, w0 + hh * t0, w1 + hh * t1
+        d0, d1 = grad(x0 + hh * v0, x1 + hh * v1)
+        dv, vv, dw = d0 * q0 + d1 * q1, q0 * q0 + q1 * q1, d0 * p0 + d1 * p1
+        vw, b0, b1 = q0 * p0 + q1 * p1, -2.0 * dv * q0 + vv * d0, -2.0 * dv * q1 + vv * d1
+        u0, u1, r0 = -(dw * q0 + dv * p0 - vw * d0), -(dw * q1 + dv * p1 - vw * d1), v0 + hh * b0
+        r1, p0, p1 = v1 + hh * b1, w0 + hh * u0, w1 + hh * u1
+        d0, d1 = grad(x0 + hh * q0, x1 + hh * q1)
+        dv, vv, dw = d0 * r0 + d1 * r1, r0 * r0 + r1 * r1, d0 * p0 + d1 * p1
+        vw, c0, c1 = r0 * p0 + r1 * p1, -2.0 * dv * r0 + vv * d0, -2.0 * dv * r1 + vv * d1
+        o0, o1, s0 = -(dw * r0 + dv * p0 - vw * d0), -(dw * r1 + dv * p1 - vw * d1), v0 + h * c0
+        s1, p0, p1 = v1 + h * c1, w0 + h * o0, w1 + h * o1
+        d0, d1 = grad(x0 + h * r0, x1 + h * r1)
+        dv, vv, dw = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1, d0 * p0 + d1 * p1
+        vw, e0, e1 = s0 * p0 + s1 * p1, -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
+        z0, z1 = -(dw * s0 + dv * p0 - vw * d0), -(dw * s1 + dv * p1 - vw * d1)
         out.append((x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1),
-                    v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0), v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)))
-    return np.array(out).reshape(-1, 4)
+                    v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0), v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1),
+                    w0 + h6 * (t0 + 2.0 * u0 + 2.0 * o0 + z0), w1 + h6 * (t1 + 2.0 * u1 + 2.0 * o1 + z1)))
+    return np.array(out).reshape(-1, 6)
 
 
 def _flow(metric):
@@ -490,7 +524,8 @@ def _flow(metric):
         if y.shape[1] > 4:
             parts.append(metric.transport_deriv(x, v, y[:, 4:]))
         return np.concatenate(parts, axis=1)
-    rhs.accel = metric.accel_floats
+    # euclidean (x, v, w) rows stay on numpy: its zeros and the kernel's transport term differ in the sign of zero
+    rhs.grad, rhs.widths = metric.grad_floats, (4,) if isinstance(metric, EuclideanMetric) else (4, 6)
     return rhs
 
 
@@ -503,14 +538,14 @@ def _radius(x):
     return r
 
 
-def _outside(x):
-    """Which rows are on or past the unit circle, as ``_radius(x) >= DISK_RADIUS`` tells; None for no
-    row when every row is more than 1e-15 inside it, where ``_radius`` keeps ``np.hypot``'s value: up
-    to ``FLOAT_ROWS`` rows ``x0*x0 + x1*x1 < (1 - 2e-15)**2`` in Python floats tells, past them one
-    ``np.hypot`` and one max.  A NaN row fails either test and takes the rule."""
+def _outside(x, rule=np.greater_equal):
+    """Which rows have left the disk, as ``rule(_radius(x), DISK_RADIUS)`` tells: the tracer's ``>=`` or the
+    transport's ``>``.  None for no row when every row is more than 1e-15 inside the circle, where ``_radius``
+    keeps ``np.hypot``'s value: up to ``FLOAT_ROWS`` rows ``x0*x0 + x1*x1 < (1 - 2e-15)**2`` in Python floats
+    tells, past them one ``np.hypot`` and one max.  A NaN row fails either test and takes the rule."""
     inside = (all(a * a + b * b < (1.0 - 2e-15) ** 2 for a, b in x[:, :2].tolist()) if len(x) <= FLOAT_ROWS
               else np.hypot(x[:, 0], x[:, 1]).max() < DISK_RADIUS - 1e-15)
-    return None if inside else _radius(x) >= DISK_RADIUS
+    return None if inside else rule(_radius(x), DISK_RADIUS)
 
 
 def _bisect_lanes(below, lo, hi, width, *lanes, guess=None):
@@ -550,17 +585,30 @@ def _bisect_lanes(below, lo, hi, width, *lanes, guess=None):
 
 def _verified_walk(below, lo, hi, width, guess, lanes):
     """Each lane's bracket after its turns up to the first that ``below`` contradicts, taken its way, or after
-    all: walked in Python floats as the guess predicts (below where ``guess <= mid``), checked in blocks."""
-    mids, ends = [], []
-    for l, h, w, g in zip(lo.tolist(), hi.tolist(), width.tolist(), guess.tolist()):
-        while h - l > w:   # a NaN guess predicts up at every turn
+    all: walked as the guess predicts (below where ``guess <= mid``), in Python floats up to ``WALK_LANES``
+    lanes and past them all lanes at once in numpy, on the same midpoints, checked in blocks."""
+    if len(lo) <= WALK_LANES:
+        mids, ends = [], []
+        for l, h, w, g in zip(lo.tolist(), hi.tolist(), width.tolist(), guess.tolist()):
+            while h - l > w:   # a NaN guess predicts up at every turn
+                m = 0.5 * (l + h)
+                mids.append(m)
+                l, h = (l, m) if g <= m else (m, h)
+            ends.append(len(mids))
+        mid, ends = np.array(mids), np.array(ends)
+    else:   # turn by turn; a finished lane's bracket only narrows, so it stays finished
+        l, h, turns, busy_at = lo, hi, [], []
+        while (busy := h - l > width).any():
             m = 0.5 * (l + h)
-            mids.append(m)
-            l, h = (l, m) if g <= m else (m, h)
-        ends.append(len(mids))
-    if not mids:
+            down = guess <= m
+            turns.append(m)
+            busy_at.append(busy)
+            l, h = np.where(down, l, m), np.where(down, m, h)
+        busy = np.array(busy_at, dtype=bool).reshape(-1, len(lo)).T   # lane by lane, as the Python walk lays them
+        mid, ends = np.array(turns).reshape(busy.T.shape).T[busy], np.cumsum(busy.sum(axis=1))
+    if not mid.size:
         return lo, hi
-    mid, ends, n = np.array(mids), np.array(ends), np.diff(ends, prepend=0)
+    n = np.diff(ends, prepend=0)
     lane = np.repeat(np.arange(len(lo)), n)
     told = np.concatenate([below(mid[j:j + EXIT_BLOCK], *(a[lane[j:j + EXIT_BLOCK]] for a in lanes))
                            for j in range(0, len(mid), EXIT_BLOCK)])
@@ -787,7 +835,7 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
                   for s, w in zip(starts, frames)]).reshape(-1, 6)
     h = (np.asarray(lengths, dtype=float) / np.maximum(n_steps, 1))[:, None]
     # a lane on the unit circle goes on: it has left only past it, _radius > DISK_RADIUS
-    for rows, z, gone, _ in _lockstep(metric, y, h, n_steps, lambda z: _radius(z) > DISK_RADIUS):
+    for rows, z, gone, _ in _lockstep(metric, y, h, n_steps, lambda z: _outside(z, np.greater)):
         y[rows] = z
         for i in gone.tolist():
             out[i] = FanConstructionError(f"base geodesic exits the disk before reaching offset {lengths[i]:g}")

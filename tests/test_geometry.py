@@ -203,6 +203,9 @@ def test_exit_test_matches_radius_rule():
     for rows_at in [rng.permutation(len(x))[:n] for n in (1, 7, 300, len(x))] + [np.arange(4001)]:
         got, want = _outside(x[rows_at]), _radius(x[rows_at]) >= 1.0
         assert np.array_equal(np.zeros(len(rows_at), dtype=bool) if got is None else got, want)
+        # the transport's rule: a row on the circle has not left
+        got, want = _outside(x[rows_at], np.greater), _radius(x[rows_at]) > 1.0
+        assert np.array_equal(np.zeros(len(rows_at), dtype=bool) if got is None else got, want)
     # rows all more than 1e-15 inside: one np.hypot and one max tell, and none leaves
     assert _outside(np.concatenate([rows[0.5], rows[1.0 - 2e-15]])) is None
     # up to FLOAT_ROWS rows a test in Python floats tells instead, only where the numpy one would
@@ -210,6 +213,8 @@ def test_exit_test_matches_radius_rule():
         got = _outside(chunk)
         assert len(chunk) <= FLOAT_ROWS and (got is None) <= (np.hypot(chunk[:, 0], chunk[:, 1]).max() < 1.0 - 1e-15)
         assert np.array_equal(np.zeros(len(chunk), dtype=bool) if got is None else got, _radius(chunk) >= 1.0)
+        got = _outside(chunk, np.greater)
+        assert np.array_equal(np.zeros(len(chunk), dtype=bool) if got is None else got, _radius(chunk) > 1.0)
     assert _outside(rows[0.5][:FLOAT_ROWS]) is None and _outside(rows[1.0 - 2e-15][:1]) is not None
     assert _outside(np.array([[math.nan, 0.0], [0.1, 0.2]])).tolist() == [False, False]
 
@@ -297,13 +302,15 @@ def test_bisect_lanes_does_not_depend_on_the_guess(lanes, block):
     lo, span, width, root, band, guess = (np.array(c) for c in zip(*lanes))
     hi = lo + span
     want = plain_bisect(noisy_below, lo, hi, width, root, band)[0]
-    saved = gx.geometry.EXIT_BLOCK
+    saved = gx.geometry.EXIT_BLOCK, gx.geometry.WALK_LANES
     try:
         gx.geometry.EXIT_BLOCK = block
-        for g in (None, guess, root, lo, hi, np.full(len(lo), np.nan)):
-            assert _bisect_lanes(noisy_below, lo, hi, width, root, band, guess=g).tobytes() == want.tobytes()
+        # the lane count on either side of the switch: walked in Python floats, then in numpy
+        for gx.geometry.WALK_LANES in (len(lo), len(lo) - 1):
+            for g in (None, guess, root, lo, hi, np.full(len(lo), np.nan)):
+                assert _bisect_lanes(noisy_below, lo, hi, width, root, band, guess=g).tobytes() == want.tobytes()
     finally:
-        gx.geometry.EXIT_BLOCK = saved
+        gx.geometry.EXIT_BLOCK, gx.geometry.WALK_LANES = saved
 
 
 def guess_plans():
@@ -384,32 +391,48 @@ FAMILIES = [("euclidean", []), ("conformal-radial", [0.3]), ("conformal-gaussian
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_float_kernel_matches_numpy_step(family, params):
-    # rk4 steps a few rows in Python floats: each row must get numpy's bits, for a scalar step and for a
-    # column of steps.  Python's v ** 2 differs from numpy's square on about 1 value in 1,200 and math.exp
-    # from np.exp on a few percent, so 100,000 random rows in the disk, and 1,000 rows whose one speed
-    # component squares differently by pow, catch a kernel written with either
+    # rk4 steps a few rows (x, v) or (x, v, w) in Python floats: each row must get numpy's bits, signed zeros
+    # included, for a scalar step and for a column of steps.  Python's v ** 2 differs from numpy's square on
+    # about 1 value in 1,200 and math.exp from np.exp on a few percent, so 100,000 random rows in the disk,
+    # 1,000 rows whose one speed component squares differently by pow, the same 1,000 values in a frame
+    # component, and 1,000 rows with signed zeros catch a kernel written with either or reassociated; the
+    # step of 0.5 carries a last-bit slip at a later stage into the result, where 0.01 rounds it away
     rng = np.random.default_rng(17)
     n = 100_000
-    r, a, b = np.sqrt(rng.uniform(0.0, 1.0, n)), rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.0, 2.0 * math.pi, n)
-    speed = rng.uniform(0.1, 2.0, n)
-    y = np.column_stack([r * np.cos(a), r * np.sin(a), speed * np.cos(b), speed * np.sin(b)])
+    r, a, b, c = np.sqrt(rng.uniform(0.0, 1.0, n)), *rng.uniform(0.0, 2.0 * math.pi, (3, n))
+    speed, size = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+    y = np.column_stack([r * np.cos(a), r * np.sin(a), speed * np.cos(b), speed * np.sin(b),
+                         size * np.cos(c), size * np.sin(c)])
     odd = [s for s in rng.uniform(-2.0, 2.0, 2_000_000).tolist() if s ** 2 != s * s][:1000]
-    y[:len(odd), 2:] = np.column_stack([odd, np.zeros(len(odd))])
+    y[:1000, 2:4] = y[1000:2000, 4:] = np.column_stack([odd, np.zeros(len(odd))])
+    zeros = rng.uniform(size=(1000, 6)) < 0.3
+    y[2000:3000][zeros] = np.where(rng.uniform(size=zeros.sum()) < 0.5, 0.0, -0.0)
     rhs = _flow(gx.metric_from_config(family, params))
-    assert len(odd) == 1000 and len(y) > FLOAT_ROWS
-    for h in (0.01, rng.uniform(0.0, 0.05, (n, 1))):
-        assert np.array_equal(_rk4_floats(rhs.accel, y, h), rk4(rhs, y, h))
-    assert np.array_equal(rk4(rhs, y[:FLOAT_ROWS], 0.01), rk4(rhs, y, 0.01)[:FLOAT_ROWS])
+    assert len(odd) == 1000 and len(y) > FLOAT_ROWS and np.signbit(y[2000:3000][zeros]).any()
+    for width in (4, 6):
+        rows = y[:, :width]
+        for h in (0.01, 0.5, rng.uniform(0.0, 0.05, (n, 1))):
+            want = rk4(rhs, rows, h)
+            if width in rhs.widths:
+                assert _rk4_floats(rhs.grad, rows, h).tobytes() == want.tobytes()
+            # as rk4 takes them a few at a time: the signed-zero rows, and the first ones of each kind
+            for i in (*range(2000, 3000, FLOAT_ROWS), 0, 1000):
+                few = rk4(rhs, rows[i:i + FLOAT_ROWS], h if np.ndim(h) == 0 else h[i:i + FLOAT_ROWS])
+                assert few.tobytes() == want[i:i + FLOAT_ROWS].tobytes()
+    # euclidean rows (x, v, w) stay on numpy: its exact zeros keep no -0.0 that the float kernel would
+    flat = _flow(gx.metric_from_config("euclidean"))
+    row = np.array([[0.5, 0.0, 1.0, 0.0, -0.0, 1.0]])
+    assert np.signbit(_rk4_floats(flat.grad, row, 0.01)[0, 4]) and not np.signbit(rk4(flat, row, 0.01)[0, 4])
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_paths_do_not_depend_on_the_rows_in_flight(family, params):
-    # 40 chords of spread lengths and 2 interior starts: rk4 takes numpy while more than FLOAT_ROWS rows are
+    # 80 chords of spread lengths and 2 interior starts: rk4 takes numpy while more than FLOAT_ROWS rows are
     # in flight and Python floats after, and the exits of all are bisected together, on numpy; alone,
     # each row steps in floats throughout.  Each path must be the one its start traces alone, byte for byte
     metric = gx.metric_from_config(family, params)
     starts = [gx.boundary_tangent(metric, a, a + math.pi - d)
-              for a, d in zip(np.linspace(0.0, 6.0, 40), np.linspace(0.0, 1.45, 40))]
+              for a, d in zip(np.linspace(0.0, 6.0, 80), np.linspace(0.0, 1.45, 80))]
     starts += [gx.unit_tangent(metric, [0.3, -0.2], [0.6, 0.8]), gx.unit_tangent(metric, [-0.7, 0.1], [0.2, 1.0])]
     paths = gx.trace_geodesics(metric, starts, step=0.01)
     assert len({path.n_samples for path in paths}) > 2 * FLOAT_ROWS
@@ -485,6 +508,28 @@ def test_transport_lanes_do_not_interact(conformal05):
     assert isinstance(lanes[2], gx.FanConstructionError) and isinstance(lanes[3], gx.SceneValidationError)
     for lane, start, frame, length in zip(lanes, starts, frames, lengths):
         (alone,) = flow_with_frames(conformal05, [start], [frame], [length], step=0.01)
+        if isinstance(alone, gx.GeoxrayError):
+            assert (type(lane), str(lane)) == (type(alone), str(alone))
+        else:
+            assert [a.tobytes() for a in lane] == [a.tobytes() for a in alone]
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_transport_lanes_do_not_depend_on_the_lanes_in_flight(family, params):
+    # 2 * FLOAT_ROWS lanes of spread lengths, some of which leave the disk first: rk4 takes numpy while more
+    # than FLOAT_ROWS lanes are in flight and Python floats after (but on a euclidean metric); alone, each
+    # lane steps in floats throughout.  The last lane, along the x axis, carries a frame with a -0.0 component
+    metric = gx.metric_from_config(family, params)
+    starts = [gx.boundary_tangent(metric, a, a + math.pi - d)
+              for a, d in zip(np.linspace(0.0, 6.0, 2 * FLOAT_ROWS - 2), np.linspace(0.0, 1.45, 2 * FLOAT_ROWS - 2))]
+    starts += [gx.boundary_tangent(metric, 0.0, math.pi), gx.boundary_tangent(metric, math.pi, 0.0)]
+    frames = [metric.rotate90(s.x, s.v) for s in starts]
+    lengths = np.linspace(0.05, 1.9, len(starts)).tolist()
+    lanes = flow_with_frames(metric, starts, frames, lengths, step=0.01)
+    assert np.signbit(frames[-1]).any() and sum(isinstance(lane, tuple) for lane in lanes) > FLOAT_ROWS
+    assert any(isinstance(lane, gx.FanConstructionError) for lane in lanes)
+    for lane, start, frame, length in zip(lanes, starts, frames, lengths):
+        (alone,) = flow_with_frames(metric, [start], [frame], [length], step=0.01)
         if isinstance(alone, gx.GeoxrayError):
             assert (type(lane), str(lane)) == (type(alone), str(alone))
         else:
