@@ -17,7 +17,7 @@ from .geometry import MetricField, convexity_margin
 
 
 class FoliationFunction:
-    """Closed-form scalar function: ``value``, ``grad`` and ``hess`` at a point,
+    """Closed-form scalar function: ``value`` at points ``(..., 2)``, ``grad`` and ``hess`` at a point,
     the ``center`` of its leaf circles, ``leaf_radius(level)`` and its
     infimum ``floor()`` over the disk."""
 
@@ -41,8 +41,9 @@ class OffsetRadial(FoliationFunction):
             raise SceneValidationError("offset-radial center must be interior to the disk")
 
     def value(self, x):
-        d = np.asarray(x, dtype=float) - self._center
-        return float(d[0] ** 2 + d[1] ** 2)
+        # float_power squares by C pow, as a float64 scalar's ** 2 does; an array's ** 2 multiplies
+        d = np.float_power(np.asarray(x, dtype=float) - self._center, 2)
+        return d[..., 0] + d[..., 1] if d.ndim > 1 else float(d[0] + d[1])
 
     def grad(self, x):
         return 2.0 * (np.asarray(x, dtype=float) - self._center)

@@ -8,21 +8,24 @@ ever differentiated numerically.
 Geodesics are integrated with one fixed-step classical Runge-Kutta scheme,
 ``rk4``, in the state ``(x, v)``, in one lockstep loop, ``_lockstep``: the rows
 of a call advance as one array, each to its own step count or to the step that
-its caller's exit test marks.  The tracer's exits are then located together by
-bisection on ``|x| - 1`` inside the steps that crossed, on the turns a Newton
-guess predicts as far as the exit test, checking them all at once, agrees: the
-guess decides no turn.  Parallel transport appends a vector ``w`` to the state.
-Each row gets the arithmetic of a one-row run bit for bit, so a path does not
-depend on what it was traced with.  Paths are unit speed in ``g``, so the curve
-parameter is arclength.  One gather lays the paths of a call end to end in one
-``PathStack``, and each GeodesicPath is a view of it; clipping and integration
-read that stack as it is.  Paths are evaluated in one place, the stack: one
-bisection finds every query's sample interval, for cubic Hermite interpolation.
+its caller's exit test marks, while more than ``FLOAT_ROWS`` are left; then each
+walks on alone to its end in Python floats.  The tracer's exits are located
+together by bisection on ``|x| - 1`` inside the steps that crossed, on the turns
+a Newton guess predicts as far as the exit test, checking them all at once,
+agrees: the guess decides no turn.  Parallel transport appends a vector ``w``
+to the state.  Each row gets the arithmetic of a one-row run bit for bit, so a
+path does not depend on what it was traced with.  Paths are unit speed in
+``g``, so the curve parameter is arclength.  One gather lays the paths of a call
+end to end in one ``PathStack``, and each GeodesicPath is a view of it; clipping
+and integration read that stack as it is.  Paths are evaluated in one place,
+the stack: one bisection finds every query's sample interval, for cubic Hermite
+interpolation.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -50,10 +53,10 @@ MAX_TRACE_SAMPLES = 1 << 21
 DEFAULT_STEP = 1e-2
 # Largest |lam| for which the conformal factor exp(2 lam) is a finite float.
 LAM_LIMIT = 0.5 * math.log(sys.float_info.max)
-# rk4 steps up to this many rows (x, v) or (x, v, w) in Python floats, and more through numpy.  On a 2-vCPU
-# host in a slow phase (numpy 2.4, CPython 3.11, medians of 300 interleaved timings) a numpy step of 24 rows
-# (x, v) costs 28-47 / 94-104 / 130-161 us on euclidean / conformal-radial / conformal-gaussian and a float
-# row 2.0-3.2 / 3.3-3.7 / 5.4-6.3 us, crossovers at about 15, 29 and 24 rows; rows (x, v, w) cross at 36-39.
+# rk4 steps up to this many rows (x, v) or (x, v, w) in Python floats, and more through numpy; the lockstep leaves
+# this many or fewer to the float walk.  On a 2-vCPU host (numpy 2.4, CPython 3.11, medians of 300 interleaved
+# timings) a numpy step of 24 rows (x, v) costs 28-47 / 94-104 / 130-161 us on euclidean / conformal-radial /
+# conformal-gaussian and a float row 2.0-3.2 / 3.3-3.7 / 5.4-6.3 us: crossovers near 15, 29 and 24 rows, 36-39 (x, v, w)
 FLOAT_ROWS = 24
 # Midpoints per call of the exit check; at 8192 the demo plan's tracemalloc peak rises from 4.62 to 4.90 MB.
 EXIT_BLOCK = 4096
@@ -462,57 +465,81 @@ def rk4(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_floats(grad, y, h):
+def _rk4_floats(grad, y, h, stop=None, rule=None, arc=0.0, cap=math.inf, kept=None):
     """``rk4`` of rows ``(x, v)`` or ``(x, v, w)`` one at a time in Python floats on ``grad``, a ``grad_floats``:
     numpy's operations element by element in its order, ``accel`` as ``-2.0*dv*v + vv*d``, ``transport_deriv`` as
-    ``-(dw*v + dv*w - vw*d)``, squares as products.  k1 = (v, a, t), k2 = (q, b, u), k3 = (r, c, o), k4 = (s, e, z)."""
-    out, rows = [], zip(y.tolist(), h.ravel().tolist() if isinstance(h, np.ndarray) else [float(h)] * len(y))
+    ``-(dw*v + dv*w - vw*d)``, squares as products.  k1 = (v, a, t), k2 = (q, b, u), k3 = (r, c, o), k4 = (s, e, z).
+    Given per-row step counts ``stop``, each row walks on instead: to its count, or to the step whose new position
+    ``rule`` puts outside the disk, as ``_outside`` tells, keeping its state before it.  A row ``(x, v)`` also stops
+    once its arclength, ``arc`` plus ``h`` a step, passes ``cap``, and appends each step's ``(arclength, x, v)`` to
+    ``kept``, a bytearray, as float64s.  Returns the last states and, given ``stop``, per row ``(left, arclength)``."""
+    out, ends, pack = [], [], struct.Struct("5d").pack
+    rows = zip(y.tolist(), h.ravel().tolist() if np.ndim(h) else [float(h)] * len(y), stop or [1] * len(y))
     if y.shape[1] == 4:
-        for (x0, x1, v0, v1), h in rows:
-            hh, h6 = 0.5 * h, h / 6.0
-            d0, d1 = grad(x0, x1)
-            dv, vv = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1
-            a0, a1 = -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
-            q0, q1 = v0 + hh * a0, v1 + hh * a1
-            d0, d1 = grad(x0 + hh * v0, x1 + hh * v1)
-            dv, vv = d0 * q0 + d1 * q1, q0 * q0 + q1 * q1
-            b0, b1 = -2.0 * dv * q0 + vv * d0, -2.0 * dv * q1 + vv * d1
-            r0, r1 = v0 + hh * b0, v1 + hh * b1
-            d0, d1 = grad(x0 + hh * q0, x1 + hh * q1)
-            dv, vv = d0 * r0 + d1 * r1, r0 * r0 + r1 * r1
-            c0, c1 = -2.0 * dv * r0 + vv * d0, -2.0 * dv * r1 + vv * d1
-            s0, s1 = v0 + h * c0, v1 + h * c1
-            d0, d1 = grad(x0 + h * r0, x1 + h * r1)
-            dv, vv = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1
-            e0, e1 = -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
-            out.append((x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1),
-                        v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0), v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)))
-        return np.array(out).reshape(-1, 4)
-    for (x0, x1, v0, v1, w0, w1), h in rows:   # at most three names an assignment: no tuple built
-        hh, h6 = 0.5 * h, h / 6.0
-        d0, d1 = grad(x0, x1)
-        dv, vv, dw = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1, d0 * w0 + d1 * w1
-        vw, a0, a1 = v0 * w0 + v1 * w1, -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
-        t0, t1, q0 = -(dw * v0 + dv * w0 - vw * d0), -(dw * v1 + dv * w1 - vw * d1), v0 + hh * a0
-        q1, p0, p1 = v1 + hh * a1, w0 + hh * t0, w1 + hh * t1
-        d0, d1 = grad(x0 + hh * v0, x1 + hh * v1)
-        dv, vv, dw = d0 * q0 + d1 * q1, q0 * q0 + q1 * q1, d0 * p0 + d1 * p1
-        vw, b0, b1 = q0 * p0 + q1 * p1, -2.0 * dv * q0 + vv * d0, -2.0 * dv * q1 + vv * d1
-        u0, u1, r0 = -(dw * q0 + dv * p0 - vw * d0), -(dw * q1 + dv * p1 - vw * d1), v0 + hh * b0
-        r1, p0, p1 = v1 + hh * b1, w0 + hh * u0, w1 + hh * u1
-        d0, d1 = grad(x0 + hh * q0, x1 + hh * q1)
-        dv, vv, dw = d0 * r0 + d1 * r1, r0 * r0 + r1 * r1, d0 * p0 + d1 * p1
-        vw, c0, c1 = r0 * p0 + r1 * p1, -2.0 * dv * r0 + vv * d0, -2.0 * dv * r1 + vv * d1
-        o0, o1, s0 = -(dw * r0 + dv * p0 - vw * d0), -(dw * r1 + dv * p1 - vw * d1), v0 + h * c0
-        s1, p0, p1 = v1 + h * c1, w0 + h * o0, w1 + h * o1
-        d0, d1 = grad(x0 + h * r0, x1 + h * r1)
-        dv, vv, dw = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1, d0 * p0 + d1 * p1
-        vw, e0, e1 = s0 * p0 + s1 * p1, -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
-        z0, z1 = -(dw * s0 + dv * p0 - vw * d0), -(dw * s1 + dv * p1 - vw * d1)
-        out.append((x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1),
-                    v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0), v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1),
-                    w0 + h6 * (t0 + 2.0 * u0 + 2.0 * o0 + z0), w1 + h6 * (t1 + 2.0 * u1 + 2.0 * o1 + z1)))
-    return np.array(out).reshape(-1, 6)
+        for (x0, x1, v0, v1), h, n in rows:
+            hh, h6, t, gone = 0.5 * h, h / 6.0, arc, False
+            for _ in range(n):
+                d0, d1 = grad(x0, x1)
+                dv, vv = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1
+                a0, a1 = -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
+                q0, q1 = v0 + hh * a0, v1 + hh * a1
+                d0, d1 = grad(x0 + hh * v0, x1 + hh * v1)
+                dv, vv = d0 * q0 + d1 * q1, q0 * q0 + q1 * q1
+                b0, b1 = -2.0 * dv * q0 + vv * d0, -2.0 * dv * q1 + vv * d1
+                r0, r1 = v0 + hh * b0, v1 + hh * b1
+                d0, d1 = grad(x0 + hh * q0, x1 + hh * q1)
+                dv, vv = d0 * r0 + d1 * r1, r0 * r0 + r1 * r1
+                c0, c1 = -2.0 * dv * r0 + vv * d0, -2.0 * dv * r1 + vv * d1
+                s0, s1 = v0 + h * c0, v1 + h * c1
+                d0, d1 = grad(x0 + h * r0, x1 + h * r1)
+                dv, vv = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1
+                e0, e1 = -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
+                n0, n1 = x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1)
+                if rule and not n0 * n0 + n1 * n1 < (1.0 - 2e-15) ** 2 and _outside(np.array([[n0, n1]]), rule)[0]:
+                    gone = True
+                    break
+                x0, x1, t = n0, n1, t + h
+                v0, v1 = v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0), v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
+                if kept is not None:
+                    kept += pack(t, x0, x1, v0, v1)
+                if t > cap:
+                    break
+            out.append((x0, x1, v0, v1))
+            ends.append((gone, t))
+    else:
+        for (x0, x1, v0, v1, w0, w1), h, n in rows:   # at most three names an assignment: no tuple built
+            hh, h6, t, gone = 0.5 * h, h / 6.0, arc, False
+            for _ in range(n):
+                d0, d1 = grad(x0, x1)
+                dv, vv, dw = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1, d0 * w0 + d1 * w1
+                vw, a0, a1 = v0 * w0 + v1 * w1, -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
+                t0, t1, q0 = -(dw * v0 + dv * w0 - vw * d0), -(dw * v1 + dv * w1 - vw * d1), v0 + hh * a0
+                q1, p0, p1 = v1 + hh * a1, w0 + hh * t0, w1 + hh * t1
+                d0, d1 = grad(x0 + hh * v0, x1 + hh * v1)
+                dv, vv, dw = d0 * q0 + d1 * q1, q0 * q0 + q1 * q1, d0 * p0 + d1 * p1
+                vw, b0, b1 = q0 * p0 + q1 * p1, -2.0 * dv * q0 + vv * d0, -2.0 * dv * q1 + vv * d1
+                u0, u1, r0 = -(dw * q0 + dv * p0 - vw * d0), -(dw * q1 + dv * p1 - vw * d1), v0 + hh * b0
+                r1, p0, p1 = v1 + hh * b1, w0 + hh * u0, w1 + hh * u1
+                d0, d1 = grad(x0 + hh * q0, x1 + hh * q1)
+                dv, vv, dw = d0 * r0 + d1 * r1, r0 * r0 + r1 * r1, d0 * p0 + d1 * p1
+                vw, c0, c1 = r0 * p0 + r1 * p1, -2.0 * dv * r0 + vv * d0, -2.0 * dv * r1 + vv * d1
+                o0, o1, s0 = -(dw * r0 + dv * p0 - vw * d0), -(dw * r1 + dv * p1 - vw * d1), v0 + h * c0
+                s1, p0, p1 = v1 + h * c1, w0 + h * o0, w1 + h * o1
+                d0, d1 = grad(x0 + h * r0, x1 + h * r1)
+                dv, vv, dw = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1, d0 * p0 + d1 * p1
+                vw, e0, e1 = s0 * p0 + s1 * p1, -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
+                z0, z1 = -(dw * s0 + dv * p0 - vw * d0), -(dw * s1 + dv * p1 - vw * d1)
+                n0, n1 = x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1)
+                if rule and not n0 * n0 + n1 * n1 < (1.0 - 2e-15) ** 2 and _outside(np.array([[n0, n1]]), rule)[0]:
+                    gone = True
+                    break
+                x0, x1 = n0, n1
+                v0, v1 = v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0), v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
+                w0, w1 = w0 + h6 * (t0 + 2.0 * u0 + 2.0 * o0 + z0), w1 + h6 * (t1 + 2.0 * u1 + 2.0 * o1 + z1)
+            out.append((x0, x1, v0, v1, w0, w1))
+            ends.append((gone, t))
+    out = np.array(out).reshape(-1, y.shape[1])
+    return out if stop is None else (out, ends)
 
 
 def _flow(metric):
@@ -630,19 +657,19 @@ def _exit_guess(rhs, y0, step):
     return s
 
 
-def _lockstep(metric, y, h, steps, past):
-    """Step the rows ``(x, v, ...)`` of ``y`` together by RK4 steps of ``h``, a scalar or an ``(N, 1)``
-    column, each row with the arithmetic of a one-row run.  Row ``i`` takes ``steps[i]`` steps, or stops
-    at the first whose new state ``past`` marks (a row mask, or None for no row).  After each step it
-    yields the rows that go on with their new states, and the rows that stopped with their old ones."""
+def _lockstep(metric, y, h, steps, rule):
+    """Step the rows ``(x, v, ...)`` of ``y`` together by RK4 steps of ``h``, a scalar or an ``(N, 1)`` column, each
+    with the arithmetic of a one-row run, while more than ``FLOAT_ROWS`` are left (or any, where ``rk4`` has no float
+    kernel).  Row ``i`` takes ``steps[i]`` steps, or stops at the first whose new position ``_outside(.., rule)``
+    marks.  After each step it yields the rows that go on with their new states, and the stopped with their old."""
     rhs, k, rows, per_row = _flow(metric), 0, np.flatnonzero(steps > 0), np.ndim(h) > 0
     cur, ends = y[rows], set(steps[rows].tolist())   # the step counts that rows end at
     none = rows[:0], y[:0]   # no row stopped at the step
-    while rows.size:
+    while len(rows) > FLOAT_ROWS or rows.size and y.shape[1] not in rhs.widths:
         k += 1
         nxt = rk4(rhs, cur, h[rows] if per_row else h)
         gone, before = none
-        stop = past(nxt)
+        stop = _outside(nxt, rule)
         if stop is not None and stop.any():
             gone, before, rows, nxt = rows[stop], cur[stop], rows[~stop], nxt[~stop]
         yield rows, nxt, gone, before
@@ -654,14 +681,14 @@ def _lockstep(metric, y, h, steps, past):
 def _trace_rows(metric, y, step, back=None):
     """Integrate every row ``(x, v)`` of ``y`` forward to the boundary, in lockstep.
 
-    Rows leave the active set at the step that takes them out of the disk;
-    the exits are then located together, by bisection on ``|x| - 1`` inside
-    those steps.  Samples are stored per step for the rows still active, then
-    gathered once into a PathStack.  A row is a path, or where ``back`` marks it
-    the backward half of the next row's path: laid first, reversed, at arclength
-    ``tau_b - t`` with ``v`` negated (``tau_b`` its exit time), sharing its start.
-    Rows still inside past the arclength cap are suspected trapped.  Past ``MAX_TRACE_SAMPLES`` stored
-    samples the rows still inside go on unstored to tell the trapped, and the others resume from there.
+    Rows leave the active set at the step that takes them out of the disk; once ``FLOAT_ROWS`` or fewer
+    are left, each walks on alone in Python floats.  The exits are then located together, by bisection
+    on ``|x| - 1`` inside those steps.  Samples are stored per step in lockstep and per row in the walk,
+    then gathered once into a PathStack.  A row is a path, or where ``back`` marks it the backward half of
+    the next row's path: laid first, reversed, at arclength ``tau_b - t`` with ``v`` negated (``tau_b`` its
+    exit time), sharing its start.  Rows still inside past the arclength cap are suspected trapped.  Past
+    ``MAX_TRACE_SAMPLES`` stored samples the rows still inside go on unstored to tell the trapped, and the
+    others resume from there (the lockstep's in a second pass, a walked row at once).
     Returns the stack and, per path, its GeodesicPath or its rows' first error.
     """
     back = np.zeros(len(y), dtype=bool) if back is None else back
@@ -670,14 +697,17 @@ def _trace_rows(metric, y, step, back=None):
     finite = np.isfinite(y).all(axis=1) & ok
     out = [None if f else SceneValidationError(f"geodesic start state {row.tolist()} is not finite") if ok
            else SceneValidationError("integrator step must be positive and finite") for f, row in zip(finite, y)]
-    rows, t, z, budget = np.flatnonzero(finite), 0.0, y, MAX_TRACE_SAMPLES
-    samples, exits, trapped = [], [(rows[:0], y[:0], t)], []
+    rows, t, z, budget, rhs = np.flatnonzero(finite), 0.0, y, MAX_TRACE_SAMPLES, _flow(metric)
+    samples, walked, exits, trapped = [], [], [(rows[:0], y[:0], t)], []
+    def walk(y0, t0, n, kept):   # row y0 from arclength t0, up to n steps: its last state, if it left, its arclength
+        (y1,), ((gone, t1),) = _rk4_floats(rhs.grad, y0[None], step, [n], np.greater_equal, t0, ARCLENGTH_CAP, kept)
+        return y1, gone, t1
     while True:   # a second pass resumes the rows that the budget paused and that exit
-        samples.append((rows, z[rows], t))
-        budget, paused = budget - len(rows), None
+        cur, paused, budget = z[rows], None, budget - len(rows)
+        samples.append((rows, cur, t))
         # _outside is _radius >= DISK_RADIUS: a row on the unit circle has left
         for rows, cur, gone, before in _lockstep(metric, z, step, np.isin(np.arange(len(y)), rows) * sys.maxsize,
-                                                 _outside):
+                                                 np.greater_equal):
             if paused is None and gone.size:
                 exits.append((gone, before, t))
             t = t + step
@@ -688,12 +718,29 @@ def _trace_rows(metric, y, step, back=None):
                 budget -= len(rows)
             if t > ARCLENGTH_CAP:
                 break
+        else:   # FLOAT_ROWS rows or fewer are left: each walks on alone, storing up to the budget
+            left = []
+            for r, y0 in zip(rows.tolist(), cur):
+                buf = bytearray()
+                y1, gone, t1 = walk(y0, t, budget if paused is None else 0, buf)
+                budget -= len(buf) // 40   # 5 float64s a sample
+                # paused by the budget: it goes on unstored, and if it exits rather than pass the cap, resumes
+                if not (gone or t1 > ARCLENGTH_CAP) and walk(y1, t1, sys.maxsize, None)[1]:
+                    if paused is not None:
+                        continue   # from the lockstep's pause, in the second pass
+                    y1, gone, t1 = walk(y1, t1, sys.maxsize, buf)
+                if gone:
+                    exits.append((np.array([r]), y1[None], t1))
+                    walked.append((r, buf))
+                else:
+                    left.append(r)
+            rows = np.array(left, dtype=int)
         trapped.append(rows)
         if paused is None:
             break
         rows, cur, t = paused
         late = np.isin(rows, trapped[-1], invert=True)
-        rows, z, budget = rows[late], y.copy(), math.inf
+        rows, z, budget = rows[late], y.copy(), sys.maxsize
         z[rows] = cur[late]
     rows = np.concatenate(trapped)
     for i in rows:
@@ -704,7 +751,6 @@ def _trace_rows(metric, y, step, back=None):
         live = np.isin(np.arange(len(y)), rows, invert=True)
         for j, (r, cur, t0) in enumerate(samples):
             samples[j] = r[live[r]], cur[live[r]], t0
-    rhs = _flow(metric)
     e_rows, e_y, e_t = (np.concatenate(c) for c in zip(*[(r, y0, np.full(len(r), t0)) for r, y0, t0 in exits]))
     # |x| <= 1 at lo by induction (the sample is inside or on the circle)
     def below(mid, y0):
@@ -715,11 +761,13 @@ def _trace_rows(metric, y, step, back=None):
                       guess=_exit_guess(rhs, e_y, step))
     kept = s > EVENT_WIDTH
     step_rows, step_y, step_t = zip(*samples)
-    step_y += (rk4(rhs, e_y[kept], s[kept, None]),)
+    w = np.concatenate([np.zeros((0, 5))] + [np.frombuffer(buf).reshape(-1, 5) for _, buf in walked])   # (t, x, v)
+    step_y += (w[:, 1:], rk4(rhs, e_y[kept], s[kept, None]))
     x, v = (np.concatenate([y0[:, c] for y0 in step_y]) for c in (slice(2), slice(2, 4)))
-    del samples, step_y   # before the gather copies the samples again
-    rows = np.concatenate(step_rows + (e_rows[kept],))
-    ts = np.concatenate([np.repeat(step_t, [len(r) for r in step_rows]), e_t[kept] + s[kept]])
+    w_rows = np.repeat(np.array([r for r, _ in walked], dtype=int), [len(buf) // 40 for _, buf in walked])
+    del samples, step_y, walked   # before the gather copies the samples again
+    rows = np.concatenate(step_rows + (w_rows, e_rows[kept]))
+    ts = np.concatenate([np.repeat(step_t, [len(r) for r in step_rows]), w[:, 0], e_t[kept] + s[kept]])
     ts = np.where(back[rows], -ts, ts)
     path = np.cumsum(~back) - ~back
     errors = [out[r - 1] or out[r] if r and back[r - 1] else out[r] for r in np.flatnonzero(~back).tolist()]
@@ -835,10 +883,14 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
                   for s, w in zip(starts, frames)]).reshape(-1, 6)
     h = (np.asarray(lengths, dtype=float) / np.maximum(n_steps, 1))[:, None]
     # a lane on the unit circle goes on: it has left only past it, _radius > DISK_RADIUS
-    for rows, z, gone, _ in _lockstep(metric, y, h, n_steps, lambda z: _outside(z, np.greater)):
+    k, rows, gone = 0, np.flatnonzero(n_steps > 0), []
+    for k, (rows, z, out_k, _) in enumerate(_lockstep(metric, y, h, n_steps, np.greater), 1):
         y[rows] = z
-        for i in gone.tolist():
-            out[i] = FanConstructionError(f"base geodesic exits the disk before reaching offset {lengths[i]:g}")
+        gone += out_k.tolist()
+    rows = rows[n_steps[rows] > k]   # FLOAT_ROWS lanes or fewer: each walks its last steps alone
+    y[rows], ends = _rk4_floats(metric.grad_floats, y[rows], h[rows], (n_steps[rows] - k).tolist(), np.greater)
+    for i in gone + [i for i, (left, _) in zip(rows.tolist(), ends) if left]:
+        out[i] = FanConstructionError(f"base geodesic exits the disk before reaching offset {lengths[i]:g}")
     return [(y[i, :2], y[i, 2:4], y[i, 4:]) if e is None else e for i, e in enumerate(out)]
 
 

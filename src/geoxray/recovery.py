@@ -190,19 +190,19 @@ def _solve_stacked(a, b, cond_cap, error_cls):
 # frontier ordering
 # ---------------------------------------------------------------------------
 
-def triangle_level(tiling: Tiling, phi: FoliationFunction, i: int) -> float:
-    """Leaf level at which the shrinking leaves first touch triangle i.
+def triangle_levels(tiling: Tiling, phi: FoliationFunction) -> np.ndarray:
+    """Leaf level at which the shrinking leaves first touch each triangle, ``(T,)``.
 
     For a convex function on a straight triangle the maximum sits at a
-    vertex, so only the three corners are inspected.
+    vertex, so only the corners are inspected, all in one ``phi.value`` call.
     """
-    return max(phi.value(p) for p in tiling.coords(i))
+    return phi.value(tiling.vertices[tiling.triangles]).max(axis=1)
 
 
 def order_frontier(tiling: Tiling, phi: FoliationFunction):
     """Triangles grouped by decreasing first-contact level; ties form one batch."""
-    levels = [triangle_level(tiling, phi, i) for i in range(tiling.n_triangles)]
-    order = sorted(range(tiling.n_triangles), key=lambda i: -levels[i])
+    levels = triangle_levels(tiling, phi)
+    order, levels = np.argsort(-levels, kind="stable").tolist(), levels.tolist()
     batches = []
     for i in order:
         if batches and abs(levels[batches[-1][0]] - levels[i]) <= TIE_TOL:
@@ -276,8 +276,8 @@ def frontier_plan(tiling: Tiling, phi: FoliationFunction, plan: ChordPlan):
     A batch's chords are aimed between its first-contact level and the next
     batch's (the foliation's floor after the last batch).
     """
-    batches = order_frontier(tiling, phi)
-    levels = [triangle_level(tiling, phi, b[0]) for b in batches] + [phi.floor()]
+    batches, first = order_frontier(tiling, phi), triangle_levels(tiling, phi).tolist()
+    levels = [first[b[0]] for b in batches] + [phi.floor()]
     return batches, [batch_descriptors(phi, lo, hi, plan) for hi, lo in zip(levels, levels[1:])]
 
 

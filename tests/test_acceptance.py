@@ -15,7 +15,7 @@ import geoxray as gx
 from geoxray import cli
 from geoxray.errors import EXIT_COVERAGE, EXIT_NON_INJECTIVE, EXIT_TRAPPING
 from geoxray.geometry import speed_defect
-from geoxray.recovery import triangle_level
+from geoxray.recovery import triangle_levels
 from geoxray.scene import grid_chord_descriptors, random_chord_descriptors
 from geoxray.transform import limit_scan, sector_chord_lengths
 
@@ -147,7 +147,7 @@ def test_criterion_4_layer_stripping_roundtrip():
         oracle = gx.SyntheticOracle(metric, weight, tiling, field)
         rep = gx.reconstruct(metric, weight, tiling, oracle, phi, step=1e-2)
         err = float(np.max(np.abs(rep.values - field.values)) / np.max(np.abs(field.values)))
-        levels = [triangle_level(tiling, phi, i) for i in rep.processing_order]
+        levels = triangle_levels(tiling, phi)[rep.processing_order].tolist()
         ordered = all(a >= b - 1e-9 for a, b in zip(levels, levels[1:]))
         ok = ok and err <= 1e-6 and ordered
         details.append(f"{family}: err {err:.3e} order-ok {ordered}")

@@ -250,18 +250,24 @@ def test_trapped_rows_store_no_samples_past_the_budget():
 @pytest.mark.parametrize("budget", [1, 60, 200, 400])
 def test_sample_budget_keeps_each_path(monkeypatch, budget):
     # the budget pauses the rows still inside, at any step of the call: the ones that exit resume
-    # from there, so each start traces as it does alone, and only a row past its own cap is trapped
+    # from there, so each start traces as it does alone, and only a row past its own cap is trapped.
+    # The 9 starts (17 rows) walk from the start; of the 2 * FLOAT_ROWS starts (56 rows), which take
+    # two lockstep steps, the budgets of 1 and 60 pause the lockstep, and those of 200 and 400 the walk
     metric = gx.metric_from_config("conformal-radial", [-2.5])
     starts = [gx.unit_tangent(metric, [0.9, 0.0], [math.cos(a), math.sin(a)]) for a in np.linspace(0.0, 1.5, 7)]
     starts += [gx.unit_tangent(metric, [0.6, 0.0], [math.cos(0.5), math.sin(0.5)]),
                gx.boundary_tangent(metric, 2.0, 2.0 + math.pi - 0.3)]
+    more = 2 * FLOAT_ROWS - len(starts)
+    starts += [gx.boundary_tangent(metric, a, a + math.pi - d)
+               for a, d in zip(np.linspace(0.5, 6.0, more), np.linspace(0.0, 1.4, more))]
     alone = [gx.trace_geodesics(metric, [start], step=0.05)[0] for start in starts]
     assert sum(isinstance(a, gx.TrappingSuspectedError) for a in alone) == 2
     monkeypatch.setattr(gx.geometry, "MAX_TRACE_SAMPLES", budget)
-    for got, want in zip(gx.trace_geodesics(metric, starts, step=0.05), alone):
-        assert type(got) is type(want)
-        if isinstance(want, gx.GeodesicPath):
-            assert [getattr(got, a).tobytes() for a in "txv"] == [getattr(want, a).tobytes() for a in "txv"]
+    for n in (9, len(starts)):
+        for got, want in zip(gx.trace_geodesics(metric, starts[:n], step=0.05), alone):
+            assert type(got) is type(want)
+            if isinstance(want, gx.GeodesicPath):
+                assert [getattr(got, a).tobytes() for a in "txv"] == [getattr(want, a).tobytes() for a in "txv"]
 
 
 def plain_bisect(below, lo, hi, width, *lanes, guess=None):
@@ -427,18 +433,61 @@ def test_float_kernel_matches_numpy_step(family, params):
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_paths_do_not_depend_on_the_rows_in_flight(family, params):
-    # 80 chords of spread lengths and 2 interior starts: rk4 takes numpy while more than FLOAT_ROWS rows are
-    # in flight and Python floats after, and the exits of all are bisected together, on numpy; alone,
-    # each row steps in floats throughout.  Each path must be the one its start traces alone, byte for byte
+    # 80 chords of spread lengths and 2 interior starts: they step in lockstep on numpy while more than
+    # FLOAT_ROWS rows are in flight, and the rest walk on one at a time in Python floats, and the exits of all
+    # are located together; alone, each row walks throughout.  Each path must be the one its start traces
+    # alone, byte for byte
     metric = gx.metric_from_config(family, params)
     starts = [gx.boundary_tangent(metric, a, a + math.pi - d)
               for a, d in zip(np.linspace(0.0, 6.0, 80), np.linspace(0.0, 1.45, 80))]
     starts += [gx.unit_tangent(metric, [0.3, -0.2], [0.6, 0.8]), gx.unit_tangent(metric, [-0.7, 0.1], [0.2, 1.0])]
     paths = gx.trace_geodesics(metric, starts, step=0.01)
     assert len({path.n_samples for path in paths}) > 2 * FLOAT_ROWS
-    for start, path in zip(starts, paths):
-        alone = gx.trace_geodesic(metric, start, step=0.01)
-        assert [getattr(path, a).tobytes() for a in "txv"] == [getattr(alone, a).tobytes() for a in "txv"]
+    alone = [gx.trace_geodesic(metric, start, step=0.01) for start in starts]
+    for path, want in zip(paths, alone):
+        assert [getattr(path, a).tobytes() for a in "txv"] == [getattr(want, a).tobytes() for a in "txv"]
+    # exactly FLOAT_ROWS rows walk from the start; one more take a lockstep step first
+    for n in (FLOAT_ROWS, FLOAT_ROWS + 1):
+        for path, want in zip(gx.trace_geodesics(metric, starts[:n], step=0.01), alone):
+            assert [getattr(path, a).tobytes() for a in "txv"] == [getattr(want, a).tobytes() for a in "txv"]
+
+
+def test_few_rows_are_stepped_without_a_lockstep_pass(monkeypatch):
+    # the 4 forward-refined chords walk to their exits in Python floats: rk4 is called only to locate
+    # the exits (Newton guess, checked turns, exit samples), 5 times, not once per lockstep step (189)
+    metric = gx.metric_from_config("conformal-radial", [0.05])
+    starts = [gx.boundary_tangent(metric, a, d) for a, d in random_chord_descriptors(4, np.random.default_rng(0))]
+    calls = []
+    monkeypatch.setattr(gx.geometry, "rk4", lambda *a: calls.append(len(a[1])) or rk4(*a))
+    paths = gx.trace_geodesics(metric, starts, step=0.01)
+    assert sum(p.n_samples for p in paths) > 190 and 0 < len(calls) <= 10
+
+
+def hypothesis_start(metric, spec):
+    """A boundary start ``("boundary", angle, turn)``, pointing inward at ``turn`` from the diameter, or an
+    interior start ``("interior", radius, angle, direction)``."""
+    if spec[0] == "boundary":
+        _, a, d = spec
+        return gx.boundary_tangent(metric, a, a + math.pi - d)
+    _, r, b, c = spec
+    return gx.unit_tangent(metric, [r * math.cos(b), r * math.sin(b)], [math.cos(c), math.sin(c)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(FAMILIES), st.lists(st.one_of(
+    st.tuples(st.just("boundary"), st.floats(0.0, 2.0 * math.pi), st.floats(-1.5, 1.5)),
+    st.tuples(st.just("interior"), st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi),
+              st.floats(0.0, 2.0 * math.pi))), min_size=1, max_size=2 * FLOAT_ROWS + 4))
+def test_batched_path_is_the_path_traced_alone(family, specs):
+    # any batch of boundary and interior starts (an interior start is two rows), stepped in lockstep, walked
+    # one row at a time, or first one then the other: each path must be the one its start traces alone
+    metric = gx.metric_from_config(*family)
+    starts = [hypothesis_start(metric, spec) for spec in specs]
+    for path, start in zip(gx.trace_geodesics(metric, starts, step=0.05), starts):
+        alone = gx.trace_geodesics(metric, [start], step=0.05)[0]
+        assert type(path) is type(alone)
+        if isinstance(alone, gx.GeodesicPath):
+            assert [getattr(path, a).tobytes() for a in "txv"] == [getattr(alone, a).tobytes() for a in "txv"]
 
 
 def test_unit_speed_preserved(conformal10):

@@ -8,10 +8,11 @@ import pytest
 import geoxray as gx
 from geoxray.recovery import (
     ADMISSIBLE_LENGTH_TOL,
+    TIE_TOL,
     batch_descriptors,
     chord_descriptor,
     frontier_plan,
-    triangle_level,
+    triangle_levels,
 )
 from geoxray.transform import sector_chord_lengths
 from geoxray.weights import sphere_bundle_samples
@@ -108,9 +109,40 @@ def test_frontier_refined_hexagon_batches(hexagon24):
     phi = gx.RadialSquare()
     batches = gx.order_frontier(hexagon24, phi)
     sizes = [len(b) for b in batches]
-    levels = [triangle_level(hexagon24, phi, b[0]) for b in batches]
+    levels = triangle_levels(hexagon24, phi)[[b[0] for b in batches]]
     assert sizes == [12, 6, 6]
     assert np.allclose(levels, [1.0, 0.75, 0.25])
+
+
+def frontier_loop(tiling, phi):
+    """``order_frontier`` one triangle at a time: each corner's level a float64 scalar's ``d ** 2``, the
+    triangles sorted in Python; also each triangle's level."""
+    levels = [max(float(d[0] ** 2 + d[1] ** 2) for d in tiling.coords(i) - phi.center)
+              for i in range(tiling.n_triangles)]
+    batches = []
+    for i in sorted(range(tiling.n_triangles), key=lambda i: -levels[i]):
+        if batches and abs(levels[batches[-1][0]] - levels[i]) <= TIE_TOL:
+            batches[-1].append(i)
+        else:
+            batches.append([i])
+    return batches, levels
+
+
+@pytest.mark.parametrize("refines", [1, 2, 3, 4])
+def test_frontier_matches_the_loop_on_refined_fans(refines):
+    # the levels of all corners come from one phi.value call: batches, ties and the batch levels that aim
+    # the chords must be those of the loop over triangles, bit for bit, on the T = 24 to 1536 fans
+    tiling = gx.polygon_fan_tiling(6, 0.1)
+    for _ in range(refines):
+        tiling = gx.refine(tiling)
+    plan = gx.ChordPlan(rotations=3, levels_per_batch=2)
+    for phi in (gx.RadialSquare(), gx.OffsetRadial([0.1, -0.2]), gx.OffsetRadial([0.31, 0.27])):
+        batches, levels = frontier_loop(tiling, phi)
+        assert gx.order_frontier(tiling, phi) == batches and len(batches) > 1
+        bounds = [levels[b[0]] for b in batches] + [phi.floor()]
+        want = [batch_descriptors(phi, lo, hi, plan) for hi, lo in zip(bounds, bounds[1:])]
+        assert frontier_plan(tiling, phi, plan) == (batches, want)
+        assert triangle_levels(tiling, phi).tobytes() == np.array(levels).tobytes()
 
 
 def test_frontier_containment_predicate(hexagon24):
