@@ -1,4 +1,4 @@
-"""Metric families, geodesic tracing, parallel transport, convexity checks.
+"""Metric families, geodesic tracing, convexity checks.
 
 The chart domain is the closed unit disk.  All metric families are conformal
 to the flat metric, ``g_ij(x) = exp(2*lam(x)) * delta_ij``, with the profile
@@ -12,14 +12,13 @@ its caller's exit test marks, while more than ``FLOAT_ROWS`` are left; then each
 walks on alone to its end in Python floats.  The tracer's exits are located
 together by bisection on ``|x| - 1`` inside the steps that crossed, on the turns
 a Newton guess predicts as far as the exit test, checking them all at once,
-agrees: the guess decides no turn.  Parallel transport appends a vector ``w``
-to the state.  Each row gets the arithmetic of a one-row run bit for bit, so a
-path does not depend on what it was traced with.  Paths are unit speed in
-``g``, so the curve parameter is arclength.  One gather lays the paths of a call
-end to end in one ``PathStack``, and each GeodesicPath is a view of it; clipping
-and integration read that stack as it is.  Paths are evaluated in one place,
-the stack: one bisection finds every query's sample interval, for cubic Hermite
-interpolation.
+agrees: the guess decides no turn.  Each row gets the arithmetic of a one-row
+run bit for bit, so a path does not depend on what it was traced with.  Paths
+are unit speed in ``g``, so the curve parameter is arclength.  One gather lays
+the paths of a call end to end in one ``PathStack``, and each GeodesicPath is a
+view of it; clipping and integration read that stack as it is.  Paths are
+evaluated in one place, the stack: one bisection finds every query's sample
+interval, for cubic Hermite interpolation.
 """
 
 from __future__ import annotations
@@ -53,10 +52,10 @@ MAX_TRACE_SAMPLES = 1 << 21
 DEFAULT_STEP = 1e-2
 # Largest |lam| for which the conformal factor exp(2 lam) is a finite float.
 LAM_LIMIT = 0.5 * math.log(sys.float_info.max)
-# rk4 steps up to this many rows (x, v) or (x, v, w) in Python floats, and more through numpy; the lockstep leaves
-# this many or fewer to the float walk.  On a 2-vCPU host (numpy 2.4, CPython 3.11, medians of 300 interleaved
-# timings) a numpy step of 24 rows (x, v) costs 28-47 / 94-104 / 130-161 us on euclidean / conformal-radial /
-# conformal-gaussian and a float row 2.0-3.2 / 3.3-3.7 / 5.4-6.3 us: crossovers near 15, 29 and 24 rows, 36-39 (x, v, w)
+# rk4 steps up to this many rows (x, v) in Python floats, and more through numpy; the lockstep leaves this many or
+# fewer to the float walk.  On a 2-vCPU host (numpy 2.4, CPython 3.11, medians of 300 interleaved timings) a numpy
+# step of 24 rows costs 28-47 / 94-104 / 130-161 us on euclidean / conformal-radial / conformal-gaussian and a
+# float row 2.0-3.2 / 3.3-3.7 / 5.4-6.3 us: crossovers near 15, 29 and 24 rows
 FLOAT_ROWS = 24
 # Midpoints per call of the exit check; at 8192 the demo plan's tracemalloc peak rises from 4.62 to 4.90 MB.
 EXIT_BLOCK = 4096
@@ -126,14 +125,6 @@ class MetricField:
         """``lam_grad`` of one point in Python floats, by the same operations in the same order."""
         raise NotImplementedError
 
-    def transport_deriv(self, x, v, w):
-        """Right-hand side ``-Gamma(v, w)`` of the parallel transport ODE."""
-        d = self.lam_grad(x)
-        dv = d[..., 0] * v[..., 0] + d[..., 1] * v[..., 1]
-        dw = d[..., 0] * w[..., 0] + d[..., 1] * w[..., 1]
-        vw = v[..., 0] * w[..., 0] + v[..., 1] * w[..., 1]
-        return -(dw[..., None] * v + dv[..., None] * w - vw[..., None] * d)
-
     # -- inner products and frames ------------------------------------------
     def inner(self, x, u, w):
         factor = math.exp(2.0 * float(self.lam(np.asarray(x, dtype=float))))
@@ -180,9 +171,6 @@ class EuclideanMetric(MetricField):
 
     def grad_floats(self, x0, x1):
         return 0.0, 0.0
-
-    def transport_deriv(self, x, v, w):
-        return np.zeros_like(np.asarray(w, dtype=float))
 
 
 class RadialConformalMetric(MetricField):
@@ -451,12 +439,10 @@ def _hermite(p0, m0, p1, m1, s):
 def rk4(rhs, y, h):
     """One classical Runge-Kutta step of ``y' = rhs(y)`` (a ``_flow``) for every row of ``y``.
 
-    ``y`` is ``(N, width)``, ``h`` a scalar or an ``(N, 1)`` column of per-row
-    steps.  Rows do not mix: each gets the arithmetic of a one-row step.  Up to
-    ``FLOAT_ROWS`` rows ``(x, v)`` or, but on a euclidean metric, ``(x, v, w)`` are stepped
-    in Python floats by the same operations, so with the same bits; the rest go through numpy.
+    ``h`` is a scalar or an ``(N, 1)`` column of per-row steps.  Rows do not mix: each gets the arithmetic of a
+    one-row step.  Up to ``FLOAT_ROWS`` rows step in Python floats by the same operations, bit for bit.
     """
-    if len(y) <= FLOAT_ROWS and y.shape[1] in rhs.widths:
+    if len(y) <= FLOAT_ROWS:
         return _rk4_floats(rhs.grad, y, h)
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * h * k1)
@@ -466,93 +452,55 @@ def rk4(rhs, y, h):
 
 
 def _rk4_floats(grad, y, h, stop=None, rule=None, arc=0.0, cap=math.inf, kept=None):
-    """``rk4`` of rows ``(x, v)`` or ``(x, v, w)`` one at a time in Python floats on ``grad``, a ``grad_floats``:
-    numpy's operations element by element in its order, ``accel`` as ``-2.0*dv*v + vv*d``, ``transport_deriv`` as
-    ``-(dw*v + dv*w - vw*d)``, squares as products.  k1 = (v, a, t), k2 = (q, b, u), k3 = (r, c, o), k4 = (s, e, z).
-    Given per-row step counts ``stop``, each row walks on instead: to its count, or to the step whose new position
-    ``rule`` puts outside the disk, as ``_outside`` tells, keeping its state before it.  A row ``(x, v)`` also stops
-    once its arclength, ``arc`` plus ``h`` a step, passes ``cap``, and appends each step's ``(arclength, x, v)`` to
-    ``kept``, a bytearray, as float64s.  Returns the last states and, given ``stop``, per row ``(left, arclength)``."""
+    """``rk4`` of rows ``(x, v)`` one at a time in Python floats on ``grad``, a ``grad_floats``: numpy's operations
+    element by element in its order, ``accel`` as ``-2.0*dv*v + vv*d``, squares as products; the stages are k1 =
+    (v, a), k2 = (q, b), k3 = (r, c), k4 = (s, e).  Given per-row step counts ``stop``, each row walks on instead: to
+    its count, to the step whose new position ``rule`` puts outside the disk, as ``_outside`` tells, keeping its
+    state before it, or past ``cap`` with its arclength, ``arc`` plus ``h`` a step, appending each step's
+    ``(arclength, x, v)`` to ``kept``, a bytearray, as float64s.  Returns the last states and, given ``stop``, per
+    row ``(left, arclength)``."""
     out, ends, pack = [], [], struct.Struct("5d").pack
     rows = zip(y.tolist(), h.ravel().tolist() if np.ndim(h) else [float(h)] * len(y), stop or [1] * len(y))
-    if y.shape[1] == 4:
-        for (x0, x1, v0, v1), h, n in rows:
-            hh, h6, t, gone = 0.5 * h, h / 6.0, arc, False
-            for _ in range(n):
-                d0, d1 = grad(x0, x1)
-                dv, vv = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1
-                a0, a1 = -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
-                q0, q1 = v0 + hh * a0, v1 + hh * a1
-                d0, d1 = grad(x0 + hh * v0, x1 + hh * v1)
-                dv, vv = d0 * q0 + d1 * q1, q0 * q0 + q1 * q1
-                b0, b1 = -2.0 * dv * q0 + vv * d0, -2.0 * dv * q1 + vv * d1
-                r0, r1 = v0 + hh * b0, v1 + hh * b1
-                d0, d1 = grad(x0 + hh * q0, x1 + hh * q1)
-                dv, vv = d0 * r0 + d1 * r1, r0 * r0 + r1 * r1
-                c0, c1 = -2.0 * dv * r0 + vv * d0, -2.0 * dv * r1 + vv * d1
-                s0, s1 = v0 + h * c0, v1 + h * c1
-                d0, d1 = grad(x0 + h * r0, x1 + h * r1)
-                dv, vv = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1
-                e0, e1 = -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
-                n0, n1 = x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1)
-                if rule and not n0 * n0 + n1 * n1 < (1.0 - 2e-15) ** 2 and _outside(np.array([[n0, n1]]), rule)[0]:
-                    gone = True
-                    break
-                x0, x1, t = n0, n1, t + h
-                v0, v1 = v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0), v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
-                if kept is not None:
-                    kept += pack(t, x0, x1, v0, v1)
-                if t > cap:
-                    break
-            out.append((x0, x1, v0, v1))
-            ends.append((gone, t))
-    else:
-        for (x0, x1, v0, v1, w0, w1), h, n in rows:   # at most three names an assignment: no tuple built
-            hh, h6, t, gone = 0.5 * h, h / 6.0, arc, False
-            for _ in range(n):
-                d0, d1 = grad(x0, x1)
-                dv, vv, dw = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1, d0 * w0 + d1 * w1
-                vw, a0, a1 = v0 * w0 + v1 * w1, -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
-                t0, t1, q0 = -(dw * v0 + dv * w0 - vw * d0), -(dw * v1 + dv * w1 - vw * d1), v0 + hh * a0
-                q1, p0, p1 = v1 + hh * a1, w0 + hh * t0, w1 + hh * t1
-                d0, d1 = grad(x0 + hh * v0, x1 + hh * v1)
-                dv, vv, dw = d0 * q0 + d1 * q1, q0 * q0 + q1 * q1, d0 * p0 + d1 * p1
-                vw, b0, b1 = q0 * p0 + q1 * p1, -2.0 * dv * q0 + vv * d0, -2.0 * dv * q1 + vv * d1
-                u0, u1, r0 = -(dw * q0 + dv * p0 - vw * d0), -(dw * q1 + dv * p1 - vw * d1), v0 + hh * b0
-                r1, p0, p1 = v1 + hh * b1, w0 + hh * u0, w1 + hh * u1
-                d0, d1 = grad(x0 + hh * q0, x1 + hh * q1)
-                dv, vv, dw = d0 * r0 + d1 * r1, r0 * r0 + r1 * r1, d0 * p0 + d1 * p1
-                vw, c0, c1 = r0 * p0 + r1 * p1, -2.0 * dv * r0 + vv * d0, -2.0 * dv * r1 + vv * d1
-                o0, o1, s0 = -(dw * r0 + dv * p0 - vw * d0), -(dw * r1 + dv * p1 - vw * d1), v0 + h * c0
-                s1, p0, p1 = v1 + h * c1, w0 + h * o0, w1 + h * o1
-                d0, d1 = grad(x0 + h * r0, x1 + h * r1)
-                dv, vv, dw = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1, d0 * p0 + d1 * p1
-                vw, e0, e1 = s0 * p0 + s1 * p1, -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
-                z0, z1 = -(dw * s0 + dv * p0 - vw * d0), -(dw * s1 + dv * p1 - vw * d1)
-                n0, n1 = x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1)
-                if rule and not n0 * n0 + n1 * n1 < (1.0 - 2e-15) ** 2 and _outside(np.array([[n0, n1]]), rule)[0]:
-                    gone = True
-                    break
-                x0, x1 = n0, n1
-                v0, v1 = v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0), v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
-                w0, w1 = w0 + h6 * (t0 + 2.0 * u0 + 2.0 * o0 + z0), w1 + h6 * (t1 + 2.0 * u1 + 2.0 * o1 + z1)
-            out.append((x0, x1, v0, v1, w0, w1))
-            ends.append((gone, t))
-    out = np.array(out).reshape(-1, y.shape[1])
+    for (x0, x1, v0, v1), h, n in rows:
+        hh, h6, t, gone = 0.5 * h, h / 6.0, arc, False
+        for _ in range(n):
+            d0, d1 = grad(x0, x1)
+            dv, vv = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1
+            a0, a1 = -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
+            q0, q1 = v0 + hh * a0, v1 + hh * a1
+            d0, d1 = grad(x0 + hh * v0, x1 + hh * v1)
+            dv, vv = d0 * q0 + d1 * q1, q0 * q0 + q1 * q1
+            b0, b1 = -2.0 * dv * q0 + vv * d0, -2.0 * dv * q1 + vv * d1
+            r0, r1 = v0 + hh * b0, v1 + hh * b1
+            d0, d1 = grad(x0 + hh * q0, x1 + hh * q1)
+            dv, vv = d0 * r0 + d1 * r1, r0 * r0 + r1 * r1
+            c0, c1 = -2.0 * dv * r0 + vv * d0, -2.0 * dv * r1 + vv * d1
+            s0, s1 = v0 + h * c0, v1 + h * c1
+            d0, d1 = grad(x0 + h * r0, x1 + h * r1)
+            dv, vv = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1
+            e0, e1 = -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
+            n0, n1 = x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1)
+            if rule and not n0 * n0 + n1 * n1 < (1.0 - 2e-15) ** 2 and _outside(np.array([[n0, n1]]), rule)[0]:
+                gone = True
+                break
+            x0, x1, t = n0, n1, t + h
+            v0, v1 = v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0), v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
+            if kept is not None:
+                kept += pack(t, x0, x1, v0, v1)
+            if t > cap:
+                break
+        out.append((x0, x1, v0, v1))
+        ends.append((gone, t))
+    out = np.array(out).reshape(-1, 4)
     return out if stop is None else (out, ends)
 
 
 def _flow(metric):
-    """Right-hand side of the geodesic flow on rows ``(x, v)``; columns past
-    the fourth hold a vector ``w`` carried along by parallel transport."""
+    """Right-hand side of the geodesic flow on rows ``(x, v)``; ``rhs.grad`` feeds ``_rk4_floats``."""
     def rhs(y):
-        x, v = y[:, :2], y[:, 2:4]
-        parts = [v, metric.accel(x, v)]
-        if y.shape[1] > 4:
-            parts.append(metric.transport_deriv(x, v, y[:, 4:]))
-        return np.concatenate(parts, axis=1)
-    # euclidean (x, v, w) rows stay on numpy: its zeros and the kernel's transport term differ in the sign of zero
-    rhs.grad, rhs.widths = metric.grad_floats, (4,) if isinstance(metric, EuclideanMetric) else (4, 6)
+        x, v = y[:, :2], y[:, 2:]
+        return np.concatenate([v, metric.accel(x, v)], axis=1)
+    rhs.grad = metric.grad_floats
     return rhs
 
 
@@ -566,10 +514,10 @@ def _radius(x):
 
 
 def _outside(x, rule=np.greater_equal):
-    """Which rows have left the disk, as ``rule(_radius(x), DISK_RADIUS)`` tells: the tracer's ``>=`` or the
-    transport's ``>``.  None for no row when every row is more than 1e-15 inside the circle, where ``_radius``
-    keeps ``np.hypot``'s value: up to ``FLOAT_ROWS`` rows ``x0*x0 + x1*x1 < (1 - 2e-15)**2`` in Python floats
-    tells, past them one ``np.hypot`` and one max.  A NaN row fails either test and takes the rule."""
+    """Which rows have left the disk, as ``rule(_radius(x), DISK_RADIUS)`` tells: the tracer's ``>=`` or
+    ``flow_geodesics``' ``>``.  None for no row when every row is more than 1e-15 inside the circle, where
+    ``_radius`` keeps ``np.hypot``'s value: up to ``FLOAT_ROWS`` rows ``x0*x0 + x1*x1 < (1 - 2e-15)**2`` in Python
+    floats tells, past them one ``np.hypot`` and one max.  A NaN row fails either test and takes the rule."""
     inside = (all(a * a + b * b < (1.0 - 2e-15) ** 2 for a, b in x[:, :2].tolist()) if len(x) <= FLOAT_ROWS
               else np.hypot(x[:, 0], x[:, 1]).max() < DISK_RADIUS - 1e-15)
     return None if inside else rule(_radius(x), DISK_RADIUS)
@@ -658,14 +606,14 @@ def _exit_guess(rhs, y0, step):
 
 
 def _lockstep(metric, y, h, steps, rule):
-    """Step the rows ``(x, v, ...)`` of ``y`` together by RK4 steps of ``h``, a scalar or an ``(N, 1)`` column, each
-    with the arithmetic of a one-row run, while more than ``FLOAT_ROWS`` are left (or any, where ``rk4`` has no float
-    kernel).  Row ``i`` takes ``steps[i]`` steps, or stops at the first whose new position ``_outside(.., rule)``
-    marks.  After each step it yields the rows that go on with their new states, and the stopped with their old."""
+    """Step the rows ``(x, v)`` of ``y`` together by RK4 steps of ``h``, a scalar or an ``(N, 1)`` column, each with
+    the arithmetic of a one-row run, while more than ``FLOAT_ROWS`` are left.  Row ``i`` takes ``steps[i]`` steps, or
+    stops at the first whose new position ``_outside(.., rule)`` marks.  After each step it yields the rows that go
+    on with their new states, and the stopped with their old."""
     rhs, k, rows, per_row = _flow(metric), 0, np.flatnonzero(steps > 0), np.ndim(h) > 0
     cur, ends = y[rows], set(steps[rows].tolist())   # the step counts that rows end at
     none = rows[:0], y[:0]   # no row stopped at the step
-    while len(rows) > FLOAT_ROWS or rows.size and y.shape[1] not in rhs.widths:
+    while len(rows) > FLOAT_ROWS:
         k += 1
         nxt = rk4(rhs, cur, h[rows] if per_row else h)
         gone, before = none
@@ -857,20 +805,18 @@ def trace_geodesic(metric: MetricField, start: UnitTangent, step: float = DEFAUL
     return unwrap(trace_geodesics(metric, [start], step)[0])
 
 
-def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float = DEFAULT_STEP) -> list:
-    """Advance every ``(x, v, w)`` its own arclength along its geodesic, in lockstep.
+def flow_geodesics(metric: MetricField, starts, lengths, step: float = DEFAULT_STEP) -> list:
+    """Advance every start its own arclength along its geodesic, in lockstep.
 
-    Lane ``i`` starts at ``starts[i]`` with ``w = frames[i]`` and takes
-    ``ceil(lengths[i] / step)`` equal steps; ``w`` obeys the parallel
-    transport equation.  Returns one entry per lane: its final ``(x, v, w)``,
-    or its error: a bad length or step, or an exit before the length is covered.
-    A length above ``ARCLENGTH_CAP``, the tracer's trapping cap, is a bad length, and a step
-    with which that cap takes more than 2**63 steps is a bad step.
+    Lane ``i`` starts at ``starts[i]`` and takes ``ceil(lengths[i] / step)`` equal steps.  Returns one
+    entry per lane: its final ``(x, v)``, or its error: a bad length or step, or an exit before the
+    length is covered.  A length above ``ARCLENGTH_CAP``, the tracer's trapping cap, is a bad length,
+    and a step with which that cap takes more than 2**63 steps is a bad step.
     """
     out, n_steps = [None] * len(lengths), np.zeros(len(lengths), dtype=int)
     for i, length in enumerate(lengths):
         if not 0 < length <= ARCLENGTH_CAP:
-            out[i] = SceneValidationError(f"transport length must be positive and at most {ARCLENGTH_CAP:g}")
+            out[i] = SceneValidationError(f"flow length must be positive and at most {ARCLENGTH_CAP:g}")
         elif not (math.isfinite(step) and step > 0):
             out[i] = SceneValidationError("integrator step must be positive and finite")
         elif not ARCLENGTH_CAP / step < 2.0**63:
@@ -879,8 +825,7 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
                                           f"an arclength of {ARCLENGTH_CAP:g} would take more than 2**63 steps")
         else:
             n_steps[i] = max(1, int(math.ceil(length / step)))
-    y = np.array([np.concatenate([s.x, s.v, np.asarray(w, dtype=float)])
-                  for s, w in zip(starts, frames)]).reshape(-1, 6)
+    y = np.array([np.concatenate([s.x, s.v]) for s in starts]).reshape(-1, 4)
     h = (np.asarray(lengths, dtype=float) / np.maximum(n_steps, 1))[:, None]
     # a lane on the unit circle goes on: it has left only past it, _radius > DISK_RADIUS
     k, rows, gone = 0, np.flatnonzero(n_steps > 0), []
@@ -891,7 +836,7 @@ def flow_with_frames(metric: MetricField, starts, frames, lengths, step: float =
     y[rows], ends = _rk4_floats(metric.grad_floats, y[rows], h[rows], (n_steps[rows] - k).tolist(), np.greater)
     for i in gone + [i for i, (left, _) in zip(rows.tolist(), ends) if left]:
         out[i] = FanConstructionError(f"base geodesic exits the disk before reaching offset {lengths[i]:g}")
-    return [(y[i, :2], y[i, 2:4], y[i, 4:]) if e is None else e for i, e in enumerate(out)]
+    return [(y[i, :2], y[i, 2:]) if e is None else e for i, e in enumerate(out)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .geometry import (
     GeodesicPath,
     MetricField,
     PathStack,
-    flow_with_frames,
+    flow_geodesics,
     trace_geodesics,
     unit_tangent,
     unwrap,
@@ -219,13 +219,11 @@ def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
                   step: float = DEFAULT_STEP) -> list:
     """Build the offset geodesics of several ``(v, h)`` members at one anchor x.
 
-    ``x`` must be a boundary point and each ``v`` an inward unit direction
-    within 30 degrees of the inward normal.  The normal of ``v`` (rotated by
-    ``sign * pi/2``) is parallel-transported to distance h, and the maximal
-    geodesic through that point in the transported direction is traced.
-    The transports of all members run in lockstep, and so do their traces.
-    Returns one entry per member: its traced GeodesicPath, or the error
-    that building it raises.
+    ``x`` must be a boundary point and each ``v`` an inward unit direction within 30 degrees of the
+    inward normal.  The normal of ``v`` (rotated by ``sign * pi/2``) is parallel-transported to
+    distance h, and the maximal geodesic through that point in the transported direction is traced.
+    The flows of all members run in lockstep, and so do their traces.  Returns one entry per member:
+    its traced GeodesicPath, or the error that building it raises.
     """
     x = np.asarray(x, dtype=float)
     if abs(math.hypot(x[0], x[1]) - DISK_RADIUS) > BOUNDARY_TOL:
@@ -241,23 +239,19 @@ def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
                 )
             if h <= 0:
                 raise SceneValidationError("fan offset h must be positive")
-            anchored.append((len(out), anchor, h, metric.rotate90(x, anchor.v, sign=sign)))
+            anchored.append((len(out), anchor, h))
             out.append(None)
         except GeoxrayError as exc:
             out.append(exc)
-    flows = flow_with_frames(metric, [a[1] for a in anchored], [a[3] for a in anchored],
-                             [a[2] for a in anchored], step=step)
-    for (i, _anchor, h, _w0), flow in zip(anchored, flows):
+    flows = flow_geodesics(metric, [a[1] for a in anchored], [a[2] for a in anchored], step=step)
+    for (i, _anchor, h), flow in zip(anchored, flows):
         try:
-            p, v_h, w_h = unwrap(flow)
+            p, v_h = unwrap(flow)
             if math.hypot(p[0], p[1]) > DISK_RADIUS - 1e-12:
                 raise FanConstructionError(f"offset point for h={h:g} is not interior")
-            ortho = metric.inner(p, w_h, v_h)
-            if abs(ortho) > 1e-8:
-                raise FanConstructionError(
-                    f"transported normal lost orthogonality ({ortho:.2e}); decrease the step"
-                )
-            out[i] = unit_tangent(metric, p, w_h)
+            # the rotation by sign * pi/2 is parallel on an oriented surface (do Carmo, Riemannian Geometry, ch. 2-3:
+            # transport keeps angles and orientation), so the transported normal of v is the normal of v_h
+            out[i] = unit_tangent(metric, p, metric.rotate90(p, v_h, sign=sign))
         except GeoxrayError as exc:
             out[i] = exc
     return trace_geodesics(metric, out, step=step)

@@ -3,7 +3,8 @@
 Everything here derives expected values by a different route than the
 library code under test: half-plane interval clipping instead of bisection
 on sampled sign functions, central finite differences instead of closed-form
-derivatives, plain quadrature instead of tangent differences.
+derivatives, plain quadrature instead of tangent differences, and parallel
+transport integrated as an ODE instead of the closed-form rotated velocity.
 """
 
 import math
@@ -140,3 +141,22 @@ def observed_order(values):
     if d2 == 0:
         return math.inf
     return math.log2(d1 / d2)
+
+
+def transport_rhs(metric, y):
+    """Geodesic flow with parallel transport on rows ``(x, v, w)``: ``x' = v``, ``v' = -Gamma(v, v)`` and
+    ``w' = -Gamma(v, w)``, with ``Gamma^i_jk = delta_ij d_k + delta_ik d_j - delta_jk d_i`` of
+    ``g = exp(2 lam) delta`` written out from ``d = lam_grad``."""
+    x, v, w = y[:, :2], y[:, 2:4], y[:, 4:]
+    d = metric.lam_grad(x)
+    dv, dw, vv, vw = ((a * b).sum(axis=1, keepdims=True) for a, b in ((d, v), (d, w), (v, v), (v, w)))
+    return np.concatenate([v, vv * d - 2.0 * dv * v, vw * d - dw * v - dv * w], axis=1)
+
+
+def transport_step(metric, y, h):
+    """One classical Runge-Kutta step of ``transport_rhs`` for every row of ``y``."""
+    k1 = transport_rhs(metric, y)
+    k2 = transport_rhs(metric, y + 0.5 * h * k1)
+    k3 = transport_rhs(metric, y + 0.5 * h * k2)
+    k4 = transport_rhs(metric, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

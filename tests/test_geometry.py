@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 import geoxray as gx
 from geoxray.geometry import (EVENT_WIDTH, EXIT_BLOCK, FLOAT_ROWS, _bisect_lanes, _flow, _outside, _radius,
-                              _rk4_floats, _trace_rows, boundary_tangents, disk_grid, flow_with_frames, rk4,
-                              speed_defect)
+                              _rk4_floats, _trace_rows, boundary_tangents, disk_grid, flow_geodesics, rk4,
+                              speed_defect, unit_tangents)
 from geoxray.scene import random_chord_descriptors, scene_chord_descriptors
 
 from conftest import chord_start, run_bounded
 from golden.make_paths import TRACERS, digest
-from oracles import fd_christoffel, fd_covariant_hessian_min, observed_order
+from oracles import fd_christoffel, fd_covariant_hessian_min, observed_order, transport_step
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def test_exit_test_matches_radius_rule():
     for rows_at in [rng.permutation(len(x))[:n] for n in (1, 7, 300, len(x))] + [np.arange(4001)]:
         got, want = _outside(x[rows_at]), _radius(x[rows_at]) >= 1.0
         assert np.array_equal(np.zeros(len(rows_at), dtype=bool) if got is None else got, want)
-        # the transport's rule: a row on the circle has not left
+        # flow_geodesics' rule: a row on the circle has not left
         got, want = _outside(x[rows_at], np.greater), _radius(x[rows_at]) > 1.0
         assert np.array_equal(np.zeros(len(rows_at), dtype=bool) if got is None else got, want)
     # rows all more than 1e-15 inside: one np.hypot and one max tell, and none leaves
@@ -377,16 +377,15 @@ def test_exits_are_located_with_one_check_per_block(monkeypatch, plan):
     assert len(calls) == (1 if plan == "forward-refined" else 6)
 
 
-@pytest.mark.parametrize("x0, exits_in_step, transported", [
+@pytest.mark.parametrize("x0, exits_in_step, flowed", [
     (0.625, True, True), (0.625 - 2.0**-53, False, True), (0.625 + 2.0**-52, True, False)])
-def test_exit_rules_on_the_unit_circle(euclidean, x0, exits_in_step, transported):
+def test_exit_rules_on_the_unit_circle(euclidean, x0, exits_in_step, flowed):
     # one euclidean step of 0.375 along the x axis lands exactly on 1 - 2**-53, 1 or 1 + 2**-52:
-    # a row on the circle has left the tracer (>=), but goes on in the transport (>)
+    # a row on the circle has left the tracer (>=), but goes on in flow_geodesics (>)
     (path,) = _trace_rows(euclidean, np.array([[x0, 0.0, 1.0, 0.0]]), 0.375)[1]
     assert (path.t[-1] < 0.375) == exits_in_step and path.n_samples == 2
-    (lane,) = flow_with_frames(euclidean, [gx.unit_tangent(euclidean, [x0, 0.0], [1.0, 0.0])], [[0.0, 1.0]],
-                               [0.375], step=0.375)
-    if transported:
+    (lane,) = flow_geodesics(euclidean, [gx.unit_tangent(euclidean, [x0, 0.0], [1.0, 0.0])], [0.375], step=0.375)
+    if flowed:
         assert lane[0].tolist() == [x0 + 0.375, 0.0]
     else:
         assert isinstance(lane, gx.FanConstructionError)
@@ -397,38 +396,30 @@ FAMILIES = [("euclidean", []), ("conformal-radial", [0.3]), ("conformal-gaussian
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_float_kernel_matches_numpy_step(family, params):
-    # rk4 steps a few rows (x, v) or (x, v, w) in Python floats: each row must get numpy's bits, signed zeros
-    # included, for a scalar step and for a column of steps.  Python's v ** 2 differs from numpy's square on
-    # about 1 value in 1,200 and math.exp from np.exp on a few percent, so 100,000 random rows in the disk,
-    # 1,000 rows whose one speed component squares differently by pow, the same 1,000 values in a frame
-    # component, and 1,000 rows with signed zeros catch a kernel written with either or reassociated; the
-    # step of 0.5 carries a last-bit slip at a later stage into the result, where 0.01 rounds it away
+    # rk4 steps a few rows (x, v) in Python floats: each row must get numpy's bits, signed zeros included,
+    # for a scalar step and for a column of steps.  Python's v ** 2 differs from numpy's square on about
+    # 1 value in 1,200 and math.exp from np.exp on a few percent, so 100,000 random rows in the disk, 1,000
+    # rows whose one speed component squares differently by pow, and 1,000 rows with signed zeros catch a
+    # kernel written with either or reassociated; the step of 0.5 carries a last-bit slip at a later stage
+    # into the result, where 0.01 rounds it away
     rng = np.random.default_rng(17)
     n = 100_000
-    r, a, b, c = np.sqrt(rng.uniform(0.0, 1.0, n)), *rng.uniform(0.0, 2.0 * math.pi, (3, n))
-    speed, size = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
-    y = np.column_stack([r * np.cos(a), r * np.sin(a), speed * np.cos(b), speed * np.sin(b),
-                         size * np.cos(c), size * np.sin(c)])
+    r, a, b = np.sqrt(rng.uniform(0.0, 1.0, n)), *rng.uniform(0.0, 2.0 * math.pi, (2, n))
+    speed = rng.uniform(0.1, 2.0, n)
+    y = np.column_stack([r * np.cos(a), r * np.sin(a), speed * np.cos(b), speed * np.sin(b)])
     odd = [s for s in rng.uniform(-2.0, 2.0, 2_000_000).tolist() if s ** 2 != s * s][:1000]
-    y[:1000, 2:4] = y[1000:2000, 4:] = np.column_stack([odd, np.zeros(len(odd))])
-    zeros = rng.uniform(size=(1000, 6)) < 0.3
+    y[:1000, 2:] = np.column_stack([odd, np.zeros(len(odd))])
+    zeros = rng.uniform(size=(1000, 4)) < 0.3
     y[2000:3000][zeros] = np.where(rng.uniform(size=zeros.sum()) < 0.5, 0.0, -0.0)
     rhs = _flow(gx.metric_from_config(family, params))
     assert len(odd) == 1000 and len(y) > FLOAT_ROWS and np.signbit(y[2000:3000][zeros]).any()
-    for width in (4, 6):
-        rows = y[:, :width]
-        for h in (0.01, 0.5, rng.uniform(0.0, 0.05, (n, 1))):
-            want = rk4(rhs, rows, h)
-            if width in rhs.widths:
-                assert _rk4_floats(rhs.grad, rows, h).tobytes() == want.tobytes()
-            # as rk4 takes them a few at a time: the signed-zero rows, and the first ones of each kind
-            for i in (*range(2000, 3000, FLOAT_ROWS), 0, 1000):
-                few = rk4(rhs, rows[i:i + FLOAT_ROWS], h if np.ndim(h) == 0 else h[i:i + FLOAT_ROWS])
-                assert few.tobytes() == want[i:i + FLOAT_ROWS].tobytes()
-    # euclidean rows (x, v, w) stay on numpy: its exact zeros keep no -0.0 that the float kernel would
-    flat = _flow(gx.metric_from_config("euclidean"))
-    row = np.array([[0.5, 0.0, 1.0, 0.0, -0.0, 1.0]])
-    assert np.signbit(_rk4_floats(flat.grad, row, 0.01)[0, 4]) and not np.signbit(rk4(flat, row, 0.01)[0, 4])
+    for h in (0.01, 0.5, rng.uniform(0.0, 0.05, (n, 1))):
+        want = rk4(rhs, y, h)
+        assert _rk4_floats(rhs.grad, y, h).tobytes() == want.tobytes()
+        # as rk4 takes them a few at a time: the signed-zero rows, and the first ones of each kind
+        for i in (*range(2000, 3000, FLOAT_ROWS), 0, 1000):
+            few = rk4(rhs, y[i:i + FLOAT_ROWS], h if np.ndim(h) == 0 else h[i:i + FLOAT_ROWS])
+            assert few.tobytes() == want[i:i + FLOAT_ROWS].tobytes()
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
@@ -534,16 +525,38 @@ def parallel_transport(metric, path, w0):
     """Transport ``w0`` along the path samples; returns an ``(n, 2)`` array.
 
     On each sample interval ``(x, v, w)`` starts from the sample's ``(x, v)``
-    and takes two ``rk4`` substeps of the geodesic flow with ``w`` carried by
-    ``w' = -Gamma(x)(v, w)``, so no accuracy is lost against the tracer.
+    and takes two substeps of the oracle's RK4 ``transport_step``, with ``w``
+    carried by ``w' = -Gamma(x)(v, w)``, so no accuracy is lost against the tracer.
     """
-    rhs = _flow(metric)
     out = np.empty((path.n_samples, 2))
     out[0] = np.asarray(w0, dtype=float)
     for i, h in enumerate(np.diff(path.t) / 2.0):
         y = np.concatenate([path.x[i], path.v[i], out[i]])[None]
-        out[i + 1] = rk4(rhs, rk4(rhs, y, h), h)[0, 4:]
+        out[i + 1] = transport_step(metric, transport_step(metric, y, h), h)[0, 4:]
     return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("family,params", [
+    ("euclidean", []), ("conformal-radial", [0.05]), ("conformal-radial", [1.0]),
+    ("conformal-gaussian", [1.0, 0.0, 0.0, 0.5])])
+def test_transported_normal_is_the_rotated_velocity(family, params, sign):
+    # fan_geodesics takes the transported normal as rotate90(x, v, sign): the rotation by sign * pi/2 is
+    # parallel, and the RK4 stages of w = Jv are J of the stages of v, so the oracle's joint transport of
+    # rotate90(x0, v0, sign) stays rotate90(x, v, sign) at every step up to rounding
+    metric = gx.metric_from_config(family, params)
+    rng = np.random.default_rng(5)
+    r, a, b = np.sqrt(rng.uniform(0.0, 0.36, 30)), *rng.uniform(0.0, 2.0 * math.pi, (2, 30))
+    x, v = unit_tangents(metric, np.column_stack([r * np.cos(a), r * np.sin(a)]),
+                         np.column_stack([np.cos(b), np.sin(b)]))
+    y = np.column_stack([x, v, [metric.rotate90(p, u, sign=sign) for p, u in zip(x, v)]])
+    w0 = y[:, 4:].copy()
+    for _ in range(30):
+        y = transport_step(metric, y, 0.01)
+        normal = np.array([metric.rotate90(row[:2], row[2:4], sign=sign) for row in y])
+        assert np.abs(y[:, 4:] - normal).max() <= 1e-15
+    # the normal turned in the chart wherever the metric is curved
+    assert (np.abs(y[:, 4:] - w0).max() > 1e-3) == (family != "euclidean")
 
 
 def test_transport_lanes_do_not_interact(conformal05):
@@ -551,12 +564,11 @@ def test_transport_lanes_do_not_interact(conformal05):
     # with a bad length, in one call: each is, bit for bit, a call on it alone
     starts = [gx.boundary_tangent(conformal05, a, a + math.pi - d)
               for a, d in ((0.3, 0.2), (1.9, 0.5), (4.0, 1.2), (2.5, 0.1), (5.1, 0.0))]
-    frames = [conformal05.rotate90(s.x, s.v) for s in starts]
     lengths = [0.0537, 0.7123, 3.5, -1.0, 1.3049]
-    lanes = flow_with_frames(conformal05, starts, frames, lengths, step=0.01)
+    lanes = flow_geodesics(conformal05, starts, lengths, step=0.01)
     assert isinstance(lanes[2], gx.FanConstructionError) and isinstance(lanes[3], gx.SceneValidationError)
-    for lane, start, frame, length in zip(lanes, starts, frames, lengths):
-        (alone,) = flow_with_frames(conformal05, [start], [frame], [length], step=0.01)
+    for lane, start, length in zip(lanes, starts, lengths):
+        (alone,) = flow_geodesics(conformal05, [start], [length], step=0.01)
         if isinstance(alone, gx.GeoxrayError):
             assert (type(lane), str(lane)) == (type(alone), str(alone))
         else:
@@ -566,19 +578,18 @@ def test_transport_lanes_do_not_interact(conformal05):
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_transport_lanes_do_not_depend_on_the_lanes_in_flight(family, params):
     # 2 * FLOAT_ROWS lanes of spread lengths, some of which leave the disk first: rk4 takes numpy while more
-    # than FLOAT_ROWS lanes are in flight and Python floats after (but on a euclidean metric); alone, each
-    # lane steps in floats throughout.  The last lane, along the x axis, carries a frame with a -0.0 component
+    # than FLOAT_ROWS lanes are in flight and Python floats after; alone, each lane steps in floats throughout.
+    # The last two lanes run along the x axis
     metric = gx.metric_from_config(family, params)
     starts = [gx.boundary_tangent(metric, a, a + math.pi - d)
               for a, d in zip(np.linspace(0.0, 6.0, 2 * FLOAT_ROWS - 2), np.linspace(0.0, 1.45, 2 * FLOAT_ROWS - 2))]
     starts += [gx.boundary_tangent(metric, 0.0, math.pi), gx.boundary_tangent(metric, math.pi, 0.0)]
-    frames = [metric.rotate90(s.x, s.v) for s in starts]
     lengths = np.linspace(0.05, 1.9, len(starts)).tolist()
-    lanes = flow_with_frames(metric, starts, frames, lengths, step=0.01)
-    assert np.signbit(frames[-1]).any() and sum(isinstance(lane, tuple) for lane in lanes) > FLOAT_ROWS
+    lanes = flow_geodesics(metric, starts, lengths, step=0.01)
+    assert sum(isinstance(lane, tuple) for lane in lanes) > FLOAT_ROWS
     assert any(isinstance(lane, gx.FanConstructionError) for lane in lanes)
-    for lane, start, frame, length in zip(lanes, starts, frames, lengths):
-        (alone,) = flow_with_frames(metric, [start], [frame], [length], step=0.01)
+    for lane, start, length in zip(lanes, starts, lengths):
+        (alone,) = flow_geodesics(metric, [start], [length], step=0.01)
         if isinstance(alone, gx.GeoxrayError):
             assert (type(lane), str(lane)) == (type(alone), str(alone))
         else:

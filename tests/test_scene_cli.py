@@ -354,7 +354,7 @@ def test_flow_with_frame_rejects_non_finite(length, step):
     m = gx.metric_from_config("euclidean")
     start = gx.unit_tangent(m, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(gx.SceneValidationError):
-        gx.geometry.unwrap(gx.geometry.flow_with_frames(m, [start], [[0.0, 1.0]], [length], step=step)[0])
+        gx.geometry.unwrap(gx.geometry.flow_geodesics(m, [start], [length], step=step)[0])
 
 
 @pytest.mark.parametrize("length, error", [
@@ -362,14 +362,14 @@ def test_flow_with_frame_rejects_non_finite(length, step):
     (2.0 ** 60, "SceneValidationError"), (2.0 ** 1023, "SceneValidationError"),
 ])
 def test_long_transport_ends_with_its_lane_error(length, error):
-    # once every lane had left the disk, the transport kept stepping no lanes up
+    # once every lane had left the disk, the flow kept stepping no lanes up
     # to ceil(length / step) times, and a huge length overflowed the step count;
     # a lane that exits ends the loop, and a length above ARCLENGTH_CAP is an error
     done = run_bounded(
         "import sys, geoxray as gx\n"
         "m = gx.metric_from_config('euclidean')\n"
         "start = gx.unit_tangent(m, [0.0, 0.0], [1.0, 0.0])\n"
-        "(out,) = gx.geometry.flow_with_frames(m, [start], [[0.0, 1.0]], [float(sys.argv[1])], step=1e-4)\n"
+        "(out,) = gx.geometry.flow_geodesics(m, [start], [float(sys.argv[1])], step=1e-4)\n"
         "print(type(out).__name__)\n",
         repr(length), timeout=15)
     assert done.returncode == 0, done.stderr
@@ -535,7 +535,7 @@ def test_fan_offset_out_of_range_exits_with_one_error_line(tmp_path, exponent):
 
 @pytest.mark.parametrize("step", ["1e-20", "1e-300", "1e-15", "2.2e-17"])
 def test_step_too_small_to_count_exits_with_one_error_line(tmp_path, step):
-    # the transport of each fan member counts its steps in int64: the first two
+    # the flow of each fan member to its offset counts its steps in int64: the first two
     # steps ended in OverflowError tracebacks with exit 1, and the last two, whose
     # counts fit in int64 but take years, hung; the scene's step is now checked
     # against MAX_TRACE_STEPS at load, before anything is traced

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoxray as gx
-from geoxray.geometry import flow_with_frames, unwrap
+from geoxray.geometry import flow_geodesics, unwrap
 from geoxray.tiling import Sector, SectorFan
 from geoxray.transform import sector_chord_lengths
 
@@ -266,9 +266,8 @@ def test_fan_geodesic_flat_vertical_chord(euclidean):
     # path is the vertical chord through (0.9, 0)
     assert np.max(np.abs(path.x[:, 0] - 0.9)) <= 1e-12
     anchor = gx.unit_tangent(euclidean, [1.0, 0.0], [-1.0, 0.0])
-    _, _, w_h = unwrap(flow_with_frames(euclidean, [anchor], [euclidean.rotate90(anchor.x, anchor.v)], [0.1],
-                                        step=1e-3)[0])
-    assert abs(abs(w_h[1]) - 1.0) <= 1e-12
+    p, v_h = unwrap(flow_geodesics(euclidean, [anchor], [0.1], step=1e-3)[0])
+    assert abs(abs(euclidean.rotate90(p, v_h)[1]) - 1.0) <= 1e-12
     assert path.endpoints_on_boundary
 
 
@@ -281,15 +280,16 @@ def test_fan_geodesic_flat_any_direction_orthogonal_line(euclidean):
 
 
 def test_fan_geodesic_conformal_orthogonality(conformal05):
-    path = unwrap(gx.fan_geodesics(conformal05, [1.0, 0.0], [([-1.0, 0.0], 0.15)], step=1e-3)[0])
     anchor = gx.unit_tangent(conformal05, [1.0, 0.0], [-1.0, 0.0])
-    w0 = conformal05.rotate90(anchor.x, anchor.v)
-    p, v_h, w_h = unwrap(flow_with_frames(conformal05, [anchor], [w0], [0.15], step=1e-3)[0])
-    # the member is the geodesic through the transported point along the transported normal
-    (at,) = np.flatnonzero((path.x == p).all(axis=1))
-    assert np.array_equal(path.v[at], gx.unit_tangent(conformal05, p, w_h).v)
-    assert abs(conformal05.inner(p, w_h, v_h)) <= 1e-8
-    assert abs(conformal05.norm(p, w_h) - 1.0) <= 1e-8
+    p, v_h = unwrap(flow_geodesics(conformal05, [anchor], [0.15], step=1e-3)[0])
+    for sign in (1, -1):
+        path = unwrap(gx.fan_geodesics(conformal05, [1.0, 0.0], [([-1.0, 0.0], 0.15)], sign=sign, step=1e-3)[0])
+        w_h = conformal05.rotate90(p, v_h, sign=sign)
+        # the member is the geodesic through the transported point along the transported normal
+        (at,) = np.flatnonzero((path.x == p).all(axis=1))
+        assert np.array_equal(path.v[at], gx.unit_tangent(conformal05, p, w_h).v)
+        assert abs(conformal05.inner(p, w_h, v_h)) <= 1e-8
+        assert abs(conformal05.norm(p, w_h) - 1.0) <= 1e-8
 
 
 def test_fan_geodesic_rejects_too_large_offset(euclidean):
