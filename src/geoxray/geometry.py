@@ -5,20 +5,19 @@ to the flat metric, ``g_ij(x) = exp(2*lam(x)) * delta_ij``, with the profile
 ``lam`` and its gradient available in closed form; no metric quantity is
 ever differentiated numerically.
 
-Geodesics are integrated with one fixed-step classical Runge-Kutta scheme,
-``rk4``, in the state ``(x, v)``, in one lockstep loop, ``_lockstep``: the rows
-of a call advance as one array, each to its own step count or to the step that
-its caller's exit test marks, while more than ``FLOAT_ROWS`` are left; then each
-walks on alone to its end in Python floats.  The tracer's exits are located
-together by bisection on ``|x| - 1`` inside the steps that crossed, on the turns
-a Newton guess predicts as far as the exit test, checking them all at once,
-agrees: the guess decides no turn.  Each row gets the arithmetic of a one-row
-run bit for bit, so a path does not depend on what it was traced with.  Paths
-are unit speed in ``g``, so the curve parameter is arclength.  One gather lays
-the paths of a call end to end in one ``PathStack``, and each GeodesicPath is a
-view of it; clipping and integration read that stack as it is.  Paths are
-evaluated in one place, the stack: one bisection finds every query's sample
-interval, for cubic Hermite interpolation.
+Geodesics are integrated with one fixed-step classical Runge-Kutta scheme, ``rk4``, in the
+state ``(x, v)``, in one lockstep loop, ``_lockstep``: the rows of a call advance as one
+array, each to its own step count or to the step that its caller's exit test marks, while
+more than ``FLOAT_ROWS`` are left; then each walks on alone to its end in Python floats.
+The tracer's exits are located together by bisection on ``|x| - 1`` inside the steps that
+crossed, on the turns a Newton guess predicts as far as the exit test, checking them all at
+once, agrees: the guess decides no turn; the clipper's crossings take the same
+``_bisect_lanes``.  Each row gets the arithmetic of a one-row run bit for bit, so a path
+does not depend on what it was traced with.  Paths are unit speed in ``g``, so the curve
+parameter is arclength.  One gather lays the paths of a call end to end in one
+``PathStack``, and each GeodesicPath is a view of it; clipping and integration read that
+stack as it is.  Paths are evaluated in one place, the stack: one bisection finds every
+query's sample interval, for cubic Hermite interpolation.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,12 +57,14 @@ LAM_LIMIT = 0.5 * math.log(sys.float_info.max)
 # step of 24 rows costs 28-47 / 94-104 / 130-161 us on euclidean / conformal-radial / conformal-gaussian and a
 # float row 2.0-3.2 / 3.3-3.7 / 5.4-6.3 us: crossovers near 15, 29 and 24 rows
 FLOAT_ROWS = 24
-# Midpoints per call of the exit check; at 8192 the demo plan's tracemalloc peak rises from 4.62 to 4.90 MB.
+# Midpoints per call of the exit check, on the tracer's 4-value lanes (wider lanes take proportionally fewer); at
+# 8192 the demo plan's tracemalloc peak rises from 4.62 to 4.90 MB.
 EXIT_BLOCK = 4096
 # _verified_walk walks up to this many lanes in Python floats, and more in numpy, on the same midpoints.  On the
 # 2-vCPU host (medians of 201 alternations) a walk and its check take 0.33 / 0.72 ms (floats / numpy) on the
 # forward-refined plan's 4 exits, 1.98 / 1.95 ms on reconstruct-demo's 60, 1.79 / 1.67 ms on fan-limit's 80
-# and 8.5 / 6.1 ms on the 450 of the demo plan.
+# and 8.5 / 6.1 ms on the 450 of the demo plan.  The clipper guesses only up to it: its edge test costs what the
+# check does, and reconstruct-demo's 316 crossings took 4.9 ms bisected plainly, 6.1 / 7.1 ms guessed.
 WALK_LANES = 64
 
 
@@ -526,67 +528,56 @@ def _outside(x, rule=np.greater_equal):
 def _bisect_lanes(below, lo, hi, width, *lanes, guess=None):
     """Bisect every bracket ``[lo, hi]`` together until it is at most ``width`` wide.
 
-    ``below(mid, *lanes)`` tells, lane by lane, whether the root lies below
-    ``mid``; ``lanes`` are per-lane arrays it reads.  Lane by lane this is the
-    scalar loop ``hi = mid if below else lo = mid`` while ``hi - lo > width``.
-    Given a ``guess`` of each root, ``_verified_walk`` first takes each lane's turns up to the first
-    the guess predicts wrong; then each pass takes two turns with one call of ``below``, on the midpoint
-    and on both midpoints the next turn may need, so a pass costs few numpy calls however few lanes there
-    are; finished lanes are dropped.  Every turn is ``below``'s.  Returns the final midpoints.
+    ``below(mid, *lanes)`` tells, lane by lane, whether the root lies below ``mid``; ``lanes`` are per-lane
+    arrays it reads.  Lane by lane this is the scalar loop ``hi = mid if below else lo = mid`` while
+    ``hi - lo > width``.  Given a ``guess`` of each root, ``_verified_walk`` first takes each lane's turns up
+    to the first the guess predicts wrong; then each pass takes one turn with one call of ``below``, and
+    finished lanes are dropped.  Every turn is ``below``'s.  Returns the final midpoints.
     """
     width = np.broadcast_to(width, np.shape(lo))
     lo, hi = (lo, hi) if guess is None else _verified_walk(below, lo, hi, width, guess, lanes)
-    root = 0.5 * (lo + hi)
-    ids, lanes3 = np.arange(len(root)), None
-    busy = hi - lo > width
-    while True:
-        if lanes3 is None or not busy.all():
+    root, ids = 0.5 * (lo + hi), np.arange(len(lo))
+    while (busy := hi - lo > width).any():
+        if not busy.all():
             root[ids[~busy]] = 0.5 * (lo[~busy] + hi[~busy])
-            ids, lo, hi, width = ids[busy], lo[busy], hi[busy], width[busy]
-            lanes = [a[busy] for a in lanes]
-            lanes3 = [np.concatenate([a, a, a]) for a in lanes]
-        if not ids.size:
-            return root
-        mid = 0.5 * (lo + hi)
-        lo_mid, mid_hi = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        down, down_lo, down_hi = below(np.concatenate([mid, lo_mid, mid_hi]), *lanes3).reshape(3, -1)
+            ids, lo, hi, width, lanes = ids[busy], lo[busy], hi[busy], width[busy], [a[busy] for a in lanes]
+        down = below(mid := 0.5 * (lo + hi), *lanes)
         lo, hi = np.where(down, lo, mid), np.where(down, mid, hi)
-        # the second turn, for the lanes it is due on
-        mid, down = np.where(down, lo_mid, mid_hi), np.where(down, down_lo, down_hi)
-        busy = hi - lo > width
-        lo, hi = np.where(busy & ~down, mid, lo), np.where(busy & down, mid, hi)
-        busy = hi - lo > width
+    root[ids] = 0.5 * (lo + hi)
+    return root
 
 
 def _verified_walk(below, lo, hi, width, guess, lanes):
     """Each lane's bracket after its turns up to the first that ``below`` contradicts, taken its way, or after
     all: walked as the guess predicts (below where ``guess <= mid``), in Python floats up to ``WALK_LANES``
-    lanes and past them all lanes at once in numpy, on the same midpoints, checked in blocks."""
+    lanes and past them all lanes at once in numpy, on the same midpoints, checked in blocks: of ``EXIT_BLOCK``
+    midpoints of the tracer's lanes ``(x, v)``, proportionally fewer of wider lanes."""
     if len(lo) <= WALK_LANES:
-        mids, ends = [], []
+        mids, ends = array("d"), []   # 8 bytes a midpoint, against 32 in a list
         for l, h, w, g in zip(lo.tolist(), hi.tolist(), width.tolist(), guess.tolist()):
-            while h - l > w:   # a NaN guess predicts up at every turn
-                m = 0.5 * (l + h)
-                mids.append(m)
-                l, h = (l, m) if g <= m else (m, h)
+            while h - l > w:
+                mids.append(m := 0.5 * (l + h))
+                if g <= m:
+                    h = m
+                else:   # so a NaN guess predicts up at every turn
+                    l = m
             ends.append(len(mids))
-        mid, ends = np.array(mids), np.array(ends)
+        mid, ends = np.frombuffer(mids), np.array(ends)
     else:   # turn by turn; a finished lane's bracket only narrows, so it stays finished
         l, h, turns, busy_at = lo, hi, [], []
         while (busy := h - l > width).any():
-            m = 0.5 * (l + h)
-            down = guess <= m
-            turns.append(m)
+            turns.append(m := 0.5 * (l + h))
             busy_at.append(busy)
-            l, h = np.where(down, l, m), np.where(down, m, h)
+            l, h = np.where(guess <= m, l, m), np.where(guess <= m, m, h)
         busy = np.array(busy_at, dtype=bool).reshape(-1, len(lo)).T   # lane by lane, as the Python walk lays them
         mid, ends = np.array(turns).reshape(busy.T.shape).T[busy], np.cumsum(busy.sum(axis=1))
     if not mid.size:
         return lo, hi
     n = np.diff(ends, prepend=0)
     lane = np.repeat(np.arange(len(lo)), n)
-    told = np.concatenate([below(mid[j:j + EXIT_BLOCK], *(a[lane[j:j + EXIT_BLOCK]] for a in lanes))
-                           for j in range(0, len(mid), EXIT_BLOCK)])
+    block = 4 * EXIT_BLOCK // max(1, sum(a.size for a in lanes) // len(lo))
+    told = np.concatenate([below(mid[j:j + block], *(a[lane[j:j + block]] for a in lanes))
+                           for j in range(0, len(mid), block)])
     # a lane stops at its first contradicted turn, else its last, bounded by its last midpoints each way
     wrong = np.flatnonzero(told != (guess[lane] <= mid))
     first, stop = wrong[np.diff(lane[wrong], prepend=-1) != 0], ends - 1

@@ -115,7 +115,7 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
     metric = metric_from_config(metric_cfg.get("family"), metric_cfg.get("params", ()))
     tiling = _build_tiling(_section(raw, "tiling", required=True))
     weight = weight_from_config(_section(raw, "weight", required=True), metric, trace_step=step)
-    field = _build_field(_section(raw, "field", required=True), tiling, weight, np.random.default_rng(seed))
+    field = _build_field(_section(raw, "field", required=True), tiling, weight, seed)
 
     foliation = None
     if raw.get("foliation") is not None:
@@ -188,7 +188,7 @@ def _build_tiling(cfg) -> Tiling:
     raise SceneValidationError("scene.tiling: give a generator or vertices+triangles")
 
 
-def _build_field(cfg, tiling, weight, rng) -> PiecewiseConstantField:
+def _build_field(cfg, tiling, weight, seed) -> PiecewiseConstantField:
     k = config_number(cfg.get("k", weight.k), "scene.field.k", integer=True)
     if k != weight.k:
         raise SceneValidationError(f"scene.field.k: field k={k:g} does not match weight k={weight.k}")
@@ -204,8 +204,8 @@ def _build_field(cfg, tiling, weight, rng) -> PiecewiseConstantField:
         scale = config_number(rcfg.get("scale", 1.0), "scene.field.random.scale", minimum=0.0)
         if not 2.0 * scale < math.inf:
             raise SceneValidationError(f"scene.field.random.scale: {scale:g} overflows the width of [-scale, scale]")
-        return PiecewiseConstantField.random(tiling.n_triangles, k, rng, real=bool(rcfg.get("real", False)),
-                                             scale=scale)
+        return PiecewiseConstantField.random(tiling.n_triangles, k, np.random.default_rng(seed),
+                                             real=bool(rcfg.get("real", False)), scale=scale)
     if cfg.get("zero"):
         return PiecewiseConstantField.zero(tiling.n_triangles, k)
     raise SceneValidationError("scene.field: give values, random, or zero")

@@ -15,9 +15,11 @@ the boxes of runs of ``HULL_RUN`` intervals go through ``_box_pairs`` first, and
 intervals of a run that meets an edge are tested against it.  On those pairs crossings are
 bracketed on the sample grid, and a near-tangent interval that crosses an edge twice, with no
 sign change on the grid, is split at the cubic's interior extremum.
-One bisection then advances the brackets of all paths in lockstep, and one point location,
-``locate_points``, classifies the midpoints of all pieces.  Every lane does the arithmetic of a
-one-path clip, so a path's pieces do not depend on the plan; ``clip_plan`` returns them as arrays.
+One bisection advances the brackets of all paths in lockstep, up to ``WALK_LANES`` of them on the
+turns a Newton guess on each one's edge-line cubic predicts, all checked at once as at the tracer's
+exits; one point location, ``locate_points``, classifies the midpoints of all pieces.  Every lane does
+the arithmetic of a one-path clip, so a path's pieces do not depend on the plan; ``clip_plan``
+returns them as arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SceneValidationError, TangencyWarning
-from .geometry import DISK_RADIUS, MetricField, PathStack, _bisect_lanes, _hermite
+from .geometry import DISK_RADIUS, WALK_LANES, MetricField, PathStack, _bisect_lanes, _hermite
 
 BARY_TOL = 1e-12          # skeleton classification tolerance (barycentric)
 MIN_AREA = 1e-12
@@ -574,15 +576,16 @@ def _edge_crossings(tiling: Tiling, stack: PathStack):
     bisected in one lockstep pass, and exact zeros at samples."""
     t = stack.t
     a_all, e_all = tiling._edges[:2]
-    zeros, edge, i, tangent_edge, tangent_i = _brackets(tiling, stack)
-    brackets = [(edge, i, t[i], t[i + 1])] + _tangent_splits(stack, a_all, e_all, tangent_edge, tangent_i)
+    zeros, edge, i, *tangent = _brackets(tiling, stack)
+    brackets = [(edge, i, t[i], t[i + 1])] + (_tangent_splits(stack, a_all, e_all, *tangent) if tangent[1].size else [])
     edge, i, lo, hi = (np.concatenate(col) for col in zip(*brackets))
     lanes = _lanes(stack, a_all[edge], e_all[edge], i)
     # keep the half whose ends differ in sign; moving lo never changes its sign.
     # Beyond arclength 64 the float spacing exceeds CLIP_BISECT_WIDTH, so such
     # a lane stops at adjacent floats instead of halving forever.
     crossings = _bisect_lanes(lambda mid, lo_negative, *lanes: (_side(mid, *lanes) < 0) != lo_negative,
-                              lo, hi, np.maximum(CLIP_BISECT_WIDTH, np.spacing(hi)), _side(lo, *lanes) < 0, *lanes)
+                              lo, hi, np.maximum(CLIP_BISECT_WIDTH, np.spacing(hi)), _side(lo, *lanes) < 0, *lanes,
+                              guess=_crossing_guess(lanes, lo, hi) if len(lo) <= WALK_LANES else None)
     return np.searchsorted(stack.stop, np.concatenate([zeros, i]), side="right"), np.concatenate([t[zeros], crossings])
 
 
@@ -646,6 +649,21 @@ def _side(tt, t0, h, p0, m0, p1, m1, a, e):
     """Signed edge-line function of the path at times ``tt``, lane by lane: the
     arithmetic of ``path.position`` and ``_edge_side``, so bit for bit the scalar value."""
     return _edge_side(a, e, _hermite(p0, m0, p1, m1, ((tt - t0) / h)[:, None]))
+
+
+def _crossing_guess(lanes, lo, hi):
+    """Crossing times in the brackets ``[lo, hi]``: four Newton steps from the midpoint, kept in the bracket, on the
+    edge-line cubic ``c0 + c1 u + c2 u^2 + c3 u^3`` in ``u = (t - t0) / h``, whose Bernstein coefficients are its values
+    at the four control points (Sederberg and Nishita, "Curve intersection using Bezier clipping", 1990)."""
+    t0, h, p0, m0, p1, m1, a, e = lanes
+    c0, c1, f1, d1 = _edge_side(np.zeros(2), e, np.stack([p0 - a, m0, p1 - a, m1]))
+    c2, c3 = 3.0 * (f1 - c0) - 2.0 * c1 - d1, 2.0 * (c0 - f1) + c1 + d1
+    u_lo, u_hi = (lo - t0) / h, (hi - t0) / h
+    u, d2, d3 = 0.5 * (u_lo + u_hi), 2.0 * c2, 3.0 * c3
+    with np.errstate(all="ignore"):   # a flat cubic may divide by zero: the guess decides no turn
+        for _ in range(4):
+            u = np.minimum(np.maximum(u - (((c3 * u + c2) * u + c1) * u + c0) / ((d3 * u + d2) * u + c1), u_lo), u_hi)
+    return t0 + u * h
 
 
 def _edge_side(a, e, p):

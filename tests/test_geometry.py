@@ -357,7 +357,7 @@ def test_exit_times_do_not_depend_on_the_guess(monkeypatch, plan):
 @pytest.mark.parametrize("plan", ["forward-refined", "demo"])
 def test_exits_are_located_with_one_check_per_block(monkeypatch, plan):
     # every midpoint of every lane's predicted walk is checked EXIT_BLOCK to a call of below, and only
-    # the lanes it contradicts go on in passes of two turns: the plain passes took 19 calls on these plans.
+    # the lanes it contradicts go on in passes of one turn: plain bisection takes 37 calls on these plans.
     # The 4 chords take one check; the 450 take 5 checks of their 16,650 midpoints and one pass for the 4
     # lanes contradicted on their last turn but one, 3.6e-14 from the root
     metric = gx.metric_from_config("conformal-radial", [0.05])
@@ -369,7 +369,7 @@ def test_exits_are_located_with_one_check_per_block(monkeypatch, plan):
 
     def counted(below, lo, hi, width, *lanes, guess=None):
         _, walks, after = plain_bisect(below, lo, hi, np.broadcast_to(width, lo.shape), *lanes, guess=guess)
-        expected.append(-(-sum(walks) // EXIT_BLOCK) + -(-max(after) // 2))
+        expected.append(-(-sum(walks) // EXIT_BLOCK) + max(after))
         return bisect(lambda *a: calls.append(1) or below(*a), lo, hi, width, *lanes, guess=guess)
     monkeypatch.setattr(gx.geometry, "_bisect_lanes", counted)
     gx.trace_geodesics(metric, [gx.boundary_tangent(metric, a, d) for a, d in descriptors], step=0.01)

@@ -585,6 +585,22 @@ def test_reconstruct_roundtrip_and_recorded_identical(tmp_path):
             == (out_rec / "reconstruction_report.txt").read_bytes())
 
 
+def test_commands_that_draw_nothing_leave_numpy_random_unimported(tmp_path):
+    # a scene builds a random generator only where it draws (a random field, random chords, noise):
+    # limit-check on the demo scene and a noise-free reconstruct on a values field draw nothing
+    from golden.make_demo_outputs import SCENES
+
+    scene = reconstruct_scene()
+    scene["field"] = {"k": 2, "values": [[[1.0, 0.5], [-0.25, 2.0]]] * 24}
+    for command, path in (("limit-check", str(SCENES / "demo_limit_check.json")),
+                          ("reconstruct", write_scene(tmp_path, "s.json", scene))):
+        done = run_bounded("import sys; from geoxray import cli; code = cli.main(sys.argv[1:]); "
+                           "print('numpy.random' in sys.modules); sys.exit(code)",
+                           command, "--scene", path, "--out", str(tmp_path / command), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("row, line", [
     ("abc,0,1,0,1,0,1,0", 2),
     ("0.1,0.2,1,0,1,0", 2),

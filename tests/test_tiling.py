@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -338,6 +339,49 @@ def test_plan_clipper_matches_per_path_golden():
         assert len(paths) == want[name]["paths"] and len(pieces[0]) == want[name]["pieces"], name
         assert digest(len(paths), *pieces) == want[name]["sha256"], name
     assert set(want) == {name for name, _, _ in plans()}
+
+
+@pytest.mark.parametrize("walk", ["floats", "numpy"])
+def test_crossings_do_not_depend_on_the_guess(tmp_path, monkeypatch, walk):
+    # the Newton guess only predicts the bisection's turns, which _side then checks: on every plan of
+    # make_plan_clips.py (the near-tangent double crossing and the chords through vertices too) and the
+    # forward-refined plan, with the guess on every lane count, walked in Python floats or in numpy, the
+    # guess itself, NaN, either bracket end or a random point in the bracket give the crossings of plain
+    # bisection byte for byte; and plain bisection gives the golden pieces
+    from golden.make_plan_clips import OUT, digest, plans
+
+    want_digests = json.loads(OUT.read_text())
+    (refined, refined_paths), = workload_plans("forward-refined", tmp_path, monkeypatch)
+    rng = np.random.default_rng(4)
+    guesses = [gx.tiling._crossing_guess, lambda lanes, lo, hi: np.full(len(lo), np.nan),
+               lambda lanes, lo, hi: lo, lambda lanes, lo, hi: hi, lambda lanes, lo, hi: rng.uniform(lo, hi)]
+    monkeypatch.setattr(gx.geometry, "WALK_LANES", sys.maxsize if walk == "floats" else 0)
+    for name, tiling, paths in [*plans(), ("forward-refined", refined, refined_paths)]:
+        stack = PathStack.of(paths)
+        monkeypatch.setattr(gx.tiling, "WALK_LANES", 0)   # past the gate: no guess
+        want = [a.tobytes() for a in gx.tiling._edge_crossings(tiling, stack)]
+        if name in want_digests:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", gx.TangencyWarning)
+                assert digest(len(paths), *gx.tiling.clip_plan(tiling, paths)[1:]) == want_digests[name]["sha256"]
+        monkeypatch.setattr(gx.tiling, "WALK_LANES", sys.maxsize)
+        for guess in guesses:
+            monkeypatch.setattr(gx.tiling, "_crossing_guess", guess)
+            assert [a.tobytes() for a in gx.tiling._edge_crossings(tiling, stack)] == want, name
+
+
+def test_crossings_are_located_with_one_check_per_block(tmp_path, monkeypatch):
+    # the 40 crossing lanes of the 4 forward-refined chords: the 1,600 midpoints of their predicted walks
+    # are checked in two calls of below, and no lane is contradicted; two-turn plain passes took 20 calls
+    (tiling, paths), = workload_plans("forward-refined", tmp_path, monkeypatch)
+    bisect, lanes, calls = gx.tiling._bisect_lanes, [], []
+
+    def counted(below, lo, hi, width, *args, guess=None):
+        lanes.append(len(lo))
+        return bisect(lambda *a: calls.append(1) or below(*a), lo, hi, width, *args, guess=guess)
+    monkeypatch.setattr(gx.tiling, "_bisect_lanes", counted)
+    gx.tiling.clip_plan(tiling, paths)
+    assert lanes == [40] and len(calls) <= 2
 
 
 def test_plan_clipper_peak_memory_is_bounded(tmp_path, monkeypatch):
