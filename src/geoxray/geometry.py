@@ -6,9 +6,9 @@ to the flat metric, ``g_ij(x) = exp(2*lam(x)) * delta_ij``, with the profile
 ever differentiated numerically.
 
 Geodesics are integrated with one fixed-step classical Runge-Kutta scheme, ``rk4``, in the
-state ``(x, v)``, in one lockstep loop, ``_lockstep``: the rows of a call advance as one
-array, each to its own step count or to the step that its caller's exit test marks, while
-more than ``FLOAT_ROWS`` are left; then each walks on alone to its end in Python floats.
+state ``(x, v)``.  The tracer's rows advance as one numpy array while more than ``FLOAT_ROWS``
+are left; then each walks on alone to its exit in Python floats, as every lane of
+``flow_geodesics`` walks to its own step count from the start.
 The tracer's exits are located together by bisection on ``|x| - 1`` inside the steps that
 crossed, on the turns a Newton guess predicts as far as the exit test, checking them all at
 once, agrees: the guess decides no turn; the clipper's crossings take the same
@@ -52,9 +52,9 @@ MAX_TRACE_SAMPLES = 1 << 21
 DEFAULT_STEP = 1e-2
 # Largest |lam| for which the conformal factor exp(2 lam) is a finite float.
 LAM_LIMIT = 0.5 * math.log(sys.float_info.max)
-# rk4 steps up to this many rows (x, v) in Python floats, and more through numpy; the lockstep leaves this many or
-# fewer to the float walk.  On a 2-vCPU host (numpy 2.4, CPython 3.11, medians of 300 interleaved timings) a numpy
-# step of 24 rows costs 28-47 / 94-104 / 130-161 us on euclidean / conformal-radial / conformal-gaussian and a
+# rk4 steps up to this many rows (x, v) in Python floats, and more through numpy; the tracer's numpy loop leaves this
+# many or fewer to the float walk.  On a 2-vCPU host (numpy 2.4, CPython 3.11, medians of 300 interleaved timings) a
+# numpy step of 24 rows costs 28-47 / 94-104 / 130-161 us on euclidean / conformal-radial / conformal-gaussian and a
 # float row 2.0-3.2 / 3.3-3.7 / 5.4-6.3 us: crossovers near 15, 29 and 24 rows
 FLOAT_ROWS = 24
 # Midpoints per call of the exit check, on the tracer's 4-value lanes (wider lanes take proportionally fewer); at
@@ -441,8 +441,9 @@ def _hermite(p0, m0, p1, m1, s):
 def rk4(rhs, y, h):
     """One classical Runge-Kutta step of ``y' = rhs(y)`` (a ``_flow``) for every row of ``y``.
 
-    ``h`` is a scalar or an ``(N, 1)`` column of per-row steps.  Rows do not mix: each gets the arithmetic of a
-    one-row step.  Up to ``FLOAT_ROWS`` rows step in Python floats by the same operations, bit for bit.
+    ``h`` is a scalar or an ``(N, 1)`` column of per-row steps, as ``_exit_guess`` and the exit bisection take it.
+    Rows do not mix: each gets the arithmetic of a one-row step.  Up to ``FLOAT_ROWS`` rows step in Python floats by
+    the same operations, bit for bit.
     """
     if len(y) <= FLOAT_ROWS:
         return _rk4_floats(rhs.grad, y, h)
@@ -456,7 +457,7 @@ def rk4(rhs, y, h):
 def _rk4_floats(grad, y, h, stop=None, rule=None, arc=0.0, cap=math.inf, kept=None):
     """``rk4`` of rows ``(x, v)`` one at a time in Python floats on ``grad``, a ``grad_floats``: numpy's operations
     element by element in its order, ``accel`` as ``-2.0*dv*v + vv*d``, squares as products; the stages are k1 =
-    (v, a), k2 = (q, b), k3 = (r, c), k4 = (s, e).  Given per-row step counts ``stop``, each row walks on instead: to
+    (v, a), k2 = (q, b), k3 = (r, c), k4 = (s, e).  Given per-row step counts ``stop``, each row walks alone: to
     its count, to the step whose new position ``rule`` puts outside the disk, as ``_outside`` tells, keeping its
     state before it, or past ``cap`` with its arclength, ``arc`` plus ``h`` a step, appending each step's
     ``(arclength, x, v)`` to ``kept``, a bytearray, as float64s.  Returns the last states and, given ``stop``, per
@@ -596,38 +597,17 @@ def _exit_guess(rhs, y0, step):
     return s
 
 
-def _lockstep(metric, y, h, steps, rule):
-    """Step the rows ``(x, v)`` of ``y`` together by RK4 steps of ``h``, a scalar or an ``(N, 1)`` column, each with
-    the arithmetic of a one-row run, while more than ``FLOAT_ROWS`` are left.  Row ``i`` takes ``steps[i]`` steps, or
-    stops at the first whose new position ``_outside(.., rule)`` marks.  After each step it yields the rows that go
-    on with their new states, and the stopped with their old."""
-    rhs, k, rows, per_row = _flow(metric), 0, np.flatnonzero(steps > 0), np.ndim(h) > 0
-    cur, ends = y[rows], set(steps[rows].tolist())   # the step counts that rows end at
-    none = rows[:0], y[:0]   # no row stopped at the step
-    while len(rows) > FLOAT_ROWS:
-        k += 1
-        nxt = rk4(rhs, cur, h[rows] if per_row else h)
-        gone, before = none
-        stop = _outside(nxt, rule)
-        if stop is not None and stop.any():
-            gone, before, rows, nxt = rows[stop], cur[stop], rows[~stop], nxt[~stop]
-        yield rows, nxt, gone, before
-        if k in ends:   # the rows whose count is done stop
-            rows, nxt = rows[steps[rows] > k], nxt[steps[rows] > k]
-        cur = nxt
-
-
 def _trace_rows(metric, y, step, back=None):
-    """Integrate every row ``(x, v)`` of ``y`` forward to the boundary, in lockstep.
+    """Integrate every row ``(x, v)`` of ``y`` forward to the boundary, as one numpy array of rows.
 
-    Rows leave the active set at the step that takes them out of the disk; once ``FLOAT_ROWS`` or fewer
+    Rows leave the array at the step that takes them out of the disk; once ``FLOAT_ROWS`` or fewer
     are left, each walks on alone in Python floats.  The exits are then located together, by bisection
-    on ``|x| - 1`` inside those steps.  Samples are stored per step in lockstep and per row in the walk,
+    on ``|x| - 1`` inside those steps.  Samples are stored per step in numpy and per row in the walk,
     then gathered once into a PathStack.  A row is a path, or where ``back`` marks it the backward half of
     the next row's path: laid first, reversed, at arclength ``tau_b - t`` with ``v`` negated (``tau_b`` its
     exit time), sharing its start.  Rows still inside past the arclength cap are suspected trapped.  Past
     ``MAX_TRACE_SAMPLES`` stored samples the rows still inside go on unstored to tell the trapped, and the
-    others resume from there (the lockstep's in a second pass, a walked row at once).
+    others resume from there (the numpy loop's in a second pass, a walked row at once).
     Returns the stack and, per path, its GeodesicPath or its rows' first error.
     """
     back = np.zeros(len(y), dtype=bool) if back is None else back
@@ -636,20 +616,22 @@ def _trace_rows(metric, y, step, back=None):
     finite = np.isfinite(y).all(axis=1) & ok
     out = [None if f else SceneValidationError(f"geodesic start state {row.tolist()} is not finite") if ok
            else SceneValidationError("integrator step must be positive and finite") for f, row in zip(finite, y)]
-    rows, t, z, budget, rhs = np.flatnonzero(finite), 0.0, y, MAX_TRACE_SAMPLES, _flow(metric)
-    samples, walked, exits, trapped = [], [], [(rows[:0], y[:0], t)], []
+    rows, t, budget, rhs = np.flatnonzero(finite), 0.0, MAX_TRACE_SAMPLES, _flow(metric)
+    cur, samples, walked, exits, trapped = y[rows], [], [], [(rows[:0], y[:0], t)], []
     def walk(y0, t0, n, kept):   # row y0 from arclength t0, up to n steps: its last state, if it left, its arclength
         (y1,), ((gone, t1),) = _rk4_floats(rhs.grad, y0[None], step, [n], np.greater_equal, t0, ARCLENGTH_CAP, kept)
         return y1, gone, t1
     while True:   # a second pass resumes the rows that the budget paused and that exit
-        cur, paused, budget = z[rows], None, budget - len(rows)
+        paused, budget = None, budget - len(rows)
         samples.append((rows, cur, t))
-        # _outside is _radius >= DISK_RADIUS: a row on the unit circle has left
-        for rows, cur, gone, before in _lockstep(metric, z, step, np.isin(np.arange(len(y)), rows) * sys.maxsize,
-                                                 np.greater_equal):
-            if paused is None and gone.size:
-                exits.append((gone, before, t))
-            t = t + step
+        while len(rows) > FLOAT_ROWS:   # the rows step as one array; a row on the unit circle has left (_outside's >=)
+            nxt = rk4(rhs, cur, step)
+            gone = _outside(nxt)
+            if gone is not None and gone.any():
+                if paused is None:
+                    exits.append((rows[gone], cur[gone], t))
+                rows, nxt = rows[~gone], nxt[~gone]
+            cur, t = nxt, t + step
             if paused is None and len(rows) > budget:   # the rows go on unstored, to tell the trapped
                 paused = rows, cur, t
             elif paused is None:
@@ -666,7 +648,7 @@ def _trace_rows(metric, y, step, back=None):
                 # paused by the budget: it goes on unstored, and if it exits rather than pass the cap, resumes
                 if not (gone or t1 > ARCLENGTH_CAP) and walk(y1, t1, sys.maxsize, None)[1]:
                     if paused is not None:
-                        continue   # from the lockstep's pause, in the second pass
+                        continue   # from the numpy loop's pause, in the second pass
                     y1, gone, t1 = walk(y1, t1, sys.maxsize, buf)
                 if gone:
                     exits.append((np.array([r]), y1[None], t1))
@@ -679,8 +661,7 @@ def _trace_rows(metric, y, step, back=None):
             break
         rows, cur, t = paused
         late = np.isin(rows, trapped[-1], invert=True)
-        rows, z, budget = rows[late], y.copy(), sys.maxsize
-        z[rows] = cur[late]
+        rows, cur, budget = rows[late], cur[late], sys.maxsize
     rows = np.concatenate(trapped)
     for i in rows:
         out[i] = TrappingSuspectedError(
@@ -734,7 +715,7 @@ def unwrap(entry):
 
 
 def trace_geodesics(metric: MetricField, starts, step: float = DEFAULT_STEP) -> list:
-    """Trace the maximal unit-speed geodesic through every start, all in lockstep.
+    """Trace the maximal unit-speed geodesic through every start, all in one ``_trace_rows`` call.
 
     Returns one entry per start: the GeodesicPath that ``trace_geodesic``
     returns for it, or the error that ``trace_geodesic`` raises for it.
@@ -797,7 +778,7 @@ def trace_geodesic(metric: MetricField, start: UnitTangent, step: float = DEFAUL
 
 
 def flow_geodesics(metric: MetricField, starts, lengths, step: float = DEFAULT_STEP) -> list:
-    """Advance every start its own arclength along its geodesic, in lockstep.
+    """Advance every start its own arclength along its geodesic, each lane walked alone in Python floats.
 
     Lane ``i`` starts at ``starts[i]`` and takes ``ceil(lengths[i] / step)`` equal steps.  Returns one
     entry per lane: its final ``(x, v)``, or its error: a bad length or step, or an exit before the
@@ -819,14 +800,11 @@ def flow_geodesics(metric: MetricField, starts, lengths, step: float = DEFAULT_S
     y = np.array([np.concatenate([s.x, s.v]) for s in starts]).reshape(-1, 4)
     h = (np.asarray(lengths, dtype=float) / np.maximum(n_steps, 1))[:, None]
     # a lane on the unit circle goes on: it has left only past it, _radius > DISK_RADIUS
-    k, rows, gone = 0, np.flatnonzero(n_steps > 0), []
-    for k, (rows, z, out_k, _) in enumerate(_lockstep(metric, y, h, n_steps, np.greater), 1):
-        y[rows] = z
-        gone += out_k.tolist()
-    rows = rows[n_steps[rows] > k]   # FLOAT_ROWS lanes or fewer: each walks its last steps alone
-    y[rows], ends = _rk4_floats(metric.grad_floats, y[rows], h[rows], (n_steps[rows] - k).tolist(), np.greater)
-    for i in gone + [i for i, (left, _) in zip(rows.tolist(), ends) if left]:
-        out[i] = FanConstructionError(f"base geodesic exits the disk before reaching offset {lengths[i]:g}")
+    rows = np.flatnonzero(n_steps > 0)
+    y[rows], ends = _rk4_floats(metric.grad_floats, y[rows], h[rows], n_steps[rows].tolist(), np.greater)
+    for i, (left, _) in zip(rows.tolist(), ends):
+        if left:
+            out[i] = FanConstructionError(f"base geodesic exits the disk before reaching offset {lengths[i]:g}")
     return [(y[i, :2], y[i, 2:]) if e is None else e for i, e in enumerate(out)]
 
 

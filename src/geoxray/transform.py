@@ -37,7 +37,7 @@ from .geometry import (
     unit_tangent,
     unwrap,
 )
-from .tiling import PiecewiseConstantField, SectorFan, Tiling, clip_plan
+from .tiling import PiecewiseConstantField, SectorFan, Tiling, clip_plan, tangent_fan
 from .weights import WeightField
 
 # Inward cone about the normal inside which fan anchors are accepted.
@@ -285,16 +285,8 @@ def sector_chord_lengths(sector_angles, beta: float) -> np.ndarray:
                     f"sector {i} touches the line direction at relative angle "
                     f"{cut:.6g}; its chord is unbounded"
                 )
-        pieces = [(s, min(e, math.pi))]
-        if e > math.pi:
-            pieces.append((-math.pi, e - 2.0 * math.pi))
-        total = 0.0
-        for lo, hi in pieces:
-            lo_c = max(lo, -half_pi)
-            hi_c = min(hi, half_pi)
-            if hi_c > lo_c:
-                total += math.tan(hi_c) - math.tan(lo_c)
-        out[i] = total
+        # so [s, e] lies inside one of (-pi, -pi/2), (-pi/2, pi/2) and (pi/2, 3pi/2): only the middle one meets the line
+        out[i] = math.tan(e) - math.tan(s) if -half_pi < s < half_pi else 0.0
     return out
 
 
@@ -350,8 +342,6 @@ def limit_scan(metric: MetricField, weight: WeightField, tiling: Tiling,
     ``v_offsets`` are angles (radians) added to the inward normal direction.
     Returns a list of row dicts ``{h, v_angle, err, scaled, frozen}``.
     """
-    from .tiling import tangent_fan
-
     x = np.array([math.cos(anchor_angle), math.sin(anchor_angle)])
     vertex_id = tiling.find_vertex(x)
     fan = tangent_fan(tiling, field, vertex_id, metric)

@@ -134,6 +134,38 @@ def quadrature_sector_length(start, end, beta, n=200001):
     return total
 
 
+def wrapped_sector_chord_lengths(sector_angles, beta, tol=1e-9):
+    """``sector_chord_lengths`` as it was written before its closed form: each sector wrapped to start in
+    (-pi, pi], split at pi when it runs past it, and each piece clipped to (-pi/2, pi/2) and summed.  Raises
+    the same errors on the same sectors, ``tol`` of a cut being too near."""
+    from geoxray.errors import NearParallelSectorError, SceneValidationError
+
+    half_pi = 0.5 * math.pi
+    out = np.zeros(len(sector_angles))
+    for i, (a, b) in enumerate(sector_angles):
+        width = b - a
+        if not (0.0 < width < math.pi):
+            raise SceneValidationError(f"sector {i} has invalid width {width:g}")
+        s = math.fmod(a - beta + math.pi, 2.0 * math.pi)
+        s = (s + 2.0 * math.pi if s <= 0 else s) - math.pi
+        e = s + width
+        for cut in (-half_pi, half_pi, 3.0 * half_pi):
+            if s - tol <= cut <= e + tol:
+                raise NearParallelSectorError(f"sector {i} touches the line direction at relative angle "
+                                              f"{cut:.6g}; its chord is unbounded")
+        pieces = [(s, min(e, math.pi))]
+        if e > math.pi:
+            pieces.append((-math.pi, e - 2.0 * math.pi))
+        total = 0.0
+        for lo, hi in pieces:
+            lo_c = max(lo, -half_pi)
+            hi_c = min(hi, half_pi)
+            if hi_c > lo_c:
+                total += math.tan(hi_c) - math.tan(lo_c)
+        out[i] = total
+    return out
+
+
 def observed_order(values):
     """Convergence order from three values at steps h, h/2, h/4."""
     d1 = abs(values[0] - values[1])

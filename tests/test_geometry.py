@@ -445,13 +445,29 @@ def test_paths_do_not_depend_on_the_rows_in_flight(family, params):
 
 def test_few_rows_are_stepped_without_a_lockstep_pass(monkeypatch):
     # the 4 forward-refined chords walk to their exits in Python floats: rk4 is called only to locate
-    # the exits (Newton guess, checked turns, exit samples), 5 times, not once per lockstep step (189)
+    # the exits (Newton guess, checked turns, exit samples), 5 times, not once per numpy step (189)
     metric = gx.metric_from_config("conformal-radial", [0.05])
     starts = [gx.boundary_tangent(metric, a, d) for a, d in random_chord_descriptors(4, np.random.default_rng(0))]
     calls = []
     monkeypatch.setattr(gx.geometry, "rk4", lambda *a: calls.append(len(a[1])) or rk4(*a))
     paths = gx.trace_geodesics(metric, starts, step=0.01)
     assert sum(p.n_samples for p in paths) > 190 and 0 < len(calls) <= 10
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_tangent_boundary_start_is_a_one_sample_path(family, params, hexagon24):
+    # a start on the circle, tangent to it, leaves at once: its path is the start alone, with no interval to
+    # interpolate on, so it sits at the start at every arclength and meets no triangle
+    metric = gx.metric_from_config(family, params)
+    start = gx.unit_tangent(metric, [1.0, 0.0], [0.0, 1.0])
+    path = gx.trace_geodesic(metric, start)
+    assert path.n_samples == 1 and path.tau == 0.0
+    for t in (0.0, 0.5, -1.0, np.linspace(0.0, 1.0, 7), np.zeros((2, 3))):
+        got = path.position(t)
+        assert got.shape == np.shape(t) + (2,) and (got == start.x).all()
+    field = gx.PiecewiseConstantField.from_values((np.arange(1.0, 25.0) + 0.5j)[:, None])
+    (row,) = gx.plan_weight_integrals(metric, gx.IdentityWeight(1), hexagon24, [start]).apply(field)
+    assert (row == 0.0).all()
 
 
 def hypothesis_start(metric, spec):
@@ -575,16 +591,21 @@ def test_transport_lanes_do_not_interact(conformal05):
             assert [a.tobytes() for a in lane] == [a.tobytes() for a in alone]
 
 
-@pytest.mark.parametrize("family,params", FAMILIES)
-def test_transport_lanes_do_not_depend_on_the_lanes_in_flight(family, params):
-    # 2 * FLOAT_ROWS lanes of spread lengths, some of which leave the disk first: rk4 takes numpy while more
-    # than FLOAT_ROWS lanes are in flight and Python floats after; alone, each lane steps in floats throughout.
-    # The last two lanes run along the x axis
-    metric = gx.metric_from_config(family, params)
+def spread_lanes(metric):
+    """2 * FLOAT_ROWS boundary starts and lengths spread so that some lanes leave the disk first; the last two
+    lanes run along the x axis."""
     starts = [gx.boundary_tangent(metric, a, a + math.pi - d)
               for a, d in zip(np.linspace(0.0, 6.0, 2 * FLOAT_ROWS - 2), np.linspace(0.0, 1.45, 2 * FLOAT_ROWS - 2))]
     starts += [gx.boundary_tangent(metric, 0.0, math.pi), gx.boundary_tangent(metric, math.pi, 0.0)]
-    lengths = np.linspace(0.05, 1.9, len(starts)).tolist()
+    return starts, np.linspace(0.05, 1.9, len(starts)).tolist()
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_transport_lanes_do_not_depend_on_the_lanes_in_flight(family, params):
+    # more than FLOAT_ROWS lanes of spread lengths, some of which leave the disk first, flowed in one call: each
+    # lane must get the bits and the error it gets flowed alone, whatever else is in flight
+    metric = gx.metric_from_config(family, params)
+    starts, lengths = spread_lanes(metric)
     lanes = flow_geodesics(metric, starts, lengths, step=0.01)
     assert sum(isinstance(lane, tuple) for lane in lanes) > FLOAT_ROWS
     assert any(isinstance(lane, gx.FanConstructionError) for lane in lanes)
@@ -594,6 +615,17 @@ def test_transport_lanes_do_not_depend_on_the_lanes_in_flight(family, params):
             assert (type(lane), str(lane)) == (type(alone), str(alone))
         else:
             assert [a.tobytes() for a in lane] == [a.tobytes() for a in alone]
+
+
+def test_flow_lanes_walk_without_a_numpy_step(monkeypatch):
+    # every lane of a flow walks alone in Python floats, however many are in flight: no rk4 call
+    metric = gx.metric_from_config(*FAMILIES[1])
+    starts, lengths = spread_lanes(metric)
+    calls = []
+    monkeypatch.setattr(gx.geometry, "rk4", lambda *a: calls.append(len(a[1])) or rk4(*a))
+    lanes = flow_geodesics(metric, starts, lengths, step=0.01)
+    assert len(lanes) == 2 * FLOAT_ROWS and sum(isinstance(lane, tuple) for lane in lanes) > FLOAT_ROWS
+    assert calls == []
 
 
 def test_transport_flat_is_constant(euclidean):

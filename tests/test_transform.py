@@ -12,7 +12,7 @@ from geoxray.tiling import Sector, SectorFan
 from geoxray.transform import sector_chord_lengths
 
 from conftest import chord_start, forward
-from oracles import chord_forward_value, quadrature_sector_length
+from oracles import chord_forward_value, quadrature_sector_length, wrapped_sector_chord_lengths
 
 
 def make_fan(sector_specs, k=1):
@@ -366,6 +366,34 @@ def test_sector_lengths_match_quadrature_oracle(beta, start, width):
     got = sector_chord_lengths([(start, start + width)], beta)[0]
     expected = quadrature_sector_length(start, start + width, beta)
     assert abs(got - expected) <= 1e-5 * max(1.0, abs(expected))
+
+
+def test_sector_lengths_match_the_wrapped_loop_bit_for_bit():
+    # the closed form against the loop it replaced: random sectors, sectors that run past pi, and sectors whose
+    # start or end lies just outside or just inside NEAR_PARALLEL_TOL of each cut, on either side of it
+    rng = np.random.default_rng(2301)
+    half_pi = 0.5 * math.pi
+    cases = [(s, w) for s, w in zip(rng.uniform(-math.pi, math.pi, 4000), rng.uniform(1e-6, math.pi - 1e-6, 4000))]
+    cases += [(s, w) for s, w in zip(rng.uniform(0.5 * math.pi, math.pi, 500), rng.uniform(2.0, 3.1, 500))]
+    for cut in (-half_pi, half_pi, 3.0 * half_pi):
+        for d in (-2e-9, -1.1e-9, -1e-9, -0.9e-9, 0.0, 0.9e-9, 1e-9, 1.1e-9, 2e-9):
+            for w in rng.uniform(1e-3, math.pi - 1e-3, 20).tolist():
+                cases += [(cut + d, w), (cut + d - w, w)]   # start, then end, at d from the cut
+    betas = rng.uniform(-10.0, 10.0, len(cases)).tolist()
+    betas[:2] = [0.0, -0.0]
+    outcomes, past_pi = set(), 0
+    for (s, w), beta in zip(cases, betas):
+        sector = [(beta + s, beta + s + w)]
+        got, want = [], []
+        for fn, into in ((sector_chord_lengths, got), (wrapped_sector_chord_lengths, want)):
+            try:
+                into.append(fn(sector, beta).tobytes())
+            except gx.GeoxrayError as exc:
+                into.append((type(exc), str(exc)))
+        assert got == want, (s, w, beta)
+        outcomes.add(type(got[0]))
+        past_pi += isinstance(got[0], bytes) and s + w > math.pi
+    assert outcomes == {bytes, tuple} and past_pi > 100
 
 
 def test_sector_straddling_the_cut_raises():
