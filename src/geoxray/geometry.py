@@ -16,12 +16,13 @@ once, agrees: the guess decides no turn; the clipper's crossings take the same
 does not depend on what it was traced with.  Paths are unit speed in ``g``, so the curve
 parameter is arclength.  One gather lays the paths of a call end to end in one
 ``PathStack``, and each GeodesicPath is a view of it; clipping and integration read that
-stack as it is.  Paths are evaluated in one place, the stack: one bisection finds every
-query's sample interval, for cubic Hermite interpolation.
+stack as it is.  Paths are evaluated in one place, the stack: one ``searchsorted`` of
+(path, arclength) keys finds every query's sample interval, for cubic Hermite interpolation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
@@ -359,7 +360,8 @@ class PathStack:
     ``first[p]:stop[p]``, so that a whole plan is clipped and integrated in
     one pass; ``trace_geodesics`` lays out the paths of a call in one.  Every
     evaluation along a path goes through here: ``search`` finds the sample
-    interval of each query, and ``hermite`` interpolates per-sample values on it."""
+    interval of each query by one ``searchsorted`` of complex (path, arclength)
+    keys, and ``hermite`` interpolates per-sample values on it."""
 
     t: np.ndarray
     x: np.ndarray
@@ -379,15 +381,16 @@ class PathStack:
         x, v = (np.concatenate([np.zeros((0, 2))] + [getattr(p, a) for p in paths]) for a in "xv")
         return cls(t, x, v, np.cumsum(counts) - counts, np.cumsum(counts), stack and stack.metric)
 
+    @functools.cached_property
+    def _key(self) -> np.ndarray:
+        """Each row's ``(path, t)`` as one complex number, sorted as numpy orders them: by path, then by time."""
+        return _keys(np.repeat(np.arange(len(self.first)), self.stop - self.first), self.t)
+
     def search(self, path, q) -> np.ndarray:
-        """Per query, ``np.searchsorted(side="right")`` of arclength ``q`` on the times
-        of path ``path``, as a stack row; one bisection serves every query."""
-        lo, hi = self.first[path], self.stop[path]
-        while (busy := lo < hi).any():
-            mid = (lo + hi) // 2
-            up = busy & (self.t[np.where(busy, mid, 0)] <= q)
-            lo, hi = np.where(up, mid + 1, lo), np.where(busy & ~up, mid, hi)
-        return lo
+        """Per query, ``np.searchsorted(side="right")`` of arclength ``q`` on the times of path ``path``, as a
+        stack row: one search of the ``(path, q)`` keys serves every query; a NaN query gets its path's first row."""
+        found = np.searchsorted(self._key, _keys(path, q), side="right")
+        return np.where(np.isnan(q), self.first[path], found)   # numpy sorts p + nan*1j after every key
 
     def interval(self, path, q) -> np.ndarray:
         """Per query, the stack row of the sample that opens its Hermite interval."""
@@ -411,6 +414,11 @@ class PathStack:
         a = self.metric.accel(x, v)
         return (_hermite_at(self.t, i, q, x[0], v[0], x[1], v[1]),
                 _hermite_at(self.t, i, q, v[0], a[0], v[1], a[1]))
+
+
+def _keys(path, t) -> np.ndarray:
+    """``path + t*1j`` as complex numbers, built without the product: ``1j * inf`` has a NaN real part."""
+    return np.stack(np.broadcast_arrays(path, t), axis=-1, dtype=float).view(complex)[..., 0]
 
 
 def _hermite_at(t, i, q, p0, m0, p1, m1):

@@ -36,7 +36,6 @@ from .geometry import DEFAULT_STEP, MetricField, boundary_tangents, unwrap
 from .tiling import Tiling
 from .transform import (
     PlanOperator,
-    add_by_row,
     plan_weight_integrals,
     sector_chord_lengths,
 )
@@ -390,8 +389,7 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
         data = np.array(oracle.query([batch_candidates[j] for j in admissible], system), dtype=complex)
         # subtract the recovered part, term by term in entry order
         old = known[system.triangle]
-        b = add_by_row(data, system.row[old],
-                       -np.matmul(system.block[old], values[system.triangle[old]][..., None])[..., 0])
+        np.add.at(data, system.row[old], -np.matmul(system.block[old], values[system.triangle[old]][..., None])[..., 0])
         new = in_batch[system.triangle] & (system.length > ADMISSIBLE_LENGTH_TOL)
         col = np.zeros(n_tri, dtype=int)
         col[batch] = np.arange(len(batch))
@@ -402,7 +400,7 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
             raise CoverageError(
                 f"triangles {sorted(missing)} are never crossed by an admissible geodesic"
             )
-        x, residual, cond = _solve_stacked(a.reshape(system.n_rows * m, len(batch) * k), b.ravel(),
+        x, residual, cond = _solve_stacked(a.reshape(system.n_rows * m, len(batch) * k), data.ravel(),
                                            cond_cap, IllPosedStepError)
         values[batch] = x.reshape(len(batch), k)
         residuals[batch] = residual

@@ -107,12 +107,13 @@ class PlanOperator:
         return self
 
     def apply(self, field: PiecewiseConstantField) -> np.ndarray:
-        """Forward values ``(n_rows, m)``: per row, its entries' ``block @ value`` summed in order."""
+        """Forward values ``(n_rows, m)``: per row, ``np.add.at`` of its entries' ``block @ value`` in order."""
         _, m, k = self.require().block.shape
         if k != field.k:
             raise SceneValidationError(f"dimension mismatch: weight takes C^{k}, field values lie in C^{field.k}")
-        terms = np.matmul(self.block, field.values[self.triangle][..., None])[..., 0]
-        return add_by_row(np.zeros((self.n_rows, m), dtype=complex), self.row, terms)
+        out = np.zeros((self.n_rows, m), dtype=complex)
+        np.add.at(out, self.row, np.matmul(self.block, field.values[self.triangle][..., None])[..., 0])
+        return out
 
     def dense(self) -> np.ndarray:
         """The dense matrix: entry ``(i, j)`` is the block at row block ``i``, column block ``j``."""
@@ -120,15 +121,6 @@ class PlanOperator:
         a = np.zeros((self.n_rows, m, self.n_triangles, k), dtype=complex)
         a[self.row, :, self.triangle, :] = self.block
         return a.reshape(self.n_rows * m, self.n_triangles * k)
-
-
-def add_by_row(out: np.ndarray, row: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Add the terms to ``out[row]`` in place, per row in term order (``row`` nondecreasing)."""
-    rank = np.arange(len(row)) - np.searchsorted(row, row)
-    for j in range(rank.max(initial=-1) + 1):
-        sel = rank == j
-        out[row[sel]] += terms[sel]
-    return out
 
 
 def plan_weight_integrals(metric: MetricField, weight: WeightField, tiling: Tiling,
@@ -148,8 +140,8 @@ def _plan_operator(weight: WeightField, tiling: Tiling, paths) -> PlanOperator:
     The paths are clipped by one ``clip_plan`` call.  A piece inside a
     triangle is integrated by the trapezoid rule on its ends and the samples
     strictly inside it; a row's pieces inside one triangle add up, in path
-    order, into the entry the path made on entering that triangle first.  A
-    row whose weight integrals overflow gets an IllPosedStepError.
+    order by one ``np.add.at``, into the entry the path made on entering that
+    triangle first.  A row whose weight integrals overflow gets an IllPosedStepError.
     """
     errors = [path if isinstance(path, GeoxrayError) else None for path in paths]
     try:
@@ -174,8 +166,10 @@ def _plan_operator(weight: WeightField, tiling: Tiling, paths) -> PlanOperator:
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is its row's error, below
         mats = _trapezoid_sums(weight, stack, path, t0, t1, inner, np.maximum(stack.search(path, t1 - eps) - inner, 0))
         # -0.0 starts each total as its first piece, as x + -0.0 == x for every x
-        block = add_by_row(-np.zeros((len(first),) + mats.shape[1:], dtype=complex), entry, mats[by_entry])
-    length = add_by_row(-np.zeros(len(first)), entry, (t1 - t0)[by_entry])
+        block = -np.zeros((len(first),) + mats.shape[1:], dtype=complex)
+        np.add.at(block, entry, mats[by_entry])
+    length = -np.zeros(len(first))
+    np.add.at(length, entry, (t1 - t0)[by_entry])
     for r in row[first][~np.isfinite(block).all(axis=(1, 2))].tolist():
         errors[r] = IllPosedStepError(f"plan row {r}: the weight integrals are non-finite (the weight overflows)")
     return PlanOperator(row_ptr=np.searchsorted(row[first], np.arange(len(paths) + 1)), triangle=tri[first],

@@ -3,8 +3,10 @@
 Everything here derives expected values by a different route than the
 library code under test: half-plane interval clipping instead of bisection
 on sampled sign functions, central finite differences instead of closed-form
-derivatives, plain quadrature instead of tangent differences, and parallel
-transport integrated as an ODE instead of the closed-form rotated velocity.
+derivatives, plain quadrature instead of tangent differences, parallel
+transport integrated as an ODE instead of the closed-form rotated velocity,
+a bisection loop instead of one search of complex keys, and a loop over
+each row's terms by rank instead of one ``np.add.at``.
 """
 
 import math
@@ -192,3 +194,24 @@ def transport_step(metric, y, h):
     k3 = transport_rhs(metric, y + 0.5 * h * k2)
     k4 = transport_rhs(metric, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def bisect_stack(t, first, stop, path, q):
+    """Per query, the first row of ``first[path]:stop[path]`` whose time ``t`` exceeds ``q`` (else
+    ``stop[path]``), by a vectorized bisection; a NaN query exceeds no time test and gets ``first[path]``."""
+    lo, hi = first[path], stop[path]
+    while (busy := lo < hi).any():
+        mid = (lo + hi) // 2
+        up = busy & (t[np.where(busy, mid, 0)] <= q)
+        lo, hi = np.where(up, mid + 1, lo), np.where(busy & ~up, mid, hi)
+    return lo
+
+
+def add_by_rank(out, row, terms):
+    """Add ``terms`` to ``out[row]`` in place, per row in term order (``row`` nondecreasing): one fancy-index
+    add for each rank a term has within its row."""
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    for j in range(rank.max(initial=-1) + 1):
+        sel = rank == j
+        out[row[sel]] += terms[sel]
+    return out

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoxray as gx
-from geoxray.geometry import (EVENT_WIDTH, EXIT_BLOCK, FLOAT_ROWS, _bisect_lanes, _flow, _outside, _radius,
-                              _rk4_floats, _trace_rows, boundary_tangents, disk_grid, flow_geodesics, rk4,
-                              speed_defect, unit_tangents)
+from geoxray.geometry import (EVENT_WIDTH, EXIT_BLOCK, FLOAT_ROWS, PathStack, _bisect_lanes, _flow, _outside,
+                              _radius, _rk4_floats, _trace_rows, boundary_tangents, disk_grid, flow_geodesics, rk4,
+                              speed_defect, unit_tangents, unwrap)
 from geoxray.scene import random_chord_descriptors, scene_chord_descriptors
 
 from conftest import chord_start, run_bounded
 from golden.make_paths import TRACERS, digest
-from oracles import fd_christoffel, fd_covariant_hessian_min, observed_order, transport_step
+from oracles import bisect_stack, fd_christoffel, fd_covariant_hessian_min, observed_order, transport_step
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +468,36 @@ def test_tangent_boundary_start_is_a_one_sample_path(family, params, hexagon24):
     field = gx.PiecewiseConstantField.from_values((np.arange(1.0, 25.0) + 0.5j)[:, None])
     (row,) = gx.plan_weight_integrals(metric, gx.IdentityWeight(1), hexagon24, [start]).apply(field)
     assert (row == 0.0).all()
+
+
+def test_stack_search_matches_the_bisection():
+    # one searchsorted of (path, arclength) keys gives the bisection's rows on every plan of make_plan_clips.py,
+    # on a one-sample path among others and on an empty stack: for random arclengths, every sample time, signed
+    # zeros and infinities, past each path's end and NaN (its path's first row, where numpy sorts it last)
+    from golden.make_plan_clips import plans
+
+    metric = gx.metric_from_config("conformal-radial", [0.05])
+    tangent = gx.trace_geodesic(metric, gx.unit_tangent(metric, [1.0, 0.0], [0.0, 1.0]))
+    chords = [unwrap(p) for p in gx.trace_geodesics(metric, [chord_start(metric, a, b) for a, b in ((0.3, 2.5), (4, 1))])]
+    stacks = [PathStack.of(paths) for _, _, paths in plans()]
+    stacks += [PathStack.of([tangent]), PathStack.of([chords[0], tangent, chords[1]])]
+    rng = np.random.default_rng(24)
+    for stack in stacks:
+        path, q = [], []
+        for p, (a, b) in enumerate(zip(stack.first.tolist(), stack.stop.tolist())):
+            tau = stack.t[b - 1]
+            times = [rng.uniform(-0.1, tau + 0.1, 16), stack.t[a:b], [0.0, -0.0, np.inf, -np.inf, tau + 1.0, np.nan]]
+            q += times
+            path.append(np.full(sum(map(len, times)), p))
+        path, q = np.concatenate(path), np.concatenate(q)
+        shuffle, even = rng.permutation(len(q)), len(q) // 2 * 2
+        for path_q in ((path, q), (path[shuffle], q[shuffle]), (path[:even].reshape(2, -1), q[:even].reshape(2, -1))):
+            want = bisect_stack(stack.t, stack.first, stack.stop, *path_q)
+            got = stack.search(*path_q)
+            assert got.shape == want.shape and (got == want).all()
+        assert (stack.search(path[np.isnan(q)], q[np.isnan(q)]) == stack.first).all()
+    empty = PathStack.of([])
+    assert empty.search(np.zeros(0, dtype=int), np.zeros(0)).shape == (0,)
 
 
 def hypothesis_start(metric, spec):
