@@ -149,10 +149,10 @@ def cmd_reconstruct(scene: Scene, out_dir: str, data_path=None) -> str:
     if data_path is not None:
         oracle = read_recorded_csv(data_path, scene.weight.m)
     else:
-        oracle = SyntheticOracle(scene.metric, scene.weight, scene.tiling, scene.field,
-                                 noise_sigma=scene.noise_sigma, rng=scene.rng() if scene.noise_sigma > 0 else None)
+        oracle = SyntheticOracle(scene.weight, scene.field, noise_sigma=scene.noise_sigma,
+                                 rng=scene.rng() if scene.noise_sigma > 0 else None)
     report = reconstruct(scene.metric, scene.weight, scene.tiling, oracle, scene.foliation,
-                         plan=scene.chords.frontier, step=scene.step, cond_cap=scene.cond_cap)
+                         plan=scene.chords, step=scene.step, cond_cap=scene.cond_cap)
     report_path = os.path.join(out_dir, "reconstruction_report.txt")
     write_text(report_path, report.to_text())
     rows = []

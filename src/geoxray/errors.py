@@ -63,7 +63,7 @@ class NonInjectiveWeightError(GeoxrayError):
 
 
 class TrappingSuspectedError(GeoxrayError):
-    """A geodesic exceeded the arclength cap, or its call's sample budget, without leaving the domain."""
+    """A geodesic exceeded the arclength cap without leaving the domain (the sample budget only pauses a row)."""
 
     exit_code = EXIT_TRAPPING
 

@@ -67,7 +67,7 @@ class SyntheticOracle:
     stream is driven by the supplied generator.
     """
 
-    def __init__(self, metric, weight, tiling, field, noise_sigma=0.0, rng=None):
+    def __init__(self, weight, field, noise_sigma=0.0, rng=None):
         self.weight = weight
         self.field = field
         self.noise_sigma = float(noise_sigma)
@@ -217,13 +217,19 @@ def order_frontier(tiling: Tiling, phi: FoliationFunction):
 
 @dataclass(frozen=True)
 class ChordPlan:
-    """Knobs of the chord generator used by the sweep.
+    """A chord plan (a scene's ``plans.chords``); ``mode`` says which fields apply.
 
-    ``levels`` pins the usable leaf levels explicitly (chords are generated
-    only at levels falling inside a batch's window); when ``None`` the plan
-    spaces ``levels_per_batch`` levels evenly inside each window.
+    ``random``: ``count`` seeded boundary chords; ``grid``: ``distances`` x
+    ``rotations`` chords over the disk; ``frontier``: the sweep's chords,
+    ``rotations`` at each leaf level of a batch.  ``levels`` pins the usable
+    levels explicitly (chords are generated only at levels falling inside a
+    batch's window); when ``None`` the plan spaces ``levels_per_batch``
+    levels evenly inside each window.  The sweep reads only the frontier fields.
     """
 
+    mode: str = "frontier"           # "random" | "grid" | "frontier"
+    count: int = 0
+    distances: int = 10
     rotations: int = 30
     levels_per_batch: int = 5
     levels: tuple | None = None

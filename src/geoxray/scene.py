@@ -41,22 +41,6 @@ class FanLimitPlan:
     sign: int = 1
 
 
-@dataclass(frozen=True)
-class SceneChords:
-    """The scene's chord plan (``plans.chords``); ``mode`` says which fields apply.
-
-    ``random``: ``count`` seeded boundary chords; ``grid``: ``distances`` x
-    ``rotations`` chords over the disk; ``frontier``: the reconstruction
-    sweep's chords, ``frontier`` holding its knobs.
-    """
-
-    mode: str                        # "random" | "grid" | "frontier"
-    count: int = 0
-    distances: int = 0
-    rotations: int = 0
-    frontier: ChordPlan | None = None
-
-
 @dataclass
 class Scene:
     """All built objects of one scene, ready for the commands."""
@@ -70,7 +54,7 @@ class Scene:
     weight: WeightField
     foliation: FoliationFunction | None
     fan_plan: FanLimitPlan | None
-    chords: SceneChords | None
+    chords: ChordPlan | None
     noise_sigma: float
     cond_cap: float
 
@@ -241,42 +225,38 @@ def _build_plans(cfg):
         c = _section(cfg, "chords", "scene.plans")
         mode = c.get("mode")
 
-        def size(name, default):
-            return config_number(c.get(name, default), f"scene.plans.chords.{name}", integer=True)
+        def size(name):   # the key's value, ChordPlan's default when it is absent
+            return config_number(c.get(name, getattr(ChordPlan, name)), f"scene.plans.chords.{name}", integer=True)
 
         if mode == "random":
-            chords = SceneChords(mode, count=size("count", 0))
+            chords = ChordPlan(mode, count=size("count"))
             if chords.count <= 0:
                 raise SceneValidationError("scene.plans.chords.count: must be positive")
         elif mode == "grid":
-            chords = SceneChords(mode, distances=size("distances", 10), rotations=size("rotations", 30))
+            chords = ChordPlan(mode, distances=size("distances"), rotations=size("rotations"))
             if chords.distances <= 0 or chords.rotations <= 0:
                 raise SceneValidationError("scene.plans.chords: grid sizes must be positive")
         elif mode == "frontier":
             levels = c.get("levels")
-            chords = SceneChords(mode, frontier=ChordPlan(
-                rotations=size("rotations", 30),
-                levels_per_batch=size("levels_per_batch", 5),
-                levels=tuple(config_numbers(levels, "scene.plans.chords.levels")) if levels is not None else None,
-            ))
+            chords = ChordPlan(mode, rotations=size("rotations"), levels_per_batch=size("levels_per_batch"),
+                               levels=tuple(config_numbers(levels, "scene.plans.chords.levels"))
+                               if levels is not None else None)
         else:
-            raise SceneValidationError(
-                "scene.plans.chords.mode: expected random, grid, or frontier"
-            )
+            raise SceneValidationError("scene.plans.chords.mode: expected random, grid, or frontier")
     return fan_plan, chords
 
 
-def _check_plan_size(chords, step, tiling, foliation):
+def _check_plan_size(plan, step, tiling, foliation):
     """Reject a chord plan whose rays, each stepped up to the arclength cap, could take more than
     ``MAX_PLAN_STEPS`` steps, naming the key of its largest factor.  A frontier plan aims
     ``rotations`` chords at each level: ``levels_per_batch`` per batch, or each pinned level once."""
-    if chords is None:
+    if plan is None:
         return
-    plan, batches = chords.frontier, 1
-    if chords.mode == "random":
-        factors = {"count": chords.count}
-    elif chords.mode == "grid":
-        factors = {"distances": chords.distances, "rotations": chords.rotations}
+    batches = 1
+    if plan.mode == "random":
+        factors = {"count": plan.count}
+    elif plan.mode == "grid":
+        factors = {"distances": plan.distances, "rotations": plan.rotations}
     elif plan.levels is not None:
         factors = {"levels": len(plan.levels), "rotations": plan.rotations}
     else:   # a batch per triangle at most; the batch count itself only where that bound is over
@@ -331,4 +311,4 @@ def scene_chord_descriptors(scene: Scene) -> list:
         return grid_chord_descriptors(chords.distances, chords.rotations)
     if scene.foliation is None:
         raise SceneValidationError("scene: frontier chords need a foliation")
-    return reconstruction_descriptors(scene.tiling, scene.foliation, chords.frontier)
+    return reconstruction_descriptors(scene.tiling, scene.foliation, chords)

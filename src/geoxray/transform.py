@@ -161,15 +161,13 @@ def _plan_operator(weight: WeightField, tiling: Tiling, paths) -> PlanOperator:
     _, first, entry = np.unique(row * tiling.n_triangles + tri, return_index=True, return_inverse=True)
     by_first = np.argsort(first, kind="stable")   # stable like the other sorts: a quicksort pages in more numpy code
     first, entry = first[by_first], np.argsort(by_first, kind="stable")[entry]
-    by_entry = np.argsort(entry, kind="stable")
-    entry = entry[by_entry]
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is its row's error, below
         mats = _trapezoid_sums(weight, stack, path, t0, t1, inner, np.maximum(stack.search(path, t1 - eps) - inner, 0))
         # -0.0 starts each total as its first piece, as x + -0.0 == x for every x
         block = -np.zeros((len(first),) + mats.shape[1:], dtype=complex)
-        np.add.at(block, entry, mats[by_entry])
+        np.add.at(block, entry, mats)
     length = -np.zeros(len(first))
-    np.add.at(length, entry, (t1 - t0)[by_entry])
+    np.add.at(length, entry, t1 - t0)
     for r in row[first][~np.isfinite(block).all(axis=(1, 2))].tolist():
         errors[r] = IllPosedStepError(f"plan row {r}: the weight integrals are non-finite (the weight overflows)")
     return PlanOperator(row_ptr=np.searchsorted(row[first], np.arange(len(paths) + 1)), triangle=tri[first],

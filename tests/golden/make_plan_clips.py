@@ -47,7 +47,7 @@ def _scene_plans():
     fans = gx.fan_geodesics(metric, x, members, sign=plan.sign, step=scene.step)
     yield "demo_limit_check", scene.tiling, [gx.geometry.unwrap(f) for f in fans]
     scene = gx.load_scene(SCENES / "demo_reconstruct.json")
-    _, candidates = frontier_plan(scene.tiling, scene.foliation, scene.chords.frontier)
+    _, candidates = frontier_plan(scene.tiling, scene.foliation, scene.chords)
     starts = [gx.boundary_tangent(scene.metric, a, d) for c in candidates for a, d in c]
     yield "demo_reconstruct", scene.tiling, _traced(scene.metric, starts, scene.step)
     scene = gx.load_scene(SCENES / "demo_spectrum.json")

@@ -144,7 +144,7 @@ def test_criterion_4_layer_stripping_roundtrip():
     details = []
     for family, params in (("euclidean", []), ("conformal-radial", [0.05])):
         metric = gx.metric_from_config(family, params)
-        oracle = gx.SyntheticOracle(metric, weight, tiling, field)
+        oracle = gx.SyntheticOracle(weight, field)
         rep = gx.reconstruct(metric, weight, tiling, oracle, phi, step=1e-2)
         err = float(np.max(np.abs(rep.values - field.values)) / np.max(np.abs(field.values)))
         levels = triangle_levels(tiling, phi)[rep.processing_order].tolist()

@@ -165,7 +165,7 @@ def test_boundary_tangents_match_boundary_tangent():
         scene = gx.load_scene(SCENES / f"{name}.json")
         plans.append((scene.metric, gx.scene.scene_chord_descriptors(scene)))
         if scene.foliation is not None:
-            _, candidates = frontier_plan(scene.tiling, scene.foliation, scene.chords.frontier)
+            _, candidates = frontier_plan(scene.tiling, scene.foliation, scene.chords)
             descriptors = [desc for batch in candidates for desc in batch]
             plans.append((scene.metric, descriptors))
             plans.append((gx.metric_from_config("conformal-gaussian", [0.4, 0.2, -0.1, 0.5]), descriptors))

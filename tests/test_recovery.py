@@ -195,7 +195,7 @@ def test_batch_descriptors_respect_level_window():
 def test_reconstruct_zero_field(euclidean, hexagon24):
     weight = gx.ConstantWeight(INJECTIVE_32)
     field = gx.PiecewiseConstantField.zero(hexagon24.n_triangles, 2)
-    oracle = gx.SyntheticOracle(euclidean, weight, hexagon24, field)
+    oracle = gx.SyntheticOracle(weight, field)
     report = gx.reconstruct(euclidean, weight, hexagon24, oracle, gx.RadialSquare(),
                             plan=SMALL_PLAN)
     assert np.max(np.abs(report.values)) <= 1e-12
@@ -206,7 +206,7 @@ def test_reconstruct_hexagon_k1_roundtrip(euclidean, hexagon24):
     rng = np.random.default_rng(6)
     weight = gx.IdentityWeight(1)
     field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 1, rng, real=True)
-    oracle = gx.SyntheticOracle(euclidean, weight, hexagon24, field)
+    oracle = gx.SyntheticOracle(weight, field)
     report = gx.reconstruct(euclidean, weight, hexagon24, oracle, gx.RadialSquare(),
                             plan=SMALL_PLAN)
     err = np.max(np.abs(report.values - field.values)) / np.max(np.abs(field.values))
@@ -218,7 +218,7 @@ def test_reconstruct_overdetermined_channels(euclidean, hexagon24):
     rng = np.random.default_rng(8)
     weight = gx.ConstantWeight(INJECTIVE_32)
     field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 2, rng)
-    oracle = gx.SyntheticOracle(euclidean, weight, hexagon24, field)
+    oracle = gx.SyntheticOracle(weight, field)
     report = gx.reconstruct(euclidean, weight, hexagon24, oracle, gx.RadialSquare(),
                             plan=SMALL_PLAN)
     err = np.max(np.abs(report.values - field.values)) / np.max(np.abs(field.values))
@@ -245,7 +245,7 @@ def test_reconstruct_clips_each_candidate_chord_once(monkeypatch, euclidean, hex
     monkeypatch.setattr(geoxray.recovery, "batch_descriptors", counted(batch_descriptors, "candidates", len))
     weight = gx.ConstantWeight(INJECTIVE_32)
     field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 2, np.random.default_rng(3))
-    oracle = gx.SyntheticOracle(euclidean, weight, hexagon24, field)
+    oracle = gx.SyntheticOracle(weight, field)
     report = gx.reconstruct(euclidean, weight, hexagon24, oracle, gx.RadialSquare(), plan=SMALL_PLAN)
     assert sum(report.geodesics_per_batch) < counts["candidates"] == counts["clips"]
 
@@ -263,7 +263,7 @@ def test_reconstruct_traces_its_whole_plan_in_one_call(monkeypatch, euclidean, h
     monkeypatch.setattr(geoxray.transform, "trace_geodesics", counted)
     weight = gx.ConstantWeight(INJECTIVE_32)
     field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 2, np.random.default_rng(3))
-    report = gx.reconstruct(euclidean, weight, hexagon24, gx.SyntheticOracle(euclidean, weight, hexagon24, field),
+    report = gx.reconstruct(euclidean, weight, hexagon24, gx.SyntheticOracle(weight, field),
                             gx.RadialSquare(), plan=SMALL_PLAN)
     assert len(report.batches) > 1
     assert traced == [sum(len(c) for c in frontier_plan(hexagon24, gx.RadialSquare(), SMALL_PLAN)[1])]
@@ -282,7 +282,7 @@ def test_admissible_rows_are_block_lower_triangular(changes):
     with open(Path(__file__).resolve().parents[1] / "scenes" / "demo_reconstruct.json", encoding="utf-8") as fh:
         scene = gx.build_scene(dict(json.load(fh), **changes))
     metric, weight, tiling, phi = scene.metric, scene.weight, scene.tiling, scene.foliation
-    batches, candidates = frontier_plan(tiling, phi, scene.chords.frontier)
+    batches, candidates = frontier_plan(tiling, phi, scene.chords)
     op = gx.plan_weight_integrals(metric, weight, tiling,
                                   [gx.boundary_tangent(metric, a, d) for c in candidates for a, d in c],
                                   step=scene.step)
@@ -306,8 +306,8 @@ def test_admissible_rows_are_block_lower_triangular(changes):
         block_rows = a[row_edges[i]:row_edges[i + 1]]
         assert not np.any(block_rows[:, col_edges[i + 1]:])
         assert np.linalg.matrix_rank(block_rows[:, col_edges[i]:col_edges[i + 1]]) == len(batches[i]) * k
-    report = gx.reconstruct(metric, weight, tiling, gx.SyntheticOracle(metric, weight, tiling, scene.field),
-                            phi, plan=scene.chords.frontier, step=scene.step)
+    report = gx.reconstruct(metric, weight, tiling, gx.SyntheticOracle(weight, scene.field),
+                            phi, plan=scene.chords, step=scene.step)
     assert report.geodesics_per_batch == [len(chosen) for chosen in rows]
 
 
@@ -315,7 +315,7 @@ def test_reconstruct_deleted_batch_levels_coverage_error(euclidean, hexagon24):
     # no plan levels inside the middle window (0.25, 0.75): batch 2 starves
     weight = gx.IdentityWeight(1)
     field = gx.PiecewiseConstantField.zero(hexagon24.n_triangles, 1)
-    oracle = gx.SyntheticOracle(euclidean, weight, hexagon24, field)
+    oracle = gx.SyntheticOracle(weight, field)
     plan = gx.ChordPlan(rotations=18, levels=(0.8, 0.85, 0.9, 0.95, 0.05, 0.1, 0.15, 0.2))
     with pytest.raises(gx.CoverageError):
         gx.reconstruct(euclidean, weight, hexagon24, oracle, gx.RadialSquare(), plan=plan)
@@ -324,7 +324,7 @@ def test_reconstruct_deleted_batch_levels_coverage_error(euclidean, hexagon24):
 def test_reconstruct_non_injective_weight_raises(euclidean, hexagon24):
     weight = gx.ConstantWeight(np.array([[1, 0], [1, 0], [0, 0]], dtype=complex))
     field = gx.PiecewiseConstantField.zero(hexagon24.n_triangles, 2)
-    oracle = gx.SyntheticOracle(euclidean, weight, hexagon24, field)
+    oracle = gx.SyntheticOracle(weight, field)
     with pytest.raises(gx.NonInjectiveWeightError):
         gx.reconstruct(euclidean, weight, hexagon24, oracle, gx.RadialSquare(), plan=SMALL_PLAN)
 
@@ -341,7 +341,7 @@ def test_reconstruct_with_noise_diagnostic(euclidean, hexagon24):
     weight = gx.IdentityWeight(1)
     field = gx.PiecewiseConstantField.random(hexagon24.n_triangles, 1, rng, real=True)
     sigma = 1e-4
-    oracle = gx.SyntheticOracle(euclidean, weight, hexagon24, field,
+    oracle = gx.SyntheticOracle(weight, field,
                                 noise_sigma=sigma, rng=np.random.default_rng(99))
     report = gx.reconstruct(euclidean, weight, hexagon24, oracle, gx.RadialSquare(),
                             plan=SMALL_PLAN)
@@ -358,10 +358,10 @@ def test_reconstruct_weight_covariance(euclidean, hexagon24):
     w1 = gx.ConstantWeight(INJECTIVE_32)
     w2 = gx.ConstantWeight(b @ INJECTIVE_32)
     rep1 = gx.reconstruct(euclidean, w1, hexagon24,
-                          gx.SyntheticOracle(euclidean, w1, hexagon24, field),
+                          gx.SyntheticOracle(w1, field),
                           gx.RadialSquare(), plan=SMALL_PLAN)
     rep2 = gx.reconstruct(euclidean, w2, hexagon24,
-                          gx.SyntheticOracle(euclidean, w2, hexagon24, field),
+                          gx.SyntheticOracle(w2, field),
                           gx.RadialSquare(), plan=SMALL_PLAN)
     assert np.max(np.abs(rep1.values - rep2.values)) <= 1e-8
 

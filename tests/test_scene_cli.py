@@ -66,6 +66,7 @@ def test_scene_roundtrip(tmp_path):
     assert scene.tiling.n_triangles == 24
     assert scene.weight.m == 3 and scene.field.k == 2
     assert scene.step == 0.01
+    assert scene.chords == gx.ChordPlan(rotations=18, levels_per_batch=3)   # frontier is the default mode
 
 
 def test_scene_bad_json_reports_line(tmp_path):
@@ -623,6 +624,17 @@ def test_reconstruct_deleted_batch_coverage_exit(tmp_path):
                                 "levels": [0.8, 0.85, 0.9, 0.95, 0.05, 0.1, 0.2]}
     spath = write_scene(tmp_path, "s.json", scene)
     assert cli.main(["reconstruct", "--scene", spath, "--out", str(tmp_path)]) == EXIT_COVERAGE
+
+
+@pytest.mark.parametrize("chords", [{"mode": "random", "count": 5}, {"mode": "grid", "distances": 3, "rotations": 4}])
+@pytest.mark.parametrize("data", [None, "missing.csv"])
+def test_reconstruct_rejects_a_plan_not_in_frontier_mode(tmp_path, capsys, chords, data):
+    # reconstruct sweeps a frontier plan only; the mode is checked before the data file is read,
+    # so a --data file that does not exist gives the same one line
+    path = demo_scene_path(tmp_path, "demo_reconstruct", "plans.chords", chords)
+    flags = [] if data is None else ["--data", str(tmp_path / data)]
+    assert cli.main(["reconstruct", "--scene", path, "--out", str(tmp_path / "out")] + flags) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "geoxray: error: scene.plans.chords: frontier mode required by reconstruct\n"
 
 
 def test_reconstruct_non_injective_exit(tmp_path):

@@ -195,21 +195,26 @@ def test_scatter_add_matches_the_rank_loop():
     # np.add.at adds each row's terms in term order, as the loop over ranks did, so from the same -0.0 or 0.0
     # start every sum keeps its bits: complex (n, m, k) blocks and real lengths, rows repeated up to 29 times,
     # terms of magnitudes 1e-8 to 1e16, signed zeros, rows that get no term, and 1 + 1e16 - 1e16, which is 1
-    # in any other order
+    # in any other order.  The rows come sorted, and interleaved (a row's terms still in order), as a plan's
+    # pieces come to their entries: the reference sums the stably sorted terms
     rng = np.random.default_rng(24)
     row = np.repeat(np.arange(40), rng.integers(0, 30, 40))
     n = len(row)
+    shuffled = rng.permutation(n)
     blocks = rng.standard_normal((n, 3, 2)) + 1j * rng.standard_normal((n, 3, 2))
     blocks *= 10.0 ** rng.integers(-8, 17, (n, 1, 1))
     lengths = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 17, n)
     for terms in (blocks, lengths):
         terms[rng.random(n) < 0.1] = -0.0
         terms[rng.random(n) < 0.05] = 0.0
-        for start in (-0.0, 0.0):
-            want = add_by_rank(np.full((40,) + terms.shape[1:], start, dtype=terms.dtype), row, terms)
-            got = np.full_like(want, start)
-            np.add.at(got, row, terms)
-            assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes()
+        for rows, row_terms in ((row, terms), (row[shuffled], terms[shuffled])):
+            by_row = np.argsort(rows, kind="stable")
+            for start in (-0.0, 0.0):
+                want = np.full((40,) + terms.shape[1:], start, dtype=terms.dtype)
+                want = add_by_rank(want, rows[by_row], row_terms[by_row])
+                got = np.full_like(want, start)
+                np.add.at(got, rows, row_terms)
+                assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes()
     ordered, got = np.array([1.0, 1e16, -1e16]), -np.zeros(1)
     np.add.at(got, np.zeros(3, dtype=int), ordered)
     assert got.tolist() == add_by_rank(-np.zeros(1), np.zeros(3, dtype=int), ordered).tolist() == [0.0]
