@@ -6,8 +6,10 @@ to the flat metric, ``g_ij(x) = exp(2*lam(x)) * delta_ij``, with the profile
 ever differentiated numerically.
 
 Geodesics are integrated with one fixed-step classical Runge-Kutta scheme, ``rk4``, in the
-state ``(x, v)``.  The tracer's rows advance as one numpy array while more than ``FLOAT_ROWS``
-are left; then each walks on alone to its exit in Python floats, as every lane of
+state ``(x, v)``.  Its numpy state is component-major: one C-ordered ``(4, N)`` array of rows
+``x0, x1, v0, v1``, a geodesic per column, which the tracer keeps from its first step through
+the exit bisection.  The tracer's geodesics advance as that one array while more than
+``FLOAT_ROWS`` are left; then each walks on alone to its exit in Python floats, as every lane of
 ``flow_geodesics`` walks to its own step count from the start.
 The tracer's exits are located together by bisection on ``|x| - 1`` inside the steps that
 crossed, on the turns a Newton guess predicts as far as the exit test, checking them all at
@@ -53,10 +55,11 @@ MAX_TRACE_SAMPLES = 1 << 21
 DEFAULT_STEP = 1e-2
 # Largest |lam| for which the conformal factor exp(2 lam) is a finite float.
 LAM_LIMIT = 0.5 * math.log(sys.float_info.max)
-# rk4 steps up to this many rows (x, v) in Python floats, and more through numpy; the tracer's numpy loop leaves this
-# many or fewer to the float walk.  On a 2-vCPU host (numpy 2.4, CPython 3.11, medians of 300 interleaved timings) a
-# numpy step of 24 rows costs 28-47 / 94-104 / 130-161 us on euclidean / conformal-radial / conformal-gaussian and a
-# float row 2.0-3.2 / 3.3-3.7 / 5.4-6.3 us: crossovers near 15, 29 and 24 rows
+# rk4 steps up to this many columns (x, v) in Python floats, and more through numpy; the tracer's numpy loop leaves
+# this many or fewer to the float walk.  On a 2-vCPU host (numpy 2.4, CPython 3.11, medians of 300 interleaved timings,
+# two runs) a numpy step of 24 columns of the (4, N) state costs 18-21 / 36-44 / 62-78 us on euclidean /
+# conformal-radial / conformal-gaussian, and a float row 2.1-2.5 / 2.3-2.7 / 3.6-4.2 us: crossovers near 9, 16 and 18
+# rows; 24 is kept until a lower value is measured end to end
 FLOAT_ROWS = 24
 # Midpoints per call of the exit check, on the tracer's 4-value lanes (wider lanes take proportionally fewer); at
 # 8192 the demo plan's tracemalloc peak rises from 4.62 to 4.90 MB.
@@ -118,11 +121,11 @@ class MetricField:
                 - eye * d[..., :, None, None])
 
     def accel(self, x, v):
-        """Geodesic acceleration ``-Gamma(v, v)``; no domain check."""
-        d = self.lam_grad(x)
-        dv = d[..., 0] * v[..., 0] + d[..., 1] * v[..., 1]
-        vv = v[..., 0] ** 2 + v[..., 1] ** 2
-        return -2.0 * dv[..., None] * v + vv[..., None] * d
+        """Geodesic acceleration ``-Gamma(v, v)`` of ``x`` and ``v`` ``(2, ...)``, components first (rows ``(N, 2)``
+        pass as ``accel(x.T, v.T).T``); no domain check."""
+        d = self.lam_grad(x.T).T
+        dv, vv = d * v, v * v
+        return -2.0 * (dv[0] + dv[1]) * v + (vv[0] + vv[1]) * d
 
     def grad_floats(self, x0, x1):
         """``lam_grad`` of one point in Python floats, by the same operations in the same order."""
@@ -411,7 +414,7 @@ class PathStack:
         take as slopes the exact accelerations at the two samples around each query."""
         i = self.interval(path, q)
         x, v = self.x[[i, i + 1]], self.v[[i, i + 1]]
-        a = self.metric.accel(x, v)
+        a = self.metric.accel(x.T, v.T).T
         return (_hermite_at(self.t, i, q, x[0], v[0], x[1], v[1]),
                 _hermite_at(self.t, i, q, v[0], a[0], v[1], a[1]))
 
@@ -446,15 +449,17 @@ def _hermite(p0, m0, p1, m1, s):
 # integration
 # ---------------------------------------------------------------------------
 
-def rk4(rhs, y, h):
-    """One classical Runge-Kutta step of ``y' = rhs(y)`` (a ``_flow``) for every row of ``y``.
+def rk4(metric, y, h):
+    """One classical Runge-Kutta step of the geodesic flow for every column of ``y``, rows ``x0, x1, v0, v1``.
 
-    ``h`` is a scalar or an ``(N, 1)`` column of per-row steps, as ``_exit_guess`` and the exit bisection take it.
-    Rows do not mix: each gets the arithmetic of a one-row step.  Up to ``FLOAT_ROWS`` rows step in Python floats by
-    the same operations, bit for bit.
+    ``h`` is a scalar or an ``(N,)`` row of per-column steps, as ``_exit_guess`` and the exit bisection take it.
+    Columns do not mix: each gets the arithmetic of a one-column step.  Up to ``FLOAT_ROWS`` columns step in Python
+    floats by the same operations, bit for bit.
     """
-    if len(y) <= FLOAT_ROWS:
-        return _rk4_floats(rhs.grad, y, h)
+    if y.shape[1] <= FLOAT_ROWS:
+        return _rk4_floats(metric.grad_floats, y.T, h).T
+    def rhs(y):
+        return np.concatenate([y[2:], metric.accel(y[:2], y[2:])])
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * h * k1)
     k3 = rhs(y + 0.5 * h * k2)
@@ -504,15 +509,6 @@ def _rk4_floats(grad, y, h, stop=None, rule=None, arc=0.0, cap=math.inf, kept=No
         ends.append((gone, t))
     out = np.array(out).reshape(-1, 4)
     return out if stop is None else (out, ends)
-
-
-def _flow(metric):
-    """Right-hand side of the geodesic flow on rows ``(x, v)``; ``rhs.grad`` feeds ``_rk4_floats``."""
-    def rhs(y):
-        x, v = y[:, :2], y[:, 2:]
-        return np.concatenate([v, metric.accel(x, v)], axis=1)
-    rhs.grad = metric.grad_floats
-    return rhs
 
 
 def _radius(x):
@@ -595,20 +591,20 @@ def _verified_walk(below, lo, hi, width, guess, lanes):
     return tuple(np.where((n > 0) & (i >= ends - n), mid[i], end) for i, end in zip(last, (lo, hi)))
 
 
-def _exit_guess(rhs, y0, step):
+def _exit_guess(metric, y0, step):
     """Exit arclengths in ``[0, step]`` guessed by Newton on the RK4 step map: ``|x(s)|^2 = 1``, slope ``2 x.v``."""
-    s = np.zeros(len(y0))
+    s = np.zeros(y0.shape[1])
     with np.errstate(all="ignore"):   # a grazing row may divide by zero: the guess decides no turn
         for k in range(4):   # Newton steps: at 3, an exit at x.v = 0.07 was 4e-12 off and took 4 more passes
-            x0, x1, v0, v1 = (rk4(rhs, y0, s[:, None]) if k else y0).T
+            x0, x1, v0, v1 = rk4(metric, y0, s) if k else y0
             s = np.clip(s + (1.0 - x0 * x0 - x1 * x1) / (2.0 * (x0 * v0 + x1 * v1)), 0.0, step)
     return s
 
 
 def _trace_rows(metric, y, step, back=None):
-    """Integrate every row ``(x, v)`` of ``y`` forward to the boundary, as one numpy array of rows.
+    """Integrate every row ``(x, v)`` of ``y`` forward to the boundary, as the columns of one ``(4, N)`` array.
 
-    Rows leave the array at the step that takes them out of the disk; once ``FLOAT_ROWS`` or fewer
+    Rows leave the state at the step that takes them out of the disk; once ``FLOAT_ROWS`` or fewer
     are left, each walks on alone in Python floats.  The exits are then located together, by bisection
     on ``|x| - 1`` inside those steps.  Samples are stored per step in numpy and per row in the walk,
     then gathered once into a PathStack.  A row is a path, or where ``back`` marks it the backward half of
@@ -624,21 +620,22 @@ def _trace_rows(metric, y, step, back=None):
     finite = np.isfinite(y).all(axis=1) & ok
     out = [None if f else SceneValidationError(f"geodesic start state {row.tolist()} is not finite") if ok
            else SceneValidationError("integrator step must be positive and finite") for f, row in zip(finite, y)]
-    rows, t, budget, rhs = np.flatnonzero(finite), 0.0, MAX_TRACE_SAMPLES, _flow(metric)
-    cur, samples, walked, exits, trapped = y[rows], [], [], [(rows[:0], y[:0], t)], []
+    rows, t, budget, grad = np.flatnonzero(finite), 0.0, MAX_TRACE_SAMPLES, metric.grad_floats
+    cur, samples, walked, exits, trapped = y[rows].T.copy(), [], [], [(rows[:0], np.zeros((4, 0)), t)], []
     def walk(y0, t0, n, kept):   # row y0 from arclength t0, up to n steps: its last state, if it left, its arclength
-        (y1,), ((gone, t1),) = _rk4_floats(rhs.grad, y0[None], step, [n], np.greater_equal, t0, ARCLENGTH_CAP, kept)
+        (y1,), ((gone, t1),) = _rk4_floats(grad, y0[None], step, [n], np.greater_equal, t0, ARCLENGTH_CAP, kept)
         return y1, gone, t1
     while True:   # a second pass resumes the rows that the budget paused and that exit
         paused, budget = None, budget - len(rows)
         samples.append((rows, cur, t))
         while len(rows) > FLOAT_ROWS:   # the rows step as one array; a row on the unit circle has left (_outside's >=)
-            nxt = rk4(rhs, cur, step)
-            gone = _outside(nxt)
+            nxt = rk4(metric, cur, step)
+            gone = _outside(nxt.T)
             if gone is not None and gone.any():
                 if paused is None:
-                    exits.append((rows[gone], cur[gone], t))
-                rows, nxt = rows[~gone], nxt[~gone]
+                    exits.append((rows[gone], cur[:, gone], t))
+                # compress keeps the state C-ordered; the index nxt[:, ~gone] is F-ordered, and slows the steps after it
+                rows, nxt = rows[~gone], np.compress(~gone, nxt, axis=1)
             cur, t = nxt, t + step
             if paused is None and len(rows) > budget:   # the rows go on unstored, to tell the trapped
                 paused = rows, cur, t
@@ -649,7 +646,7 @@ def _trace_rows(metric, y, step, back=None):
                 break
         else:   # FLOAT_ROWS rows or fewer are left: each walks on alone, storing up to the budget
             left = []
-            for r, y0 in zip(rows.tolist(), cur):
+            for r, y0 in zip(rows.tolist(), cur.T):
                 buf = bytearray()
                 y1, gone, t1 = walk(y0, t, budget if paused is None else 0, buf)
                 budget -= len(buf) // 40   # 5 float64s a sample
@@ -659,7 +656,7 @@ def _trace_rows(metric, y, step, back=None):
                         continue   # from the numpy loop's pause, in the second pass
                     y1, gone, t1 = walk(y1, t1, sys.maxsize, buf)
                 if gone:
-                    exits.append((np.array([r]), y1[None], t1))
+                    exits.append((np.array([r]), y1[:, None], t1))
                     walked.append((r, buf))
                 else:
                     left.append(r)
@@ -669,7 +666,7 @@ def _trace_rows(metric, y, step, back=None):
             break
         rows, cur, t = paused
         late = np.isin(rows, trapped[-1], invert=True)
-        rows, cur, budget = rows[late], cur[late], sys.maxsize
+        rows, cur, budget = rows[late], np.compress(late, cur, axis=1), sys.maxsize
     rows = np.concatenate(trapped)
     for i in rows:
         out[i] = TrappingSuspectedError(
@@ -678,20 +675,20 @@ def _trace_rows(metric, y, step, back=None):
     if rows.size:   # in place, so that the gather copies only the samples of the other rows
         live = np.isin(np.arange(len(y)), rows, invert=True)
         for j, (r, cur, t0) in enumerate(samples):
-            samples[j] = r[live[r]], cur[live[r]], t0
-    e_rows, e_y, e_t = (np.concatenate(c) for c in zip(*[(r, y0, np.full(len(r), t0)) for r, y0, t0 in exits]))
-    # |x| <= 1 at lo by induction (the sample is inside or on the circle)
-    def below(mid, y0):
-        out = _outside(rk4(rhs, y0, mid[:, None]))
+            samples[j] = r[live[r]], cur[:, live[r]], t0
+    e_rows, e_y, e_t = (np.concatenate(c, axis=-1) for c in zip(*[(r, y0, np.full(len(r), t0)) for r, y0, t0 in exits]))
+    # the rows x0, x1, v0, v1 of e_y are the lanes; |x| <= 1 at lo by induction (the sample is inside or on the circle)
+    def below(mid, *y0):
+        out = _outside(rk4(metric, np.array(y0), mid).T)
         return np.zeros(len(mid), dtype=bool) if out is None else out
 
-    s = _bisect_lanes(below, np.zeros(len(e_rows)), np.full(len(e_rows), float(step)), EVENT_WIDTH, e_y,
-                      guess=_exit_guess(rhs, e_y, step))
+    s = _bisect_lanes(below, np.zeros(len(e_rows)), np.full(len(e_rows), float(step)), EVENT_WIDTH, *e_y,
+                      guess=_exit_guess(metric, e_y, step))
     kept = s > EVENT_WIDTH
     step_rows, step_y, step_t = zip(*samples)
     w = np.concatenate([np.zeros((0, 5))] + [np.frombuffer(buf).reshape(-1, 5) for _, buf in walked])   # (t, x, v)
-    step_y += (w[:, 1:], rk4(rhs, e_y[kept], s[kept, None]))
-    x, v = (np.concatenate([y0[:, c] for y0 in step_y]) for c in (slice(2), slice(2, 4)))
+    step_y += (w[:, 1:].T, rk4(metric, np.compress(kept, e_y, axis=1), s[kept]))
+    x, v = (np.concatenate([y0[c] for y0 in step_y], axis=1).T for c in (slice(2), slice(2, 4)))
     w_rows = np.repeat(np.array([r for r, _ in walked], dtype=int), [len(buf) // 40 for _, buf in walked])
     del samples, step_y, walked   # before the gather copies the samples again
     rows = np.concatenate(step_rows + (w_rows, e_rows[kept]))

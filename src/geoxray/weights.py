@@ -20,6 +20,9 @@ import numpy as np
 from .errors import SceneValidationError, config_number
 from .geometry import DEFAULT_STEP, MetricField, PathStack, UnitTangent, _trace_rows, unit_tangents, unwrap
 
+# Largest width ``k`` of a scene's identity or angular weight, which holds a k x k matrix per sample
+MAX_COMPONENTS = 64
+
 
 class WeightField:
     """Base class; subclasses implement ``at``."""
@@ -249,14 +252,19 @@ def _weight(cfg, key, metric, trace_step):
     def number(name, default, integer=False):
         return config_number(cfg.get(name, default), f"{key}.{name}", integer)
 
+    def width():
+        if (k := number("k", 1, integer=True)) > MAX_COMPONENTS:
+            raise SceneValidationError(f"{key}.k: {k} components exceed the limit of {MAX_COMPONENTS}")
+        return k
+
     if family == "identity":
-        return IdentityWeight(number("k", 1, integer=True))
+        return IdentityWeight(width())
     if family == "constant-matrix":
         if cfg.get("matrix") is None:
             raise SceneValidationError("constant-matrix weight needs a 'matrix' entry")
         return ConstantWeight(complex_matrix(cfg["matrix"], f"{key}.matrix"))
     if family == "angular":
-        return AngularWeight(number("k", 1, integer=True), number("order", 1, integer=True),
+        return AngularWeight(width(), number("order", 1, integer=True),
                              number("amplitude", 0.0), number("radial_modulation", 0.0))
     if family == "attenuation":
         return AttenuationWeight(metric, cfg.get("coefficient", "constant"), number("strength", 1.0), trace_step)

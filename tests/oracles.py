@@ -5,8 +5,9 @@ library code under test: half-plane interval clipping instead of bisection
 on sampled sign functions, central finite differences instead of closed-form
 derivatives, plain quadrature instead of tangent differences, parallel
 transport integrated as an ODE instead of the closed-form rotated velocity,
-a bisection loop instead of one search of complex keys, and a loop over
-each row's terms by rank instead of one ``np.add.at``.
+a bisection loop instead of one search of complex keys, a loop over
+each row's terms by rank instead of one ``np.add.at``, and the geodesic
+step on rows ``(x, v)`` instead of on the tracer's component-major state.
 """
 
 import math
@@ -175,6 +176,27 @@ def observed_order(values):
     if d2 == 0:
         return math.inf
     return math.log2(d1 / d2)
+
+
+def row_flow(metric, y):
+    """Right-hand side of the geodesic flow on rows ``(x, v)``, ``x' = v`` and ``v' = -Gamma(v, v)``, as the tracer
+    stepped it before its state went component-major: ``-2 (d.v) v + (v.v) d`` written out row by row from
+    ``d = lam_grad``, which is 0 for the euclidean metric."""
+    x, v = y[:, :2], y[:, 2:]
+    d = metric.lam_grad(x)
+    dv = d[:, 0] * v[:, 0] + d[:, 1] * v[:, 1]
+    vv = v[:, 0] ** 2 + v[:, 1] ** 2
+    return np.concatenate([v, -2.0 * dv[:, None] * v + vv[:, None] * d], axis=1)
+
+
+def row_rk4(metric, y, h):
+    """One classical Runge-Kutta step of ``row_flow`` for every row of ``y``; ``h`` a scalar or an ``(N, 1)``
+    column of per-row steps."""
+    k1 = row_flow(metric, y)
+    k2 = row_flow(metric, y + 0.5 * h * k1)
+    k3 = row_flow(metric, y + 0.5 * h * k2)
+    k4 = row_flow(metric, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def transport_rhs(metric, y):

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoxray as gx
-from geoxray.geometry import (EVENT_WIDTH, EXIT_BLOCK, FLOAT_ROWS, PathStack, _bisect_lanes, _flow, _outside,
+from geoxray.geometry import (EVENT_WIDTH, EXIT_BLOCK, FLOAT_ROWS, PathStack, _bisect_lanes, _outside,
                               _radius, _rk4_floats, _trace_rows, boundary_tangents, disk_grid, flow_geodesics, rk4,
                               speed_defect, unit_tangents, unwrap)
 from geoxray.scene import random_chord_descriptors, scene_chord_descriptors
 
 from conftest import chord_start, run_bounded
 from golden.make_paths import TRACERS, digest
-from oracles import bisect_stack, fd_christoffel, fd_covariant_hessian_min, observed_order, transport_step
+from oracles import (bisect_stack, fd_christoffel, fd_covariant_hessian_min, observed_order, row_flow, row_rk4,
+                     transport_step)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def test_exit_times_do_not_depend_on_the_guess(monkeypatch, plan):
     rng = np.random.default_rng(8)
     for guess in (lambda s, n: np.full(n, np.nan), lambda s, n: np.zeros(n), lambda s, n: np.full(n, s),
                   lambda s, n: rng.uniform(0.0, s, n)):
-        monkeypatch.setattr(gx.geometry, "_exit_guess", lambda rhs, y0, step: guess(step, len(y0)))
+        monkeypatch.setattr(gx.geometry, "_exit_guess", lambda metric, y0, step: guess(step, y0.shape[1]))
         stack = trace()[0].stack
         assert [getattr(stack, a).tobytes() for a in ("t", "x", "v", "first", "stop")] == want
 
@@ -396,12 +397,13 @@ FAMILIES = [("euclidean", []), ("conformal-radial", [0.3]), ("conformal-gaussian
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_float_kernel_matches_numpy_step(family, params):
-    # rk4 steps a few rows (x, v) in Python floats: each row must get numpy's bits, signed zeros included,
-    # for a scalar step and for a column of steps.  Python's v ** 2 differs from numpy's square on about
-    # 1 value in 1,200 and math.exp from np.exp on a few percent, so 100,000 random rows in the disk, 1,000
-    # rows whose one speed component squares differently by pow, and 1,000 rows with signed zeros catch a
-    # kernel written with either or reassociated; the step of 0.5 carries a last-bit slip at a later stage
-    # into the result, where 0.01 rounds it away
+    # rk4 steps the columns of a (4, N) state, and a few of them in Python floats: each must get the bits of the
+    # row-major numpy step of the reference oracle, signed zeros included, for a scalar step and for a step per
+    # row, from a C-ordered or an F-ordered state.  Python's v ** 2 differs from numpy's square on about 1 value
+    # in 1,200 and math.exp from np.exp on a few percent, so 100,000 random rows in the disk, 1,000 rows whose one
+    # speed component squares differently by pow, and 1,000 rows with signed zeros catch a kernel written with
+    # either or reassociated; the step of 0.5 carries a last-bit slip at a later stage into the result, where
+    # 0.01 rounds it away
     rng = np.random.default_rng(17)
     n = 100_000
     r, a, b = np.sqrt(rng.uniform(0.0, 1.0, n)), *rng.uniform(0.0, 2.0 * math.pi, (2, n))
@@ -411,15 +413,41 @@ def test_float_kernel_matches_numpy_step(family, params):
     y[:1000, 2:] = np.column_stack([odd, np.zeros(len(odd))])
     zeros = rng.uniform(size=(1000, 4)) < 0.3
     y[2000:3000][zeros] = np.where(rng.uniform(size=zeros.sum()) < 0.5, 0.0, -0.0)
-    rhs = _flow(gx.metric_from_config(family, params))
+    metric = gx.metric_from_config(family, params)
     assert len(odd) == 1000 and len(y) > FLOAT_ROWS and np.signbit(y[2000:3000][zeros]).any()
     for h in (0.01, 0.5, rng.uniform(0.0, 0.05, (n, 1))):
-        want = rk4(rhs, y, h)
-        assert _rk4_floats(rhs.grad, y, h).tobytes() == want.tobytes()
-        # as rk4 takes them a few at a time: the signed-zero rows, and the first ones of each kind
-        for i in (*range(2000, 3000, FLOAT_ROWS), 0, 1000):
-            few = rk4(rhs, y[i:i + FLOAT_ROWS], h if np.ndim(h) == 0 else h[i:i + FLOAT_ROWS])
-            assert few.tobytes() == want[i:i + FLOAT_ROWS].tobytes()
+        want = row_rk4(metric, y, h)
+        assert _rk4_floats(metric.grad_floats, y, h).tobytes() == want.tobytes()
+        row = h if np.ndim(h) == 0 else h[:, 0]
+        for state in (np.ascontiguousarray(y.T), y.T):
+            assert state.flags.c_contiguous != state.flags.f_contiguous
+            assert rk4(metric, state, row).T.tobytes() == want.tobytes()
+            # as rk4 takes them a few at a time: the signed-zero rows, and the first ones of each kind
+            for i in (*range(2000, 3000, FLOAT_ROWS), 0, 1000):
+                few = rk4(metric, state[:, i:i + FLOAT_ROWS], row if np.ndim(h) == 0 else row[i:i + FLOAT_ROWS])
+                assert few.T.tobytes() == want[i:i + FLOAT_ROWS].tobytes()
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_accel_takes_components_first(family, params):
+    # MetricField.accel takes x and v components first, (2, N), and returns (2, N): transposed, it must give the
+    # bits of the reference's row-major acceleration on rows (N, 2), and rows pass as accel(x.T, v.T).T
+    rng = np.random.default_rng(29)
+    r, a, b = np.sqrt(rng.uniform(0.0, 1.0, 1000)), *rng.uniform(0.0, 2.0 * math.pi, (2, 1000))
+    y = np.column_stack([r * np.cos(a), r * np.sin(a), np.cos(b), np.sin(b)])
+    metric = gx.metric_from_config(family, params)
+    want = row_flow(metric, y)[:, 2:]
+    assert metric.accel(y[:, :2].T, y[:, 2:].T).shape == (2, len(y))
+    assert metric.accel(y[:, :2].T, y[:, 2:].T).T.tobytes() == want.tobytes()
+    assert metric.accel(y[:1, :2].T, y[:1, 2:].T).T.tobytes() == want[:1].tobytes()
+
+
+def rows_in_flight_starts(metric):
+    """80 chords of spread lengths and 2 interior starts."""
+    starts = [gx.boundary_tangent(metric, a, a + math.pi - d)
+              for a, d in zip(np.linspace(0.0, 6.0, 80), np.linspace(0.0, 1.45, 80))]
+    return starts + [gx.unit_tangent(metric, [0.3, -0.2], [0.6, 0.8]),
+                     gx.unit_tangent(metric, [-0.7, 0.1], [0.2, 1.0])]
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
@@ -429,9 +457,7 @@ def test_paths_do_not_depend_on_the_rows_in_flight(family, params):
     # are located together; alone, each row walks throughout.  Each path must be the one its start traces
     # alone, byte for byte
     metric = gx.metric_from_config(family, params)
-    starts = [gx.boundary_tangent(metric, a, a + math.pi - d)
-              for a, d in zip(np.linspace(0.0, 6.0, 80), np.linspace(0.0, 1.45, 80))]
-    starts += [gx.unit_tangent(metric, [0.3, -0.2], [0.6, 0.8]), gx.unit_tangent(metric, [-0.7, 0.1], [0.2, 1.0])]
+    starts = rows_in_flight_starts(metric)
     paths = gx.trace_geodesics(metric, starts, step=0.01)
     assert len({path.n_samples for path in paths}) > 2 * FLOAT_ROWS
     alone = [gx.trace_geodesic(metric, start, step=0.01) for start in starts]
@@ -443,13 +469,29 @@ def test_paths_do_not_depend_on_the_rows_in_flight(family, params):
             assert [getattr(path, a).tobytes() for a in "txv"] == [getattr(want, a).tobytes() for a in "txv"]
 
 
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_numpy_steps_take_a_c_ordered_state(monkeypatch, family, params):
+    # the tracer's numpy state is one C-ordered (4, N) array from the first step through the exit bisection and
+    # the last exit step: an F-ordered one, as the index that drops exited columns returns, steps 1.5 times as long
+    metric = gx.metric_from_config(family, params)
+    contiguous = []
+
+    def recording(metric, y, h):
+        if y.shape[1] > FLOAT_ROWS:
+            contiguous.append(y.flags.c_contiguous)
+        return rk4(metric, y, h)
+    monkeypatch.setattr(gx.geometry, "rk4", recording)
+    gx.trace_geodesics(metric, rows_in_flight_starts(metric), step=0.01)
+    assert len(contiguous) > 100 and all(contiguous)
+
+
 def test_few_rows_are_stepped_without_a_lockstep_pass(monkeypatch):
     # the 4 forward-refined chords walk to their exits in Python floats: rk4 is called only to locate
     # the exits (Newton guess, checked turns, exit samples), 5 times, not once per numpy step (189)
     metric = gx.metric_from_config("conformal-radial", [0.05])
     starts = [gx.boundary_tangent(metric, a, d) for a, d in random_chord_descriptors(4, np.random.default_rng(0))]
     calls = []
-    monkeypatch.setattr(gx.geometry, "rk4", lambda *a: calls.append(len(a[1])) or rk4(*a))
+    monkeypatch.setattr(gx.geometry, "rk4", lambda *a: calls.append(a[1].shape[1]) or rk4(*a))
     paths = gx.trace_geodesics(metric, starts, step=0.01)
     assert sum(p.n_samples for p in paths) > 190 and 0 < len(calls) <= 10
 
@@ -652,7 +694,7 @@ def test_flow_lanes_walk_without_a_numpy_step(monkeypatch):
     metric = gx.metric_from_config(*FAMILIES[1])
     starts, lengths = spread_lanes(metric)
     calls = []
-    monkeypatch.setattr(gx.geometry, "rk4", lambda *a: calls.append(len(a[1])) or rk4(*a))
+    monkeypatch.setattr(gx.geometry, "rk4", lambda *a: calls.append(a[1].shape[1]) or rk4(*a))
     lanes = flow_geodesics(metric, starts, lengths, step=0.01)
     assert len(lanes) == 2 * FLOAT_ROWS and sum(isinstance(lane, tuple) for lane in lanes) > FLOAT_ROWS
     assert calls == []

@@ -208,6 +208,35 @@ def test_plan_over_the_step_limit_exits_at_load(tmp_path, name, command, key, va
     assert f"scene.{named}" in done.stderr and f"{gx.scene.MAX_PLAN_STEPS:.0e}" in done.stderr
 
 
+HUGE_K = 10**9
+
+
+@pytest.mark.parametrize("weight, named", [
+    ({"family": "identity", "k": HUGE_K}, "weight.k"),
+    ({"family": "angular", "k": HUGE_K, "order": 1, "amplitude": 0.5}, "weight.k"),
+    ({"family": "product", "left": {"family": "identity", "k": 1},
+      "right": {"family": "angular", "k": HUGE_K, "order": 1, "amplitude": 0.5}}, "weight.right.k"),
+    ({"family": "product", "left": {"family": "identity", "k": HUGE_K},
+      "right": {"family": "identity", "k": 1}}, "weight.left.k"),
+])
+def test_weight_over_the_component_limit_exits_at_load(tmp_path, weight, named):
+    # spectrum of the demo scene at k = 10**9 exited 1 under a 3 GB address space limit, identity with "array is
+    # too big" and angular with a MemoryError for 179 GiB; the weight's width is bounded at load, and the error
+    # names the key.  The child keeps the same limit, so a missing bound cannot take the host's memory
+    scene = json.loads(Path(demo_scene_path(tmp_path, "demo_spectrum", "weight", weight)).read_text(encoding="utf-8"))
+    scene["field"]["k"] = HUGE_K
+    path = write_scene(tmp_path, "s.json", scene)
+    done = run_bounded("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                       "from geoxray import cli; sys.exit(cli.main(sys.argv[1:]))",
+                       "spectrum", "--scene", path, "--out", str(tmp_path / "out"), timeout=20)
+    assert done.returncode == EXIT_VALIDATION
+    assert done.stderr.startswith("geoxray: error: ") and done.stderr.count("\n") == 1
+    assert f"scene.{named}:" in done.stderr and str(gx.weights.MAX_COMPONENTS) in done.stderr
+    for family in ("identity", "angular"):   # the bound itself loads
+        bound = {"family": family, "k": gx.weights.MAX_COMPONENTS}
+        assert gx.weight_from_config(bound, gx.metric_from_config("euclidean")).k == gx.weights.MAX_COMPONENTS
+
+
 def test_demo_plans_at_the_smallest_step_load():
     # the frontier bound takes the sweep's batch count (3 for the demo) where one batch per
     # triangle (24) would be over the limit
