@@ -24,6 +24,9 @@ from .recovery import RecordedOracle, SyntheticOracle, reconstruct, singular_spe
 from .scene import Scene, load_scene, scene_chord_descriptors
 from .transform import limit_scan, plan_weight_integrals
 
+# Largest dense operator ``spectrum`` assembles, in complex entries (rows x m by triangles x k): 1 GiB of complex128
+MAX_DENSE_ENTRIES = 2**26
+
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -165,7 +168,12 @@ def cmd_reconstruct(scene: Scene, out_dir: str, data_path=None) -> str:
 
 def cmd_spectrum(scene: Scene, out_dir: str) -> str:
     """Singular values of the assembled operator over the chord plan."""
-    spectrum = singular_spectrum(_plan(scene, scene_chord_descriptors(scene)).dense())
+    descriptors = scene_chord_descriptors(scene)
+    entries = len(descriptors) * scene.weight.m * scene.tiling.n_triangles * scene.weight.k
+    if entries > MAX_DENSE_ENTRIES:
+        raise SceneValidationError(f"scene.plans.chords: the dense operator of {len(descriptors)} chords would hold "
+                                   f"{entries} entries, over the limit of {MAX_DENSE_ENTRIES}")
+    spectrum = singular_spectrum(_plan(scene, descriptors).dense())
     out = os.path.join(out_dir, "spectrum.csv")
     write_csv(out, ["index", "sigma"], [[float(i), s] for i, s in enumerate(spectrum)])
     smin, smax, ratio = spectral_summary(spectrum)

@@ -136,15 +136,6 @@ class MetricField:
         factor = math.exp(2.0 * float(self.lam(np.asarray(x, dtype=float))))
         return factor * float(u[0] * w[0] + u[1] * w[1])
 
-    def norm(self, x, v):
-        return math.sqrt(max(self.inner(x, v, v), 0.0))
-
-    def unit(self, x, v):
-        n = self.norm(x, v)
-        if n == 0.0:
-            raise SceneValidationError("cannot normalize a zero tangent vector")
-        return np.asarray(v, dtype=float) / n
-
     def frame(self, x):
         """Matrix A with ``u = A @ d`` the g-orthonormal components of d."""
         factor = math.exp(float(self.lam(np.asarray(x, dtype=float))))
@@ -275,56 +266,41 @@ class UnitTangent:
 
 
 def unit_tangent(metric: MetricField, x, v) -> UnitTangent:
-    """Normalize ``v`` at ``x`` in ``g`` and package the pair."""
-    x = np.asarray(x, dtype=float)
-    if np.hypot(x[0], x[1]) > DISK_RADIUS + BOUNDARY_TOL:
-        raise DomainError(f"base point {x.tolist()} outside the closed disk")
-    v = metric.unit(x, v)
-    # false for NaN too: a non-finite point, direction or metric stops here
-    if not abs(metric.inner(x, v, v) - 1.0) <= 1e-12:
-        raise SceneValidationError(f"tangent at {x.tolist()} has no finite unit length in the metric")
-    return UnitTangent(x=x, v=v)
+    """Normalize ``v`` at ``x`` in ``g`` and package the pair: the one-row form of ``unit_tangents``."""
+    return unwrap(unit_tangents(metric, [x], [v])[0])
 
 
-def unit_tangents(metric: MetricField, x, v):
-    """``unit_tangent`` of the rows of ``x`` and ``v`` ``(N, 2)`` in one array pass: the points and
-    their unit directions, ``(N, 2)`` each, row by row the scalar bits.  The factor ``exp(2 lam)``
-    is ``math.exp`` per row, as ``inner`` takes it.  The first row ``unit_tangent`` rejects raises its error."""
+def unit_tangents(metric: MetricField, x, v) -> list:
+    """Normalize each row of ``v`` at the row of ``x`` (``(N, 2)`` each) in ``g``, in one array pass.
+
+    Returns one entry per row: its UnitTangent, or its error, in this order: a point outside the
+    closed disk, a zero direction, a direction with no finite unit length (a non-finite point,
+    direction or metric).  The factor ``exp(2 lam)`` is ``math.exp`` per row, as ``inner`` takes it.
+    """
     x, v = np.asarray(x, dtype=float).reshape(-1, 2), np.asarray(v, dtype=float).reshape(-1, 2)
     factor = np.array([math.exp(2.0 * lam) for lam in metric.lam(x).tolist()])
     n = np.sqrt(np.maximum(factor * (v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         u = v / n[:, None]
-    bad = (np.hypot(x[:, 0], x[:, 1]) > DISK_RADIUS + BOUNDARY_TOL) | (n == 0.0)
-    bad |= ~(np.abs(factor * (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1]) - 1.0) <= 1e-12)
-    for r in np.flatnonzero(bad)[:1].tolist():
-        unit_tangent(metric, x[r], v[r])
-    return x, u
+    outside = (np.hypot(x[:, 0], x[:, 1]) > DISK_RADIUS + BOUNDARY_TOL).tolist()
+    # false for NaN too: a non-finite point, direction or metric stops here
+    unit = (np.abs(factor * (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1]) - 1.0) <= 1e-12).tolist()
+    return [DomainError(f"base point {p.tolist()} outside the closed disk") if out
+            else SceneValidationError("cannot normalize a zero tangent vector") if zero
+            else SceneValidationError(f"tangent at {p.tolist()} has no finite unit length in the metric") if not ok
+            else UnitTangent(x=p, v=d) for p, d, out, zero, ok in zip(x, u, outside, (n == 0.0).tolist(), unit)]
 
 
 def boundary_tangent(metric: MetricField, boundary_angle: float, direction_angle: float) -> UnitTangent:
-    """Unit tangent at a boundary point with a chart direction angle."""
-    x = np.array([math.cos(boundary_angle), math.sin(boundary_angle)])
-    v = np.array([math.cos(direction_angle), math.sin(direction_angle)])
-    return unit_tangent(metric, x, v)
+    """Unit tangent at a boundary point with a chart direction angle: the one-row form of ``boundary_tangents``."""
+    return unwrap(boundary_tangents(metric, [(boundary_angle, direction_angle)])[0])
 
 
 def boundary_tangents(metric: MetricField, descriptors) -> list:
-    """``boundary_tangent`` of every (boundary angle, direction angle) pair, in one ``unit_tangents``
-    pass: per pair the UnitTangent, bit for bit, or the error that ``boundary_tangent`` raises for it.
-    Points and directions come from ``math.cos`` and ``math.sin``, as ``boundary_tangent`` takes them."""
+    """The unit tangent of every (boundary angle, direction angle) pair, in one ``unit_tangents`` pass:
+    per pair its UnitTangent or its error.  Points and directions come from ``math.cos`` and ``math.sin``."""
     rows = np.array([[math.cos(a), math.sin(a), math.cos(d), math.sin(d)] for a, d in descriptors]).reshape(-1, 4)
-    try:
-        x, v = unit_tangents(metric, rows[:, :2], rows[:, 2:])
-    except GeoxrayError:
-        out = []   # some start cannot be built: each pair gets its own start or error
-        for a, d in descriptors:
-            try:
-                out.append(boundary_tangent(metric, a, d))
-            except GeoxrayError as exc:
-                out.append(exc)
-        return out
-    return [UnitTangent(x=p, v=u) for p, u in zip(x, v)]
+    return unit_tangents(metric, rows[:, :2], rows[:, 2:])
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .geometry import (
     flow_geodesics,
     trace_geodesics,
     unit_tangent,
+    unit_tangents,
     unwrap,
 )
 from .tiling import PiecewiseConstantField, SectorFan, Tiling, clip_plan, tangent_fan
@@ -214,38 +215,29 @@ def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
     ``x`` must be a boundary point and each ``v`` an inward unit direction within 30 degrees of the
     inward normal.  The normal of ``v`` (rotated by ``sign * pi/2``) is parallel-transported to
     distance h, and the maximal geodesic through that point in the transported direction is traced.
-    The flows of all members run in lockstep, and so do their traces.  Returns one entry per member:
-    its traced GeodesicPath, or the error that building it raises.
+    Each stage takes all members in one call: the anchors' ``unit_tangents``, the flows, the offset normals'
+    ``unit_tangents`` and the traces.  Returns one entry per member: its traced GeodesicPath, or its error.
     """
     x = np.asarray(x, dtype=float)
     if abs(math.hypot(x[0], x[1]) - DISK_RADIUS) > BOUNDARY_TOL:
         raise SceneValidationError("fan anchor must sit on the boundary circle")
-    nu = metric.unit(x, -x)
-    out, anchored = [], []
-    for v, h in members:
-        try:
-            anchor = unit_tangent(metric, x, v)
-            if metric.inner(x, anchor.v, nu) < math.cos(FAN_CONE_HALF_ANGLE):
-                raise SceneValidationError(
-                    "fan anchor direction lies outside the 30-degree cone about the inward normal"
-                )
-            if h <= 0:
-                raise SceneValidationError("fan offset h must be positive")
-            anchored.append((len(out), anchor, h))
-            out.append(None)
-        except GeoxrayError as exc:
-            out.append(exc)
-    flows = flow_geodesics(metric, [a[1] for a in anchored], [a[2] for a in anchored], step=step)
-    for (i, _anchor, h), flow in zip(anchored, flows):
-        try:
-            p, v_h = unwrap(flow)
-            if math.hypot(p[0], p[1]) > DISK_RADIUS - 1e-12:
-                raise FanConstructionError(f"offset point for h={h:g} is not interior")
-            # the rotation by sign * pi/2 is parallel on an oriented surface (do Carmo, Riemannian Geometry, ch. 2-3:
-            # transport keeps angles and orientation), so the transported normal of v is the normal of v_h
-            out[i] = unit_tangent(metric, p, metric.rotate90(p, v_h, sign=sign))
-        except GeoxrayError as exc:
-            out[i] = exc
+    nu, members = unit_tangent(metric, x, -x).v, list(members)
+    anchors = unit_tangents(metric, np.tile(x, (len(members), 1)), [v for v, _ in members])
+    out = [a if isinstance(a, GeoxrayError)
+           else SceneValidationError("fan anchor direction lies outside the 30-degree cone about the inward normal")
+           if metric.inner(x, a.v, nu) < math.cos(FAN_CONE_HALF_ANGLE)
+           else SceneValidationError("fan offset h must be positive") if h <= 0 else None
+           for a, (_, h) in zip(anchors, members)]
+    live = [i for i, o in enumerate(out) if o is None]
+    for i, flow in zip(live, flow_geodesics(metric, [anchors[i] for i in live], [members[i][1] for i in live], step)):
+        out[i] = (FanConstructionError(f"offset point for h={members[i][1]:g} is not interior")
+                  if not isinstance(flow, GeoxrayError) and math.hypot(*flow[0]) > DISK_RADIUS - 1e-12 else flow)
+    # the rotation by sign * pi/2 is parallel on an oriented surface (do Carmo, Riemannian Geometry, ch. 2-3:
+    # transport keeps angles and orientation), so the transported normal of v is the normal of v_h
+    offset = [i for i, o in enumerate(out) if isinstance(o, tuple)]   # the (p, v_h) of a flow that stayed inside
+    normals = unit_tangents(metric, [out[i][0] for i in offset], [metric.rotate90(*out[i], sign=sign) for i in offset])
+    for i, normal in zip(offset, normals):
+        out[i] = normal
     return trace_geodesics(metric, out, step=step)
 
 
@@ -338,14 +330,15 @@ def limit_scan(metric: MetricField, weight: WeightField, tiling: Tiling,
     vertex_id = tiling.find_vertex(x)
     fan = tangent_fan(tiling, field, vertex_id, metric)
     members, stop = [], None
-    for offset in v_offsets:
+    directions = [_rotate_chart(metric, x, -x, offset) for offset in v_offsets]
+    for start in unit_tangents(metric, np.tile(x, (len(directions), 1)), directions):
         try:
-            ut = unit_tangent(metric, x, _rotate_chart(metric, x, -x, offset))
-            frozen = frozen_limit(weight, x, ut.v, fan)
+            v = unwrap(start).v
+            frozen = frozen_limit(weight, x, v, fan)
         except GeoxrayError as exc:
             stop = exc   # raised after the members of the earlier offsets
             break
-        members += [(ut.v, h, frozen) for h in h_values]
+        members += [(v, h, frozen) for h in h_values]
     paths = fan_geodesics(metric, x, [(v, h) for v, h, _ in members], sign=sign, step=step)
     values = plan_weight_integrals(metric, weight, tiling, paths).apply(field)
     rows = []

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import SceneValidationError, config_number
-from .geometry import DEFAULT_STEP, MetricField, PathStack, UnitTangent, _trace_rows, unit_tangents, unwrap
+from .geometry import DEFAULT_STEP, MetricField, PathStack, _trace_rows, unit_tangents, unwrap
 
 # Largest width ``k`` of a scene's identity or angular weight, which holds a k x k matrix per sample
 MAX_COMPONENTS = 64
@@ -155,10 +155,11 @@ class AttenuationWeight(WeightField):
         return cumulative[row, -1] - cumulative[row, col]
 
     def at(self, x, v):
-        """Points are normalized as ``unit_tangent`` does, in one ``unit_tangents`` pass,
-        and traced to the boundary together in one lockstep call."""
+        """Points are normalized in one ``unit_tangents`` pass, the first row it rejects raising its
+        error, and traced to the boundary together in one lockstep call."""
         x, v = _batch(x, v)
-        stack, paths = _trace_rows(self.metric, np.concatenate(unit_tangents(self.metric, x, v), axis=1),
+        starts = [unwrap(start) for start in unit_tangents(self.metric, x, v)]
+        stack, paths = _trace_rows(self.metric, np.array([np.concatenate([s.x, s.v]) for s in starts]).reshape(-1, 4),
                                    self.trace_step)
         for path in paths:
             unwrap(path)
@@ -235,8 +236,8 @@ def sphere_bundle_samples(metric: MetricField, n_points: int = 40, n_dirs: int =
         points.append([r * math.cos(ang), r * math.sin(ang)])
     thetas = [2.0 * math.pi * j / n_dirs for j in range(n_dirs)]
     dirs = [[math.cos(theta), math.sin(theta)] for theta in thetas]
-    x, v = unit_tangents(metric, np.repeat(np.reshape(points, (-1, 2)), n_dirs, axis=0), np.tile(dirs, (n_points, 1)))
-    return [UnitTangent(x=p, v=d) for p, d in zip(x, v)]
+    return [unwrap(start) for start in
+            unit_tangents(metric, np.repeat(np.reshape(points, (-1, 2)), n_dirs, axis=0), np.tile(dirs, (n_points, 1)))]
 
 
 def weight_from_config(cfg: dict, metric: MetricField, trace_step: float = DEFAULT_STEP) -> WeightField:

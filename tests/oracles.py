@@ -6,13 +6,16 @@ on sampled sign functions, central finite differences instead of closed-form
 derivatives, plain quadrature instead of tangent differences, parallel
 transport integrated as an ODE instead of the closed-form rotated velocity,
 a bisection loop instead of one search of complex keys, a loop over
-each row's terms by rank instead of one ``np.add.at``, and the geodesic
-step on rows ``(x, v)`` instead of on the tracer's component-major state.
+each row's terms by rank instead of one ``np.add.at``, the geodesic
+step on rows ``(x, v)`` instead of on the tracer's component-major state,
+and one tangent normalized in scalars instead of rows in one array pass.
 """
 
 import math
 
 import numpy as np
+
+import geoxray as gx
 
 
 def segment_triangle_interval(p0, d, coords):
@@ -237,3 +240,24 @@ def add_by_rank(out, row, terms):
         sel = rank == j
         out[row[sel]] += terms[sel]
     return out
+
+
+def scalar_unit_tangent(metric, x, v):
+    """The g-unit tangent of ``v`` at one point ``x`` in scalars, as ``MetricField.inner``, ``norm`` and
+    ``unit`` took it before tangents were normalized in rows: ``exp(2 lam)`` by ``math.exp`` of the point's
+    ``lam``, the norm by ``math.sqrt``.  Raises, in this order, for a point outside the closed disk, a zero
+    direction, and a direction with no finite unit length."""
+    x = np.asarray(x, dtype=float)
+    if np.hypot(x[0], x[1]) > gx.geometry.DISK_RADIUS + gx.geometry.BOUNDARY_TOL:
+        raise gx.DomainError(f"base point {x.tolist()} outside the closed disk")
+    factor = math.exp(2.0 * float(metric.lam(x)))
+    v = np.asarray(v, dtype=float)
+    n = math.sqrt(max(factor * float(v[0] * v[0] + v[1] * v[1]), 0.0))
+    if n == 0.0:
+        raise gx.SceneValidationError("cannot normalize a zero tangent vector")
+    with np.errstate(invalid="ignore"):   # inf / inf
+        u = v / n
+    # false for NaN too: a non-finite point, direction or metric stops here
+    if not abs(factor * float(u[0] * u[0] + u[1] * u[1]) - 1.0) <= 1e-12:
+        raise gx.SceneValidationError(f"tangent at {x.tolist()} has no finite unit length in the metric")
+    return gx.UnitTangent(x=x, v=u)

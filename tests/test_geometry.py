@@ -16,7 +16,7 @@ from geoxray.scene import random_chord_descriptors, scene_chord_descriptors
 from conftest import chord_start, run_bounded
 from golden.make_paths import TRACERS, digest
 from oracles import (bisect_stack, fd_christoffel, fd_covariant_hessian_min, observed_order, row_flow, row_rk4,
-                     transport_step)
+                     scalar_unit_tangent, transport_step)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +155,22 @@ def test_batched_trace_keeps_each_start_error_in_place(euclidean, hexagon24):
     assert gx.tiling.clip_plan(hexagon24, paths)[0] is paths[0].stack
 
 
+def _entry(normalize, metric, x, v):
+    try:
+        return normalize(metric, x, v)
+    except gx.GeoxrayError as exc:
+        return exc
+
+
+def _same_entry(got, want):
+    if isinstance(want, gx.GeoxrayError):
+        return type(got) is type(want) and str(got) == str(want)
+    return (got.x.tobytes(), got.v.tobytes()) == (want.x.tobytes(), want.v.tobytes())
+
+
 def test_boundary_tangents_match_boundary_tangent():
-    # the starts of the demo plans in one array pass, bit for bit as built one by
-    # one; a descriptor that cannot be built keeps its own error at its row
+    # the starts of the demo plans in one array pass, bit for bit as the scalar oracle normalizes them one by
+    # one; a row that cannot be normalized keeps its own error, type and text, at its place
     from golden.make_plan_clips import SCENES
     from geoxray.recovery import frontier_plan
 
@@ -174,18 +187,29 @@ def test_boundary_tangents_match_boundary_tangent():
         starts = boundary_tangents(metric, descriptors)
         assert len(starts) == len(descriptors) > 20
         for (a, d), start in zip(descriptors, starts):
-            want = gx.boundary_tangent(metric, a, d)
-            assert (start.x.tobytes(), start.v.tobytes()) == (want.x.tobytes(), want.v.tobytes())
+            want = scalar_unit_tangent(metric, [math.cos(a), math.sin(a)], [math.cos(d), math.sin(d)])
+            assert _same_entry(start, want) and _same_entry(gx.boundary_tangent(metric, a, d), want)
     metric, descriptors = plans[1]      # a NaN point has no unit tangent in a curved metric
     bad = list(descriptors)
     bad[3] = (math.nan, bad[3][1])
     starts = boundary_tangents(metric, bad)
-    with pytest.raises(gx.SceneValidationError) as want:
-        gx.boundary_tangent(metric, *bad[3])
-    assert type(starts[3]) is type(want.value) and str(starts[3]) == str(want.value)
-    for k in (2, 4, len(bad) - 1):
-        want = gx.boundary_tangent(metric, *bad[k])
-        assert (starts[k].x.tobytes(), starts[k].v.tobytes()) == (want.x.tobytes(), want.v.tobytes())
+    for k in (2, 3, 4, len(bad) - 1):
+        a, d = bad[k]
+        want = _entry(scalar_unit_tangent, metric, [math.cos(a), math.sin(a)], [math.cos(d), math.sin(d)])
+        assert isinstance(want, gx.GeoxrayError) == (k == 3) and _same_entry(starts[k], want)
+    # rows of each error kind among good rows, in one unit_tangents call and one by one; a point outside the disk
+    # with a zero direction takes the first error of the three
+    x = [[0.2, 0.1], [math.nan, 0.0], [0.3, -0.4], [1.2, 0.0], [0.0, -0.5], [0.6, 0.8], [0.1, 0.1], [-1.5, 0.0]]
+    v = [[1.0, 0.3], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-0.2, 0.7], [-0.6, 0.1], [math.inf, 0.0], [0.0, 0.0]]
+    kinds = [gx.UnitTangent, gx.SceneValidationError, gx.SceneValidationError, gx.DomainError, gx.UnitTangent,
+             gx.UnitTangent, gx.SceneValidationError, gx.DomainError]
+    for metric in (plans[0][0], plans[2][0]):
+        rows = unit_tangents(metric, x, v)
+        assert len(rows) == len(x)
+        for row, p, d, kind in zip(rows, x, v, kinds):
+            want = _entry(scalar_unit_tangent, metric, p, d)
+            assert type(want) is kind and _same_entry(row, want)
+            assert _same_entry(_entry(gx.unit_tangent, metric, p, d), want)
 
 
 def test_exit_test_matches_radius_rule():
@@ -635,8 +659,9 @@ def test_transported_normal_is_the_rotated_velocity(family, params, sign):
     metric = gx.metric_from_config(family, params)
     rng = np.random.default_rng(5)
     r, a, b = np.sqrt(rng.uniform(0.0, 0.36, 30)), *rng.uniform(0.0, 2.0 * math.pi, (2, 30))
-    x, v = unit_tangents(metric, np.column_stack([r * np.cos(a), r * np.sin(a)]),
-                         np.column_stack([np.cos(b), np.sin(b)]))
+    starts = unit_tangents(metric, np.column_stack([r * np.cos(a), r * np.sin(a)]),
+                           np.column_stack([np.cos(b), np.sin(b)]))
+    x, v = np.array([s.x for s in starts]), np.array([s.v for s in starts])
     y = np.column_stack([x, v, [metric.rotate90(p, u, sign=sign) for p, u in zip(x, v)]])
     w0 = y[:, 4:].copy()
     for _ in range(30):
@@ -720,7 +745,7 @@ def test_transport_preserves_orthogonality(conformal10):
     w0 = conformal10.rotate90(path.x[0], path.v[0])
     w = parallel_transport(conformal10, path, w0)
     inners = [conformal10.inner(path.x[i], w[i], path.v[i]) for i in range(path.n_samples)]
-    norms = [conformal10.norm(path.x[i], w[i]) for i in range(path.n_samples)]
+    norms = [math.sqrt(conformal10.inner(path.x[i], w[i], w[i])) for i in range(path.n_samples)]
     assert max(abs(v) for v in inners) <= 1e-8
     assert max(abs(n - 1.0) for n in norms) <= 1e-8
 

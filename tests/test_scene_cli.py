@@ -237,6 +237,23 @@ def test_weight_over_the_component_limit_exits_at_load(tmp_path, weight, named):
         assert gx.weight_from_config(bound, gx.metric_from_config("euclidean")).k == gx.weights.MAX_COMPONENTS
 
 
+def test_spectrum_over_the_dense_limit_exits_before_tracing(tmp_path):
+    # the demo spectrum plan (300 chords, m = 3, k = 2) on a 16-sided fan refined 6 times (T = 65,536) asks
+    # for 117,964,800 dense entries, 1.8 GiB of complex128 before the SVD's own; the command counts them once
+    # its chords are planned and exits before it traces one.  The child keeps a 3 GiB address space limit
+    path = demo_scene_path(tmp_path, "demo_spectrum", "tiling", {"generator": {"kind": "polygon-fan", "sides": 16,
+                                                                              "refine": 6}})
+    done = run_bounded("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                       "from geoxray import cli, transform\n"
+                       "transform.trace_geodesics = None   # a traced chord is a TypeError, exit 1\n"
+                       "sys.exit(cli.main(sys.argv[1:]))",
+                       "spectrum", "--scene", path, "--out", str(tmp_path / "out"), timeout=60)
+    assert done.returncode == EXIT_VALIDATION, done.stderr
+    assert done.stderr.startswith("geoxray: error: scene.plans.chords: ") and done.stderr.count("\n") == 1
+    assert str(300 * 3 * 65536 * 2) in done.stderr and str(cli.MAX_DENSE_ENTRIES) in done.stderr
+    assert cli.MAX_DENSE_ENTRIES == 2**26 and not (tmp_path / "out").exists()
+
+
 def test_demo_plans_at_the_smallest_step_load():
     # the frontier bound takes the sweep's batch count (3 for the demo) where one batch per
     # triangle (24) would be over the limit

@@ -318,7 +318,7 @@ def test_fan_geodesic_conformal_orthogonality(conformal05):
         (at,) = np.flatnonzero((path.x == p).all(axis=1))
         assert np.array_equal(path.v[at], gx.unit_tangent(conformal05, p, w_h).v)
         assert abs(conformal05.inner(p, w_h, v_h)) <= 1e-8
-        assert abs(conformal05.norm(p, w_h) - 1.0) <= 1e-8
+        assert abs(math.sqrt(conformal05.inner(p, w_h, w_h)) - 1.0) <= 1e-8
 
 
 def test_fan_geodesic_rejects_too_large_offset(euclidean):
@@ -345,6 +345,56 @@ def test_fan_geodesic_rejects_wide_anchor_cone(euclidean):
     v = np.array([math.cos(math.pi + 1.0), math.sin(math.pi + 1.0)])  # 57 deg off normal
     with pytest.raises(gx.SceneValidationError):
         unwrap(gx.fan_geodesics(euclidean, [1.0, 0.0], [(v, 0.1)])[0])
+
+
+def _boundary_offset(metric, step):
+    """The largest offset along the diameter from (1, 0) whose flow at ``step`` stays in the disk: its end lies
+    within rounding of the circle.  Bisected among offsets of one step count, where the end moves smoothly."""
+    anchor = gx.unit_tangent(metric, [1.0, 0.0], [-1.0, 0.0])
+    lo = 1.9
+    while not isinstance(flow_geodesics(metric, [anchor], [lo + step], step=step)[0], gx.GeoxrayError):
+        lo += step
+    hi = lo + step
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if isinstance(flow_geodesics(metric, [anchor], [mid], step=step)[0], gx.GeoxrayError):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("family, params", [("euclidean", []), ("conformal-radial", [0.05])])
+def test_fan_members_keep_their_own_errors_and_bits(family, params, sign):
+    # one call with good members among one member of each error kind: each failing member gets its own error
+    # in member order, and each good member's path has the bits of a one-member call
+    metric, step = gx.metric_from_config(family, params), 0.01
+    x = np.array([1.0, 0.0])
+
+    def inward(deg):
+        return np.array([math.cos(math.pi + math.radians(deg)), math.sin(math.pi + math.radians(deg))])
+
+    edge = _boundary_offset(metric, step)
+    members = [
+        (inward(10), 0.1, None),
+        ([0.0, 0.0], 0.1, (gx.SceneValidationError, "cannot normalize a zero tangent vector")),
+        (inward(-20), 0.3, None),
+        (inward(50), 0.1, (gx.SceneValidationError, "30-degree cone")),
+        (inward(0), 0.0, (gx.SceneValidationError, "h must be positive")),
+        (inward(5), math.nan, (gx.SceneValidationError, "flow length must be positive")),
+        (inward(0), 2.5, (gx.FanConstructionError, "before reaching offset 2.5")),
+        (inward(0), edge, (gx.FanConstructionError, f"offset point for h={edge:g} is not interior")),
+        (inward(-5), 0.05, None),
+    ]
+    entries = gx.fan_geodesics(metric, x, [(v, h) for v, h, _ in members], sign=sign, step=step)
+    assert len(entries) == len(members)
+    for (v, h, error), entry in zip(members, entries):
+        if error is None:
+            (single,) = gx.fan_geodesics(metric, x, [(v, h)], sign=sign, step=step)
+            assert [getattr(entry, a).tobytes() for a in "txv"] == [getattr(single, a).tobytes() for a in "txv"]
+        else:
+            assert type(entry) is error[0] and error[1] in str(entry)
 
 
 # ---------------------------------------------------------------------------
