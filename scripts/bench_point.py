@@ -10,10 +10,12 @@ metric and the host's ``calib_ms`` per run.  Then it times the four demo command
 each checkout, ``REPS`` times each, in one worker process per checkout: each run on one side is followed at once
 by the same run on the other, and the side that goes first alternates.  The point holds, per side, the median and
 the interquartile range of every figure, how many pairs the change won on each metric, both commit ids and both
-``src/`` line counts.
+``src/`` line counts; per demo command also the median and IQR of each round's change/parent time ratio, in which
+a slow stretch of the host, slowing both runs of a round, cancels out.
 
-``check`` loads each point and exits 1 on a missing key or a non-finite number; it prints the latest point's
-parent -> change table (by ``date``), and appends it to ``--summary`` when given.
+``check`` loads each point and exits 1 on a missing key, a non-finite number or a demo ratio whose median is not
+positive (a point made before the ratios has none); it prints the latest point's parent -> change table (by
+``date``), and appends it to ``--summary`` when given.
 """
 
 from __future__ import annotations
@@ -61,6 +63,14 @@ with tempfile.TemporaryDirectory() as tmp:
 def stats(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "iqr": q3 - q1}
+
+
+def demo_entry(times: dict) -> dict:
+    """A demo command's figures from each side's times, one per round: how many rounds the change won, each side's
+    median and IQR, and the median and IQR of the rounds' change/parent ratios."""
+    pairs = list(zip(*(times[side] for side in SIDES)))
+    return {"change_wins": sum(c < p for p, c in pairs), **{side: stats(times[side]) for side in SIDES},
+            "ratio": stats([c / p for p, c in pairs])}
 
 
 def src_lines(root: Path) -> int:
@@ -127,8 +137,7 @@ def make(args) -> dict:
         **{side: {"commit": commits[side], "src_lines": src_lines(roots[side])} for side in SIDES},
         "calib_ms": {side: stats(calib[side]) for side in SIDES},
         "end_to_end": end_to_end,
-        "demo_ms": {command: {"change_wins": sum(c < p for p, c in zip(*(times[side] for side in SIDES))),
-                              **{side: stats(times[side]) for side in SIDES}} for command, times in demo.items()},
+        "demo_ms": {command: demo_entry(times) for command, times in demo.items()},
     }
 
 
@@ -164,6 +173,11 @@ def problems(point: dict) -> list:
         need(entry, ("change_wins", *SIDES), f"demo_ms.{command}")
         for side in SIDES:
             need((entry or {}).get(side), STAT_KEYS, f"demo_ms.{command}.{side}")
+        ratio = (entry or {}).get("ratio")
+        if ratio is not None:   # a point made before the ratios has none
+            need(ratio, STAT_KEYS, f"demo_ms.{command}.ratio")
+            if isinstance(ratio, dict) and not ratio.get("median", 1.0) > 0:   # NaN fails too, and is reported below
+                out.append(f"demo_ms.{command}.ratio: the median change/parent ratio must be positive")
     numbers(point, "point")
     return out
 
@@ -173,14 +187,16 @@ def table(point: dict) -> str:
     rows = [f"BENCH point `{point['label']}` ({point['date']}), {point['pairs']} pairs of `{point['harness']}`: "
             f"`{point['parent']['commit']}` ({point['parent']['src_lines']} src lines) -> "
             f"`{point['change']['commit']}` ({point['change']['src_lines']} src lines)", "",
-            "| figure | parent | change | difference | change wins |", "|---|---|---|---|---|"]
+            "| figure | parent | change | difference | change wins | change/parent per round |",
+            "|---|---|---|---|---|---|"]
     figures = [(key, e["unit"], e, e["change_wins"]) for key, e in point["end_to_end"].items()]
     figures += [(f"demo {c}", "ms", e, e["change_wins"]) for c, e in point["demo_ms"].items()]
     figures.append(("calib_ms", "ms", point["calib_ms"], ""))
     for key, unit, e, wins in figures:
         p, c = e["parent"]["median"], e["change"]["median"]
+        ratio = f"{e['ratio']['median']:.3f} ± {e['ratio']['iqr']:.2g}" if "ratio" in e else ""
         rows.append(f"| {key} ({unit}) | {p:.4g} ± {e['parent']['iqr']:.2g} | {c:.4g} ± {e['change']['iqr']:.2g} | "
-                    f"{(c - p) / p * 100 if p else 0.0:+.1f}% | {wins} |")
+                    f"{(c - p) / p * 100 if p else 0.0:+.1f}% | {wins} | {ratio} |")
     return "\n".join(rows) + "\n"
 
 

@@ -10,7 +10,8 @@ state ``(x, v)``.  Its numpy state is component-major: one C-ordered ``(4, N)`` 
 ``x0, x1, v0, v1``, a geodesic per column, which the tracer keeps from its first step through
 the exit bisection.  The tracer's geodesics advance as that one array while more than
 ``FLOAT_ROWS`` are left; then each walks on alone to its exit in Python floats, as every lane of
-``flow_geodesics`` walks to its own step count from the start.
+``flow_geodesics`` walks to its own step count from the start.  That walk is one RK4 source, compiled
+once per metric family with the family's gradient statements (``float_grad``) written into its stages.
 The tracer's exits are located together by bisection on ``|x| - 1`` inside the steps that
 crossed, on the turns a Newton guess predicts as far as the exit test, checking them all at
 once, agrees: the guess decides no turn; the clipper's crossings take the same
@@ -56,10 +57,11 @@ DEFAULT_STEP = 1e-2
 # Largest |lam| for which the conformal factor exp(2 lam) is a finite float.
 LAM_LIMIT = 0.5 * math.log(sys.float_info.max)
 # rk4 steps up to this many columns (x, v) in Python floats, and more through numpy; the tracer's numpy loop leaves
-# this many or fewer to the float walk.  On a 2-vCPU host (numpy 2.4, CPython 3.11, medians of 300 interleaved timings,
-# two runs) a numpy step of 24 columns of the (4, N) state costs 18-21 / 36-44 / 62-78 us on euclidean /
-# conformal-radial / conformal-gaussian, and a float row 2.1-2.5 / 2.3-2.7 / 3.6-4.2 us: crossovers near 9, 16 and 18
-# rows; 24 is kept until a lower value is measured end to end
+# this many or fewer to the float walk.  On a 2-vCPU host (numpy 2.4, CPython 3.11, medians of 101-301 timings) a
+# numpy step of 8-32 columns of the (4, N) state costs 20 / 42 / 77 us on euclidean / conformal-radial /
+# conformal-gaussian (26 / 52 / 89 us at 120), and a float row step 1.4-1.5 / 1.4-1.5 / 2.5-2.6 us: crossovers near
+# 14, 29 and 30 rows.  End to end, in 10 alternating benchmark pairs against 24, 16 made fan-limit's wall_s 9.1%
+# slower and 32 moved it by +0.4%, with the demo commands' per-round time ratios inside their spread: 24 stays
 FLOAT_ROWS = 24
 # Midpoints per call of the exit check, on the tracer's 4-value lanes (wider lanes take proportionally fewer); at
 # 8192 the demo plan's tracemalloc peak rises from 4.62 to 4.90 MB.
@@ -127,9 +129,10 @@ class MetricField:
         dv, vv = d * v, v * v
         return -2.0 * (dv[0] + dv[1]) * v + (vv[0] + vv[1]) * d
 
-    def grad_floats(self, x0, x1):
-        """``lam_grad`` of one point in Python floats, by the same operations in the same order."""
-        raise NotImplementedError
+    # ``lam_grad`` at the point ``(p0, p1)`` as ``(d0, d1)`` in Python floats, by the same operations in the same
+    # order: a line of statements that reads the metric's constants into locals, and one that ``_rk4_floats``
+    # writes into each of its four stages
+    float_grad = None
 
     # -- inner products and frames ------------------------------------------
     def inner(self, x, u, w):
@@ -142,15 +145,21 @@ class MetricField:
         return factor * np.eye(2)
 
     def rotate90(self, x, v, sign=1):
-        """Rotate v by ``sign * pi/2`` in the g-orthonormal frame at x.
+        """Rotate v by ``sign * pi/2`` in the g-orthonormal frame at x: the one-row form of ``rotate90_rows``.
 
         For conformal metrics this coincides with the chart rotation and
         preserves the g-norm exactly.
         """
-        a = self.frame(x)
-        u = a @ np.asarray(v, dtype=float)
-        u_rot = np.array([-sign * u[1], sign * u[0]])
-        return np.linalg.solve(a, u_rot)
+        return self.rotate90_rows([x], [v], sign)[0]
+
+    def rotate90_rows(self, x, v, sign=1):
+        """Rotate each row of ``v`` by ``sign * pi/2`` in the g-orthonormal frame at the row of ``x`` (``(N, 2)``
+        each), in one array pass: per row ``frame``'s matrix ``A`` (``math.exp`` of ``lam``), ``u = A @ v``
+        turned, and ``A`` solved for it, as one stacked ``@`` and one stacked ``np.linalg.solve``."""
+        x, v = np.asarray(x, dtype=float).reshape(-1, 2), np.asarray(v, dtype=float).reshape(-1, 2)
+        a = np.array([math.exp(lam) for lam in self.lam(x).tolist()])[:, None, None] * np.eye(2)
+        u = (a @ v[:, :, None])[:, :, 0]
+        return np.linalg.solve(a, np.stack([-sign * u[:, 1], sign * u[:, 0]], axis=1)[:, :, None])[:, :, 0]
 
 
 class EuclideanMetric(MetricField):
@@ -166,8 +175,7 @@ class EuclideanMetric(MetricField):
     def accel(self, x, v):
         return np.zeros_like(np.asarray(v, dtype=float))
 
-    def grad_floats(self, x0, x1):
-        return 0.0, 0.0
+    float_grad = "", "d0, d1 = 0.0, 0.0"
 
 
 class RadialConformalMetric(MetricField):
@@ -189,8 +197,7 @@ class RadialConformalMetric(MetricField):
     def lam_grad(self, x):
         return self.slope * np.asarray(x, dtype=float)
 
-    def grad_floats(self, x0, x1):
-        return self.slope * x0, self.slope * x1
+    float_grad = "slope = metric.slope", "d0, d1 = slope * p0, slope * p1"
 
 
 class GaussianConformalMetric(MetricField):
@@ -221,11 +228,11 @@ class GaussianConformalMetric(MetricField):
         d = x - self.center
         return self.lam(x)[..., None] * self.slope * d
 
-    def grad_floats(self, x0, x1):
-        # np.exp, not math.exp: the two differ in the last bit on some arguments
-        d0, d1 = x0 - self.params[1], x1 - self.params[2]
-        c = self.amplitude * float(np.exp(-(d0 * d0 + d1 * d1) / self.width2)) * self.slope
-        return c * d0, c * d1
+    # np.exp, not math.exp: the two differ in the last bit on some arguments
+    float_grad = ("exp, amp, (cx, cy), w2, slope = np.exp, metric.amplitude, metric.params[1:3], metric.width2, "
+                  "metric.slope",
+                  "g0, g1 = p0 - cx, p1 - cy; g = amp * float(exp(-(g0 * g0 + g1 * g1) / w2)) * slope; "
+                  "d0, d1 = g * g0, g * g1")
 
 
 _METRIC_FAMILIES = {
@@ -278,7 +285,8 @@ def unit_tangents(metric: MetricField, x, v) -> list:
     direction or metric).  The factor ``exp(2 lam)`` is ``math.exp`` per row, as ``inner`` takes it.
     """
     x, v = np.asarray(x, dtype=float).reshape(-1, 2), np.asarray(v, dtype=float).reshape(-1, 2)
-    factor = np.array([math.exp(2.0 * lam) for lam in metric.lam(x).tolist()])
+    # past LAM_LIMIT math.exp overflows: that row has no finite unit length
+    factor = np.array([math.inf if lam > LAM_LIMIT else math.exp(2.0 * lam) for lam in metric.lam(x).tolist()])
     n = np.sqrt(np.maximum(factor * (v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         u = v / n[:, None]
@@ -433,7 +441,7 @@ def rk4(metric, y, h):
     floats by the same operations, bit for bit.
     """
     if y.shape[1] <= FLOAT_ROWS:
-        return _rk4_floats(metric.grad_floats, y.T, h).T
+        return _rk4_floats(metric, y.T, h).T
     def rhs(y):
         return np.concatenate([y[2:], metric.accel(y[:2], y[2:])])
     k1 = rhs(y)
@@ -443,32 +451,46 @@ def rk4(metric, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_floats(grad, y, h, stop=None, rule=None, arc=0.0, cap=math.inf, kept=None):
-    """``rk4`` of rows ``(x, v)`` one at a time in Python floats on ``grad``, a ``grad_floats``: numpy's operations
-    element by element in its order, ``accel`` as ``-2.0*dv*v + vv*d``, squares as products; the stages are k1 =
-    (v, a), k2 = (q, b), k3 = (r, c), k4 = (s, e).  Given per-row step counts ``stop``, each row walks alone: to
-    its count, to the step whose new position ``rule`` puts outside the disk, as ``_outside`` tells, keeping its
-    state before it, or past ``cap`` with its arclength, ``arc`` plus ``h`` a step, appending each step's
-    ``(arclength, x, v)`` to ``kept``, a bytearray, as float64s.  Returns the last states and, given ``stop``, per
-    row ``(left, arclength)``."""
+def _rk4_floats(metric, y, h, stop=None, rule=None, arc=0.0, cap=math.inf, kept=None):
+    """``rk4`` of rows ``(x, v)`` one at a time in Python floats: numpy's operations element by element in its order,
+    ``accel`` as ``-2.0*dv*v + vv*d``, squares as products, the metric family's ``float_grad`` written into each
+    stage; the stages are k1 = (v, a), k2 = (q, b), k3 = (r, c), k4 = (s, e).  Given per-row step counts ``stop``,
+    each row walks alone: to its count, to the step whose new position ``rule`` puts outside the disk, as
+    ``_outside`` tells, keeping its state before it, or past ``cap`` with its arclength, ``arc`` plus ``h`` a step,
+    appending each step's ``(arclength, x, v)`` to ``kept``, a bytearray, as float64s.  Returns the last states and,
+    given ``stop``, per row ``(left, arclength)``."""
+    out, ends = _float_kernel(type(metric))(metric, y, h, stop, rule, arc, cap, kept)
+    out = np.array(out).reshape(-1, 4)
+    return out if stop is None else (out, ends)
+
+
+# The loop of _rk4_floats, compiled once per metric family with the family's float_grad: a walked step makes no
+# Python call for the gradient.
+_RK4_FLOATS = """
+def kernel(metric, y, h, stop, rule, arc, cap, kept):
+    {setup}
     out, ends, pack = [], [], struct.Struct("5d").pack
     rows = zip(y.tolist(), h.ravel().tolist() if np.ndim(h) else [float(h)] * len(y), stop or [1] * len(y))
     for (x0, x1, v0, v1), h, n in rows:
         hh, h6, t, gone = 0.5 * h, h / 6.0, arc, False
         for _ in range(n):
-            d0, d1 = grad(x0, x1)
+            p0, p1 = x0, x1
+            {grad}
             dv, vv = d0 * v0 + d1 * v1, v0 * v0 + v1 * v1
             a0, a1 = -2.0 * dv * v0 + vv * d0, -2.0 * dv * v1 + vv * d1
             q0, q1 = v0 + hh * a0, v1 + hh * a1
-            d0, d1 = grad(x0 + hh * v0, x1 + hh * v1)
+            p0, p1 = x0 + hh * v0, x1 + hh * v1
+            {grad}
             dv, vv = d0 * q0 + d1 * q1, q0 * q0 + q1 * q1
             b0, b1 = -2.0 * dv * q0 + vv * d0, -2.0 * dv * q1 + vv * d1
             r0, r1 = v0 + hh * b0, v1 + hh * b1
-            d0, d1 = grad(x0 + hh * q0, x1 + hh * q1)
+            p0, p1 = x0 + hh * q0, x1 + hh * q1
+            {grad}
             dv, vv = d0 * r0 + d1 * r1, r0 * r0 + r1 * r1
             c0, c1 = -2.0 * dv * r0 + vv * d0, -2.0 * dv * r1 + vv * d1
             s0, s1 = v0 + h * c0, v1 + h * c1
-            d0, d1 = grad(x0 + h * r0, x1 + h * r1)
+            p0, p1 = x0 + h * r0, x1 + h * r1
+            {grad}
             dv, vv = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1
             e0, e1 = -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
             n0, n1 = x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1)
@@ -483,8 +505,19 @@ def _rk4_floats(grad, y, h, stop=None, rule=None, arc=0.0, cap=math.inf, kept=No
                 break
         out.append((x0, x1, v0, v1))
         ends.append((gone, t))
-    out = np.array(out).reshape(-1, 4)
-    return out if stop is None else (out, ends)
+    return out, ends
+"""
+
+
+@functools.cache
+def _float_kernel(cls):
+    """The loop of ``_rk4_floats`` for metric class ``cls``, its ``float_grad`` written in."""
+    if cls.float_grad is None:
+        raise NotImplementedError(f"{cls.__name__} has no float_grad")
+    setup, grad = cls.float_grad
+    scope = {}
+    exec(compile(_RK4_FLOATS.format(setup=setup, grad=grad), f"<rk4 floats: {cls.family}>", "exec"), globals(), scope)
+    return scope["kernel"]
 
 
 def _radius(x):
@@ -596,10 +629,10 @@ def _trace_rows(metric, y, step, back=None):
     finite = np.isfinite(y).all(axis=1) & ok
     out = [None if f else SceneValidationError(f"geodesic start state {row.tolist()} is not finite") if ok
            else SceneValidationError("integrator step must be positive and finite") for f, row in zip(finite, y)]
-    rows, t, budget, grad = np.flatnonzero(finite), 0.0, MAX_TRACE_SAMPLES, metric.grad_floats
+    rows, t, budget = np.flatnonzero(finite), 0.0, MAX_TRACE_SAMPLES
     cur, samples, walked, exits, trapped = y[rows].T.copy(), [], [], [(rows[:0], np.zeros((4, 0)), t)], []
     def walk(y0, t0, n, kept):   # row y0 from arclength t0, up to n steps: its last state, if it left, its arclength
-        (y1,), ((gone, t1),) = _rk4_floats(grad, y0[None], step, [n], np.greater_equal, t0, ARCLENGTH_CAP, kept)
+        (y1,), ((gone, t1),) = _rk4_floats(metric, y0[None], step, [n], np.greater_equal, t0, ARCLENGTH_CAP, kept)
         return y1, gone, t1
     while True:   # a second pass resumes the rows that the budget paused and that exit
         paused, budget = None, budget - len(rows)
@@ -782,7 +815,7 @@ def flow_geodesics(metric: MetricField, starts, lengths, step: float = DEFAULT_S
     h = (np.asarray(lengths, dtype=float) / np.maximum(n_steps, 1))[:, None]
     # a lane on the unit circle goes on: it has left only past it, _radius > DISK_RADIUS
     rows = np.flatnonzero(n_steps > 0)
-    y[rows], ends = _rk4_floats(metric.grad_floats, y[rows], h[rows], n_steps[rows].tolist(), np.greater)
+    y[rows], ends = _rk4_floats(metric, y[rows], h[rows], n_steps[rows].tolist(), np.greater)
     for i, (left, _) in zip(rows.tolist(), ends):
         if left:
             out[i] = FanConstructionError(f"base geodesic exits the disk before reaching offset {lengths[i]:g}")

@@ -235,7 +235,8 @@ def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
     # the rotation by sign * pi/2 is parallel on an oriented surface (do Carmo, Riemannian Geometry, ch. 2-3:
     # transport keeps angles and orientation), so the transported normal of v is the normal of v_h
     offset = [i for i, o in enumerate(out) if isinstance(o, tuple)]   # the (p, v_h) of a flow that stayed inside
-    normals = unit_tangents(metric, [out[i][0] for i in offset], [metric.rotate90(*out[i], sign=sign) for i in offset])
+    p, v_h = (np.array([out[i][j] for i in offset]).reshape(-1, 2) for j in (0, 1))
+    normals = unit_tangents(metric, p, metric.rotate90_rows(p, v_h, sign))
     for i, normal in zip(offset, normals):
         out[i] = normal
     return trace_geodesics(metric, out, step=step)

@@ -8,7 +8,8 @@ transport integrated as an ODE instead of the closed-form rotated velocity,
 a bisection loop instead of one search of complex keys, a loop over
 each row's terms by rank instead of one ``np.add.at``, the geodesic
 step on rows ``(x, v)`` instead of on the tracer's component-major state,
-and one tangent normalized in scalars instead of rows in one array pass.
+one tangent normalized in scalars instead of rows in one array pass, and
+one vector rotated by its own 2x2 solve instead of rows by one stacked solve.
 """
 
 import math
@@ -261,3 +262,12 @@ def scalar_unit_tangent(metric, x, v):
     if not abs(factor * float(u[0] * u[0] + u[1] * u[1]) - 1.0) <= 1e-12:
         raise gx.SceneValidationError(f"tangent at {x.tolist()} has no finite unit length in the metric")
     return gx.UnitTangent(x=x, v=u)
+
+
+def scalar_rotate90(metric, x, v, sign):
+    """``v`` rotated by ``sign * pi/2`` at one point ``x``, as ``MetricField.rotate90`` took it before rows were
+    rotated in one array pass: ``frame``'s 2x2 matrix ``A`` at the point, ``u = A @ v`` turned, and one 2x2
+    ``np.linalg.solve`` of ``A`` for it."""
+    a = metric.frame(x)
+    u = a @ np.asarray(v, dtype=float)
+    return np.linalg.solve(a, np.array([-sign * u[1], sign * u[0]]))

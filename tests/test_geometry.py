@@ -16,7 +16,7 @@ from geoxray.scene import random_chord_descriptors, scene_chord_descriptors
 from conftest import chord_start, run_bounded
 from golden.make_paths import TRACERS, digest
 from oracles import (bisect_stack, fd_christoffel, fd_covariant_hessian_min, observed_order, row_flow, row_rk4,
-                     scalar_unit_tangent, transport_step)
+                     scalar_rotate90, scalar_unit_tangent, transport_step)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +441,7 @@ def test_float_kernel_matches_numpy_step(family, params):
     assert len(odd) == 1000 and len(y) > FLOAT_ROWS and np.signbit(y[2000:3000][zeros]).any()
     for h in (0.01, 0.5, rng.uniform(0.0, 0.05, (n, 1))):
         want = row_rk4(metric, y, h)
-        assert _rk4_floats(metric.grad_floats, y, h).tobytes() == want.tobytes()
+        assert _rk4_floats(metric, y, h).tobytes() == want.tobytes()
         row = h if np.ndim(h) == 0 else h[:, 0]
         for state in (np.ascontiguousarray(y.T), y.T):
             assert state.flags.c_contiguous != state.flags.f_contiguous
@@ -670,6 +670,26 @@ def test_transported_normal_is_the_rotated_velocity(family, params, sign):
         assert np.abs(y[:, 4:] - normal).max() <= 1e-15
     # the normal turned in the chart wherever the metric is curved
     assert (np.abs(y[:, 4:] - w0).max() > 1e-3) == (family != "euclidean")
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_rotated_rows_match_one_row_rotations(family, params):
+    # fan_geodesics turns all its offset velocities in one rotate90_rows pass: each row must get the bits of the
+    # one-row rotate90 and of the 2x2 solve per row that rotate90 took before, for either sign, on random rows
+    # with zero and negative-zero velocity components, some rows all zero
+    metric = gx.metric_from_config(family, params)
+    rng = np.random.default_rng(41)
+    n = 2000
+    r, a = np.sqrt(rng.uniform(0.0, 1.0, n)), rng.uniform(0.0, 2.0 * math.pi, n)
+    x, v = np.column_stack([r * np.cos(a), r * np.sin(a)]), rng.uniform(-2.0, 2.0, (n, 2))
+    zeros = rng.uniform(size=(n, 2)) < 0.2
+    v[zeros] = np.where(rng.uniform(size=zeros.sum()) < 0.5, 0.0, -0.0)
+    assert np.signbit(v[zeros]).any() and not np.signbit(v[zeros]).all() and zeros.all(axis=1).sum() > 20
+    for sign in (1, -1):
+        rows = metric.rotate90_rows(x, v, sign)
+        assert rows.shape == (n, 2)
+        for p, u, row in zip(x, v, rows):
+            assert row.tobytes() == metric.rotate90(p, u, sign).tobytes() == scalar_rotate90(metric, p, u, sign).tobytes()
 
 
 def test_transport_lanes_do_not_interact(conformal05):

@@ -364,20 +364,32 @@ def test_non_finite_metric_parameter_exits_with_validation_code(tmp_path, value,
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])
-def test_unit_tangent_rejects_non_finite_metric(flags):
+@pytest.mark.parametrize("param, points, normalized", [
+    ("math.nan", [[0.0, 0.0]], []),
+    # exp(2 lam) = exp(784.08) overflows math.exp: that row's own error, not an OverflowError
+    ("400.0", [[0.99, 0.0]], []),
+    # a batch where only one row overflows: the other still normalizes, lam = 0 at the origin
+    ("400.0", [[0.99, 0.0], [0.0, 0.0]], [1])], ids=["nan", "overflow", "overflow-in-batch"])
+def test_unit_tangent_rejects_non_finite_metric(flags, param, points, normalized):
     # built past metric_from_config's check; an assert would vanish under -O and
     # the tracer would then run to the arclength cap
     done = run_bounded(
         "import math, geoxray as gx\n"
-        "m = gx.geometry.RadialConformalMetric([math.nan])\n"
+        f"m = gx.geometry.RadialConformalMetric([{param}])\n"
+        f"for row in gx.geometry.unit_tangents(m, {points}, [[1.0, 0.0]] * {len(points)}):\n"
+        "    print(row.v.tolist() if isinstance(row, gx.UnitTangent) else f'{type(row).__name__}: {row}')\n"
         "try:\n"
-        "    gx.unit_tangent(m, [0.0, 0.0], [1.0, 0.0])\n"
+        f"    gx.unit_tangent(m, {points[0]}, [1.0, 0.0])\n"
         "except gx.SceneValidationError as exc:\n"
         "    print(exc)\n",
         flags=flags,
     )
-    assert done.returncode == 0
-    assert "no finite unit length" in done.stdout
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()
+    assert len(rows) == len(points) + 1 and "no finite unit length" in rows[-1]
+    for i, row in enumerate(rows[:-1]):
+        assert row == ("[1.0, 0.0]" if i in normalized else
+                       f"SceneValidationError: tangent at {points[i]} has no finite unit length in the metric")
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])
