@@ -7,11 +7,13 @@
 ``make`` runs ``benchmark/run.py --workload all --seconds 6 --trace 0`` in the two source checkouts ``--parent`` and
 ``--change``, in ``PAIRS`` pairs whose order alternates (parent first in even pairs), and keeps each end-to-end
 metric and the host's ``calib_ms`` per run.  Then it times the four demo commands in process, on the demo scenes of
-each checkout, ``REPS`` times each, in one worker process per checkout: each run on one side is followed at once
-by the same run on the other, and the side that goes first alternates.  The point holds, per side, the median and
-the interquartile range of every figure, how many pairs the change won on each metric, both commit ids and both
-``src/`` line counts; per demo command also the median and IQR of each round's change/parent time ratio, in which
-a slow stretch of the host, slowing both runs of a round, cancels out.
+each checkout, in ``REPS`` rounds, in one worker process per checkout: in a round each side runs the command
+``RUNS`` times, interleaved with the other side's runs (A B B A A B, the side that goes first alternating from
+round to round), and keeps the median of its runs.  The point holds, per side, the median and the interquartile
+range of every figure (of a demo command, of its round medians), how many pairs or rounds the change won, both
+commit ids and both ``src/`` line counts; per demo command also the median and IQR of each round's change/parent
+ratio of the two sides' medians, in which a slow stretch of the host, slowing both sides of a round, cancels out,
+and the median of a side's runs sheds one run that a burst slowed.
 
 ``check`` loads each point and exits 1 on a missing key, a non-finite number or a demo ratio whose median is not
 positive (a point made before the ratios has none); it prints the latest point's parent -> change table (by
@@ -32,7 +34,8 @@ from pathlib import Path
 
 WORKLOADS = ("fan-limit", "forward-refined", "reconstruct-demo")
 PAIRS = 10   # alternating harness pairs per point
-REPS = 30    # timed runs of each demo command per side, after one warm-up
+REPS = 30    # timed rounds of each demo command, after one warm-up round
+RUNS = 3     # runs of a demo command per side in a round, interleaved with the other side's
 # end-to-end metric: (unit, True when lower is better), as BENCHMARK.json declares them
 METRICS = {"setup_s": ("s", True), "wall_s": ("s", True), "rays_per_s": ("1/s", False), "peak_rss_mb": ("MB", True)}
 DEMO = (("forward", "demo_reconstruct.json"), ("limit-check", "demo_limit_check.json"),
@@ -66,8 +69,8 @@ def stats(values) -> dict:
 
 
 def demo_entry(times: dict) -> dict:
-    """A demo command's figures from each side's times, one per round: how many rounds the change won, each side's
-    median and IQR, and the median and IQR of the rounds' change/parent ratios."""
+    """A demo command's figures from each side's round medians: how many rounds the change won, each side's median
+    and IQR, and the median and IQR of the rounds' change/parent ratios."""
     pairs = list(zip(*(times[side] for side in SIDES)))
     return {"change_wins": sum(c < p for p, c in pairs), **{side: stats(times[side]) for side in SIDES},
             "ratio": stats([c / p for p, c in pairs])}
@@ -113,17 +116,22 @@ def make(args) -> dict:
     workers = {side: subprocess.Popen([sys.executable, "-c", DEMO_WORKER, str(roots[side])], text=True,
                                       stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                       env=dict(os.environ, OPENBLAS_NUM_THREADS="1")) for side in SIDES}
-    try:   # each command runs on one side, then at once on the other, the side that goes first alternating
+    try:   # a round runs each command RUNS times a side, interleaved, the side that goes first alternating
         for i in range(REPS + 1):
             for j, (command, scene) in enumerate(DEMO):
-                for side in SIDES if (i + j) % 2 == 0 else SIDES[::-1]:
-                    workers[side].stdin.write(f"{command} {scene}\n")
-                    workers[side].stdin.flush()
-                    seconds = workers[side].stdout.readline().strip()
-                    if seconds in ("", "failed"):
-                        raise SystemExit(f"bench_point.py: {roots[side]}: demo {command} failed")
-                    if i:   # the first round warms up
-                        demo[command][side].append(float(seconds) * 1e3)
+                first = SIDES if (i + j) % 2 == 0 else SIDES[::-1]
+                runs_ms = {side: [] for side in SIDES}
+                for k in range(RUNS):
+                    for side in first if k % 2 == 0 else first[::-1]:
+                        workers[side].stdin.write(f"{command} {scene}\n")
+                        workers[side].stdin.flush()
+                        seconds = workers[side].stdout.readline().strip()
+                        if seconds in ("", "failed"):
+                            raise SystemExit(f"bench_point.py: {roots[side]}: demo {command} failed")
+                        runs_ms[side].append(float(seconds) * 1e3)
+                if i:   # the first round warms up
+                    for side in SIDES:
+                        demo[command][side].append(statistics.median(runs_ms[side]))
     finally:
         for worker in workers.values():
             worker.stdin.close()

@@ -18,9 +18,9 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import GeoxrayError, SceneValidationError, exit_code_for
+from .errors import GeoxrayError, SceneValidationError
 from .geometry import boundary_tangents, unwrap
-from .recovery import RecordedOracle, SyntheticOracle, reconstruct, singular_spectrum, spectral_summary
+from .recovery import RecordedOracle, SyntheticOracle, descriptor_key, reconstruct, singular_spectrum, spectral_summary
 from .scene import Scene, load_scene, scene_chord_descriptors
 from .transform import limit_scan, plan_weight_integrals
 
@@ -115,7 +115,7 @@ def cmd_limit_check(scene: Scene, out_dir: str) -> str:
 
 
 def read_recorded_csv(path, m) -> RecordedOracle:
-    rows = []
+    table = {}   # a descriptor given twice keeps its last row
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -133,14 +133,13 @@ def read_recorded_csv(path, m) -> RecordedOracle:
                     raise SceneValidationError(
                         f"data file {path}, line {reader.line_num}: expected {2 + 2 * m} finite numbers, got {rec!r}"
                     )
-                value = np.array([complex(re, im) for re, im in zip(cells[2::2], cells[3::2])])
-                rows.append((cells[0], cells[1], value))
+                table[descriptor_key(cells[:2])] = np.array([complex(*c) for c in zip(cells[2::2], cells[3::2])])
     except FileNotFoundError:
         raise SceneValidationError(f"data file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
         raise SceneValidationError(f"data file {path}: {reason}") from None
-    return RecordedOracle.from_rows(rows, m)
+    return RecordedOracle(table, m)
 
 
 def cmd_reconstruct(scene: Scene, out_dir: str, data_path=None) -> str:
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
             out = cmd_spectrum(scene, args.out)
     except GeoxrayError as exc:
         print(f"geoxray: error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
     except Exception as exc:   # a fault of the program, not of the scene: one line, no traceback
         print(f"geoxray: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,14 +1,13 @@
 """Exception hierarchy and process exit codes.
 
 Every failure mode that the command line surface distinguishes gets its own
-exception class; ``exit_code_for`` maps an exception to the documented code.
+exception class, whose ``exit_code`` is the documented process exit code.
 ``config_number`` and ``config_numbers`` read the numbers of a scene, or
 raise the validation error that names their key path.
 """
 
 import math
 
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COVERAGE = 3
 EXIT_ILL_POSED = 4
@@ -94,9 +93,3 @@ def config_numbers(values, key: str, integer: bool = False) -> list:
     if not isinstance(values, (list, tuple)):
         raise SceneValidationError(f"{key}: expected a list, got {values!r}")
     return [config_number(v, key, integer) for v in values]
-
-
-def exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, GeoxrayError):
-        return exc.exit_code
-    return 1

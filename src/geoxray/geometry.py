@@ -144,14 +144,6 @@ class MetricField:
         factor = math.exp(float(self.lam(np.asarray(x, dtype=float))))
         return factor * np.eye(2)
 
-    def rotate90(self, x, v, sign=1):
-        """Rotate v by ``sign * pi/2`` in the g-orthonormal frame at x: the one-row form of ``rotate90_rows``.
-
-        For conformal metrics this coincides with the chart rotation and
-        preserves the g-norm exactly.
-        """
-        return self.rotate90_rows([x], [v], sign)[0]
-
     def rotate90_rows(self, x, v, sign=1):
         """Rotate each row of ``v`` by ``sign * pi/2`` in the g-orthonormal frame at the row of ``x`` (``(N, 2)``
         each), in one array pass: per row ``frame``'s matrix ``A`` (``math.exp`` of ``lam``), ``u = A @ v``
@@ -455,10 +447,11 @@ def _rk4_floats(metric, y, h, stop=None, rule=None, arc=0.0, cap=math.inf, kept=
     """``rk4`` of rows ``(x, v)`` one at a time in Python floats: numpy's operations element by element in its order,
     ``accel`` as ``-2.0*dv*v + vv*d``, squares as products, the metric family's ``float_grad`` written into each
     stage; the stages are k1 = (v, a), k2 = (q, b), k3 = (r, c), k4 = (s, e).  Given per-row step counts ``stop``,
-    each row walks alone: to its count, to the step whose new position ``rule`` puts outside the disk, as
-    ``_outside`` tells, keeping its state before it, or past ``cap`` with its arclength, ``arc`` plus ``h`` a step,
-    appending each step's ``(arclength, x, v)`` to ``kept``, a bytearray, as float64s.  Returns the last states and,
-    given ``stop``, per row ``(left, arclength)``."""
+    each row walks alone: to its count, to the step whose new position ``rule`` puts outside the disk, keeping its
+    state before it, or past ``cap`` with its arclength, ``arc`` plus ``h`` a step, appending each step's
+    ``(arclength, x, v)`` to ``kept``, a bytearray, as float64s.  A position is outside where ``x0*x0 + x1*x1 <
+    (1 - 2e-15)**2`` fails and ``rule(_radius(x), DISK_RADIUS)`` holds, as ``_outside`` tells for many rows.  Returns
+    the last states and, given ``stop``, per row ``(left, arclength)``."""
     out, ends = _float_kernel(type(metric))(metric, y, h, stop, rule, arc, cap, kept)
     out = np.array(out).reshape(-1, 4)
     return out if stop is None else (out, ends)
@@ -494,7 +487,7 @@ def kernel(metric, y, h, stop, rule, arc, cap, kept):
             dv, vv = d0 * s0 + d1 * s1, s0 * s0 + s1 * s1
             e0, e1 = -2.0 * dv * s0 + vv * d0, -2.0 * dv * s1 + vv * d1
             n0, n1 = x0 + h6 * (v0 + 2.0 * q0 + 2.0 * r0 + s0), x1 + h6 * (v1 + 2.0 * q1 + 2.0 * r1 + s1)
-            if rule and not n0 * n0 + n1 * n1 < (1.0 - 2e-15) ** 2 and _outside(np.array([[n0, n1]]), rule)[0]:
+            if rule and not n0 * n0 + n1 * n1 < (1.0 - 2e-15) ** 2 and rule(_radius(np.array([[n0, n1]])), DISK_RADIUS)[0]:
                 gone = True
                 break
             x0, x1, t = n0, n1, t + h
@@ -531,12 +524,9 @@ def _radius(x):
 
 def _outside(x, rule=np.greater_equal):
     """Which rows have left the disk, as ``rule(_radius(x), DISK_RADIUS)`` tells: the tracer's ``>=`` or
-    ``flow_geodesics``' ``>``.  None for no row when every row is more than 1e-15 inside the circle, where
-    ``_radius`` keeps ``np.hypot``'s value: up to ``FLOAT_ROWS`` rows ``x0*x0 + x1*x1 < (1 - 2e-15)**2`` in Python
-    floats tells, past them one ``np.hypot`` and one max.  A NaN row fails either test and takes the rule."""
-    inside = (all(a * a + b * b < (1.0 - 2e-15) ** 2 for a, b in x[:, :2].tolist()) if len(x) <= FLOAT_ROWS
-              else np.hypot(x[:, 0], x[:, 1]).max() < DISK_RADIUS - 1e-15)
-    return None if inside else rule(_radius(x), DISK_RADIUS)
+    ``flow_geodesics``' ``>``.  None for no row when one ``np.hypot`` and one max put every row more than 1e-15
+    inside the circle, where ``_radius`` keeps ``np.hypot``'s value.  A NaN row fails that test and takes the rule."""
+    return None if np.hypot(x[:, 0], x[:, 1]).max() < DISK_RADIUS - 1e-15 else rule(_radius(x), DISK_RADIUS)
 
 
 def _bisect_lanes(below, lo, hi, width, *lanes, guess=None):
@@ -800,15 +790,15 @@ def flow_geodesics(metric: MetricField, starts, lengths, step: float = DEFAULT_S
     and a step with which that cap takes more than 2**63 steps is a bad step.
     """
     out, n_steps = [None] * len(lengths), np.zeros(len(lengths), dtype=int)
+    # each lane's error after a bad length; past 2**63 steps a lane up to the cap would not count its steps in int64
+    bad_step = ("integrator step must be positive and finite" if not (math.isfinite(step) and step > 0) else
+                f"integrator step {step:g} is below {ARCLENGTH_CAP / 2.0**63:.3g}: an arclength of "
+                f"{ARCLENGTH_CAP:g} would take more than 2**63 steps" if not ARCLENGTH_CAP / step < 2.0**63 else None)
     for i, length in enumerate(lengths):
         if not 0 < length <= ARCLENGTH_CAP:
             out[i] = SceneValidationError(f"flow length must be positive and at most {ARCLENGTH_CAP:g}")
-        elif not (math.isfinite(step) and step > 0):
-            out[i] = SceneValidationError("integrator step must be positive and finite")
-        elif not ARCLENGTH_CAP / step < 2.0**63:
-            # so that a lane of any length up to the cap counts its steps in int64
-            out[i] = SceneValidationError(f"integrator step {step:g} is below {ARCLENGTH_CAP / 2.0**63:.3g}: "
-                                          f"an arclength of {ARCLENGTH_CAP:g} would take more than 2**63 steps")
+        elif bad_step:
+            out[i] = SceneValidationError(bad_step)
         else:
             n_steps[i] = max(1, int(math.ceil(length / step)))
     y = np.array([np.concatenate([s.x, s.v]) for s in starts]).reshape(-1, 4)

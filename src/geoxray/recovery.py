@@ -107,13 +107,6 @@ class RecordedOracle:
             out[i] = self.table[key]
         return out
 
-    @classmethod
-    def from_rows(cls, rows, m: int) -> "RecordedOracle":
-        table = {}
-        for ba, da, value in rows:
-            table[descriptor_key((ba, da))] = np.asarray(value, dtype=complex)
-        return cls(table, m)
-
 
 # ---------------------------------------------------------------------------
 # local sector-value recovery

@@ -45,7 +45,6 @@ class FanLimitPlan:
 class Scene:
     """All built objects of one scene, ready for the commands."""
 
-    schema: str
     seed: int
     step: float
     metric: MetricField
@@ -118,7 +117,7 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
     if cond_cap <= 0:
         raise SceneValidationError("scene.tolerances.condition_cap: must be positive")
 
-    return Scene(schema=schema, seed=seed, step=step, metric=metric, tiling=tiling, field=field,
+    return Scene(seed=seed, step=step, metric=metric, tiling=tiling, field=field,
                  weight=weight, foliation=foliation, fan_plan=fan_plan, chords=chords,
                  noise_sigma=noise_sigma, cond_cap=cond_cap)
 

@@ -265,7 +265,7 @@ def scalar_unit_tangent(metric, x, v):
 
 
 def scalar_rotate90(metric, x, v, sign):
-    """``v`` rotated by ``sign * pi/2`` at one point ``x``, as ``MetricField.rotate90`` took it before rows were
+    """``v`` rotated by ``sign * pi/2`` at one point ``x``, as the one-row rotation took it before rows were
     rotated in one array pass: ``frame``'s 2x2 matrix ``A`` at the point, ``u = A @ v`` turned, and one 2x2
     ``np.linalg.solve`` of ``A`` for it."""
     a = metric.frame(x)

@@ -233,14 +233,15 @@ def test_exit_test_matches_radius_rule():
         assert np.array_equal(np.zeros(len(rows_at), dtype=bool) if got is None else got, want)
     # rows all more than 1e-15 inside: one np.hypot and one max tell, and none leaves
     assert _outside(np.concatenate([rows[0.5], rows[1.0 - 2e-15]])) is None
-    # up to FLOAT_ROWS rows a test in Python floats tells instead, only where the numpy one would
+    # the few rows of a bisection call take the same one test: np.hypot and max, however few the rows
     for chunk in np.array_split(x[rng.permutation(len(x))], len(x) // FLOAT_ROWS + 1):
         got = _outside(chunk)
-        assert len(chunk) <= FLOAT_ROWS and (got is None) <= (np.hypot(chunk[:, 0], chunk[:, 1]).max() < 1.0 - 1e-15)
+        assert len(chunk) <= FLOAT_ROWS and (got is None) == (np.hypot(chunk[:, 0], chunk[:, 1]).max() < 1.0 - 1e-15)
         assert np.array_equal(np.zeros(len(chunk), dtype=bool) if got is None else got, _radius(chunk) >= 1.0)
         got = _outside(chunk, np.greater)
         assert np.array_equal(np.zeros(len(chunk), dtype=bool) if got is None else got, _radius(chunk) > 1.0)
-    assert _outside(rows[0.5][:FLOAT_ROWS]) is None and _outside(rows[1.0 - 2e-15][:1]) is not None
+    # a row less than 1e-15 inside the circle is not declared inside: it takes the rule
+    assert _outside(rows[0.5][:FLOAT_ROWS]) is None and _outside(rows[1.0 - 1e-16][:1]) is not None
     assert _outside(np.array([[math.nan, 0.0], [0.1, 0.2]])).tolist() == [False, False]
 
 
@@ -653,20 +654,20 @@ def parallel_transport(metric, path, w0):
     ("euclidean", []), ("conformal-radial", [0.05]), ("conformal-radial", [1.0]),
     ("conformal-gaussian", [1.0, 0.0, 0.0, 0.5])])
 def test_transported_normal_is_the_rotated_velocity(family, params, sign):
-    # fan_geodesics takes the transported normal as rotate90(x, v, sign): the rotation by sign * pi/2 is
-    # parallel, and the RK4 stages of w = Jv are J of the stages of v, so the oracle's joint transport of
-    # rotate90(x0, v0, sign) stays rotate90(x, v, sign) at every step up to rounding
+    # fan_geodesics takes the transported normal as rotate90_rows(x, v, sign): the rotation by sign * pi/2 is
+    # parallel, and the RK4 stages of w = Jv are J of the stages of v, so the oracle's joint transport of the
+    # rotated v0 at x0 stays the rotated v at x at every step up to rounding
     metric = gx.metric_from_config(family, params)
     rng = np.random.default_rng(5)
     r, a, b = np.sqrt(rng.uniform(0.0, 0.36, 30)), *rng.uniform(0.0, 2.0 * math.pi, (2, 30))
     starts = unit_tangents(metric, np.column_stack([r * np.cos(a), r * np.sin(a)]),
                            np.column_stack([np.cos(b), np.sin(b)]))
     x, v = np.array([s.x for s in starts]), np.array([s.v for s in starts])
-    y = np.column_stack([x, v, [metric.rotate90(p, u, sign=sign) for p, u in zip(x, v)]])
+    y = np.column_stack([x, v, [metric.rotate90_rows([p], [u], sign)[0] for p, u in zip(x, v)]])
     w0 = y[:, 4:].copy()
     for _ in range(30):
         y = transport_step(metric, y, 0.01)
-        normal = np.array([metric.rotate90(row[:2], row[2:4], sign=sign) for row in y])
+        normal = np.array([metric.rotate90_rows([row[:2]], [row[2:4]], sign)[0] for row in y])
         assert np.abs(y[:, 4:] - normal).max() <= 1e-15
     # the normal turned in the chart wherever the metric is curved
     assert (np.abs(y[:, 4:] - w0).max() > 1e-3) == (family != "euclidean")
@@ -674,8 +675,8 @@ def test_transported_normal_is_the_rotated_velocity(family, params, sign):
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_rotated_rows_match_one_row_rotations(family, params):
-    # fan_geodesics turns all its offset velocities in one rotate90_rows pass: each row must get the bits of the
-    # one-row rotate90 and of the 2x2 solve per row that rotate90 took before, for either sign, on random rows
+    # fan_geodesics turns all its offset velocities in one rotate90_rows pass: each row must get the bits of a
+    # one-row call and of a 2x2 solve of that row alone (scalar_rotate90), for either sign, on random rows
     # with zero and negative-zero velocity components, some rows all zero
     metric = gx.metric_from_config(family, params)
     rng = np.random.default_rng(41)
@@ -689,7 +690,8 @@ def test_rotated_rows_match_one_row_rotations(family, params):
         rows = metric.rotate90_rows(x, v, sign)
         assert rows.shape == (n, 2)
         for p, u, row in zip(x, v, rows):
-            assert row.tobytes() == metric.rotate90(p, u, sign).tobytes() == scalar_rotate90(metric, p, u, sign).tobytes()
+            one = metric.rotate90_rows([p], [u], sign)[0]
+            assert row.tobytes() == one.tobytes() == scalar_rotate90(metric, p, u, sign).tobytes()
 
 
 def test_transport_lanes_do_not_interact(conformal05):
@@ -762,7 +764,7 @@ def test_transport_of_velocity_is_velocity(family, params):
 def test_transport_preserves_orthogonality(conformal10):
     path = gx.trace_geodesic(conformal10, gx.boundary_tangent(conformal10, 2.0, 2.0 + math.pi + 0.4),
                              step=5e-3)
-    w0 = conformal10.rotate90(path.x[0], path.v[0])
+    w0 = conformal10.rotate90_rows([path.x[0]], [path.v[0]])[0]
     w = parallel_transport(conformal10, path, w0)
     inners = [conformal10.inner(path.x[i], w[i], path.v[i]) for i in range(path.n_samples)]
     norms = [math.sqrt(conformal10.inner(path.x[i], w[i], w[i])) for i in range(path.n_samples)]

@@ -644,6 +644,22 @@ def test_reconstruct_roundtrip_and_recorded_identical(tmp_path):
             == (out_rec / "reconstruction_report.txt").read_bytes())
 
 
+def test_recorded_descriptor_given_twice_keeps_its_last_row(tmp_path):
+    # a --data file may give a descriptor twice: the later row is the one read, so zeros first and the
+    # forward values after them reconstruct the bytes of the synthetic run
+    spath = write_scene(tmp_path, "s.json", reconstruct_scene())
+    assert cli.main(["forward", "--scene", spath, "--out", str(tmp_path / "fwd")]) == 0
+    assert cli.main(["reconstruct", "--scene", spath, "--out", str(tmp_path / "syn")]) == 0
+    header, *rows = (tmp_path / "fwd" / "forward.csv").read_text(encoding="utf-8").splitlines()
+    cells = rows[0].split(",")
+    zeros = ",".join(cells[:2] + ["0.0"] * (len(cells) - 2))
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([header, zeros, *rows]) + "\n", encoding="utf-8")
+    assert cli.main(["reconstruct", "--scene", spath, "--data", str(data), "--out", str(tmp_path / "rec")]) == 0
+    for name in ("reconstruction_values.csv", "reconstruction_report.txt"):
+        assert (tmp_path / "rec" / name).read_bytes() == (tmp_path / "syn" / name).read_bytes()
+
+
 def test_commands_that_draw_nothing_leave_numpy_random_unimported(tmp_path):
     # a scene builds a random generator only where it draws (a random field, random chords, noise):
     # limit-check on the demo scene and a noise-free reconstruct on a values field draw nothing

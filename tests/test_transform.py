@@ -296,7 +296,7 @@ def test_fan_geodesic_flat_vertical_chord(euclidean):
     assert np.max(np.abs(path.x[:, 0] - 0.9)) <= 1e-12
     anchor = gx.unit_tangent(euclidean, [1.0, 0.0], [-1.0, 0.0])
     p, v_h = unwrap(flow_geodesics(euclidean, [anchor], [0.1], step=1e-3)[0])
-    assert abs(abs(euclidean.rotate90(p, v_h)[1]) - 1.0) <= 1e-12
+    assert abs(abs(euclidean.rotate90_rows([p], [v_h])[0][1]) - 1.0) <= 1e-12
     assert path.endpoints_on_boundary
 
 
@@ -313,7 +313,7 @@ def test_fan_geodesic_conformal_orthogonality(conformal05):
     p, v_h = unwrap(flow_geodesics(conformal05, [anchor], [0.15], step=1e-3)[0])
     for sign in (1, -1):
         path = unwrap(gx.fan_geodesics(conformal05, [1.0, 0.0], [([-1.0, 0.0], 0.15)], sign=sign, step=1e-3)[0])
-        w_h = conformal05.rotate90(p, v_h, sign=sign)
+        w_h = conformal05.rotate90_rows([p], [v_h], sign)[0]
         # the member is the geodesic through the transported point along the transported normal
         (at,) = np.flatnonzero((path.x == p).all(axis=1))
         assert np.array_equal(path.v[at], gx.unit_tangent(conformal05, p, w_h).v)
