@@ -2,8 +2,9 @@
 
 Every failure mode that the command line surface distinguishes gets its own
 exception class, whose ``exit_code`` is the documented process exit code.
-``config_number`` and ``config_numbers`` read the numbers of a scene, or
-raise the validation error that names their key path.
+``config_number`` and ``config_numbers`` read the numbers of a scene, and
+``config_build`` builds an object from them, or each raises the validation
+error that names their key path.
 """
 
 import math
@@ -93,3 +94,11 @@ def config_numbers(values, key: str, integer: bool = False) -> list:
     if not isinstance(values, (list, tuple)):
         raise SceneValidationError(f"{key}: expected a list, got {values!r}")
     return [config_number(v, key, integer) for v in values]
+
+
+def config_build(key: str, build, *args):
+    """``build(*args)``, with ``key`` put before the message of a SceneValidationError it raises."""
+    try:
+        return build(*args)
+    except SceneValidationError as exc:
+        raise SceneValidationError(f"{key}: {exc}") from None

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import SceneValidationError, config_numbers
+from .errors import SceneValidationError, config_build, config_numbers
 from .geometry import MetricField, convexity_margin
 
 
@@ -80,4 +80,4 @@ def foliation_from_config(family: str, params=()) -> FoliationFunction:
         cls = _FOLIATION_FAMILIES[family]
     except (KeyError, TypeError):   # TypeError: a list or an object is no family name
         raise SceneValidationError(f"scene.foliation.family: unknown family {family!r}") from None
-    return cls(config_numbers(params, "scene.foliation.params"))
+    return config_build("scene.foliation.params", cls, config_numbers(params, "scene.foliation.params"))

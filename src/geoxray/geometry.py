@@ -40,6 +40,7 @@ from .errors import (
     GeoxrayError,
     SceneValidationError,
     TrappingSuspectedError,
+    config_build,
     config_numbers,
 )
 
@@ -205,7 +206,7 @@ class GaussianConformalMetric(MetricField):
         # width^2 must be positive and finite, and so must |x - c|^2 / width^2 and 2 lam / width^2 on the disk
         r, w2 = abs(cx) + abs(cy) + 2.0, self.width * self.width
         if not (self.width > 0 and 0.0 < w2 < math.inf and (r * r + 2.0 * LAM_LIMIT) / w2 < math.inf):
-            raise SceneValidationError(f"scene.metric.params: conformal-gaussian width {self.width:g} must be "
+            raise SceneValidationError(f"conformal-gaussian width {self.width:g} must be "
                                        f"positive, and with center ({cx:g}, {cy:g}) keep the profile finite")
         self.center = np.array([cx, cy])
         self.width2, self.slope = self.width**2, -2.0 / self.width**2
@@ -242,9 +243,9 @@ def metric_from_config(family: str, params=()) -> MetricField:
     params = config_numbers(params, "scene.metric.params")
     if cls is EuclideanMetric:
         if params:
-            raise SceneValidationError("metric: euclidean takes no parameters")
+            raise SceneValidationError("scene.metric.params: euclidean takes no parameters")
         return cls()
-    metric = cls(params)
+    metric = config_build("scene.metric.params", cls, params)
     # |lam| <= |params[0]| on the disk in both curved families; exp(2 lam) must be a float
     if abs(metric.params[0]) > LAM_LIMIT:
         raise SceneValidationError(f"scene.metric.params: |{metric.params[0]:g}| exceeds {LAM_LIMIT:.6g}, "

@@ -137,28 +137,21 @@ def recover_fan_values(weight_of_angle, sector_angles, samples, cond_cap: float 
     if n_sectors == 0 or not samples:
         raise SceneValidationError("need at least one sector and one sample")
     betas = [float(b) for b, _ in samples]
-    for i in range(len(betas)):
-        for j in range(i + 1, len(betas)):
-            if abs(betas[i] - betas[j]) < 1e-12:
-                raise IllPosedSamplingError("duplicate sample directions")
-    w_mats = [np.asarray(weight_of_angle(b + 0.5 * math.pi), dtype=complex) for b in betas]
-    m, k = w_mats[0].shape
+    if (np.diff(np.sort(betas)) < 1e-12).any():
+        raise IllPosedSamplingError("duplicate sample directions")
+    w_mats = np.array([weight_of_angle(b + 0.5 * math.pi) for b in betas], dtype=complex)   # (samples, m, k)
+    _, m, k = w_mats.shape
     if len(samples) * m < n_sectors * k:
         raise IllPosedSamplingError(
             f"{len(samples)} samples with m={m} cannot determine {n_sectors} sectors with k={k}"
         )
-    margin = min(float(np.linalg.svd(w, compute_uv=False)[-1]) for w in w_mats)
-    if margin <= MARGIN_FLOOR:
+    if np.linalg.svd(w_mats, compute_uv=False)[:, -1].min() <= MARGIN_FLOOR:
         raise NonInjectiveWeightError(
             "weight is rank deficient at a sample direction (injectivity margin 0)"
         )
-    a = np.zeros((len(samples) * m, n_sectors * k), dtype=complex)
-    b = np.zeros(len(samples) * m, dtype=complex)
-    for j, (beta, value) in enumerate(samples):
-        lengths = sector_chord_lengths(sector_angles, float(beta))
-        for i in range(n_sectors):
-            a[j * m:(j + 1) * m, i * k:(i + 1) * k] = lengths[i] * w_mats[j]
-        b[j * m:(j + 1) * m] = np.asarray(value, dtype=complex)
+    lengths = np.array([sector_chord_lengths(sector_angles, beta) for beta in betas])     # (samples, sectors)
+    a = (lengths[:, None, :, None] * w_mats[:, :, None, :]).reshape(len(samples) * m, n_sectors * k)
+    b = np.concatenate([np.broadcast_to(np.asarray(value, dtype=complex), (m,)) for _, value in samples])
     values, residual, cond = _solve_stacked(a, b, cond_cap, IllPosedSamplingError)
     return values.reshape(n_sectors, k), residual, cond
 

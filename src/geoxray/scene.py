@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SceneValidationError, config_number, config_numbers
+from .errors import SceneValidationError, config_build, config_number, config_numbers
 from .foliation import FoliationFunction, foliation_from_config
 from .geometry import ARCLENGTH_CAP, MetricField, metric_from_config
 from .recovery import ChordPlan, chord_descriptor, order_frontier, reconstruction_descriptors
@@ -167,7 +167,7 @@ def _build_tiling(cfg) -> Tiling:
             raise SceneValidationError("scene.tiling.triangles: vertex indices must be integers")
         if triangles.size > 3 * MAX_TRIANGLES:
             raise SceneValidationError(f"scene.tiling.triangles: more than the limit of {MAX_TRIANGLES} triangles")
-        return Tiling(vertices, triangles)
+        return config_build("scene.tiling.triangles", Tiling, vertices, triangles)
     raise SceneValidationError("scene.tiling: give a generator or vertices+triangles")
 
 
@@ -240,6 +240,8 @@ def _build_plans(cfg):
             chords = ChordPlan(mode, rotations=size("rotations"), levels_per_batch=size("levels_per_batch"),
                                levels=tuple(config_numbers(levels, "scene.plans.chords.levels"))
                                if levels is not None else None)
+            if chords.rotations <= 0 or (levels is None and chords.levels_per_batch <= 0):
+                raise SceneValidationError("scene.plans.chords: frontier sizes must be positive")
         else:
             raise SceneValidationError("scene.plans.chords.mode: expected random, grid, or frontier")
     return fan_plan, chords
@@ -303,11 +305,11 @@ def scene_chord_descriptors(scene: Scene) -> list:
     """The scene's planned chords, per its chord mode."""
     chords = scene.chords
     if chords is None:
-        raise SceneValidationError("scene: no chord plan configured")
+        raise SceneValidationError("scene.plans.chords: missing (required by forward and spectrum)")
     if chords.mode == "random":
         return random_chord_descriptors(chords.count, scene.rng())
     if chords.mode == "grid":
         return grid_chord_descriptors(chords.distances, chords.rotations)
     if scene.foliation is None:
-        raise SceneValidationError("scene: frontier chords need a foliation")
+        raise SceneValidationError("scene.foliation: missing (required by frontier chords)")
     return reconstruction_descriptors(scene.tiling, scene.foliation, chords)

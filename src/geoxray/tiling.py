@@ -452,32 +452,19 @@ def locate_points(tiling: Tiling, points):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Sector:
-    start: float              # angle in the g-orthonormal frame at the vertex
-    end: float                # start < end <= start + pi
-    value: np.ndarray         # (k,) complex
-
-    @property
-    def width(self) -> float:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
 class SectorFan:
     """Angular sectors of triangle cones at a vertex, with their field values.
 
-    Angles are measured in a g-orthonormal frame at the vertex; the frame
+    ``angles`` holds one ``(start, end)`` row per sector, sorted by start, in a
+    g-orthonormal frame at the vertex (``start < end <= start + pi``);
+    ``values`` holds the sectors' field values, ``(n, k)`` complex.  The frame
     matrix is kept so directions can be expressed consistently later.  Gaps
     between sectors carry the value zero.
     """
 
-    vertex: np.ndarray
-    sectors: tuple
+    angles: np.ndarray
+    values: np.ndarray
     frame: np.ndarray
-    k: int
-
-    def total_width(self) -> float:
-        return sum(s.width for s in self.sectors)
 
     def angle_of(self, direction) -> float:
         u = self.frame @ np.asarray(direction, dtype=float)
@@ -494,7 +481,7 @@ def tangent_fan(tiling: Tiling, field: PiecewiseConstantField, vertex_id: int,
     """
     p = tiling.vertices[vertex_id]
     frame = metric.frame(p)
-    sectors = []
+    sectors = []    # (start, end, triangle)
     for i in np.flatnonzero((tiling.triangles == vertex_id).any(axis=1)).tolist():
         ids = list(tiling.triangles[i])
         pos = ids.index(vertex_id)
@@ -502,23 +489,21 @@ def tangent_fan(tiling: Tiling, field: PiecewiseConstantField, vertex_id: int,
         r = tiling.vertices[ids[(pos + 2) % 3]]
         u1 = frame @ (q - p)
         u2 = frame @ (r - p)
-        cross = u1[0] * u2[1] - u1[1] * u2[0]
-        dot = u1 @ u2
-        width = math.atan2(cross, dot)
+        width = math.atan2(u1[0] * u2[1] - u1[1] * u2[0], u1 @ u2)
         if not (0.0 < width < math.pi):
             raise SceneValidationError(f"degenerate cone at vertex {vertex_id}, triangle {i}")
         start = math.atan2(u1[1], u1[0]) % (2.0 * math.pi)
-        sectors.append(Sector(start=start, end=start + width, value=field.values[i].copy()))
-    sectors.sort(key=lambda s: s.start)
+        sectors.append((start, start + width, i))
+    sectors.sort(key=lambda s: s[0])
     for a, b in zip(sectors, sectors[1:]):
-        if b.start < a.end - 1e-10:
+        if b[0] < a[1] - 1e-10:
             raise SceneValidationError(f"overlapping sectors at vertex {vertex_id}")
-    if len(sectors) > 1 and sectors[0].start + 2.0 * math.pi < sectors[-1].end - 1e-10:
+    if len(sectors) > 1 and sectors[0][0] + 2.0 * math.pi < sectors[-1][1] - 1e-10:
         raise SceneValidationError(f"overlapping sectors at vertex {vertex_id} (wraparound)")
-    fan = SectorFan(vertex=p.copy(), sectors=tuple(sectors), frame=frame, k=field.k)
-    if fan.total_width() > 2.0 * math.pi + 1e-9:
+    if sum(end - start for start, end, _ in sectors) > 2.0 * math.pi + 1e-9:
         raise SceneValidationError(f"sector widths exceed a full turn at vertex {vertex_id}")
-    return fan
+    return SectorFan(angles=np.array([s[:2] for s in sectors], dtype=float).reshape(-1, 2),
+                     values=field.values[[s[2] for s in sectors]], frame=frame)
 
 
 # ---------------------------------------------------------------------------

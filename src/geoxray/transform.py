@@ -289,12 +289,9 @@ def tangent_line_integral(fan: SectorFan, beta: float) -> np.ndarray:
     ``beta`` is the direction angle (in the fan's orthonormal frame) of the
     unit vector the line passes through at distance one from the vertex.
     """
-    if not fan.sectors:
-        return np.zeros(fan.k, dtype=complex)
-    lengths = sector_chord_lengths([(s.start, s.end) for s in fan.sectors], beta)
-    total = np.zeros(fan.k, dtype=complex)
-    for s, ell in zip(fan.sectors, lengths):
-        total += ell * s.value
+    total = np.zeros(fan.values.shape[1], dtype=complex)
+    for ell, value in zip(sector_chord_lengths(fan.angles.tolist(), beta), fan.values):
+        total += ell * value
     return total
 
 

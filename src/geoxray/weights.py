@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import SceneValidationError, config_number
+from .errors import SceneValidationError, config_build, config_number
 from .geometry import DEFAULT_STEP, MetricField, PathStack, _trace_rows, unit_tangents, unwrap
 
 # Largest width ``k`` of a scene's identity or angular weight, which holds a k x k matrix per sample
@@ -132,7 +132,7 @@ class AttenuationWeight(WeightField):
     def __init__(self, metric: MetricField, coefficient: str, strength: float,
                  trace_step: float = DEFAULT_STEP):
         super().__init__(1, 1)
-        if coefficient not in _ATTENUATION_PROFILES:
+        if not (isinstance(coefficient, str) and coefficient in _ATTENUATION_PROFILES):
             raise SceneValidationError(f"unknown attenuation coefficient {coefficient!r}")
         self.metric = metric
         self.coefficient = coefficient
@@ -250,11 +250,11 @@ def _weight(cfg, key, metric, trace_step):
         raise SceneValidationError(f"{key}: expected an object, got {cfg!r}")
     family = cfg.get("family")
 
-    def number(name, default, integer=False):
-        return config_number(cfg.get(name, default), f"{key}.{name}", integer)
+    def number(name, default, integer=False, minimum=-math.inf):
+        return config_number(cfg.get(name, default), f"{key}.{name}", integer, minimum)
 
     def width():
-        if (k := number("k", 1, integer=True)) > MAX_COMPONENTS:
+        if (k := number("k", 1, integer=True, minimum=1)) > MAX_COMPONENTS:
             raise SceneValidationError(f"{key}.k: {k} components exceed the limit of {MAX_COMPONENTS}")
         return k
 
@@ -262,17 +262,18 @@ def _weight(cfg, key, metric, trace_step):
         return IdentityWeight(width())
     if family == "constant-matrix":
         if cfg.get("matrix") is None:
-            raise SceneValidationError("constant-matrix weight needs a 'matrix' entry")
-        return ConstantWeight(complex_matrix(cfg["matrix"], f"{key}.matrix"))
+            raise SceneValidationError(f"{key}.matrix: missing")
+        return config_build(f"{key}.matrix", ConstantWeight, complex_matrix(cfg["matrix"], f"{key}.matrix"))
     if family == "angular":
         return AngularWeight(width(), number("order", 1, integer=True),
                              number("amplitude", 0.0), number("radial_modulation", 0.0))
     if family == "attenuation":
-        return AttenuationWeight(metric, cfg.get("coefficient", "constant"), number("strength", 1.0), trace_step)
+        return config_build(f"{key}.coefficient", AttenuationWeight, metric, cfg.get("coefficient", "constant"),
+                            number("strength", 1.0), trace_step)
     if family == "product":
-        return ProductWeight(_weight(cfg.get("left"), f"{key}.left", metric, trace_step),
-                             _weight(cfg.get("right"), f"{key}.right", metric, trace_step))
-    raise SceneValidationError(f"weight: unknown family {family!r}")
+        return config_build(key, ProductWeight, _weight(cfg.get("left"), f"{key}.left", metric, trace_step),
+                            _weight(cfg.get("right"), f"{key}.right", metric, trace_step))
+    raise SceneValidationError(f"{key}.family: unknown family {family!r}")
 
 
 def complex_matrix(rows, key: str, cols: int = None) -> np.ndarray:

@@ -8,8 +8,9 @@ transport integrated as an ODE instead of the closed-form rotated velocity,
 a bisection loop instead of one search of complex keys, a loop over
 each row's terms by rank instead of one ``np.add.at``, the geodesic
 step on rows ``(x, v)`` instead of on the tracer's component-major state,
-one tangent normalized in scalars instead of rows in one array pass, and
-one vector rotated by its own 2x2 solve instead of rows by one stacked solve.
+one tangent normalized in scalars instead of rows in one array pass,
+one vector rotated by its own 2x2 solve instead of rows by one stacked solve,
+and a fan's stacked system filled block by block instead of in one product.
 """
 
 import math
@@ -241,6 +242,21 @@ def add_by_rank(out, row, terms):
         sel = rank == j
         out[row[sel]] += terms[sel]
     return out
+
+
+def stacked_fan_system(weight_of_angle, sector_angles, samples):
+    """The local solver's system for ``samples`` of ``(beta, value)``: block ``(j, i)`` of the matrix is
+    sector i's chord length at beta_j times the weight at beta_j + pi/2, block j of the right side value_j."""
+    w_mats = [np.asarray(weight_of_angle(beta + 0.5 * math.pi), dtype=complex) for beta, _ in samples]
+    (m, k), n = w_mats[0].shape, len(sector_angles)
+    a = np.zeros((len(samples) * m, n * k), dtype=complex)
+    b = np.zeros(len(samples) * m, dtype=complex)
+    for j, (beta, value) in enumerate(samples):
+        lengths = gx.transform.sector_chord_lengths(sector_angles, beta)
+        for i in range(n):
+            a[j * m:(j + 1) * m, i * k:(i + 1) * k] = lengths[i] * w_mats[j]
+        b[j * m:(j + 1) * m] = value
+    return a, b
 
 
 def scalar_unit_tangent(metric, x, v):

@@ -9,6 +9,7 @@ import geoxray as gx
 from geoxray.recovery import (
     ADMISSIBLE_LENGTH_TOL,
     TIE_TOL,
+    _solve_stacked,
     batch_descriptors,
     chord_descriptor,
     frontier_plan,
@@ -18,6 +19,7 @@ from geoxray.transform import sector_chord_lengths
 from geoxray.weights import sphere_bundle_samples
 
 from conftest import chord_start
+from oracles import stacked_fan_system
 
 INJECTIVE_32 = np.array([[1.0, 0.2], [0.1, 1.0], [0.4, 0.6]], dtype=complex)
 SMALL_PLAN = gx.ChordPlan(rotations=18, levels_per_batch=3)
@@ -59,6 +61,24 @@ def test_recover_three_sectors_roundtrip():
     values, residual, cond = gx.recover_fan_values(lambda a: INJECTIVE_32, angles, samples)
     assert np.max(np.abs(values - truth)) <= 1e-10
     assert cond < 1e4
+
+
+def test_recover_builds_the_blockwise_system_bit_for_bit():
+    # the stacked system is one product of the chord-length table and the weight stack; each entry is the
+    # same float times complex product as block by block, so the solve sees the same bits
+    rng = np.random.default_rng(3)
+    angles = [(math.pi - 0.5, math.pi - 0.2), (math.pi - 0.2, math.pi + 0.1), (math.pi + 0.1, math.pi + 0.45)]
+
+    def weight(a):   # varies with the direction, so a block in the wrong row would show
+        return INJECTIVE_32 * (1.0 + 0.3 * math.sin(a)) + 0.1j * math.cos(2 * a)
+
+    samples = [(b, rng.normal(size=3) + 1j * rng.normal(size=3))
+               for b in math.pi + np.linspace(-0.4, 0.35, 7) + rng.uniform(-0.01, 0.01, 7)]
+    a, b = stacked_fan_system(weight, angles, samples)
+    expected = _solve_stacked(a, b, gx.recovery.COND_CAP, gx.IllPosedSamplingError)
+    values, residual, cond = gx.recover_fan_values(weight, angles, samples)
+    assert np.array_equal(values, expected[0].reshape(3, 2))
+    assert (residual, cond) == expected[1:]
 
 
 def test_recover_rank_deficient_weight_raises():

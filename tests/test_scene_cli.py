@@ -109,8 +109,35 @@ def test_scene_value_row_count_checked(tmp_path):
     ("metric", ["euclidean"], "scene.metric"),
     ("foliation", ["radial-square"], "scene.foliation"),
     ("tiling", dict(anchor_tiling_json(), triangles=[[0, 1.5, 2]]), "scene.tiling.triangles"),
+    ("tiling", dict(anchor_tiling_json(), triangles=[[0, 1, 3]]), "scene.tiling.triangles:"),
+    ("metric", {"family": "conformal-radial", "params": [0.1, 0.2]}, "scene.metric.params:"),
+    ("metric", {"family": "conformal-gaussian", "params": [0.1]}, "scene.metric.params:"),
+    ("metric", {"family": "euclidean", "params": [0.1]}, "scene.metric.params:"),
+    ("foliation", {"family": "offset-radial", "params": [0.1]}, "scene.foliation.params:"),
+    ("foliation", {"family": "offset-radial", "params": [1.0, 0.5]}, "scene.foliation.params:"),
+    ("foliation", {"family": "radial-square", "params": [0.1]}, "scene.foliation.params:"),
+    ("weight", {"family": "nope"}, "scene.weight.family:"),
+    ("weight", {"family": "constant-matrix"}, "scene.weight.matrix:"),
+    ("weight", {"family": "constant-matrix", "matrix": []}, "scene.weight.matrix:"),
+    ("weight", {"family": "constant-matrix", "matrix": [[1, 0, 0], [0, 1, 0]]}, "scene.weight.matrix:"),
+    ("weight", {"family": "identity", "k": 0}, "scene.weight.k:"),
+    ("weight", {"family": "attenuation", "coefficient": "nope"}, "scene.weight.coefficient:"),
+    ("weight", {"family": "attenuation", "coefficient": []}, "scene.weight.coefficient:"),
+    ("weight", {"family": "product", "left": {"family": "constant-matrix", "matrix": INJECTIVE_32},
+                "right": {"family": "constant-matrix", "matrix": INJECTIVE_32}}, "scene.weight:"),
+    ("weight", {"family": "product", "left": {"family": "identity", "k": 0},
+                "right": {"family": "constant-matrix", "matrix": INJECTIVE_32}}, "scene.weight.left.k:"),
+    ("weight", {"family": "product", "left": {"family": "constant-matrix", "matrix": INJECTIVE_32},
+                "right": {"family": "nope"}}, "scene.weight.right.family:"),
+    ("plans.chords", None, "scene.plans.chords:"),
+    ("foliation", None, "scene.foliation:"),
+    ("plans.chords.rotations", 0, "scene.plans.chords:"),
+    ("plans.chords.levels_per_batch", 0, "scene.plans.chords:"),
+    ("plans.chords.levels_per_batch", -2, "scene.plans.chords:"),
 ])
 def test_bad_scene_value_exits_with_validation_code(tmp_path, capsys, key, value, named):
+    # each command that reads the value rejects it, naming its key once; forward reads the
+    # chord plan and the foliation as reconstruct does
     scene = reconstruct_scene()
     *parents, last = key.split(".")
     node = scene
@@ -118,8 +145,9 @@ def test_bad_scene_value_exits_with_validation_code(tmp_path, capsys, key, value
         node = node[name]
     node[last] = value
     path = write_scene(tmp_path, "s.json", scene)
-    assert cli.main(["reconstruct", "--scene", path, "--out", str(tmp_path)]) == EXIT_VALIDATION
-    assert named in capsys.readouterr().err
+    for command in ("reconstruct", "forward"):
+        assert cli.main([command, "--scene", path, "--out", str(tmp_path)]) == EXIT_VALIDATION, command
+        assert capsys.readouterr().err.count(named) == 1, command
 
 
 @pytest.mark.parametrize("key, value, flags, named", [
@@ -681,15 +709,19 @@ def test_commands_that_draw_nothing_leave_numpy_random_unimported(tmp_path):
     ("0.1,0.2,1,0,1,0", 2),
     ("0.1,0.2,1,0,nan,0,1,0", 2),
     ("0.1,0.2,1,0,1,0,1,0\n0.3,inf,1,0,1,0,1,0", 3),
+    ("", None),
+    ("boundary_angle,direction_angle," + ",".join(cli._complex_header("value", 2)) + "\n0.1,0.2,1,0,1,0", None),
 ])
 def test_bad_recorded_data_exits_with_validation_code(tmp_path, capsys, row, line):
-    # the demo weight is 3 x 2: two descriptor columns and three complex values per row
+    # the demo weight is 3 x 2: two descriptor columns and three complex values per row; with no
+    # line, the row is the whole file, and its header (none, or one of 6 columns) is rejected
     spath = write_scene(tmp_path, "s.json", reconstruct_scene())
     data = tmp_path / "data.csv"
-    data.write_text("boundary_angle,direction_angle," + ",".join(cli._complex_header("value", 3)) + "\n"
-                    + row + "\n")
+    data.write_text(row if line is None else "boundary_angle,direction_angle,"
+                    + ",".join(cli._complex_header("value", 3)) + "\n" + row + "\n")
     assert cli.main(["reconstruct", "--scene", spath, "--data", str(data), "--out", str(tmp_path)]) == EXIT_VALIDATION
-    assert f"data file {data}, line {line}:" in capsys.readouterr().err
+    named = f"data file {data}: expected 8 columns for m=3" if line is None else f"data file {data}, line {line}:"
+    assert named in capsys.readouterr().err
 
 
 def test_reconstruct_deleted_batch_coverage_exit(tmp_path):

@@ -215,17 +215,17 @@ def test_fan_four_right_angles(euclidean):
     )
     f = gx.PiecewiseConstantField.from_values([[1.0], [2.0], [3.0], [4.0]])
     fan = gx.tangent_fan(t, f, 0, euclidean)
-    assert len(fan.sectors) == 4
-    widths = [s.width for s in fan.sectors]
+    assert fan.angles.shape == (4, 2) and fan.values.shape == (4, 1)
+    widths = (fan.angles[:, 1] - fan.angles[:, 0]).tolist()
     assert np.allclose(widths, math.pi / 2)
-    assert abs(fan.total_width() - 2 * math.pi) <= 1e-9
+    assert abs(sum(widths) - 2 * math.pi) <= 1e-9
 
 
 def test_fan_boundary_vertex_single_sector(euclidean, anchor_triangle_tiling):
     f = gx.PiecewiseConstantField.from_values([[1.0]])
     fan = gx.tangent_fan(anchor_triangle_tiling, f, 0, euclidean)
-    assert len(fan.sectors) == 1
-    assert abs(fan.sectors[0].width - math.radians(20)) <= 1e-12
+    assert fan.angles.shape == (1, 2) and fan.values.shape == (1, 1)
+    assert abs(fan.angles[0, 1] - fan.angles[0, 0] - math.radians(20)) <= 1e-12
 
 
 def test_fan_angles_conformal_equal_euclidean(hexagon24, euclidean, conformal05):
@@ -233,10 +233,10 @@ def test_fan_angles_conformal_equal_euclidean(hexagon24, euclidean, conformal05)
     for vid in (0, 3, 10):
         fan_e = gx.tangent_fan(hexagon24, f, vid, euclidean)
         fan_c = gx.tangent_fan(hexagon24, f, vid, conformal05)
-        for se, sc in zip(fan_e.sectors, fan_c.sectors):
+        for (se, ee), (sc, ec) in zip(fan_e.angles.tolist(), fan_c.angles.tolist()):
             # conformal rescaling preserves angles
-            assert abs(se.start - sc.start) <= 1e-10
-            assert abs(se.width - sc.width) <= 1e-10
+            assert abs(se - sc) <= 1e-10
+            assert abs((ee - se) - (ec - sc)) <= 1e-10
 
 
 def test_fan_completeness_interior_vertices(hexagon24, conformal05):
@@ -246,7 +246,7 @@ def test_fan_completeness_interior_vertices(hexagon24, conformal05):
         if radii[vid] >= math.cos(math.pi / 6) - 1e-9:
             continue  # rim corner or rim-edge midpoint: open fan
         fan = gx.tangent_fan(hexagon24, f, vid, conformal05)
-        assert abs(fan.total_width() - 2 * math.pi) <= 1e-9
+        assert abs(sum((fan.angles[:, 1] - fan.angles[:, 0]).tolist()) - 2 * math.pi) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

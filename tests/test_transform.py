@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import geoxray as gx
 from geoxray.geometry import flow_geodesics, unwrap
-from geoxray.tiling import Sector, SectorFan
+from geoxray.tiling import SectorFan
 from geoxray.transform import sector_chord_lengths
 
 from conftest import chord_start, forward
@@ -16,9 +16,9 @@ from oracles import add_by_rank, chord_forward_value, quadrature_sector_length, 
 
 
 def make_fan(sector_specs, k=1):
-    sectors = tuple(Sector(start=a, end=b, value=np.asarray(v, dtype=complex).reshape(k))
-                    for a, b, v in sector_specs)
-    return SectorFan(vertex=np.zeros(2), sectors=sectors, frame=np.eye(2), k=k)
+    return SectorFan(angles=np.array([(a, b) for a, b, _ in sector_specs], dtype=float).reshape(-1, 2),
+                     values=np.array([np.asarray(v, dtype=complex).reshape(k) for _, _, v in sector_specs]),
+                     frame=np.eye(2))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,42 @@ def test_product_weight_scalar_times_matrix(euclidean):
     assert np.max(np.abs(val - math.exp(-1.0) * mat)) <= 1e-9
 
 
+_M32 = np.array([[1.0, 2.0j], [0.5, -1.0], [2.0 - 0.5j, 0.25]])
+
+
+@pytest.mark.parametrize("right, dims, combine", [
+    # a 1x1 right factor scales the left matrix
+    (lambda metric: gx.AttenuationWeight(metric, "gaussian", 0.8, 1e-2), (3, 2), lambda a, b: b * a),
+    # a 2x2 right factor chains with the 3x2 left one
+    (lambda metric: gx.AngularWeight(2, order=3, amplitude=0.3, radial_modulation=0.5), (3, 2), lambda a, b: a @ b),
+])
+def test_product_weight_chains_factor_dims(conformal05, right, dims, combine):
+    left, right = gx.ConstantWeight(_M32), right(conformal05)
+    w = gx.ProductWeight(left, right)
+    assert (w.m, w.k) == dims
+    samples = sphere_bundle_samples(conformal05, 5, 3)
+    x, v = np.array([s.x for s in samples]), np.array([s.v for s in samples])
+    assert np.array_equal(w.at(x, v), combine(left.at(x, v), right.at(x, v)))
+    paths = [geometry.unwrap(p) for p in gx.trace_geodesics(conformal05, [chord_start(conformal05, a, 4.0)
+                                                                         for a in (0.3, 1.4, 2.9)], 1e-2)]
+    stack = paths[0].stack
+    path = np.array([0, 0, 1, 2, 2])
+    t = np.array([0.0, 0.37, 0.5, 0.21, paths[2].tau])     # sample and in-between arclengths, the last an end
+    along = w.along(stack)(path, t)
+    assert along.shape == (5,) + dims
+    assert np.array_equal(along, combine(left.along(stack)(path, t), right.along(stack)(path, t)))
+
+
+@pytest.mark.parametrize("left, right", [
+    (gx.ConstantWeight(_M32), gx.ConstantWeight(_M32)),     # 3x2 times 3x2
+    (gx.ConstantWeight(_M32), gx.IdentityWeight(3)),         # 3x2 times 3x3
+    (gx.IdentityWeight(2), gx.ConstantWeight(_M32)),         # 2x2 times 3x2
+])
+def test_product_weight_rejects_factors_that_do_not_chain(left, right):
+    with pytest.raises(gx.SceneValidationError, match="do not chain"):
+        gx.ProductWeight(left, right)
+
+
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
 def test_batched_at_matches_per_point_calls(conformal05, name):
     # every family evaluates (..., 2) arrays in one call, bit for bit as point by point
