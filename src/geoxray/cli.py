@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -18,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import GeoxrayError, SceneValidationError
+from .errors import GeoxrayError, SceneValidationError, read_text
 from .geometry import boundary_tangents, unwrap
 from .recovery import RecordedOracle, SyntheticOracle, descriptor_key, reconstruct, singular_spectrum, spectral_summary
 from .scene import Scene, load_scene, scene_chord_descriptors
@@ -116,29 +117,22 @@ def cmd_limit_check(scene: Scene, out_dir: str) -> str:
 
 def read_recorded_csv(path, m) -> RecordedOracle:
     table = {}   # a descriptor given twice keeps its last row
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) != 2 + 2 * m:
-                raise SceneValidationError(
-                    f"data file {path}: expected {2 + 2 * m} columns for m={m}"
-                )
-            for rec in reader:
-                try:
-                    cells = [float(c) for c in rec]
-                except ValueError:
-                    cells = []
-                if len(cells) != 2 + 2 * m or not all(math.isfinite(c) for c in cells):
-                    raise SceneValidationError(
-                        f"data file {path}, line {reader.line_num}: expected {2 + 2 * m} finite numbers, got {rec!r}"
-                    )
-                table[descriptor_key(cells[:2])] = np.array([complex(*c) for c in zip(cells[2::2], cells[3::2])])
-    except FileNotFoundError:
-        raise SceneValidationError(f"data file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
-        raise SceneValidationError(f"data file {path}: {reason}") from None
+    reader = csv.reader(io.StringIO(read_text(path, "data")))
+    header = next(reader, None)
+    if header is None or len(header) != 2 + 2 * m:
+        raise SceneValidationError(
+            f"data file {path}: expected {2 + 2 * m} columns for m={m}"
+        )
+    for rec in reader:
+        try:
+            cells = [float(c) for c in rec]
+        except ValueError:
+            cells = []
+        if len(cells) != 2 + 2 * m or not all(math.isfinite(c) for c in cells):
+            raise SceneValidationError(
+                f"data file {path}, line {reader.line_num}: expected {2 + 2 * m} finite numbers, got {rec!r}"
+            )
+        table[descriptor_key(cells[:2])] = np.array([complex(*c) for c in zip(cells[2::2], cells[3::2])])
     return RecordedOracle(table, m)
 
 

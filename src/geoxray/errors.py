@@ -2,9 +2,9 @@
 
 Every failure mode that the command line surface distinguishes gets its own
 exception class, whose ``exit_code`` is the documented process exit code.
-``config_number`` and ``config_numbers`` read the numbers of a scene, and
-``config_build`` builds an object from them, or each raises the validation
-error that names their key path.
+``read_text`` reads a scene's file, ``config_number`` and ``config_numbers``
+its numbers, and ``config_build`` builds an object from them, or each raises
+the validation error that names the file or the key path.
 """
 
 import math
@@ -102,3 +102,15 @@ def config_build(key: str, build, *args):
         return build(*args)
     except SceneValidationError as exc:
         raise SceneValidationError(f"{key}: {exc}") from None
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text at ``path`` (universal newlines), or a SceneValidationError that names the ``what`` file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise SceneValidationError(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise SceneValidationError(f"{what} file {path}: {reason}") from None

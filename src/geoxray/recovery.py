@@ -213,6 +213,9 @@ class ChordPlan:
     levels evenly inside each window.  The sweep reads only the frontier fields.
     """
 
+    # each mode's size fields, which a scene's reader reads and its plan-size bound multiplies
+    SIZES = {"random": ("count",), "grid": ("distances", "rotations"), "frontier": ("rotations", "levels_per_batch")}
+
     mode: str = "frontier"           # "random" | "grid" | "frontier"
     count: int = 0
     distances: int = 10

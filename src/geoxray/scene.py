@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SceneValidationError, config_build, config_number, config_numbers
+from .errors import SceneValidationError, config_build, config_number, config_numbers, read_text
 from .foliation import FoliationFunction, foliation_from_config
 from .geometry import ARCLENGTH_CAP, MetricField, metric_from_config
 from .recovery import ChordPlan, chord_descriptor, order_frontier, reconstruction_descriptors
@@ -63,13 +63,7 @@ class Scene:
 
 def load_scene(path, step_override=None, seed_override=None) -> Scene:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise SceneValidationError(f"scene file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
-        raise SceneValidationError(f"scene file {path}: {reason}") from None
+        raw = json.loads(read_text(path, "scene"))
     except json.JSONDecodeError as exc:
         raise SceneValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
@@ -108,9 +102,7 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
     fan_plan, chords = _build_plans(_section(raw, "plans"))
     _check_plan_size(chords, step, tiling, foliation)
 
-    noise_sigma = config_number(_section(raw, "noise").get("sigma", 0.0), "scene.noise.sigma")
-    if noise_sigma < 0:
-        raise SceneValidationError("scene.noise.sigma: must be nonnegative")
+    noise_sigma = config_number(_section(raw, "noise").get("sigma", 0.0), "scene.noise.sigma", minimum=0.0)
 
     cond_cap = config_number(_section(raw, "tolerances").get("condition_cap", 1e8),
                              "scene.tolerances.condition_cap")
@@ -223,27 +215,16 @@ def _build_plans(cfg):
     if cfg.get("chords") is not None:
         c = _section(cfg, "chords", "scene.plans")
         mode = c.get("mode")
-
-        def size(name):   # the key's value, ChordPlan's default when it is absent
-            return config_number(c.get(name, getattr(ChordPlan, name)), f"scene.plans.chords.{name}", integer=True)
-
-        if mode == "random":
-            chords = ChordPlan(mode, count=size("count"))
-            if chords.count <= 0:
-                raise SceneValidationError("scene.plans.chords.count: must be positive")
-        elif mode == "grid":
-            chords = ChordPlan(mode, distances=size("distances"), rotations=size("rotations"))
-            if chords.distances <= 0 or chords.rotations <= 0:
-                raise SceneValidationError("scene.plans.chords: grid sizes must be positive")
-        elif mode == "frontier":
-            levels = c.get("levels")
-            chords = ChordPlan(mode, rotations=size("rotations"), levels_per_batch=size("levels_per_batch"),
-                               levels=tuple(config_numbers(levels, "scene.plans.chords.levels"))
-                               if levels is not None else None)
-            if chords.rotations <= 0 or (levels is None and chords.levels_per_batch <= 0):
-                raise SceneValidationError("scene.plans.chords: frontier sizes must be positive")
-        else:
+        if not isinstance(mode, str) or mode not in ChordPlan.SIZES:
             raise SceneValidationError("scene.plans.chords.mode: expected random, grid, or frontier")
+        levels = c.get("levels") if mode == "frontier" else None
+        sizes = {name: config_number(c.get(name, getattr(ChordPlan, name)), f"scene.plans.chords.{name}", integer=True)
+                 for name in ChordPlan.SIZES[mode]}   # each key's value, ChordPlan's default when it is absent
+        for name, n in sizes.items():
+            if n <= 0 and not (name == "levels_per_batch" and levels is not None):   # pinned levels waive it
+                raise SceneValidationError(f"scene.plans.chords.{name}: must be positive")
+        chords = ChordPlan(mode, **sizes, levels=tuple(config_numbers(levels, "scene.plans.chords.levels"))
+                           if levels is not None else None)
     return fan_plan, chords
 
 
@@ -253,15 +234,13 @@ def _check_plan_size(plan, step, tiling, foliation):
     ``rotations`` chords at each level: ``levels_per_batch`` per batch, or each pinned level once."""
     if plan is None:
         return
+    factors = {name: getattr(plan, name) for name in ChordPlan.SIZES[plan.mode]}
     batches = 1
-    if plan.mode == "random":
-        factors = {"count": plan.count}
-    elif plan.mode == "grid":
-        factors = {"distances": plan.distances, "rotations": plan.rotations}
-    elif plan.levels is not None:
-        factors = {"levels": len(plan.levels), "rotations": plan.rotations}
-    else:   # a batch per triangle at most; the batch count itself only where that bound is over
-        factors, batches = {"levels_per_batch": plan.levels_per_batch, "rotations": plan.rotations}, tiling.n_triangles
+    if plan.levels is not None:
+        del factors["levels_per_batch"]
+        factors["levels"] = len(plan.levels)
+    elif plan.mode == "frontier":   # a batch per triangle at most; the batch count itself only where that bound is over
+        batches = tiling.n_triangles
     rays = math.prod(float(min(max(n, 0), 1e308)) for n in factors.values())   # a float, inf past its range
     steps = rays * (ARCLENGTH_CAP / step)
     if steps * batches > MAX_PLAN_STEPS and batches > 1 and foliation is not None:

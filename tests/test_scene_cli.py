@@ -131,9 +131,9 @@ def test_scene_value_row_count_checked(tmp_path):
                 "right": {"family": "nope"}}, "scene.weight.right.family:"),
     ("plans.chords", None, "scene.plans.chords:"),
     ("foliation", None, "scene.foliation:"),
-    ("plans.chords.rotations", 0, "scene.plans.chords:"),
-    ("plans.chords.levels_per_batch", 0, "scene.plans.chords:"),
-    ("plans.chords.levels_per_batch", -2, "scene.plans.chords:"),
+    ("plans.chords.rotations", 0, "scene.plans.chords.rotations:"),
+    ("plans.chords.levels_per_batch", 0, "scene.plans.chords.levels_per_batch:"),
+    ("plans.chords.levels_per_batch", -2, "scene.plans.chords.levels_per_batch:"),
 ])
 def test_bad_scene_value_exits_with_validation_code(tmp_path, capsys, key, value, named):
     # each command that reads the value rejects it, naming its key once; forward reads the
