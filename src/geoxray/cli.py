@@ -101,6 +101,10 @@ def cmd_limit_check(scene: Scene, out_dir: str) -> str:
     if scene.fan_plan is None:
         raise SceneValidationError("scene.plans.fan_limit: missing (required by limit-check)")
     plan = scene.fan_plan
+    curvature = scene.metric.boundary_curvature([math.cos(plan.anchor_angle), math.sin(plan.anchor_angle)])
+    if not curvature > 0:   # the fan's short chords need a strictly convex boundary at the anchor
+        raise SceneValidationError(f"scene.plans.fan_limit.anchor_angle: the boundary is not strictly convex at "
+                                   f"the anchor (geodesic curvature {curvature:.3g})")
     rows_out = []
     scan = limit_scan(scene.metric, scene.weight, scene.tiling, scene.field,
                       plan.anchor_angle, plan.v_offsets, plan.h_values,

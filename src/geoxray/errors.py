@@ -2,9 +2,10 @@
 
 Every failure mode that the command line surface distinguishes gets its own
 exception class, whose ``exit_code`` is the documented process exit code.
-``read_text`` reads a scene's file, ``config_number`` and ``config_numbers``
-its numbers, and ``config_build`` builds an object from them, or each raises
-the validation error that names the file or the key path.
+``read_text`` reads a scene or data file, ``config_keys`` checks a scene's keys,
+``config_number`` and ``config_numbers`` read its numbers, and ``config_build``
+builds an object from them, or each raises the validation error that names
+the file or the key path.
 """
 
 import math
@@ -94,6 +95,13 @@ def config_numbers(values, key: str, integer: bool = False) -> list:
     if not isinstance(values, (list, tuple)):
         raise SceneValidationError(f"{key}: expected a list, got {values!r}")
     return [config_number(v, key, integer) for v in values]
+
+
+def config_keys(cfg: dict, key: str, known) -> None:
+    """Raise a SceneValidationError naming the first key of the object ``cfg`` at ``key`` that is not ``known``."""
+    for name in cfg:
+        if name not in known:
+            raise SceneValidationError(f"{key}.{name}: unknown key (expected one of {', '.join(known)})")
 
 
 def config_build(key: str, build, *args):

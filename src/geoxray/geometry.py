@@ -145,6 +145,12 @@ class MetricField:
         factor = math.exp(float(self.lam(np.asarray(x, dtype=float))))
         return factor * np.eye(2)
 
+    def boundary_curvature(self, x):
+        """Geodesic curvature ``exp(-lam) (1 + x . grad lam)`` in ``g`` of the unit circle at its point ``x``: the
+        boundary is strictly convex there where it is positive."""
+        x = np.asarray(x, dtype=float)
+        return math.exp(-float(self.lam(x))) * (1.0 + float(x @ self.lam_grad(x)))
+
     def rotate90_rows(self, x, v, sign=1):
         """Rotate each row of ``v`` by ``sign * pi/2`` in the g-orthonormal frame at the row of ``x`` (``(N, 2)``
         each), in one array pass: per row ``frame``'s matrix ``A`` (``math.exp`` of ``lam``), ``u = A @ v``

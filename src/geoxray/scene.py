@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SceneValidationError, config_build, config_number, config_numbers, read_text
+from .errors import SceneValidationError, config_build, config_keys, config_number, config_numbers, read_text
 from .foliation import FoliationFunction, foliation_from_config
 from .geometry import ARCLENGTH_CAP, MetricField, metric_from_config
 from .recovery import ChordPlan, chord_descriptor, order_frontier, reconstruction_descriptors
@@ -77,6 +77,8 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
     schema = raw.get("schema")
     if schema != SCHEMA:
         raise SceneValidationError(f"scene.schema: expected {SCHEMA!r}, got {schema!r}")
+    config_keys(raw, "scene", ("schema", "seed", "quadrature_step", "metric", "tiling", "field", "weight",
+                               "foliation", "plans", "noise", "tolerances"))
     seed = config_number(raw.get("seed", 0) if seed_override is None else seed_override,
                          "scene.seed", integer=True, minimum=0)
     step = config_number(raw.get("quadrature_step", DEFAULT_QUADRATURE_STEP) if step_override is None
@@ -88,7 +90,7 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
                                    f"{ARCLENGTH_CAP / MAX_TRACE_STEPS:g}: a geodesic up to the arclength cap "
                                    f"{ARCLENGTH_CAP:g} would take more than {MAX_TRACE_STEPS:,} steps")
 
-    metric_cfg = _section(raw, "metric", required=True)
+    metric_cfg = _section(raw, "metric", required=True, keys=("family", "params"))
     metric = metric_from_config(metric_cfg.get("family"), metric_cfg.get("params", ()))
     tiling = _build_tiling(_section(raw, "tiling", required=True))
     weight = weight_from_config(_section(raw, "weight", required=True), metric, trace_step=step)
@@ -96,15 +98,16 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
 
     foliation = None
     if raw.get("foliation") is not None:
-        cfg = _section(raw, "foliation")
+        cfg = _section(raw, "foliation", keys=("family", "params"))
         foliation = foliation_from_config(cfg.get("family"), cfg.get("params", ()))
 
-    fan_plan, chords = _build_plans(_section(raw, "plans"))
+    fan_plan, chords = _build_plans(_section(raw, "plans", keys=("fan_limit", "chords")))
     _check_plan_size(chords, step, tiling, foliation)
 
-    noise_sigma = config_number(_section(raw, "noise").get("sigma", 0.0), "scene.noise.sigma", minimum=0.0)
+    noise_sigma = config_number(_section(raw, "noise", keys=("sigma",)).get("sigma", 0.0), "scene.noise.sigma",
+                                minimum=0.0)
 
-    cond_cap = config_number(_section(raw, "tolerances").get("condition_cap", 1e8),
+    cond_cap = config_number(_section(raw, "tolerances", keys=("condition_cap",)).get("condition_cap", 1e8),
                              "scene.tolerances.condition_cap")
     if cond_cap <= 0:
         raise SceneValidationError("scene.tolerances.condition_cap: must be positive")
@@ -114,8 +117,9 @@ def build_scene(raw: dict, step_override=None, seed_override=None) -> Scene:
                  noise_sigma=noise_sigma, cond_cap=cond_cap)
 
 
-def _section(cfg: dict, name: str, key: str = "scene", required: bool = False) -> dict:
-    """The object ``cfg[name]``; ``{}`` when it is absent or null, unless ``required``."""
+def _section(cfg: dict, name: str, key: str = "scene", required: bool = False, keys=None) -> dict:
+    """The object ``cfg[name]``; ``{}`` when it is absent or null, unless ``required``.  Its keys must be
+    among ``keys`` when those are given."""
     value = cfg.get(name)
     if not value and required:
         raise SceneValidationError(f"{key}.{name}: missing")
@@ -123,12 +127,15 @@ def _section(cfg: dict, name: str, key: str = "scene", required: bool = False) -
         return {}
     if not isinstance(value, dict):
         raise SceneValidationError(f"{key}.{name}: expected an object, got {value!r}")
+    if keys is not None:
+        config_keys(value, f"{key}.{name}", keys)
     return value
 
 
 def _build_tiling(cfg) -> Tiling:
     if "generator" in cfg:
-        gen = _section(cfg, "generator", "scene.tiling")
+        config_keys(cfg, "scene.tiling", ("generator",))
+        gen = _section(cfg, "generator", "scene.tiling", keys=("kind", "sides", "refine", "rotation"))
         kind = gen.get("kind")
         if kind != "polygon-fan":
             raise SceneValidationError(f"scene.tiling.generator.kind: unknown {kind!r}")
@@ -142,6 +149,7 @@ def _build_tiling(cfg) -> Tiling:
             tiling = refine(tiling)
         return tiling
     if "vertices" in cfg and "triangles" in cfg:
+        config_keys(cfg, "scene.tiling", ("vertices", "triangles"))
         try:
             vertices = np.asarray(cfg["vertices"], dtype=float)
             triangles = np.asarray(cfg["triangles"])
@@ -168,6 +176,7 @@ def _build_field(cfg, tiling, weight, seed) -> PiecewiseConstantField:
     if k != weight.k:
         raise SceneValidationError(f"scene.field.k: field k={k:g} does not match weight k={weight.k}")
     if "values" in cfg:
+        config_keys(cfg, "scene.field", ("k", "values"))
         rows = cfg["values"]
         if isinstance(rows, list) and len(rows) != tiling.n_triangles:
             raise SceneValidationError(
@@ -175,13 +184,17 @@ def _build_field(cfg, tiling, weight, seed) -> PiecewiseConstantField:
             )
         return PiecewiseConstantField(values=complex_matrix(rows, "scene.field.values", k), k=k)
     if "random" in cfg:
-        rcfg = _section(cfg, "random", "scene.field")
+        config_keys(cfg, "scene.field", ("k", "random"))
+        rcfg = _section(cfg, "random", "scene.field", keys=("scale", "real"))
         scale = config_number(rcfg.get("scale", 1.0), "scene.field.random.scale", minimum=0.0)
         if not 2.0 * scale < math.inf:
             raise SceneValidationError(f"scene.field.random.scale: {scale:g} overflows the width of [-scale, scale]")
+        if not isinstance(real := rcfg.get("real", False), bool):
+            raise SceneValidationError(f"scene.field.random.real: expected true or false, got {real!r}")
         return PiecewiseConstantField.random(tiling.n_triangles, k, np.random.default_rng(seed),
-                                             real=bool(rcfg.get("real", False)), scale=scale)
+                                             real=real, scale=scale)
     if cfg.get("zero"):
+        config_keys(cfg, "scene.field", ("k", "zero"))
         return PiecewiseConstantField.zero(tiling.n_triangles, k)
     raise SceneValidationError("scene.field: give values, random, or zero")
 
@@ -190,7 +203,7 @@ def _build_plans(cfg):
     fan_plan = None
     chords = None
     if cfg.get("fan_limit") is not None:
-        f = _section(cfg, "fan_limit", "scene.plans")
+        f = _section(cfg, "fan_limit", "scene.plans", keys=("anchor_angle", "v_offsets_deg", "h_exponents", "sign"))
         offsets = f.get("v_offsets_deg")
         if offsets is None:
             raise SceneValidationError("scene.plans.fan_limit.v_offsets_deg: missing")
@@ -217,14 +230,18 @@ def _build_plans(cfg):
         mode = c.get("mode")
         if not isinstance(mode, str) or mode not in ChordPlan.SIZES:
             raise SceneValidationError("scene.plans.chords.mode: expected random, grid, or frontier")
-        levels = c.get("levels") if mode == "frontier" else None
+        config_keys(c, "scene.plans.chords", ("mode", *ChordPlan.SIZES[mode]) + ("levels",) * (mode == "frontier"))
         sizes = {name: config_number(c.get(name, getattr(ChordPlan, name)), f"scene.plans.chords.{name}", integer=True)
                  for name in ChordPlan.SIZES[mode]}   # each key's value, ChordPlan's default when it is absent
+        levels = c.get("levels")
+        if levels is not None:
+            levels = tuple(config_numbers(levels, "scene.plans.chords.levels"))
+            if not levels:
+                raise SceneValidationError("scene.plans.chords.levels: expected at least one level, got []")
         for name, n in sizes.items():
             if n <= 0 and not (name == "levels_per_batch" and levels is not None):   # pinned levels waive it
                 raise SceneValidationError(f"scene.plans.chords.{name}: must be positive")
-        chords = ChordPlan(mode, **sizes, levels=tuple(config_numbers(levels, "scene.plans.chords.levels"))
-                           if levels is not None else None)
+        chords = ChordPlan(mode, **sizes, levels=levels)
     return fan_plan, chords
 
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import SceneValidationError, config_build, config_number
+from .errors import SceneValidationError, config_build, config_keys, config_number
 from .geometry import DEFAULT_STEP, MetricField, PathStack, _trace_rows, unit_tangents, unwrap
 
 # Largest width ``k`` of a scene's identity or angular weight, which holds a k x k matrix per sample
@@ -259,18 +259,23 @@ def _weight(cfg, key, metric, trace_step):
         return k
 
     if family == "identity":
+        config_keys(cfg, key, ("family", "k"))
         return IdentityWeight(width())
     if family == "constant-matrix":
+        config_keys(cfg, key, ("family", "matrix"))
         if cfg.get("matrix") is None:
             raise SceneValidationError(f"{key}.matrix: missing")
         return config_build(f"{key}.matrix", ConstantWeight, complex_matrix(cfg["matrix"], f"{key}.matrix"))
     if family == "angular":
+        config_keys(cfg, key, ("family", "k", "order", "amplitude", "radial_modulation"))
         return AngularWeight(width(), number("order", 1, integer=True),
                              number("amplitude", 0.0), number("radial_modulation", 0.0))
     if family == "attenuation":
+        config_keys(cfg, key, ("family", "coefficient", "strength"))
         return config_build(f"{key}.coefficient", AttenuationWeight, metric, cfg.get("coefficient", "constant"),
                             number("strength", 1.0), trace_step)
     if family == "product":
+        config_keys(cfg, key, ("family", "left", "right"))
         return config_build(key, ProductWeight, _weight(cfg.get("left"), f"{key}.left", metric, trace_step),
                             _weight(cfg.get("right"), f"{key}.right", metric, trace_step))
     raise SceneValidationError(f"{key}.family: unknown family {family!r}")

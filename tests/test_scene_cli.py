@@ -134,6 +134,12 @@ def test_scene_value_row_count_checked(tmp_path):
     ("plans.chords.rotations", 0, "scene.plans.chords.rotations:"),
     ("plans.chords.levels_per_batch", 0, "scene.plans.chords.levels_per_batch:"),
     ("plans.chords.levels_per_batch", -2, "scene.plans.chords.levels_per_batch:"),
+    ("noise", {"sigma": -1}, "scene.noise.sigma:"),
+    ("metrc", {}, "scene.metrc:"),
+    ("tiling.generator.refinee", 3, "scene.tiling.generator.refinee:"),
+    ("plans.chords.rotation", 3, "scene.plans.chords.rotation:"),
+    ("plans.chords.levels", [], "scene.plans.chords.levels:"),
+    ("field.random.real", "no", "scene.field.random.real:"),
 ])
 def test_bad_scene_value_exits_with_validation_code(tmp_path, capsys, key, value, named):
     # each command that reads the value rejects it, naming its key once; forward reads the
@@ -635,11 +641,33 @@ def test_step_too_small_to_count_exits_with_one_error_line(tmp_path, step):
 
 
 def test_limit_check_trapping_exit_code(tmp_path):
-    scene = limit_scene({"family": "conformal-radial", "params": [-2.5]},
+    # the anchor is convex (geodesic curvature 0.948), but the h = 0.5 fan member is trapped: r exp(lam)
+    # falls below its r = 0.5 value near r = 0.6
+    scene = limit_scene({"family": "conformal-gaussian", "params": [2, 0, 0, 0.4]},
                         {"family": "identity", "k": 1}, [1.0, 0.0],
-                        h_exponents=[3], step=1e-2)
+                        h_exponents=[1], step=1e-2)
     spath = write_scene(tmp_path, "s.json", scene)
     assert cli.main(["limit-check", "--scene", spath, "--out", str(tmp_path)]) == EXIT_TRAPPING
+
+
+@pytest.mark.parametrize("metric, h_exponents, curvature", [
+    ({"family": "conformal-gaussian", "params": [2, 0.5, 0, 0.3]}, range(5, 13), "-0.337"),
+    ({"family": "conformal-gaussian", "params": [2, 0.5, 0, 0.3]}, range(3, 11), "-0.337"),
+    ({"family": "conformal-radial", "params": [-2.5]}, [3], "-48.7"),   # concave everywhere
+])
+def test_limit_check_on_a_concave_anchor_exits_with_validation_code(tmp_path, capsys, metric, h_exponents, curvature):
+    # the fan's short chords need a strictly convex boundary at the anchor; on the bump's concave stretch
+    # limit-check exited 0 with err growing to 1.27e4 as h shrank (h = 2^-5..2^-12), or exited 6 blaming the
+    # metric's nontrapping (2^-3..2^-10)
+    path = demo_scene_path(tmp_path, "demo_reconstruct", "metric", metric)
+    scene = json.loads(Path(path).read_text(encoding="utf-8"))
+    scene["plans"] = {"fan_limit": {"anchor_angle": 0.0, "v_offsets_deg": [-25, -12, 0, 12, 25],
+                                    "h_exponents": list(h_exponents)}}
+    path = write_scene(tmp_path, "s.json", scene)
+    assert cli.main(["limit-check", "--scene", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("geoxray: error: scene.plans.fan_limit.anchor_angle: ") and err.count("\n") == 1
+    assert f"geodesic curvature {curvature})" in err and not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

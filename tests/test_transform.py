@@ -330,6 +330,8 @@ def test_fan_geodesic_rejects_too_large_offset(euclidean):
     ([0, 50], [2.5], gx.FanConstructionError, "before reaching offset 2.5"),
     ([50, 0], [2.5], gx.SceneValidationError, "30-degree cone"),
     ([0], [-1.0, 2.5], gx.SceneValidationError, "h must be positive"),
+    ([0, 85], [0.125], gx.NearParallelSectorError, "unbounded"),
+    ([-40, 85], [0.125], gx.SceneValidationError, "30-degree cone"),
 ])
 def test_limit_scan_raises_first_failing_member_in_plan_order(euclidean, anchor_triangle_tiling,
                                                               offsets_deg, h_values, error, message):
