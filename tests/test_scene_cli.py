@@ -655,7 +655,8 @@ def test_limit_check_trapping_exit_code(tmp_path):
     ({"family": "conformal-gaussian", "params": [2, 0.5, 0, 0.3]}, range(3, 11), "-0.337"),
     ({"family": "conformal-radial", "params": [-2.5]}, [3], "-48.7"),   # concave everywhere
 ])
-def test_limit_check_on_a_concave_anchor_exits_with_validation_code(tmp_path, capsys, metric, h_exponents, curvature):
+def test_limit_check_on_a_concave_anchor_exits_with_validation_code(tmp_path, capsys, metric, h_exponents,
+                                                                    curvature):
     # the fan's short chords need a strictly convex boundary at the anchor; on the bump's concave stretch
     # limit-check exited 0 with err growing to 1.27e4 as h shrank (h = 2^-5..2^-12), or exited 6 blaming the
     # metric's nontrapping (2^-3..2^-10)
