@@ -19,11 +19,11 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import GeoxrayError, SceneValidationError, read_text
+from .errors import GeoxrayError, SceneValidationError, config_build, read_text
 from .geometry import boundary_tangents, unwrap
 from .recovery import RecordedOracle, SyntheticOracle, descriptor_key, reconstruct, singular_spectrum, spectral_summary
 from .scene import Scene, load_scene, scene_chord_descriptors
-from .transform import limit_scan, plan_weight_integrals
+from .transform import limit_scan, plan_weight_integrals, require_fan_anchor
 
 # Largest dense operator ``spectrum`` assembles, in complex entries (rows x m by triangles x k): 1 GiB of complex128
 MAX_DENSE_ENTRIES = 2**26
@@ -101,10 +101,8 @@ def cmd_limit_check(scene: Scene, out_dir: str) -> str:
     if scene.fan_plan is None:
         raise SceneValidationError("scene.plans.fan_limit: missing (required by limit-check)")
     plan = scene.fan_plan
-    curvature = scene.metric.boundary_curvature([math.cos(plan.anchor_angle), math.sin(plan.anchor_angle)])
-    if not curvature > 0:   # the fan's short chords need a strictly convex boundary at the anchor
-        raise SceneValidationError(f"scene.plans.fan_limit.anchor_angle: the boundary is not strictly convex at "
-                                   f"the anchor (geodesic curvature {curvature:.3g})")
+    config_build("scene.plans.fan_limit.anchor_angle", require_fan_anchor, scene.metric,
+                 [math.cos(plan.anchor_angle), math.sin(plan.anchor_angle)])
     rows_out = []
     scan = limit_scan(scene.metric, scene.weight, scene.tiling, scene.field,
                       plan.anchor_angle, plan.v_offsets, plan.h_values,

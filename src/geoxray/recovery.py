@@ -11,10 +11,10 @@ that stay above the next level, so they meet only the batch and triangles
 recovered earlier, whose contribution is subtracted from the data.  The
 candidate chords of every batch are traced, clipped and integrated in one
 ``plan_weight_integrals`` call, which gives the rows of the transform's
-matrix as one ``PlanOperator``.  A mask over its triangles and piece
-lengths picks each batch's admissible rows, the synthetic oracle's data are
-those rows applied to the field, and the sweep is block forward
-substitution on them: ordered by batch, the rows are block lower triangular.
+matrix as one ``PlanOperator``.  One rule picks the rows: a chord serves the
+last batch that its pieces longer than ``ADMISSIBLE_LENGTH_TOL`` meet.  The
+synthetic oracle's data are those rows applied to the field, and the sweep is
+block forward substitution on them: ordered by batch, the rows are block lower triangular.
 """
 
 from __future__ import annotations
@@ -255,13 +255,14 @@ def batch_descriptors(phi: FoliationFunction, lo: float, hi: float, plan: ChordP
         levels = [lo + (hi - lo) * (j + 1) / (n + 1) for j in range(n)]
     out = []
     for j, level in enumerate(levels):
-        radius = phi.leaf_radius(level)
-        for i in range(plan.rotations):
-            psi = 2.0 * math.pi * (i + STAGGER * (j + 1)) / plan.rotations
-            desc = chord_descriptor(phi.center, radius, psi)
-            if desc is not None:
-                out.append(desc)
+        angles = [2.0 * math.pi * (i + STAGGER * (j + 1)) / plan.rotations for i in range(plan.rotations)]
+        out += _ring_descriptors(phi.center, phi.leaf_radius(level), angles)
     return out
+
+
+def _ring_descriptors(center, radius: float, angles) -> list:
+    """The ``chord_descriptor`` of each normal angle at one distance from a center, the misses left out."""
+    return [desc for desc in (chord_descriptor(center, radius, psi) for psi in angles) if desc is not None]
 
 
 def frontier_plan(tiling: Tiling, phi: FoliationFunction, plan: ChordPlan):
@@ -323,9 +324,9 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
                 step: float = DEFAULT_STEP, cond_cap: float = COND_CAP) -> ReconstructionReport:
     """Recover the per-triangle field values by sweeping the foliation inward.
 
-    Batches in frontier order are solved from chords whose clip pieces meet
-    only already-recovered triangles plus the batch; the recovered part is
-    subtracted from the data and the batch block is solved by least squares.
+    A chord serves the last batch that its clip pieces meet, so it meets only that
+    batch and recovered triangles; the recovered part is subtracted from its data,
+    and the batches, in frontier order, are solved by least squares.
 
     Raises
     ------
@@ -352,25 +353,26 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
     m, k, n_tri = weight.m, weight.k, tiling.n_triangles
     values = np.zeros((n_tri, k), dtype=complex)
     residuals = np.zeros(n_tri)
-    known = np.zeros(n_tri, dtype=bool)
     batches, candidates = frontier_plan(tiling, phi, plan)
+    batch_of, col = np.zeros(n_tri, dtype=int), np.zeros(n_tri, dtype=int)
+    for b, batch in enumerate(batches):
+        batch_of[batch], col[batch] = b, np.arange(len(batch))
+    descriptors = [desc for batch_candidates in candidates for desc in batch_candidates]
     # a start that cannot be built stands in for its chord, as its error
-    starts = boundary_tangents(metric, [desc for batch_candidates in candidates for desc in batch_candidates])
+    starts = boundary_tangents(metric, descriptors)
     operator = plan_weight_integrals(metric, weight, tiling, starts, step=step)
-    stops = np.cumsum([len(c) for c in candidates], dtype=int)
+    # a chord serves the last batch that its pieces longer than the tolerance meet (-1: none)
+    hit = operator.length > ADMISSIBLE_LENGTH_TOL
+    last = np.full(operator.n_rows, -1)
+    np.maximum.at(last, operator.row[hit], batch_of[operator.triangle[hit]])
+    batch_chords = np.split(np.arange(len(descriptors)), np.cumsum([len(c) for c in candidates[:-1]], dtype=int))
     conds, step_residuals, used_counts = [], [], []
 
-    for batch, batch_candidates, stop in zip(batches, candidates, stops):
-        in_batch = np.isin(np.arange(n_tri), batch)
-        chords = np.arange(stop - len(batch_candidates), stop)
+    for b, (batch, chords) in enumerate(zip(batches, batch_chords)):
         for j in chords:   # the batch's errors, now that its turn has come: its starts' first
             unwrap(starts[j])
-        rows = operator.take(chords).require()
-        # admissible: meets the batch, and nothing outside it but recovered triangles
-        hit = rows.length > ADMISSIBLE_LENGTH_TOL
-        meets = np.bincount(rows.row[hit & in_batch[rows.triangle]], minlength=rows.n_rows)
-        strays = np.bincount(rows.row[hit & ~(known | in_batch)[rows.triangle]], minlength=rows.n_rows)
-        admissible = np.flatnonzero((meets > 0) & (strays == 0))
+        operator.take(chords).require()
+        admissible = chords[last[chords] == b]
         if not len(admissible):
             raise CoverageError(
                 f"no admissible geodesics for batch {sorted(batch)}: the plan is too sparse"
@@ -380,14 +382,12 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
                 f"batch {sorted(batch)} is underdetermined: {len(admissible) * m} data rows for "
                 f"{len(batch) * k} unknowns"
             )
-        system = rows.take(admissible)
-        data = np.array(oracle.query([batch_candidates[j] for j in admissible], system), dtype=complex)
+        system = operator.take(admissible)
+        data = np.array(oracle.query([descriptors[j] for j in admissible], system), dtype=complex)
         # subtract the recovered part, term by term in entry order
-        old = known[system.triangle]
+        old = batch_of[system.triangle] < b
         np.add.at(data, system.row[old], -np.matmul(system.block[old], values[system.triangle[old]][..., None])[..., 0])
-        new = in_batch[system.triangle] & (system.length > ADMISSIBLE_LENGTH_TOL)
-        col = np.zeros(n_tri, dtype=int)
-        col[batch] = np.arange(len(batch))
+        new = (batch_of[system.triangle] == b) & (system.length > ADMISSIBLE_LENGTH_TOL)
         a = np.zeros((system.n_rows, m, len(batch), k), dtype=complex)
         a[system.row[new], :, col[system.triangle[new]], :] = system.block[new]
         missing = set(batch) - set(system.triangle[new].tolist())
@@ -399,7 +399,6 @@ def reconstruct(metric: MetricField, weight: WeightField, tiling: Tiling, oracle
                                            cond_cap, IllPosedStepError)
         values[batch] = x.reshape(len(batch), k)
         residuals[batch] = residual
-        known[batch] = True
         conds.append(cond)
         step_residuals.append(residual)
         used_counts.append(len(admissible))

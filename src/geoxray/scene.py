@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SceneValidationError, config_build, config_keys, config_number, config_numbers, read_text
 from .foliation import FoliationFunction, foliation_from_config
 from .geometry import ARCLENGTH_CAP, MetricField, metric_from_config
-from .recovery import ChordPlan, chord_descriptor, order_frontier, reconstruction_descriptors
+from .recovery import ChordPlan, _ring_descriptors, order_frontier, reconstruction_descriptors
 from .tiling import PiecewiseConstantField, Tiling, polygon_fan_tiling, refine
 from .weights import WeightField, complex_matrix, weight_from_config
 
@@ -288,12 +288,8 @@ def grid_chord_descriptors(distances: int, rotations: int) -> list:
     """Deterministic chord grid: distance shells times rotations."""
     out = []
     for i in range(distances):
-        d = (i + 0.5) / distances
-        for j in range(rotations):
-            psi = 2.0 * math.pi * j / rotations + 0.1 * (i + 1) / distances
-            desc = chord_descriptor(np.zeros(2), d, psi)
-            if desc is not None:
-                out.append(desc)
+        out += _ring_descriptors(np.zeros(2), (i + 0.5) / distances,
+                                 [2.0 * math.pi * j / rotations + 0.1 * (i + 1) / distances for j in range(rotations)])
     return out
 
 

@@ -580,8 +580,8 @@ def _brackets(tiling: Tiling, stack: PathStack):
     in each, the boxes of runs of ``HULL_RUN`` consecutive intervals go through one ``_box_pairs``
     query, and only the intervals of the runs that meet an edge are tested against it, with the
     closed comparisons of ``_box_pairs``, so the kept pairs are the ones it would find.  Returns the
-    samples where such an edge's line function is exactly zero, and (edge, interval) pairs in
-    interval order: the sign changes, and the intervals whose ends lie on one side of the edge line
+    samples where such an edge's line function is exactly zero, and (edge, interval) pairs in no
+    set order: the sign changes, and the intervals whose ends lie on one side of the edge line
     and whose control hull straddles it."""
     a, e, box_lo, box_hi = tiling._edges
     (ex0, ey0), (ex1, ey1) = box_lo.T, box_hi.T
@@ -603,10 +603,7 @@ def _brackets(tiling: Tiling, stack: PathStack):
         meet = ((lo[..., 0] <= ex1[c, None]) & (ex0[c, None] <= hi[..., 0])
                 & (lo[..., 1] <= ey1[c, None]) & (ey0[c, None] <= hi[..., 1]))
         p, k = np.nonzero(meet)
-        # row-major (interval, edge) order, as a query on the intervals returns it
-        key = (run[p] * HULL_RUN + k) * len(a) + c[p]
-        key.sort()
-        r, c = np.divmod(key, len(a))
+        r, c = run[p] * HULL_RUN + k, c[p]
         f0, f1, f2, f3 = _edge_side(a[c], e[c], hull[:, r])
         prod = f0 * f3
         straddle = (prod > 0.0) & np.where(f0 > 0.0, np.minimum(f1, f2) < 0.0, np.maximum(f1, f2) > 0.0)

@@ -130,7 +130,7 @@ def plan_weight_integrals(metric: MetricField, weight: WeightField, tiling: Tili
 
     The UnitTangents are traced together in one ``trace_geodesics`` call, and
     all paths are clipped together and integrated in one pass.  An error
-    becomes its row's.
+    becomes its row's; an invalid tiling raises its own, for the whole plan.
     """
     return _plan_operator(weight, tiling, trace_geodesics(metric, starts, step=step))
 
@@ -144,11 +144,8 @@ def _plan_operator(weight: WeightField, tiling: Tiling, paths) -> PlanOperator:
     order by one ``np.add.at``, into the entry the path made on entering that
     triangle first.  A row whose weight integrals overflow gets an IllPosedStepError.
     """
+    tiling.require_valid()
     errors = [path if isinstance(path, GeoxrayError) else None for path in paths]
-    try:
-        tiling.require_valid()
-    except GeoxrayError as exc:
-        errors = [exc if e is None else e for e in errors]
     good = np.array([r for r, e in enumerate(errors) if e is None], dtype=int)
     stack, path, tri, t0, t1 = clip_plan(tiling, [paths[r] for r in good])
     inside = (tri >= 0) & (t1 - t0 > 0)
@@ -208,19 +205,29 @@ def _trapezoid_sums(weight: WeightField, stack: PathStack, path, t0, t1, inner, 
 # fan geodesics
 # ---------------------------------------------------------------------------
 
+def require_fan_anchor(metric: MetricField, x) -> None:
+    """Raise a SceneValidationError unless the fan anchor ``x`` sits on the boundary circle, and the
+    boundary is strictly convex there (positive geodesic curvature), as the fan's short chords need."""
+    if abs(math.hypot(x[0], x[1]) - DISK_RADIUS) > BOUNDARY_TOL:
+        raise SceneValidationError("fan anchor must sit on the boundary circle")
+    curvature = metric.boundary_curvature(x)
+    if not curvature > 0:
+        raise SceneValidationError(f"the boundary is not strictly convex at the anchor "
+                                   f"(geodesic curvature {curvature:.3g})")
+
+
 def fan_geodesics(metric: MetricField, x, members, sign: int = 1,
                   step: float = DEFAULT_STEP) -> list:
     """Build the offset geodesics of several ``(v, h)`` members at one anchor x.
 
-    ``x`` must be a boundary point and each ``v`` an inward unit direction within 30 degrees of the
+    ``x`` must pass ``require_fan_anchor`` and each ``v`` be an inward unit direction within 30 degrees of the
     inward normal.  The normal of ``v`` (rotated by ``sign * pi/2``) is parallel-transported to
     distance h, and the maximal geodesic through that point in the transported direction is traced.
     Each stage takes all members in one call: the anchors' ``unit_tangents``, the flows, the offset normals'
     ``unit_tangents`` and the traces.  Returns one entry per member: its traced GeodesicPath, or its error.
     """
     x = np.asarray(x, dtype=float)
-    if abs(math.hypot(x[0], x[1]) - DISK_RADIUS) > BOUNDARY_TOL:
-        raise SceneValidationError("fan anchor must sit on the boundary circle")
+    require_fan_anchor(metric, x)
     nu, members = unit_tangent(metric, x, -x).v, list(members)
     anchors = unit_tangents(metric, np.tile(x, (len(members), 1)), [v for v, _ in members])
     out = [a if isinstance(a, GeoxrayError)
@@ -320,7 +327,7 @@ def limit_scan(metric: MetricField, weight: WeightField, tiling: Tiling,
     """Compare scaled fan integrals against the frozen limit over (v, h) grids.
 
     The anchor is the boundary point at ``anchor_angle``; it must coincide
-    with a tiling vertex, whose sector fan supplies the limit side.
+    with a tiling vertex, whose sector fan supplies the limit side, and pass ``require_fan_anchor``.
     ``v_offsets`` are angles (radians) added to the inward normal direction.
     Returns a list of row dicts ``{h, v_angle, err, scaled, frozen}``.
     """

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -289,16 +290,22 @@ def test_reconstruct_traces_its_whole_plan_in_one_call(monkeypatch, euclidean, h
     assert traced == [sum(len(c) for c in frontier_plan(hexagon24, gx.RadialSquare(), SMALL_PLAN)[1])]
 
 
-@pytest.mark.parametrize("changes", [
-    {},
-    {"metric": {"family": "conformal-radial", "params": [0.1]},
-     "tiling": {"generator": {"kind": "polygon-fan", "sides": 5, "refine": 1}},
-     "plans": {"chords": {"mode": "frontier", "rotations": 24, "levels_per_batch": 4}}},
+SMALL_FAN = {"metric": {"family": "conformal-radial", "params": [0.1]},
+             "tiling": {"generator": {"kind": "polygon-fan", "sides": 5, "refine": 1}},
+             "plans": {"chords": {"mode": "frontier", "rotations": 24, "levels_per_batch": 4}}}
+
+
+@pytest.mark.parametrize("changes, tol", [
+    ({}, ADMISSIBLE_LENGTH_TOL),
+    (SMALL_FAN, ADMISSIBLE_LENGTH_TOL),
+    (SMALL_FAN, 1e-3),   # three pieces fall under it, and batch 0 keeps 53 chords instead of 54
 ])
-def test_admissible_rows_are_block_lower_triangular(changes):
+def test_admissible_rows_are_block_lower_triangular(monkeypatch, changes, tol):
     # the layer-stripping argument as a matrix: rows ordered by batch and columns in
     # frontier order, the admissible rows are block lower triangular and each
-    # diagonal block has full column rank, so forward substitution recovers the field
+    # diagonal block has full column rank, so forward substitution recovers the field;
+    # a piece no longer than the tolerance does not count as meeting its triangle
+    monkeypatch.setattr(gx.recovery, "ADMISSIBLE_LENGTH_TOL", tol)
     with open(Path(__file__).resolve().parents[1] / "scenes" / "demo_reconstruct.json", encoding="utf-8") as fh:
         scene = gx.build_scene(dict(json.load(fh), **changes))
     metric, weight, tiling, phi = scene.metric, scene.weight, scene.tiling, scene.foliation
@@ -306,17 +313,21 @@ def test_admissible_rows_are_block_lower_triangular(changes):
     op = gx.plan_weight_integrals(metric, weight, tiling,
                                   [gx.boundary_tangent(metric, a, d) for c in candidates for a, d in c],
                                   step=scene.step)
-    assert op.length.min() > ADMISSIBLE_LENGTH_TOL   # no piece is too short to count as meeting
+    short = op.length <= tol
+    # no piece is too short to count as meeting, unless the tolerance was raised for the filter to act
+    assert short.any() == (tol > ADMISSIBLE_LENGTH_TOL)
     known, rows, first = set(), [], 0
     for batch, batch_candidates in zip(batches, candidates):
         chosen = []
         for r in range(first, first + len(batch_candidates)):
-            hits = set(op.triangle[op.row_ptr[r]:op.row_ptr[r + 1]].tolist())
+            entries = slice(op.row_ptr[r], op.row_ptr[r + 1])
+            hits = set(op.triangle[entries][~short[entries]].tolist())
             if hits & set(batch) and hits <= known | set(batch):
                 chosen.append(r)
         rows.append(chosen)
         known |= set(batch)
         first += len(batch_candidates)
+    op = dataclasses.replace(op, block=np.where(short[:, None, None], 0, op.block))
     m, k = weight.m, weight.k
     columns = [t * k + q for batch in batches for t in batch for q in range(k)]
     a = op.take([r for chosen in rows for r in chosen]).dense()[:, columns]

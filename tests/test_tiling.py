@@ -370,6 +370,37 @@ def test_crossings_do_not_depend_on_the_guess(tmp_path, monkeypatch, walk):
             assert [a.tobytes() for a in gx.tiling._edge_crossings(tiling, stack)] == want, name
 
 
+@pytest.mark.parametrize("order", ["reversed", "permuted"])
+def test_clipping_does_not_depend_on_bracket_order(tmp_path, monkeypatch, order):
+    # _brackets returns its zeros and (edge, interval) pairs in no set order: clip_plan lexsorts the
+    # cuts by (path, time), each bisection lane is independent and the guess check is elementwise, so
+    # the pieces of every plan of make_plan_clips.py and of the forward-refined plan keep their bytes
+    # when the pairs come reversed or shuffled, with the guess walk on and off
+    from golden.make_plan_clips import plans
+
+    (refined, refined_paths), = workload_plans("forward-refined", tmp_path, monkeypatch)
+    brackets, rng = gx.tiling._brackets, np.random.default_rng(8)
+
+    def reordered(tiling, stack):
+        zeros, edge, i, tangent_edge, tangent_i = brackets(tiling, stack)
+        take = [np.arange(len(a))[::-1] if order == "reversed" else rng.permutation(len(a))
+                for a in (zeros, i, tangent_i)]
+        return zeros[take[0]], edge[take[1]], i[take[1]], tangent_edge[take[2]], tangent_i[take[2]]
+
+    def pieces(tiling, paths):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", gx.TangencyWarning)
+            return [a.tobytes() for a in gx.tiling.clip_plan(tiling, paths)[1:]]
+
+    for name, tiling, paths in [*plans(), ("forward-refined", refined, refined_paths)]:
+        for lanes in (0, sys.maxsize):   # past the gate, no guess; and a guess on every lane count
+            monkeypatch.setattr(gx.tiling, "WALK_LANES", lanes)
+            monkeypatch.setattr(gx.tiling, "_brackets", brackets)
+            want = pieces(tiling, paths)
+            monkeypatch.setattr(gx.tiling, "_brackets", reordered)
+            assert pieces(tiling, paths) == want, (name, lanes)
+
+
 def test_crossings_are_located_with_one_check_per_block(tmp_path, monkeypatch):
     # the 40 crossing lanes of the 4 forward-refined chords: the 1,600 midpoints of their predicted walks
     # are checked in two calls of below, and no lane is contradicted; two-turn plain passes took 20 calls

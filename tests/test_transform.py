@@ -69,6 +69,10 @@ def test_forward_rejects_invalid_tiling(euclidean):
     path = gx.trace_geodesic(euclidean, chord_start(euclidean, 0.0, 3.0), step=1e-2)
     with pytest.raises(gx.SceneValidationError):
         forward(euclidean, gx.IdentityWeight(1), bad, field, path)
+    # the tiling's error is the whole plan's: it wins over a row's own error, even on the first row
+    starts = [gx.TrappingSuspectedError("the row's own error"), chord_start(euclidean, 0.0, 3.0)]
+    with pytest.raises(gx.SceneValidationError, match="^tiling rejected: "):
+        gx.plan_weight_integrals(euclidean, gx.IdentityWeight(1), bad, starts, step=1e-2)
 
 
 def test_forward_rejects_dim_mismatch(euclidean, hexagon24):
@@ -341,6 +345,18 @@ def test_limit_scan_raises_first_failing_member_in_plan_order(euclidean, anchor_
     with pytest.raises(error, match=message):
         gx.transform.limit_scan(euclidean, gx.IdentityWeight(1), anchor_triangle_tiling, field, 0.0,
                                 [math.radians(d) for d in offsets_deg], h_values, step=1e-2)
+
+
+def test_fan_anchor_on_a_concave_boundary_is_refused(anchor_triangle_tiling):
+    # the bump bends the circle inward at angle 0, where the fan's short chords have no frozen limit:
+    # limit_scan returned rows whose err grew from 45 to 8.0e3 over h = 2^-5..2^-12 at the 12-degree offset
+    metric = gx.metric_from_config("conformal-gaussian", [2, 0.5, 0, 0.3])
+    field = gx.PiecewiseConstantField.from_values([[1.0]])
+    with pytest.raises(gx.SceneValidationError, match=r"not strictly convex .*\(geodesic curvature -0\.337\)"):
+        gx.transform.limit_scan(metric, gx.IdentityWeight(1), anchor_triangle_tiling, field, 0.0,
+                                [0.0, math.radians(12)], [2.0 ** -e for e in range(5, 13)], step=1e-2)
+    with pytest.raises(gx.SceneValidationError, match=r"\(geodesic curvature -0\.337\)"):
+        gx.fan_geodesics(metric, [1.0, 0.0], [([-1.0, 0.0], 0.1)], step=1e-2)
 
 
 def test_fan_geodesic_rejects_wide_anchor_cone(euclidean):
